@@ -64,6 +64,11 @@ def _test_fields(sys_: MagneticSystem, n: int = 3):
     return fields[:n]
 
 
+def _tol(args, default: float) -> float:
+    """The ``--tol`` value when given (0 included), else the check's default."""
+    return default if args.tol is None else args.tol
+
+
 def _coarse(grid: Grid, n: int = 9) -> Grid:
     return Grid(grid.xmin, grid.xmax, n, grid.ymin, grid.ymax, n)
 
@@ -73,17 +78,17 @@ def _coarse(grid: Grid, n: int = 9) -> Grid:
 
 def check_equivariance_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     sys_ = build_system(cfg)
-    return [check_equivariance(sys_.rho, sys_.tau, seed=cfg.seed, tol=args.tol or 1e-9)]
+    return [check_equivariance(sys_.rho, sys_.tau, seed=cfg.seed, tol=_tol(args, 1e-9))]
 
 
 def field_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     sys_ = build_system(cfg)
-    return [magnetics.field_constancy(sys_, cfg.make_grid(), tol=args.tol or 1e-8)]
+    return [magnetics.field_constancy(sys_, cfg.make_grid(), tol=_tol(args, 1e-8))]
 
 
 def gauge_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     sys_ = build_system(cfg)
-    rep = magnetics.gauge_check(sys_, seed=cfg.seed, tol=args.tol or 1e-8)
+    rep = magnetics.gauge_check(sys_, seed=cfg.seed, tol=_tol(args, 1e-8))
     if args.z is not None:
         z = _parse_complex(args.z)
         rep.metadata["z"] = [z.real, z.imag]
@@ -100,14 +105,14 @@ def invariance_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     else:
         gs = _random_group_elements(np.random.default_rng(cfg.seed), 3)
     f = _test_fields(sys_, 1)[0]
-    tol = args.tol or 1e-5
+    tol = _tol(args, 1e-5)
     return [magnetics.invariance_residual(sys_, g, f, grid, tol=tol) for g in gs]
 
 
 def lift_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     sys_ = build_system(cfg)
     grid = _coarse(cfg.make_grid(), 11)
-    tol = args.tol or 1e-8
+    tol = _tol(args, 1e-8)
     out = []
     for g in sys_.gamma.generators:
         out.append(magnetics.chi_tau_hat_spread(sys_, g, grid, tol=tol))
@@ -127,7 +132,7 @@ def spectrum_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
         psi = spectral.strip_eigenfunction(basis, sys_, m, 0)
         lam = spectral.rayleigh_quotient(sys_, psi, pts)
         res.append(abs(lam - spectral.landau_level(sys_.B, m)) / abs(spectral.landau_level(sys_.B, m)))
-    rep = from_residuals("spectrum_rayleigh", res, args.tol or 1e-4, levels=table, level_index="hermite degree m")
+    rep = from_residuals("spectrum_rayleigh", res, _tol(args, 1e-4), levels=table, level_index="hermite degree m")
     return [rep]
 
 
@@ -147,7 +152,7 @@ def kernel_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     rep = from_residuals(
         "kernel_structure",
         herm + [diag],
-        args.tol or 1e-12,
+        _tol(args, 1e-12),
         laguerre_scale_verdict=verdict,
         k=k,
     )
@@ -181,10 +186,11 @@ def highdim_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
         ],
     }
     n = int(block.get("n", 2))
+    tol = _tol(args, 1e-6)
     reps = []
     for case in block["cases"]:
         tau = EquivariantMapN.from_dict(case["tau"], n)
-        result = constant_field_test(tau, cfg.nu, cfg.mu, seed=cfg.seed, tol=args.tol or 1e-6)
+        result = constant_field_test(tau, cfg.nu, cfg.mu, seed=cfg.seed, tol=tol)
         worst = max(
             result["per_l"]["max_A"], result["per_l"]["max_B"], result["per_l"]["F_spread"]
         )
@@ -194,7 +200,7 @@ def highdim_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
                 # the direct 2-form oracle is authoritative for pass/fail
                 result["direct"]["spread"],
                 result["direct"]["spread"],
-                args.tol or 1e-6,
+                tol,
                 {"per_l_worst": worst, "result": _sanitize(result)},
             )
         )
@@ -221,7 +227,7 @@ def rdq_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
         nu = float(cfg.rdq.get("nu", nu))
         if "values_on_generators" in cfg.rdq:
             chi = PseudoCharacter.from_dict(cfg.rdq)
-    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=args.tol or 1e-10)]
+    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10))]
 
 
 def report_cmd(cfg: SystemConfig, args) -> list[CheckReport]:

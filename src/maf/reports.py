@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 
@@ -20,7 +21,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.max_residual <= self.tol
+        return math.isfinite(self.max_residual) and self.max_residual <= self.tol
 
     def to_dict(self) -> dict:
         return {
@@ -41,11 +42,16 @@ class CheckReport:
 
 
 def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
-    """Build a report from an iterable of nonnegative residuals."""
+    """Build a report from an iterable of nonnegative residuals.
+
+    A non-finite residual (NaN or inf) is reported as the maximum, so the
+    report fails; the first one met is kept.
+    """
     vals = [float(r) for r in residuals]
     if not vals:
         return CheckReport(name, 0.0, 0.0, tol, metadata)
-    return CheckReport(name, max(vals), sum(vals) / len(vals), tol, metadata)
+    worst = next((v for v in vals if not math.isfinite(v)), max(vals))
+    return CheckReport(name, worst, sum(vals) / len(vals), tol, metadata)
 
 
 def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:

@@ -9,10 +9,22 @@ explicit kernel
 
 whose Laguerre argument scale is adjudicated numerically against the
 eigen-equation (``select_laguerre_scale``).
+
+With scale 1 the kernel is the reproducing kernel of the k-th true
+polyanalytic Fock space (Bargmann; Vasilevski), so it factors over the
+orthonormal level-k basis of ``level_basis``:
+
+    K_k(z, w) = sum_m psi_{k,m}(z) conj(psi_{k,m}(w)).
+
+``project_on_nodes`` applies P_k through that factorization.  On N nodes with
+x_max = B max|z|^2 it keeps the r = ceil(x_max + (8 + k) sqrt(x_max)) + k + 1
+basis functions that are not negligible there, at O(N r) cost in time and
+memory instead of the O(N^2) of dense kernel blocks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,16 +49,26 @@ def hermite(m: int, x):
     return h
 
 
-def laguerre(k: int, x):
-    """Laguerre polynomial L_k = L_k^0, by recurrence."""
+def laguerre(k: int, x, alpha=0.0):
+    """Generalized Laguerre polynomial L_k^(alpha), by recurrence in k.
+
+    ``x`` and ``alpha`` broadcast against each other.
+    """
     if k < 0:
         raise ValueError("Laguerre degree must be nonnegative")
-    l_prev = np.ones_like(np.asarray(x, dtype=float)) if np.ndim(x) else 1.0
     if k == 0:
-        return l_prev
-    l = 1.0 - x
+        if np.ndim(x) or np.ndim(alpha):
+            return np.ones(np.broadcast_shapes(np.shape(x), np.shape(alpha)))
+        return 1.0
+    l_prev = 1.0
+    l = 1.0 + alpha - x
     for j in range(1, k):
-        l, l_prev = ((2 * j + 1 - x) * l - j * l_prev) / (j + 1), l
+        # in place: on the level basis these are r x N arrays
+        nxt = (2 * j + 1 + alpha) - x
+        nxt *= l
+        nxt -= (j + alpha) * l_prev
+        nxt /= j + 1
+        l, l_prev = nxt, l
     return l
 
 
@@ -199,28 +221,76 @@ def project(
     return complex(np.sum(kernel(sys, k, z, W, laguerre_scale) * fvals * Wt))
 
 
+# Above x = B|z|^2 = 1400 the start e^{-x/2} of the basis recurrence underflows.
+_MAX_BASIS_X = 1400.0
+
+
+def level_basis(sys: MagneticSystem, k: int, z: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the k-th Landau level on the points z, one row per function.
+
+    Row m holds psi_{k,m}(z) = sqrt(B/pi) e^{-i phi(z)} e^{-x/2} chi_{k,m}(sqrt(B) z),
+    x = B|z|^2, where with u = sqrt(B) z
+
+        chi_{k,m}(u) = sqrt(k!/m!) u^(m-k) L_k^(m-k)(|u|^2)          (m >= k)
+        chi_{k,m}(u) = sqrt(m!/k!) (-ubar)^(k-m) L_m^(k-m)(|u|^2)   (m < k).
+
+    The rows m = 0 .. r-1 with r = ceil(x_max + (8 + k) sqrt(x_max)) + k + 1,
+    x_max = B max|z|^2, are kept: for m - k beyond that, e^{-x} x^(m-k) / (m-k)!
+    is a Poisson tail more than 8 + k standard deviations out on every point.  The factor
+    e^{-x/2} u^a / sqrt(a!) is carried by the recurrence g_a = g_{a-1} u / sqrt(a),
+    so no power or factorial is formed and nothing overflows.
+    """
+    z = np.asarray(z, dtype=complex).ravel()
+    B = sys.B
+    u = np.sqrt(B) * z
+    x = B * np.abs(z) ** 2
+    x_max = float(x.max(initial=0.0))
+    if x_max > _MAX_BASIS_X:
+        raise ValueError(
+            f"points reach B|z|^2 = {x_max:.0f} > {_MAX_BASIS_X:.0f}, "
+            "where the level basis underflows in float64"
+        )
+    n_high = int(np.ceil(x_max + (8 + k) * np.sqrt(x_max))) + 1
+    psi = np.empty((k + n_high, z.size), dtype=complex)
+    g0 = np.sqrt(B / np.pi) * np.exp(-1j * _phi_vec(sys, z) - x / 2)
+
+    high = psi[k:]  # rows m = k + a
+    high[0] = g0
+    for a in range(1, n_high):
+        np.multiply(high[a - 1], u / np.sqrt(a), out=high[a])
+    a = np.arange(n_high, dtype=float)[:, None]
+    binom = np.prod([(a + i) / i for i in range(1, k + 1)], axis=0)  # C(a+k, k)
+    factor = laguerre(k, x, a)
+    factor /= np.sqrt(binom)
+    high *= factor
+
+    for m in range(k):  # rows m < k, b = k - m
+        g = g0.copy()
+        for j in range(1, k - m + 1):
+            g *= -u.conjugate() / np.sqrt(j)
+        psi[m] = g * laguerre(m, x, float(k - m)) / np.sqrt(math.comb(k, m))
+    return psi
+
+
 def project_on_nodes(
     sys: MagneticSystem,
     k: int,
     fvals: np.ndarray,
     Z: np.ndarray,
     Wt: np.ndarray,
-    laguerre_scale: float = 1.0,
-    chunk: int = 8,
 ) -> np.ndarray:
-    """P_k f evaluated on the quadrature nodes themselves, chunked row-wise.
+    """P_k f evaluated on the quadrature nodes themselves.
 
     ``fvals`` are f's values on the node array Z with weights Wt; the result
     has the same shape, enabling iterated projections without re-sampling.
+    With Psi the N x r matrix of the level-k basis on the nodes (the transpose
+    of ``level_basis``), the quadrature sum of K_k(z, w) f(w) Wt(w) is
+    Psi (Psi^* (f Wt)): O(N r) work and memory, with r about
+    x_max + (8 + k) sqrt(x_max), x_max = B max|Z|^2.
     """
-    flat_z = Z.ravel()
-    flat_f = (fvals * Wt).ravel()
-    out = np.empty_like(flat_z, dtype=complex)
-    for i in range(0, flat_z.size, chunk * Z.shape[1]):
-        block = flat_z[i : i + chunk * Z.shape[1]]
-        K = kernel(sys, k, block[:, None], flat_z[None, :], laguerre_scale)
-        out[i : i + block.size] = K @ flat_f
-    return out.reshape(Z.shape)
+    psi = level_basis(sys, k, Z)
+    coeffs = (psi @ (fvals * Wt).ravel().conjugate()).conjugate()
+    return (coeffs @ psi).reshape(Z.shape)
 
 
 @dataclass

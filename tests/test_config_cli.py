@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -21,7 +22,17 @@ class TestReports:
 
     def test_from_residuals_empty(self):
         rep = from_residuals("x", [], 1e-8)
-        assert rep.max_residual == 0.0 and rep.passed
+        assert rep.max_residual == 0.0 and rep.mean_residual == 0.0 and rep.passed
+
+    def test_from_residuals_nan_not_first_fails(self):
+        rep = from_residuals("x", [1e-12, float("nan"), 1e-13], 1e-8)
+        assert math.isnan(rep.max_residual)
+        assert not rep.passed
+
+    def test_from_residuals_inf_fails(self):
+        rep = from_residuals("x", [1e-12, float("inf")], float("inf"))
+        assert rep.max_residual == float("inf")
+        assert not rep.passed
 
     def test_json_roundtrip(self):
         reps = [from_residuals("a", [0.1, 0.3], 1.0, note="n")]
@@ -143,6 +154,14 @@ class TestCli:
         assert main(["field", "--config", "landau", "--out", str(out)]) == 0
         assert json.loads(out.read_text())[0]["pass"]
         assert capsys.readouterr().out == ""
+
+    def test_zero_tol_is_honoured(self, capsys):
+        code = main(["report", "--config", "landau", "--tol", "0"])
+        data = {d["name"]: d for d in json.loads(capsys.readouterr().out)}
+        for name in ("spectrum_rayleigh", "kernel_structure"):
+            assert data[name]["tol"] == 0.0
+            assert not data[name]["pass"]
+        assert code == 1
 
     def test_csv_format(self, capsys):
         assert main(["field", "--config", "landau", "--format", "csv"]) == 0

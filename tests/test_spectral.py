@@ -13,6 +13,7 @@ from maf.spectral import (
     kernel_invariance_residual,
     laguerre,
     landau_level,
+    level_basis,
     project,
     project_on_nodes,
     rayleigh_quotient,
@@ -60,6 +61,13 @@ class TestSpecialFunctions:
         assert laguerre(1, 1.0) == 0.0
         assert laguerre(2, 2.0) == -1.0  # (x^2 - 4x + 2)/2
         assert abs(laguerre(3, 1.0) + 2.0 / 3.0) < 1e-14  # (-x^3 + 9x^2 - 18x + 6)/6
+
+    def test_generalized_laguerre(self):
+        assert laguerre(1, 2.0, 3.0) == 2.0  # 1 + alpha - x
+        assert laguerre(2, 1.0, 1.0) == 0.5  # (x^2 - 6x + 6)/2
+        # x and alpha broadcast: rows are orders, columns points
+        table = laguerre(2, np.array([0.0, 1.0]), np.array([[0.0], [1.0]]))
+        assert np.allclose(table, [[1.0, -0.5], [3.0, 0.5]])
 
     def test_laguerre_array(self):
         x = np.array([0.0, 1.0])
@@ -190,6 +198,38 @@ class TestProjector:
         central = np.abs(Z) < 2.0
         scale = np.abs(p0[central]).max()
         assert np.abs(p10[central]).max() / scale < 1e-3
+
+    @pytest.mark.parametrize("name", ["landau", "alteration"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_dense_kernel(self, name, k):
+        # oracle: the dense quadrature sum of the closed-form kernel, on
+        # random complex values where no smoothness hides a wrong basis
+        sys = build_system(load_bundled(name))
+        R = truncation_radius(sys.B)
+        Z, Wt = quad2d_nodes((-R, R, -R, R), 20)
+        rng = np.random.default_rng(k)
+        fvals = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
+        z = Z.ravel()
+        out = project_on_nodes(sys, k, fvals, Z, Wt).ravel()
+
+        def dense(level):
+            return kernel(sys, level, z[:, None], z[None, :]) @ (fvals * Wt).ravel()
+
+        def rel_diff(ref):
+            return np.abs(out - ref).max() / np.abs(ref).max()
+
+        assert rel_diff(dense(k)) <= 1e-10
+        # negative control: the neighbouring level is a different projector
+        assert rel_diff(dense(k + 1)) > 1e-2
+
+    def test_basis_rank_follows_nodes(self, landau):
+        Z = np.array([0.0, 3.0 + 4.0j])  # x_max = 25
+        assert level_basis(landau, 0, Z).shape == (1 + int(np.ceil(25 + 8 * 5)), 2)
+        assert level_basis(landau, 2, Z).shape == (3 + int(np.ceil(25 + 10 * 5)), 2)
+
+    def test_basis_rejects_underflowing_nodes(self, landau):
+        with pytest.raises(ValueError):
+            level_basis(landau, 0, np.array([40.0]))
 
     def test_reproduces_own_level(self, landau):
         # P_0 fixes the lowest-level state and kills the first excited one
