@@ -20,15 +20,7 @@ import numpy as np
 
 from .equivariant import Endomorphism, EquivariantMap, apply_endo
 from .fields import Grid, ScalarField
-from .groups import (
-    IDENTITY,
-    DiscreteSubgroup,
-    GroupElement,
-    act,
-    compose,
-    distance,
-    inverse,
-)
+from .groups import DiscreteSubgroup, GroupElement, WordClosure, act, compose, inverse
 from .reports import CheckReport, from_residuals
 
 MATCH_TOL = 1e-9
@@ -80,8 +72,9 @@ class PseudoCharacter:
 class CharacterTable:
     """chi extended over the word closure of a subgroup, with consistency audit.
 
-    Breadth-first extension; whenever two words reach the same element the
-    mismatch of their chi values is recorded in ``inconsistency``.
+    Each edge w -> w g of the breadth-first closure carries chi along by
+    twisted multiplicativity; an edge that reaches an element already in the
+    table records the mismatch of the two chi values in ``inconsistency``.
     """
 
     def __init__(
@@ -95,54 +88,38 @@ class CharacterTable:
     ):
         if len(chi.values_on_generators) != len(gamma.generators):
             raise ValueError("chi must supply one value per generator")
-        steps: list[tuple[GroupElement, complex]] = []
-        for i, g in enumerate(gamma.generators):
-            v = chi.values_on_generators[i]
-            steps.append((g, v))
-            ginv = inverse(g)
+        self.closure = WordClosure(gamma, MATCH_TOL)
+        gens = [g for _, g in self.closure.gens]
+        steps = []
+        for i, v in enumerate(chi.values_on_generators):
+            g, ginv = gens[2 * i], gens[2 * i + 1]
             # chi(e) = 1 forces chi(g^{-1}) = conj(chi(g)) e^{-i phase(g, g^{-1})}
-            steps.append((ginv, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, g, ginv))))
-        self.entries: list[tuple[GroupElement, complex, list[int]]] = [(IDENTITY, 1.0 + 0j, [])]
+            steps += [v, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, g, ginv))]
+        self.values: list[complex] = [1.0 + 0j]
         self.inconsistency = 0.0
-        self._cache: dict = {}
-        frontier = [(IDENTITY, 1.0 + 0j, [])]
-        for _ in range(max_len):
-            new_frontier = []
-            for w, val, word in frontier:
-                for k, (g, gval) in enumerate(steps):
-                    idx = (k // 2 + 1) * (1 if k % 2 == 0 else -1)
-                    cand = compose(w, g)
-                    cval = val * gval * np.exp(1j * phase(nu, mu, rho, w, g))
-                    hit = self._find(cand)
-                    if hit is None:
-                        entry = (cand, cval, word + [idx])
-                        self.entries.append(entry)
-                        new_frontier.append(entry)
-                    else:
-                        self.inconsistency = max(self.inconsistency, abs(cval - hit[1]))
-            frontier = new_frontier
+        for src, slot, dst, new in self.closure.edges(max_len):
+            w = self.closure.elements[src]
+            cval = self.values[src] * steps[slot] * np.exp(1j * phase(nu, mu, rho, w, gens[slot]))
+            if new:
+                self.values.append(cval)
+            else:
+                self.inconsistency = max(self.inconsistency, abs(cval - self.values[dst]))
 
-    def _find(self, g: GroupElement):
-        for e in self.entries:
-            if distance(e[0], g) <= MATCH_TOL:
-                return e
-        return None
+    @property
+    def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
+        return list(zip(self.closure.elements, self.values, self.closure.words))
+
+    def _index(self, g: GroupElement) -> int:
+        hit = self.closure.lookup(g.a, g.b)
+        if hit is None:
+            raise UnknownGroupElementError(f"element {g} not in word closure of the subgroup")
+        return hit
 
     def value(self, g: GroupElement) -> complex:
-        key = (g.a, g.b)
-        if key in self._cache:
-            return self._cache[key]
-        hit = self._find(g)
-        if hit is None:
-            raise UnknownGroupElementError(f"element {g} not in word closure of the subgroup")
-        self._cache[key] = hit[1]
-        return hit[1]
+        return self.values[self._index(g)]
 
     def word(self, g: GroupElement) -> list[int]:
-        hit = self._find(g)
-        if hit is None:
-            raise UnknownGroupElementError(f"element {g} not in word closure of the subgroup")
-        return hit[2]
+        return self.closure.words[self._index(g)]
 
 
 def mixed_factor_nochi(
@@ -206,6 +183,16 @@ def defect_phase_residuals(
     return spread, float(np.abs(vals - target).max())
 
 
+def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Complex product by the textbook formula, rounding as scalar complex arithmetic does."""
+    return x.real * y.real - x.imag * y.imag + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _im_conj_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Im(u_i conj(v_j)) for all i, j, rounding as the scalar product does."""
+    return u.real[:, None] * -v.imag[None, :] + u.imag[:, None] * v.real[None, :]
+
+
 def rdq_check(
     nu: float,
     mu: float,
@@ -217,20 +204,38 @@ def rdq_check(
 ) -> CheckReport:
     """Quantization condition: chi(g g') = chi(g) chi(g') exp(+i phase(g, g')).
 
-    Checked over all pairs of words up to ``max_word_len``; the report names
-    the worst-offending pair by signed generator indices.
+    Checked over all pairs of words up to ``max_word_len`` as one array
+    sweep; the report names the first worst-offending pair (row-major, left
+    word outer) by signed generator indices.
     """
     table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
-    short = [e for e in table.entries if len(e[2]) <= max_word_len]
-    residuals = []
-    worst = (0.0, [], [])
-    for g, vg, wg in short:
-        for gp, vgp, wgp in short:
-            prod = compose(g, gp)
-            r = abs(table.value(prod) - vg * vgp * np.exp(1j * phase(nu, mu, rho, g, gp)))
-            residuals.append(r)
-            if r > worst[0]:
-                worst = (r, wg, wgp)
+    closure = table.closure
+    # entries are in BFS order, so the words up to max_word_len are a prefix
+    n = sum(len(w) <= max_word_len for w in closure.words)
+    short = closure.elements[:n]
+    # the entry of g_i g_j: walk the right word's generators from g_i through
+    # the closure's edges; a last column that stays put pads shorter words
+    succ = np.column_stack([np.array(closure.succ), np.arange(len(closure.succ))])
+    slots = np.full((n, max_word_len), -1)
+    for j, word in enumerate(closure.words[:n]):
+        slots[j, : len(word)] = [2 * abs(i) - 2 + (i < 0) for i in word]
+    hit = np.repeat(np.arange(n)[:, None], n, axis=1)
+    for step in range(max_word_len):
+        hit = succ[hit, slots[:, step]]
+    # phase(g_i, g_j) = nu Im(u_i conj v_j) + mu Im(ru_i conj rv_j), u = g^{-1}.0, v = g.0
+    u = np.array([act(inverse(g), 0.0) for g in short])
+    v = np.array([act(g, 0.0) for g in short])
+    ph = nu * _im_conj_outer(u, v)
+    if mu != 0.0:
+        ru = np.array([act(apply_endo(rho, inverse(g)), 0.0) for g in short])
+        rv = np.array([act(apply_endo(rho, g), 0.0) for g in short])
+        ph += mu * _im_conj_outer(ru, rv)
+    vals = np.array(table.values, dtype=complex)
+    pred = _cmul(_cmul(vals[:n, None], vals[None, :n]), np.exp(1j * ph))
+    diff = vals[hit] - pred
+    residuals = np.hypot(diff.real, diff.imag).ravel()
+    i, j = divmod(int(np.argmax(residuals)), n)
+    words = closure.words
     return from_residuals(
         "rdq",
         residuals,
@@ -238,7 +243,7 @@ def rdq_check(
         max_word_len=max_word_len,
         convention="chi(gg') = chi(g) chi(g') exp(+i*phase(g,g'))",
         extension_inconsistency=table.inconsistency,
-        worst_pair={"left": worst[1], "right": worst[2]},
+        worst_pair={"left": words[i], "right": words[j]},
     )
 
 

@@ -8,19 +8,20 @@ import sys
 
 import numpy as np
 
-from . import automorphy, magnetics, spectral
+from . import magnetics, spectral
 from .automorphy import PseudoCharacter, rdq_check
 from .config import ConfigError, SystemConfig, build_system, load_bundled, load_config
 from .equivariant import check_equivariance, homomorphism_report
 from .fields import Grid, polyexp_field
-from .groups import GroupElement
+from .groups import GroupElement, random_elements
 from .highdim import EquivariantMapN, constant_field_test
 from .magnetics import MagneticSystem
-from .reports import CheckReport, emit, from_residuals
+from .reports import CheckReport, emit, from_residuals, jsonable
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
+EXIT_NUMERIC = 3  # a computation broke down (e.g. a non-finite derivative)
 
 
 def _parse_complex(s: str) -> complex:
@@ -45,23 +46,9 @@ def _resolve_config(path: str) -> SystemConfig:
     return load_bundled(path)
 
 
-def _random_group_elements(rng: np.random.Generator, n: int) -> list[GroupElement]:
-    a = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return [GroupElement(ai, bi) for ai, bi in zip(a, b)]
-
-
-def _test_fields(sys_: MagneticSystem, n: int = 3):
-    """Gaussian-times-polynomial probes with exact derivatives."""
-    a = sys_.B / 2
-    fields = [
-        polyexp_field({(0, 0): 1.0}, a),
-        polyexp_field({(1, 0): 1.0, (0, 0): 0.3}, a),
-        polyexp_field({(0, 1): 0.5, (1, 1): 0.2j}, a),
-        polyexp_field({(2, 0): 1.0, (0, 2): -0.4}, a),
-        polyexp_field({(1, 2): 0.7, (0, 0): 1j}, a),
-    ]
-    return fields[:n]
+def _probe_field(sys_: MagneticSystem):
+    """e^{-B|z|^2/2} with exact derivatives: the invariance and intertwining probe."""
+    return polyexp_field({(0, 0): 1.0}, sys_.B / 2)
 
 
 def _tol(args, default: float) -> float:
@@ -103,8 +90,8 @@ def invariance_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
         a_re, a_im, b_re, b_im = (float(v) for v in args.g.split(","))
         gs = [GroupElement(complex(a_re, a_im), complex(b_re, b_im))]
     else:
-        gs = _random_group_elements(np.random.default_rng(cfg.seed), 3)
-    f = _test_fields(sys_, 1)[0]
+        gs = random_elements(np.random.default_rng(cfg.seed), 3)
+    f = _probe_field(sys_)
     tol = _tol(args, 1e-5)
     return [magnetics.invariance_residual(sys_, g, f, grid, tol=tol) for g in gs]
 
@@ -157,10 +144,11 @@ def kernel_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
         k=k,
     )
     reps = [rep]
-    gs = _random_group_elements(rng, 5)
+    gs = random_elements(rng, 5)
     pairs = list(zip(zs, ws))
+    tol = _tol(args, 1e-8)
     for g in gs:
-        reps.append(spectral.kernel_invariance_residual(sys_, k, g, pairs, tol=1e-8, laguerre_scale=scale))
+        reps.append(spectral.kernel_invariance_residual(sys_, k, g, pairs, tol=tol, laguerre_scale=scale))
     if args.z is not None and args.w is not None:
         val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w), scale)
         rep.metadata["value"] = [val.real, val.imag]
@@ -201,22 +189,10 @@ def highdim_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
                 result["direct"]["spread"],
                 result["direct"]["spread"],
                 tol,
-                {"per_l_worst": worst, "result": _sanitize(result)},
+                {"per_l_worst": worst, "result": jsonable(result)},
             )
         )
     return reps
-
-
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    return obj
 
 
 def rdq_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
@@ -233,35 +209,28 @@ def rdq_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
 def report_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     """Run every check in declaration order."""
     sys_ = build_system(cfg)
-    reports = []
-    reports.append(check_equivariance(sys_.rho, sys_.tau, seed=cfg.seed, tol=1e-9))
-    reports.append(homomorphism_report(sys_.rho, seed=cfg.seed))
-    reports.extend(rdq_cmd(cfg, args))
-    reports.append(magnetics.field_constancy(sys_, cfg.make_grid(), tol=1e-8))
-    reports.append(magnetics.gauge_check(sys_, seed=cfg.seed, tol=1e-8))
-
+    reports = [
+        check_equivariance(sys_.rho, sys_.tau, seed=cfg.seed, tol=_tol(args, 1e-9)),
+        homomorphism_report(sys_.rho, seed=cfg.seed, tol=_tol(args, 1e-9)),
+        *rdq_cmd(cfg, args),
+        magnetics.field_constancy(sys_, cfg.make_grid(), tol=_tol(args, 1e-8)),
+        magnetics.gauge_check(sys_, seed=cfg.seed, tol=_tol(args, 1e-8)),
+    ]
     grid = _coarse(cfg.make_grid())
-    rng = np.random.default_rng(cfg.seed)
-    f = _test_fields(sys_, 1)[0]
-    inv = []
-    for g in _random_group_elements(rng, 3):
-        inv.extend(
-            abs(r)
-            for r in _invariance_residuals(sys_, g, f, grid)
-        )
-    reports.append(from_residuals("invariance", inv, 1e-5, n_elements=3, seed=cfg.seed))
-    reports.append(magnetics.intertwining_residual(sys_, f, grid, tol=1e-5))
+    f = _probe_field(sys_)
+    inv = [
+        magnetics.invariance_residual(sys_, g, f, grid).max_residual
+        for g in random_elements(np.random.default_rng(cfg.seed), 3)
+    ]
+    reports.append(from_residuals("invariance", inv, _tol(args, 1e-5), n_elements=3, seed=cfg.seed))
+    reports.append(magnetics.intertwining_residual(sys_, f, grid, tol=_tol(args, 1e-5)))
+    lift_grid = _coarse(cfg.make_grid(), 11)
     for g in sys_.gamma.generators:
-        reports.append(magnetics.chi_tau_hat_spread(sys_, g, _coarse(cfg.make_grid(), 11), tol=1e-8))
-        reports.append(magnetics.lifting_residual(sys_, g, _coarse(cfg.make_grid(), 11), tol=1e-8))
+        reports.append(magnetics.chi_tau_hat_spread(sys_, g, lift_grid, tol=_tol(args, 1e-8)))
+        reports.append(magnetics.lifting_residual(sys_, g, lift_grid, tol=_tol(args, 1e-8)))
     reports.extend(spectrum_cmd(cfg, args))
     reports.extend(kernel_cmd(cfg, args))
     return reports
-
-
-def _invariance_residuals(sys_: MagneticSystem, g, f, grid):
-    rep = magnetics.invariance_residual(sys_, g, f, grid)
-    return [rep.max_residual]
 
 
 COMMANDS = {
@@ -315,6 +284,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as e:
         print(f"usage error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except ArithmeticError as e:
+        print(f"numerical error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
     text = emit(reports, fmt=args.format, out=args.out)
     if args.out is None:
         print(text)

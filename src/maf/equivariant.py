@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import ScalarField
-from .groups import GroupElement, act, compose, distance
+from .groups import GroupElement, act, compose, distance, random_elements
 from .reports import CheckReport, from_residuals
 
 HOM_TOL = 1e-9
@@ -26,12 +26,6 @@ def _unit_samples(rng: np.random.Generator, n_equi: int = 64, n_rand: int = 32) 
         [2 * np.pi * np.arange(n_equi) / n_equi, rng.uniform(0, 2 * np.pi, n_rand)]
     )
     return np.exp(1j * angles)
-
-
-def _random_elements(rng: np.random.Generator, n: int) -> list[GroupElement]:
-    a = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
-    b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return [GroupElement(ai, bi) for ai, bi in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------
@@ -120,18 +114,20 @@ def apply_endo(rho: Endomorphism, g: GroupElement) -> GroupElement:
     raise ValueError(f"unknown endomorphism family {rho.family!r}")
 
 
-def homomorphism_report(rho: Endomorphism, n_pairs: int = 128, seed: int = 0) -> CheckReport:
+def homomorphism_report(
+    rho: Endomorphism, n_pairs: int = 128, seed: int = 0, tol: float = HOM_TOL
+) -> CheckReport:
     """Residual of rho(gh) = rho(g) rho(h) over random pairs."""
     rng = np.random.default_rng(seed)
     # bypass the custom-family constructor check to avoid recursion
     apply_ = rho.func if rho.family == "custom" else (lambda g: apply_endo(rho, g))
-    gs = _random_elements(rng, n_pairs)
-    hs = _random_elements(rng, n_pairs)
+    gs = random_elements(rng, n_pairs)
+    hs = random_elements(rng, n_pairs)
     res = [
         distance(apply_(compose(g, h)), compose(apply_(g), apply_(h)))
         for g, h in zip(gs, hs)
     ]
-    return from_residuals("endomorphism_homomorphism", res, HOM_TOL, family=rho.family, n_pairs=n_pairs)
+    return from_residuals("endomorphism_homomorphism", res, tol, family=rho.family, n_pairs=n_pairs)
 
 
 @dataclass
@@ -239,7 +235,7 @@ def check_equivariance(
 ) -> CheckReport:
     """Residual of tau(g.z) = rho(g).tau(z) over sampled (g, z)."""
     rng = np.random.default_rng(seed)
-    gs = _random_elements(rng, n_samples)
+    gs = random_elements(rng, n_samples)
     zs = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
     # deterministic probes catch rotation-only failures at the origin
     gs += [GroupElement(1j, 0.0), GroupElement(-1.0, 0.0)]

@@ -367,9 +367,11 @@ def lifting_residual(
 ) -> CheckReport:
     """Residual of e^{i(phi(gamma.z)-phi(z))} J(gamma, z) = chi_tau(gamma) j^B(gamma, z)."""
     target = chi_tau(sys, gamma_elem, drop=drop)
+    chi = sys.chi_table.value(gamma_elem)  # J = chi * J0; look chi up once, not per point
     res = []
     for z in grid.points():
-        lhs = np.exp(1j * (sys.phi(act(gamma_elem, z)) - sys.phi(z))) * sys.factor(gamma_elem, z)
+        J = chi * sys.factor_nochi(gamma_elem, z)
+        lhs = np.exp(1j * (sys.phi(act(gamma_elem, z)) - sys.phi(z))) * J
         res.append(abs(lhs - target * j_factor(sys.B, gamma_elem, z)))
     return from_residuals(
         "lifting", res, tol, gamma=gamma_elem.to_dict(), dropped=drop, grid=grid.to_dict()

@@ -8,6 +8,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass
 class CheckReport:
@@ -54,10 +56,36 @@ def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
     return CheckReport(name, worst, sum(vals) / len(vals), tol, metadata)
 
 
+_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def jsonable(obj):
+    """obj as plain JSON data.
+
+    Numpy scalars are unwrapped, complex numbers become [re, im], tuples
+    become lists, and non-finite floats the strings "nan", "inf" or "-inf".
+    """
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return [jsonable(obj.real), jsonable(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
 def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:
-    """Serialize reports to JSON or CSV; write to ``out`` (path or file) if given."""
+    """Serialize reports to JSON or CSV; write to ``out`` (path or file) if given.
+
+    JSON stays valid when a value is non-finite (see ``jsonable``).
+    """
     if fmt == "json":
-        text = json.dumps([r.to_dict() for r in reports], indent=2, sort_keys=True)
+        data = jsonable([r.to_dict() for r in reports])
+        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
@@ -79,10 +107,17 @@ def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:
 
 
 def parse_json(text: str) -> list[CheckReport]:
-    """Inverse of ``emit(..., fmt='json')``."""
+    """Inverse of ``emit(..., fmt='json')``.
+
+    The strings "nan", "inf" and "-inf" in residuals and tolerances become floats again.
+    """
+
+    def num(v):
+        return _NONFINITE.get(v, v) if isinstance(v, str) else v
+
     return [
         CheckReport(
-            d["name"], d["max_residual"], d["mean_residual"], d["tol"], d.get("metadata", {})
+            d["name"], num(d["max_residual"]), num(d["mean_residual"]), num(d["tol"]), d.get("metadata", {})
         )
         for d in json.loads(text)
     ]

@@ -172,16 +172,11 @@ def kernel(
     return complex(val) if val.ndim == 0 else val
 
 
-def kernel_field(sys: MagneticSystem, k: int, w: complex, laguerre_scale: float = 1.0) -> ScalarField:
-    """z -> K_k(z, w) as a differentiable field."""
-    return ScalarField(lambda z: kernel(sys, k, z, w, laguerre_scale), fd_step=sys.fd_step)
-
-
 def kernel_eigen_residual(
     sys: MagneticSystem, k: int, w: complex, points, laguerre_scale: float = 1.0
 ) -> float:
     """Relative residual of Delta_z K_k(z, w) = lambda_k K_k(z, w)."""
-    f = kernel_field(sys, k, w, laguerre_scale)
+    f = ScalarField(lambda z: kernel(sys, k, z, w, laguerre_scale), fd_step=sys.fd_step)
     lam = landau_level(sys.B, k)
     num = max(abs(apply_mixed_laplacian(sys, f, z) - lam * f(z)) for z in points)
     scale = max(abs(lam * f(z)) for z in points)
@@ -317,10 +312,6 @@ class WeightedInnerProduct:
         gv = np.vectorize(g)(Z)
         wv = np.vectorize(self.weight)(Z)
         return complex(np.sum(fv * gv.conjugate() * wv * Wt))
-
-
-def weighted_inner_product(wip: WeightedInnerProduct, f, g, n_quad: int = 64) -> complex:
-    return wip(f, g, n_quad=n_quad)
 
 
 def kernel_invariance_residual(

@@ -20,6 +20,9 @@ from maf.fields import Grid, ScalarField
 from maf.groups import IDENTITY, DiscreteSubgroup, GroupElement, act, compose
 
 SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
+# the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
+P6 = DiscreteSubgroup([GroupElement(0.5 + 0.8660254037844386j, 0), GroupElement(1, 1)])
+P6_NU = 3.6275987284684357  # 2 pi / sqrt(3): pi over the covolume of the hexagonal lattice
 ID = Endomorphism("identity")
 CONJ = Endomorphism("complex_conjugate")
 
@@ -118,6 +121,13 @@ class TestPseudoCharacter:
         with pytest.raises(UnknownGroupElementError):
             table.value(GroupElement(1, 0.5))
 
+    def test_p6_table_size_and_words(self):
+        table = CharacterTable(PseudoCharacter([1, -1]), P6, P6_NU, 0.0, ID, max_len=8)
+        assert len(table.entries) == 712
+        assert table.word(table.closure.elements[100]) == table.closure.words[100]
+        with pytest.raises(UnknownGroupElementError):
+            table.word(GroupElement(np.exp(2j * np.pi / 3), 1 + 1j))  # 1 + i is off the lattice
+
     def test_generator_count_mismatch(self):
         with pytest.raises(ValueError):
             CharacterTable(PseudoCharacter([1]), SQUARE, 1.0, 0.0, ID)
@@ -181,6 +191,50 @@ class TestRdqCheck:
         gamma = DiscreteSubgroup([GroupElement(1, 1)])
         rep = rdq_check(2.7, 0.0, ID, gamma, PseudoCharacter([np.exp(0.4j)]))
         assert rep.passed
+
+    # (nu, gamma, chi, max_word_len) -> (max, mean, inconsistency, worst pair),
+    # as the pairwise scan over the linear-scan table reported them
+    RECORDED = [
+        (np.pi, SQUARE, [1, 1], 6, 1.445330815248512e-14, 1.3935499533171178e-15,
+         6.246936636924677e-15, [2] * 5, [1] * 6),
+        (1.0, SQUARE, [1, 1], 6, 1.9835577068862311, 0.9170308731053869,
+         1.9999804131014072, [2] * 6, [1] * 6),
+        # round-off decides between tied pairs here
+        (1.0, SQUARE, [1, 1], 4, 1.978716493246764, 0.7891383242972166,
+         1.9178485493262771, [2] * 4, [1, 1, -2]),
+        (1.0, SQUARE, [1, 1], 5, 1.9787164932467642, 0.8610058117649179,
+         1.978716493246764, [2] * 4, [1, 1, 2, 2, 2]),
+        (P6_NU, P6, [1, -1], 4, 5.451535198115487e-15, 5.449801328135552e-16,
+         5.512148557436266e-15, [2, 1, 2, 2], [-2, 1, -2, -2]),
+    ]
+
+    @pytest.mark.parametrize(
+        "case", RECORDED, ids=["landau_pi", "landau_1", "landau_1_len4", "landau_1_len5", "p6"]
+    )
+    def test_matches_recorded_scan(self, case):
+        nu, gamma, chi, length, mx, mean, incons, left, right = case
+        rep = rdq_check(nu, 0.0, ID, gamma, PseudoCharacter(chi), max_word_len=length)
+        assert rep.passed == (mx <= 1e-10)
+        assert rep.metadata["worst_pair"] == {"left": left, "right": right}
+        assert abs(rep.max_residual - mx) <= 1e-13
+        assert abs(rep.mean_residual - mean) <= 1e-13
+        assert abs(rep.metadata["extension_inconsistency"] - incons) <= 1e-13
+
+    @pytest.mark.parametrize("name", ["conjugate", "alteration"])
+    def test_pairs_against_scalar_formula(self, name):
+        # mu != 0; every pair residual recomputed one group element at a time
+        # must agree to the last bit, so the report matches the pairwise scan
+        s = build_system(load_bundled(name))
+        rep = rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, max_word_len=3)
+        table = CharacterTable(s.chi, s.gamma, s.nu, s.mu, s.rho, max_len=6)
+        short = [e for e in table.entries if len(e[2]) <= 3]
+        res = [
+            abs(table.value(compose(g, gp)) - vg * vgp * np.exp(1j * phase(s.nu, s.mu, s.rho, g, gp)))
+            for g, vg, _ in short
+            for gp, vgp, _ in short
+        ]
+        assert rep.max_residual == max(res)
+        assert rep.mean_residual == sum(res) / len(res)
 
     def test_convention_echoed(self):
         rep = rdq_check(np.pi, 0.0, ID, SQUARE, PseudoCharacter([1, 1]))

@@ -34,6 +34,18 @@ class TestReports:
         assert rep.max_residual == float("inf")
         assert not rep.passed
 
+    def test_json_nonfinite_is_valid(self):
+        def reject(token):
+            raise ValueError(f"bare constant {token}")
+
+        text = emit([from_residuals("x", [1e-12, float("nan")], 1e-8, spread=[float("inf"), -math.inf])])
+        data = json.loads(text, parse_constant=reject)
+        assert data[0]["max_residual"] == "nan" and data[0]["metadata"]["spread"] == ["inf", "-inf"]
+        back = parse_json(text)[0]
+        assert math.isnan(back.max_residual) and not back.passed
+        inf_tol = parse_json(emit([CheckReport("y", 0.0, 0.0, float("inf"))]))[0]
+        assert inf_tol.tol == float("inf") and inf_tol.passed
+
     def test_json_roundtrip(self):
         reps = [from_residuals("a", [0.1, 0.3], 1.0, note="n")]
         back = parse_json(emit(reps, fmt="json"))
@@ -157,11 +169,21 @@ class TestCli:
 
     def test_zero_tol_is_honoured(self, capsys):
         code = main(["report", "--config", "landau", "--tol", "0"])
-        data = {d["name"]: d for d in json.loads(capsys.readouterr().out)}
+        reports = json.loads(capsys.readouterr().out)
+        assert all(d["tol"] == 0.0 for d in reports), [d["name"] for d in reports if d["tol"] != 0.0]
+        data = {d["name"]: d for d in reports}
         for name in ("spectrum_rayleigh", "kernel_structure"):
-            assert data[name]["tol"] == 0.0
             assert not data[name]["pass"]
         assert code == 1
+
+    def test_numerical_breakdown_exit_code(self, capsys, monkeypatch):
+        # a NaN finite-difference step makes the derivative non-finite
+        monkeypatch.setenv("MAF_FD_STEP", "nan")
+        with pytest.warns(RuntimeWarning):
+            assert main(["spectrum", "--config", "landau"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err.startswith("numerical error: non-finite derivative")
+        assert captured.out == ""
 
     def test_csv_format(self, capsys):
         assert main(["field", "--config", "landau", "--format", "csv"]) == 0

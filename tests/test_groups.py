@@ -3,10 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from maf.config import build_system, load_bundled
+from maf.equivariant import apply_endo
 from maf.groups import (
     IDENTITY,
     DiscreteSubgroup,
     GroupElement,
+    WordClosure,
     act,
     compose,
     distance,
@@ -14,8 +17,13 @@ from maf.groups import (
     find_word,
     inverse,
     is_identity,
+    random_elements,
     stabilizer_residual,
 )
+
+SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
+# the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
+P6 = DiscreteSubgroup([GroupElement(0.5 + 0.8660254037844386j, 0), GroupElement(1, 1)])
 
 angles = st.floats(0, 2 * np.pi, allow_nan=False)
 coords = st.floats(-5, 5, allow_nan=False)
@@ -160,3 +168,87 @@ class TestFindWord:
     def test_unreachable(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1)])
         assert find_word(gamma, GroupElement(1, 0.5)) is None
+
+
+class TestRandomElements:
+    def test_unimodular_and_seeded(self):
+        gs = random_elements(np.random.default_rng(3), 4)
+        assert len(gs) == 4 and all(abs(abs(g.a) - 1) < 1e-12 for g in gs)
+        assert gs == random_elements(np.random.default_rng(3), 4)
+
+
+def _bfs_find_word(gamma, target, max_len=6, tol=1e-9, dedup_tol=1e-10):
+    """The breadth-first search with a linear-scan dedup, kept as an oracle."""
+    if is_identity(target, tol):
+        return []
+    frontier, seen = [(IDENTITY, [])], [IDENTITY]
+    for _ in range(max_len):
+        new_frontier = []
+        for w, word in frontier:
+            for idx, g in gamma.symmetric_generators():
+                cand = compose(w, g)
+                if distance(cand, target) <= tol:
+                    return word + [idx]
+                if all(distance(cand, e) > dedup_tol for e in seen):
+                    seen.append(cand)
+                    new_frontier.append((cand, word + [idx]))
+        frontier = new_frontier
+    return None
+
+
+class TestWordClosure:
+    @pytest.mark.parametrize("L", range(1, 13))
+    def test_square_lattice_sizes(self, L):
+        # words of length <= L in two commuting translations reach |m| + |n| <= L
+        assert len(enumerate_words(SQUARE, L)) == 2 * L * L + 2 * L + 1
+
+    def test_p6_length_eight(self):
+        assert len(enumerate_words(P6, 8)) == 712
+
+    def test_shortlex_order_and_words(self):
+        closure = WordClosure(SQUARE).grow(3)
+        lengths = [len(w) for w in closure.words]
+        assert lengths == sorted(lengths) and closure.words[:3] == [[], [1], [-1]]
+        for g, word in zip(closure.elements, closure.words):
+            prod = IDENTITY
+            for i in word:
+                gen = SQUARE.generators[abs(i) - 1]
+                prod = compose(prod, gen if i > 0 else inverse(gen))
+            assert distance(prod, g) < 1e-12
+
+    @pytest.mark.parametrize("offset", [-5e-10, -1e-10, 0.0, 1e-10, 5e-10])
+    def test_match_across_cell_edge(self, offset):
+        # b sits within 5e-10 of a multiple of half a cell, so whichever way the
+        # cells are laid out, entry and query may fall on two sides of an edge
+        cell = WordClosure.CELL
+        for edge in (3 * cell, 3.5 * cell, 7 + cell / 2):
+            closure = WordClosure(DiscreteSubgroup([GroupElement(1, edge + offset)]), tol=1e-9)
+            closure.grow(1)
+            for query in (edge, edge + offset - 9e-10, edge + offset + 9e-10):
+                assert closure.lookup(1 + 0j, complex(query)) == 1
+            assert closure.lookup(1 + 0j, complex(edge + offset + 2e-9)) is None
+
+    def test_first_inserted_match_wins(self):
+        closure = WordClosure(SQUARE, tol=0.6).grow(1)
+        # with a wide tolerance the identity and a translation by 1 both match 0.5
+        assert closure.lookup(1 + 0j, 0.5 + 0j) == 0
+        assert len(closure.elements) == 5
+
+    def test_successor_table(self):
+        closure = WordClosure(P6).grow(4)
+        for i, row in enumerate(closure.succ):
+            if len(closure.words[i]) == 4:
+                assert row == [-1] * 4  # the last layer is not expanded
+                continue
+            for (_, g), dst in zip(closure.gens, row):
+                assert distance(closure.elements[dst], compose(closure.elements[i], g)) < 1e-12
+
+    def test_find_word_matches_breadth_first_search(self):
+        systems = [build_system(load_bundled(n)) for n in ("landau", "conjugate", "alteration")]
+        groups = [(s.gamma, [apply_endo(s.rho, g) for g in s.gamma.generators]) for s in systems]
+        groups.append((P6, []))
+        for gamma, extra in groups:
+            targets = enumerate_words(gamma, 4)[::3] + extra
+            targets += [GroupElement(1, 0.5), GroupElement(1j, 0.25), GroupElement(-1, 7)]
+            for t in targets:
+                assert find_word(gamma, t) == _bfs_find_word(gamma, t)
