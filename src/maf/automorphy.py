@@ -30,7 +30,7 @@ class UnknownGroupElementError(ValueError):
     """Raised when an element is not reachable in the subgroup's word closure."""
 
 
-def j_factor(alpha: float, g: GroupElement, z: complex) -> complex:
+def j_factor(alpha: float, g: GroupElement, z):
     """exp(-i alpha Im(z * conj(g^{-1}.0)))."""
     w = act(inverse(g), 0.0)
     return np.exp(-1j * alpha * (z * w.conjugate()).imag)
@@ -128,8 +128,8 @@ def mixed_factor_nochi(
     rho: Endomorphism,
     tau: EquivariantMap,
     g: GroupElement,
-    z: complex,
-) -> complex:
+    z,
+):
     """j^nu(g, z) j^mu(rho(g), tau(z)) — the character-free part, defined for all g."""
     return j_factor(nu, g, z) * j_factor(mu, apply_endo(rho, g), tau(z))
 
@@ -141,8 +141,8 @@ def mixed_factor(
     tau: EquivariantMap,
     table: CharacterTable,
     gamma_elem: GroupElement,
-    z: complex,
-) -> complex:
+    z,
+):
     """chi(gamma) j^nu(gamma, z) j^mu(rho(gamma), tau(z))."""
     return table.value(gamma_elem) * mixed_factor_nochi(nu, mu, rho, tau, gamma_elem, z)
 
@@ -154,8 +154,8 @@ def cocycle_defect(
     tau: EquivariantMap,
     g: GroupElement,
     gp: GroupElement,
-    z: complex,
-) -> complex:
+    z,
+):
     """J0(g g', z) / (J0(g, g'.z) J0(g', z)) for the character-free factor J0.
 
     A z-independent unit complex; equals exp(-i phase(g, g')).
@@ -177,7 +177,7 @@ def defect_phase_residuals(
     grid: Grid,
 ) -> tuple[float, float]:
     """(z-spread of the defect, deviation of the defect from exp(-i phase))."""
-    vals = np.array([cocycle_defect(nu, mu, rho, tau, g, gp, z) for z in grid.points()])
+    vals = cocycle_defect(nu, mu, rho, tau, g, gp, grid.points())
     spread = float(np.abs(vals - vals[0]).max())
     target = np.exp(-1j * phase(nu, mu, rho, g, gp))
     return spread, float(np.abs(vals - target).max())
@@ -259,10 +259,9 @@ def functional_equation_residual(
     tol: float = 1e-8,
 ) -> CheckReport:
     """Residual of F(gamma.z) = J(gamma, z) F(z) over the grid."""
-    res = []
-    for z in grid.points():
-        J = mixed_factor(nu, mu, rho, tau, table, gamma_elem, z)
-        res.append(abs(F(act(gamma_elem, z)) - J * F(z)))
+    pts = grid.points()
+    J = mixed_factor(nu, mu, rho, tau, table, gamma_elem, pts)
+    res = np.abs(F(act(gamma_elem, pts)) - J * F(pts))
     return from_residuals(
         "functional_equation", res, tol, gamma=gamma_elem.to_dict(), grid=grid.to_dict()
     )

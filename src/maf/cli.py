@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -131,21 +132,18 @@ def kernel_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     rng = np.random.default_rng(cfg.seed)
     zs = rng.normal(size=8) + 1j * rng.normal(size=8)
     ws = rng.normal(size=8) + 1j * rng.normal(size=8)
-    herm = [
-        abs(spectral.kernel(sys_, k, z, w, scale) - np.conjugate(spectral.kernel(sys_, k, w, z, scale)))
-        for z, w in zip(zs, ws)
-    ]
+    herm = np.abs(spectral.kernel(sys_, k, zs, ws, scale) - np.conjugate(spectral.kernel(sys_, k, ws, zs, scale)))
     diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j, scale) - sys_.B / np.pi)
     rep = from_residuals(
         "kernel_structure",
-        herm + [diag],
+        np.append(herm, diag),
         _tol(args, 1e-12),
         laguerre_scale_verdict=verdict,
         k=k,
     )
     reps = [rep]
     gs = random_elements(rng, 5)
-    pairs = list(zip(zs, ws))
+    pairs = np.column_stack([zs, ws])
     tol = _tol(args, 1e-8)
     for g in gs:
         reps.append(spectral.kernel_invariance_residual(sys_, k, g, pairs, tol=tol, laguerre_scale=scale))
@@ -276,7 +274,7 @@ def main(argv: list[str] | None = None) -> int:
             cfg.grid = _parse_grid(args.grid)
         env_step = os.environ.get("MAF_FD_STEP")
         if env_step:
-            cfg.fd_step = float(env_step)
+            cfg = dataclasses.replace(cfg, fd_step=float(env_step))
         reports = COMMANDS[args.command](cfg, args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

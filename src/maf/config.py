@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from typing import Optional
@@ -33,6 +34,10 @@ class SystemConfig:
     rdq: Optional[dict] = None
     highdim: Optional[dict] = None
     name: str = ""
+
+    def __post_init__(self):
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ConfigError(f"fd_step must be finite and positive, got {self.fd_step!r}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemConfig":

@@ -2,19 +2,20 @@
 
 Conventions: d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2, and the
 area pairing dz ^ dzbar = -2i dx ^ dy.  Finite differences use 5-point
-central stencils with a default step of 1e-4.
+central stencils with a default step of 1e-4.  Every function here takes an
+ndarray of points and broadcasts over it; a scalar point is numpy's 0-d case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 DEFAULT_FD_STEP = 1e-4
 
-ComplexFn = Callable[[complex], complex]
+ComplexFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
@@ -24,6 +25,10 @@ class ScalarField:
     ``d_z``/``d_zbar`` are the Wirtinger derivatives; ``lap`` is the flat
     Laplacian 4 d2/(dz dzbar).  Missing derivatives fall back to finite
     differences with step ``fd_step``.
+
+    Each callable takes an ndarray of points and returns the values at every
+    point, broadcasting elementwise; it may return a scalar instead when the
+    function is constant.  A scalar point works too, as a 0-d array.
     """
 
     func: ComplexFn
@@ -32,11 +37,11 @@ class ScalarField:
     lap: Optional[ComplexFn] = None
     fd_step: float = DEFAULT_FD_STEP
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
         return self.func(z)
 
 
-def _fd_xy(f: ComplexFn, z: complex, h: float):
+def _fd_xy(f: ComplexFn, z, h: float):
     """5-point central first derivatives along x and y."""
     fx = (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
     ih = 1j * h
@@ -44,17 +49,19 @@ def _fd_xy(f: ComplexFn, z: complex, h: float):
     return fx, fy
 
 
-def wirtinger(f: ScalarField, z: complex) -> tuple[complex, complex]:
-    """(df/dz, df/dzbar) at z, analytic when available."""
+def wirtinger(f: ScalarField, z):
+    """(df/dz, df/dzbar) at the points z, analytic when available."""
     if f.d_z is not None and f.d_zbar is not None:
         return f.d_z(z), f.d_zbar(z)
     fx, fy = _fd_xy(f.func, z, f.fd_step)
-    if not (np.isfinite(fx) and np.isfinite(fy)):
-        raise ArithmeticError(f"non-finite derivative at z={z}")
+    finite = np.isfinite(fx) & np.isfinite(fy)
+    if not np.all(finite):
+        zs, finite = np.broadcast_arrays(z, finite)
+        raise ArithmeticError(f"non-finite derivative at z={zs[~finite][0]}")
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-def flat_laplacian(f: ScalarField, z: complex) -> complex:
+def flat_laplacian(f: ScalarField, z):
     """4 d2f/(dz dzbar) = f_xx + f_yy, analytic when available."""
     if f.lap is not None:
         return f.lap(z)
@@ -89,7 +96,7 @@ class TwoForm:
 def exterior_derivative(omega: OneForm) -> TwoForm:
     """d(omega), coefficient of dz ^ dzbar."""
 
-    def coeff(z: complex) -> complex:
+    def coeff(z):
         dzb_z, _ = wirtinger(omega.coeff_dzbar, z)
         _, dz_zb = wirtinger(omega.coeff_dz, z)
         return dzb_z - dz_zb
@@ -101,41 +108,36 @@ _GL_ORDER = 16
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 
 
-def line_integral(omega: OneForm, path: list[complex], n_sub: int = 1) -> complex:
-    """Integral of omega along the polyline, composite Gauss-Legendre per segment."""
+def line_integral(omega: OneForm, path: list, n_sub: int = 1):
+    """Integral of omega along the polyline, composite Gauss-Legendre per segment.
+
+    The vertices may be arrays of one shape: the result then holds, point by
+    point, the integral along the polyline through the vertices' entries.
+    """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
+    # every node of a segment at once, along a trailing axis
+    s = (np.arange(n_sub)[:, None] + (_GL_NODES + 1) / 2).ravel()
+    w = np.tile(_GL_WEIGHTS / 2, n_sub)
     total = 0.0 + 0.0j
     for z0, z1 in zip(path[:-1], path[1:]):
-        dz_seg = (z1 - z0) / n_sub
-        for k in range(n_sub):
-            a = z0 + k * dz_seg
-            for t, w in zip(_GL_NODES, _GL_WEIGHTS):
-                z = a + (t + 1) / 2 * dz_seg
-                val = omega.coeff_dz(z) * dz_seg + omega.coeff_dzbar(z) * dz_seg.conjugate()
-                total += w / 2 * val
+        dz_seg = np.expand_dims((z1 - z0) / n_sub, -1)
+        z = np.expand_dims(z0, -1) + s * dz_seg
+        val = omega.coeff_dz(z) * dz_seg + omega.coeff_dzbar(z) * dz_seg.conjugate()
+        total = total + np.sum(w * val, axis=-1)
     return total
 
 
 def quad2d(f, rect: tuple[float, float, float, float], n: int) -> complex:
     """Tensor Gauss-Legendre integral of f over [xmin,xmax]x[ymin,ymax] (dx dy)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    xmin, xmax, ymin, ymax = rect
-    x, wx = np.polynomial.legendre.leggauss(n)
-    xs = 0.5 * (xmax - xmin) * (x + 1) + xmin
-    ys = 0.5 * (ymax - ymin) * (x + 1) + ymin
-    wxs = 0.5 * (xmax - xmin) * wx
-    wys = 0.5 * (ymax - ymin) * wx
-    fn = f.func if isinstance(f, ScalarField) else f
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    Z = X + 1j * Y
-    vals = np.vectorize(fn)(Z)
-    return complex(np.einsum("i,j,ij->", wxs, wys, vals))
+    Z, W = quad2d_nodes(rect, n)
+    return complex(np.sum(W * f(Z)))
 
 
 def quad2d_nodes(rect: tuple[float, float, float, float], n: int):
-    """Quadrature nodes Z (n x n complex) and weights W for vectorized integrands."""
+    """Quadrature nodes Z (n x n complex) and weights W (dx dy) on the rectangle."""
+    if n < 2:
+        raise ValueError("n must be >= 2")
     xmin, xmax, ymin, ymax = rect
     x, wx = np.polynomial.legendre.leggauss(n)
     xs = 0.5 * (xmax - xmin) * (x + 1) + xmin
@@ -152,7 +154,7 @@ def quad2d_nodes(rect: tuple[float, float, float, float], n: int):
 Poly2 = dict[tuple[int, int], complex]  # (i, j) -> coefficient of z^i zbar^j
 
 
-def _poly_eval(p: Poly2, z: complex) -> complex:
+def _poly_eval(p: Poly2, z):
     zb = z.conjugate()
     return sum(c * z**i * zb**j for (i, j), c in p.items())
 

@@ -17,7 +17,7 @@ with the corrected character chi_tau.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -98,7 +98,7 @@ class MagneticSystem:
 
     @cached_property
     def B(self) -> float:
-        return magnetic_field(self, 0.3 + 0.7j)
+        return float(magnetic_field(self, 0.3 + 0.7j))
 
     @cached_property
     def gauge_k(self) -> Optional[complex]:
@@ -115,20 +115,20 @@ class MagneticSystem:
 
     # -- pointwise fields ----------------------------------------------------
 
-    def phi(self, z: complex) -> float:
-        """The gauge, by closed form when available, else by line integral."""
+    def phi(self, z):
+        """The gauge at the points z, by closed form when available, else by line integral."""
         if self.gauge_k is not None:
             return 2 * (self.gauge_k * z).real
         return gauge_phi(self, z)
 
-    def factor(self, gamma_elem: GroupElement, z: complex) -> complex:
+    def factor(self, gamma_elem: GroupElement, z):
         return mixed_factor(self.nu, self.mu, self.rho, self.tau, self.chi_table, gamma_elem, z)
 
-    def factor_nochi(self, g: GroupElement, z: complex) -> complex:
+    def factor_nochi(self, g: GroupElement, z):
         return mixed_factor_nochi(self.nu, self.mu, self.rho, self.tau, g, z)
 
 
-def S_field(sys: MagneticSystem, z: complex) -> complex:
+def S_field(sys: MagneticSystem, z):
     """S(z) = nu z + mu (tau d(tau bar)/dzbar - tau bar d(tau)/dzbar)."""
     if sys.mu == 0.0:
         return sys.nu * z
@@ -138,16 +138,16 @@ def S_field(sys: MagneticSystem, z: complex) -> complex:
     return sys.nu * z + sys.mu * (t * t_z.conjugate() - t.conjugate() * t_zb)
 
 
-def magnetic_field(sys: MagneticSystem, z: complex) -> float:
-    """B(z) = nu + mu (|tau_z|^2 - |tau_zbar|^2); constant for equivariant tau."""
+def magnetic_field(sys: MagneticSystem, z):
+    """B(z) = nu + mu (|tau_z|^2 - |tau_zbar|^2) at the points z; constant for equivariant tau."""
     if sys.mu == 0.0:
-        return float(sys.nu)
+        return np.full(np.shape(z), float(sys.nu))
     t_z, t_zb = wirtinger(sys.tau.tau, z)
-    return float(sys.nu + sys.mu * (abs(t_z) ** 2 - abs(t_zb) ** 2))
+    return np.broadcast_to(sys.nu + sys.mu * (np.abs(t_z) ** 2 - np.abs(t_zb) ** 2), np.shape(z))
 
 
 def field_constancy(sys: MagneticSystem, grid: Grid, tol: float = 1e-8) -> CheckReport:
-    vals = np.array([magnetic_field(sys, z) for z in grid.points()])
+    vals = magnetic_field(sys, grid.points())
     spread = float(vals.max() - vals.min())
     return CheckReport(
         "field_constancy",
@@ -166,20 +166,20 @@ def potential(sys: MagneticSystem) -> OneForm:
     )
 
 
-def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z: complex) -> complex:
+def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
     """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f + mu(tau lap(tau bar) - tau bar lap(tau)) f."""
     f_z, f_zb = wirtinger(f, z)
     S = S_field(sys, z)
     val = flat_laplacian(f, z) + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * f(z)
     if sys.mu != 0.0:
         lt = flat_laplacian(sys.tau.tau, z)
-        if lt != 0.0:
+        if np.any(lt != 0.0):
             t = sys.tau(z)
             val += sys.mu * (t * lt.conjugate() - t.conjugate() * lt) * f(z)
     return val
 
 
-def apply_landau(B: float, f: ScalarField, z: complex) -> complex:
+def apply_landau(B: float, f: ScalarField, z):
     """Landau Hamiltonian 4 dd_bar + 2B(z d - zbar dbar) - B^2 |z|^2."""
     f_z, f_zb = wirtinger(f, z)
     return (
@@ -189,22 +189,14 @@ def apply_landau(B: float, f: ScalarField, z: complex) -> complex:
     )
 
 
-def representation(sys: MagneticSystem, g: GroupElement, f: ScalarField, use_chi: bool = False) -> ScalarField:
-    """[T_g f](z) = conj(J(g, z)) f(g.z).
+def representation(sys: MagneticSystem, g: GroupElement, f: ScalarField) -> ScalarField:
+    """[T_g f](z) = conj(J0(g, z)) f(g.z), with the character-free factor J0.
 
-    The default character-free variant is defined for every group element;
-    ``use_chi`` restricts g to the subgroup's word closure.
+    Defined for every group element, not only for the subgroup's.
     """
-    if use_chi:
-        chi_val = sys.chi_table.value(g)
 
-        def func(z):
-            return (chi_val * sys.factor_nochi(g, z)).conjugate() * f(act(g, z))
-
-    else:
-
-        def func(z):
-            return sys.factor_nochi(g, z).conjugate() * f(act(g, z))
+    def func(z):
+        return sys.factor_nochi(g, z).conjugate() * f(act(g, z))
 
     return ScalarField(func, fd_step=f.fd_step)
 
@@ -216,7 +208,8 @@ def invariance_residual(
     lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z), fd_step=sys.fd_step)
     t_lap = representation(sys, g, lap_f)
     t_f = representation(sys, g, f)
-    res = [abs(t_lap(z) - apply_mixed_laplacian(sys, t_f, z)) for z in grid.points()]
+    pts = grid.points()
+    res = np.abs(t_lap(pts) - apply_mixed_laplacian(sys, t_f, pts))
     return from_residuals("invariance", res, tol, g=g.to_dict(), grid=grid.to_dict())
 
 
@@ -234,46 +227,42 @@ def _dphi(sys: MagneticSystem) -> OneForm:
     )
 
 
-def gauge_phi(sys: MagneticSystem, z: complex, path_choice: str = "x_first") -> float:
-    """phi(z) as a line integral of dphi from the origin along an L-path.
+def _l_path(z, path_choice: str) -> list:
+    """The axis-parallel route 0 -> z: real leg first or imaginary leg first."""
+    if path_choice == "x_first":
+        return [0.0, z.real + 0j, z]
+    if path_choice == "y_first":
+        return [0.0, 1j * z.imag, z]
+    raise ValueError(f"unknown path_choice {path_choice!r}")
+
+
+def gauge_phi(sys: MagneticSystem, z, path_choice: str = "x_first"):
+    """phi at the points z as a line integral of dphi from the origin along an L-path.
 
     ``path_choice`` picks the axis-parallel route: real leg first or
     imaginary leg first.  The result must come out real within 1e-9.
     """
-    if path_choice == "x_first":
-        path = [0.0, complex(z.real, 0.0), z]
-    elif path_choice == "y_first":
-        path = [0.0, complex(0.0, z.imag), z]
-    else:
-        raise ValueError(f"unknown path_choice {path_choice!r}")
-    val = line_integral(_dphi(sys), path)
-    if abs(val.imag) > GAUGE_IM_TOL:
-        raise ArithmeticError(f"gauge integral has imaginary part {val.imag:.2e}")
-    return float(val.real)
+    val = line_integral(_dphi(sys), _l_path(np.asarray(z), path_choice))
+    im = np.max(np.abs(val.imag), initial=0.0)
+    if im > GAUGE_IM_TOL:
+        raise ArithmeticError(f"gauge integral has imaginary part {im:.2e}")
+    return val.real
 
 
-def gauge_path_residuals(sys: MagneticSystem, zs) -> tuple[list[float], list[float]]:
+def gauge_path_residuals(sys: MagneticSystem, zs) -> tuple[np.ndarray, np.ndarray]:
     """(|x-first - y-first| path mismatches, |Im phi| magnitudes) at the points zs."""
-    mism, ims = [], []
+    zs = np.asarray(zs, dtype=complex)
     form = _dphi(sys)
-    for z in zs:
-        v1 = line_integral(form, [0.0, complex(z.real, 0.0), z])
-        v2 = line_integral(form, [0.0, complex(0.0, z.imag), z])
-        mism.append(abs(v1 - v2))
-        ims.append(max(abs(v1.imag), abs(v2.imag)))
-    return mism, ims
+    v1 = line_integral(form, _l_path(zs, "x_first"))
+    v2 = line_integral(form, _l_path(zs, "y_first"))
+    return np.abs(v1 - v2), np.maximum(np.abs(v1.imag), np.abs(v2.imag))
 
 
-def gauge_loop_residuals(sys: MagneticSystem, seed: int = 0, n_loops: int = 10) -> list[float]:
+def gauge_loop_residuals(sys: MagneticSystem, seed: int = 0, n_loops: int = 10) -> np.ndarray:
     """Loop integrals of dphi around random quadrilaterals; zero iff dphi is closed."""
-    rng = np.random.default_rng(seed)
-    form = _dphi(sys)
-    out = []
-    for _ in range(n_loops):
-        pts = rng.normal(size=4) + 1j * rng.normal(size=4)
-        loop = list(pts) + [pts[0]]
-        out.append(abs(line_integral(form, loop)))
-    return out
+    xy = np.random.default_rng(seed).normal(size=(n_loops, 2, 4))
+    corners = list((xy[:, 0] + 1j * xy[:, 1]).T)
+    return np.abs(line_integral(_dphi(sys), corners + corners[:1]))
 
 
 def gauge_check(sys: MagneticSystem, seed: int = 0, n_points: int = 20, tol: float = 1e-8) -> CheckReport:
@@ -282,12 +271,11 @@ def gauge_check(sys: MagneticSystem, seed: int = 0, n_points: int = 20, tol: flo
     zs = 2 * (rng.normal(size=n_points) + 1j * rng.normal(size=n_points))
     mism, ims = gauge_path_residuals(sys, zs)
     loops = gauge_loop_residuals(sys, seed=seed)
-    res = mism + loops
     return from_residuals(
         "gauge_wellposed",
-        res,
+        np.concatenate([mism, loops]),
         tol,
-        max_im=max(ims),
+        max_im=float(ims.max()),
         n_points=n_points,
         seed=seed,
     )
@@ -309,11 +297,10 @@ def intertwining_residual(
     """
     B = sys.B if B_override is None else B_override
     wf = w_transform(sys, f)
-    res = []
-    for z in grid.points():
-        lhs = apply_mixed_laplacian(sys, f, z)
-        rhs = np.exp(-1j * sys.phi(z)) * apply_landau(B, wf, z)
-        res.append(abs(lhs - rhs))
+    pts = grid.points()
+    lhs = apply_mixed_laplacian(sys, f, pts)
+    rhs = np.exp(-1j * sys.phi(pts)) * apply_landau(B, wf, pts)
+    res = np.abs(lhs - rhs)
     return from_residuals("intertwining", res, tol, B=B, grid=grid.to_dict())
 
 
@@ -335,7 +322,7 @@ def chi_tau(sys: MagneticSystem, gamma_elem: GroupElement, drop: str | None = No
     return val
 
 
-def chi_tau_hat(sys: MagneticSystem, gamma_elem: GroupElement, z: complex) -> complex:
+def chi_tau_hat(sys: MagneticSystem, gamma_elem: GroupElement, z):
     """The z-dependent quotient e^{i(phi(gamma.z) - phi(z))} J(gamma, z) / j^B(gamma, z)."""
     num = np.exp(1j * (sys.phi(act(gamma_elem, z)) - sys.phi(z))) * sys.factor(gamma_elem, z)
     return num / j_factor(sys.B, gamma_elem, z)
@@ -345,7 +332,7 @@ def chi_tau_hat_spread(
     sys: MagneticSystem, gamma_elem: GroupElement, grid: Grid, tol: float = 1e-8
 ) -> CheckReport:
     """z-independence of chi_tau_hat over the grid (max deviation from its mean)."""
-    vals = np.array([chi_tau_hat(sys, gamma_elem, z) for z in grid.points()])
+    vals = chi_tau_hat(sys, gamma_elem, grid.points())
     center = vals.mean()
     res = np.abs(vals - center)
     return from_residuals(
@@ -367,12 +354,9 @@ def lifting_residual(
 ) -> CheckReport:
     """Residual of e^{i(phi(gamma.z)-phi(z))} J(gamma, z) = chi_tau(gamma) j^B(gamma, z)."""
     target = chi_tau(sys, gamma_elem, drop=drop)
-    chi = sys.chi_table.value(gamma_elem)  # J = chi * J0; look chi up once, not per point
-    res = []
-    for z in grid.points():
-        J = chi * sys.factor_nochi(gamma_elem, z)
-        lhs = np.exp(1j * (sys.phi(act(gamma_elem, z)) - sys.phi(z))) * J
-        res.append(abs(lhs - target * j_factor(sys.B, gamma_elem, z)))
+    pts = grid.points()
+    lhs = np.exp(1j * (sys.phi(act(gamma_elem, pts)) - sys.phi(pts))) * sys.factor(gamma_elem, pts)
+    res = np.abs(lhs - target * j_factor(sys.B, gamma_elem, pts))
     return from_residuals(
         "lifting", res, tol, gamma=gamma_elem.to_dict(), dropped=drop, grid=grid.to_dict()
     )

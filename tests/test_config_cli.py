@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from maf.cli import main
+from maf.cli import COMMANDS, main
 from maf.config import (
     ConfigError,
     SystemConfig,
@@ -177,8 +177,8 @@ class TestCli:
         assert code == 1
 
     def test_numerical_breakdown_exit_code(self, capsys, monkeypatch):
-        # a NaN finite-difference step makes the derivative non-finite
-        monkeypatch.setenv("MAF_FD_STEP", "nan")
+        # a huge finite-difference step overflows the stencil's samples
+        monkeypatch.setenv("MAF_FD_STEP", "1e10")
         with pytest.warns(RuntimeWarning):
             assert main(["spectrum", "--config", "landau"]) == 3
         captured = capsys.readouterr()
@@ -205,6 +205,27 @@ class TestCli:
         monkeypatch.setenv("MAF_FD_STEP", "1e-3")
         assert main(["field", "--config", "conjugate"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
+    def test_bad_fd_step_env_is_config_error(self, capsys, monkeypatch, step):
+        monkeypatch.setenv("MAF_FD_STEP", step)
+        for command in COMMANDS:
+            assert main([command, "--config", "conjugate"]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: fd_step must be finite and positive")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_fd_step_file_is_config_error(self, capsys, tmp_path, step):
+        from importlib import resources
+
+        data = json.loads((resources.files("maf") / "configs" / "conjugate.json").read_text())
+        data["fd_step"] = step
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        for command in COMMANDS:
+            assert main([command, "--config", str(p)]) == 2, command
+            assert "fd_step must be finite and positive" in capsys.readouterr().err
 
     def test_fixed_invariance_element(self, capsys):
         assert main(["invariance", "--config", "conjugate", "--g", "0,1,1,0"]) == 0

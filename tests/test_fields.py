@@ -46,6 +46,18 @@ class TestWirtinger:
         if errs[1] > 1e-14:  # above roundoff floor
             assert errs[0] / errs[1] > 4
 
+    def test_array_matches_points(self):
+        f = ScalarField(lambda z: np.exp(z) * z.conjugate() ** 2)
+        zs = np.array([0.3 + 0.4j, -1.0 + 0.2j, 0.7 - 0.9j])
+        dz, dzb = wirtinger(f, zs)
+        for i, z in enumerate(zs):
+            assert (dz[i], dzb[i]) == pytest.approx(wirtinger(f, z), rel=1e-12)
+
+    def test_nonfinite_names_first_bad_point(self):
+        f = ScalarField(lambda z: np.where(abs(z - 0.5) < 0.1, np.nan, z))
+        with pytest.raises(ArithmeticError, match=r"non-finite derivative at z=\(0\.5\+0j\)"):
+            wirtinger(f, np.array([0.0, 0.5, 0.55, 2.0], dtype=complex))
+
     def test_laplacian(self):
         f = ScalarField(lambda z: abs(z) ** 2)
         assert abs(flat_laplacian(f, 0.5 + 2j) - 4) < 1e-6
@@ -100,6 +112,16 @@ class TestLineIntegral:
         loop = line_integral(omega, square)
         flux = quad2d(ScalarField(lambda z: nu), (0, 1, 0, 1), 8)  # coefficient * dx dy
         assert abs(loop - (-2j) * flux) < 1e-6
+
+    def test_subdivision_and_array_endpoints(self):
+        # z zbar^2 dz + zbar dzbar along 0 -> z: polynomial, so Gauss-Legendre is exact
+        omega = OneForm(ScalarField(lambda z: z * z.conjugate() ** 2), ScalarField(lambda z: z.conjugate()))
+        ends = np.array([1 + 1j, -0.5 + 2j, 0.3 - 0.7j])
+        one = line_integral(omega, [0.0, ends])
+        assert one.shape == ends.shape
+        assert np.allclose(line_integral(omega, [0.0, ends], n_sub=3), one, rtol=0, atol=1e-13)
+        for i, z in enumerate(ends):
+            assert abs(line_integral(omega, [0.0, z]) - one[i]) < 1e-13
 
     def test_rejects_bad_subdivision(self):
         omega = OneForm(ScalarField(lambda z: 1.0), ScalarField(lambda z: 0.0))

@@ -276,3 +276,110 @@ class TestSystemValidation:
         gamma = DiscreteSubgroup([GroupElement(1, 0.5 + 0.25j)])
         with pytest.raises(ValueError, match="subgroup"):
             MagneticSystem(conj.nu, conj.mu, conj.rho, conj.tau, gamma, conj.chi)
+
+
+# -- the per-point loops the array sweeps replaced, kept as their oracle -----
+
+REPORT_GRID = Grid(-2.0, 2.0, 9, -2.0, 2.0, 9)  # maf report's invariance/intertwining grid
+LIFT_GRID = Grid(-2.0, 2.0, 11, -2.0, 2.0, 11)  # and its lifting grid
+
+
+def scalar_intertwining(sys, f, grid, B):
+    wf = w_transform(sys, f)
+    res = []
+    for z in grid.points():
+        lhs = apply_mixed_laplacian(sys, f, z)
+        rhs = np.exp(-1j * sys.phi(z)) * apply_landau(B, wf, z)
+        res.append(abs(lhs - rhs))
+    return res
+
+
+def scalar_invariance(sys, g, f, grid):
+    lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z), fd_step=sys.fd_step)
+    t_lap = representation(sys, g, lap_f)
+    t_f = representation(sys, g, f)
+    return [abs(t_lap(z) - apply_mixed_laplacian(sys, t_f, z)) for z in grid.points()]
+
+
+def scalar_lifting(sys, g, grid, drop=None):
+    from maf.automorphy import j_factor
+
+    target = chi_tau(sys, g, drop=drop)
+    chi = sys.chi_table.value(g)
+    res = []
+    for z in grid.points():
+        J = chi * sys.factor_nochi(g, z)
+        lhs = np.exp(1j * (sys.phi(act(g, z)) - sys.phi(z))) * J
+        res.append(abs(lhs - target * j_factor(sys.B, g, z)))
+    return res
+
+
+def scalar_gauge_phi(sys, z):
+    """Gauss-Legendre node by node along 0 -> Re z -> z."""
+    from maf.magnetics import _dphi
+
+    form = _dphi(sys)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0.0 + 0.0j
+    path = [0.0, complex(z.real, 0.0), complex(z)]
+    for z0, z1 in zip(path[:-1], path[1:]):
+        for t, w in zip(nodes, weights):
+            p = z0 + (t + 1) / 2 * (z1 - z0)
+            total += w / 2 * (form.coeff_dz(p) * (z1 - z0) + form.coeff_dzbar(p) * (z1 - z0).conjugate())
+    return total.real
+
+
+def assert_report_matches(rep, res):
+    """The array sweep's report equals the scalar loop's within 1e-2 * tol."""
+    assert abs(rep.max_residual - max(res)) <= 1e-2 * rep.tol
+    assert abs(rep.mean_residual - sum(res) / len(res)) <= 1e-2 * rep.tol
+
+
+SYSTEMS = ["landau", "conjugate", "alteration"]
+
+
+class TestArraySweepsMatchScalarLoops:
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_intertwining(self, name):
+        sys = build_system(load_bundled(name))
+        f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
+        rep = intertwining_residual(sys, f, REPORT_GRID)
+        assert_report_matches(rep, scalar_intertwining(sys, f, REPORT_GRID, sys.B))
+        # negative control: a wrong Landau field fails on both paths alike
+        bad = intertwining_residual(sys, f, REPORT_GRID, B_override=sys.B + 0.1)
+        assert not bad.passed and bad.max_residual > 0.01
+        assert_report_matches(bad, scalar_intertwining(sys, f, REPORT_GRID, sys.B + 0.1))
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_invariance(self, name):
+        sys = build_system(load_bundled(name))
+        f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
+        for g in [*sys.gamma.generators, GroupElement(np.exp(0.4j), 0.3 + 0.2j)]:
+            rep = invariance_residual(sys, g, f, REPORT_GRID)
+            assert rep.passed
+            assert_report_matches(rep, scalar_invariance(sys, g, f, REPORT_GRID))
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_lifting(self, name):
+        sys = build_system(load_bundled(name))
+        for g in sys.gamma.generators:
+            rep = lifting_residual(sys, g, LIFT_GRID)
+            assert rep.passed
+            assert_report_matches(rep, scalar_lifting(sys, g, LIFT_GRID))
+
+    def test_lifting_drop_controls(self, alt):
+        g = alt.gamma.generators[0]
+        for drop in ("phase_at_orbit", "inner"):
+            rep = lifting_residual(alt, g, LIFT_GRID, drop=drop)
+            assert not rep.passed and rep.max_residual > 0.1
+            assert_report_matches(rep, scalar_lifting(alt, g, LIFT_GRID, drop=drop))
+
+    @pytest.mark.parametrize("name", SYSTEMS)
+    def test_gauge_phi(self, name):
+        sys = build_system(load_bundled(name))
+        pts = LIFT_GRID.points()
+        phi = gauge_phi(sys, pts)
+        assert phi.shape == pts.shape
+        oracle = np.array([scalar_gauge_phi(sys, z) for z in pts])
+        assert np.max(np.abs(phi - oracle)) <= 1e-2 * 1e-8  # gauge_check's tol
+        assert np.max(np.abs(phi - sys.phi(pts))) <= 1e-8  # the closed form
