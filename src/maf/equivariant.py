@@ -207,23 +207,12 @@ def tau_from_beta(rho: Endomorphism, beta: complex, seed: int = 0) -> Equivarian
     if not xi.contains(beta):
         raise ValueError(f"beta={beta} is not a common fixed point of the rotation image")
     prov = {"kind": "from_beta", "beta": [beta.real, beta.imag], "family": rho.family}
-    # rho([1,z]) = [1, psi(z)] with psi linear in z (zbar) for the built-in
-    # families, so tau is affine with exact derivatives.
-    if rho.family == "identity":
-        return EquivariantMap.from_affine(1.0, 0.0, beta, prov)
-    if rho.family == "conjugation":
-        return EquivariantMap.from_affine(rho.h.a, 0.0, beta, prov)
-    if rho.family == "complex_conjugate":
-        return EquivariantMap.from_affine(0.0, 1.0, beta, prov)
-    if rho.family == "separated":
-        tt = rho.tau_tilde["kind"]
-        if tt == "conjugate":
-            return EquivariantMap.from_affine(0.0, 1.0, beta, prov)
-        c = rho.tau_tilde["c"]
-        c = complex(*c) if isinstance(c, (list, tuple)) else complex(c)
-        return EquivariantMap.from_affine(c, 0.0, beta, prov)
-    fld = ScalarField(lambda z: act(apply_endo(rho, GroupElement(1.0, z)), beta))
-    return EquivariantMap(fld, prov)
+    # rho([1, z]) = [1, psi(z)]: conjugating translations by rotations forces the
+    # rotation part to be a rotation-invariant character of C, i.e. 1, and psi
+    # is additive, so (being continuous) R-linear: psi(z) = p z + q zbar with
+    # psi(1) = p + q and psi(i) = i (p - q).  tau is affine with exact derivatives.
+    s1, si = (apply_endo(rho, GroupElement(1.0, w)).b for w in (1.0, 1j))
+    return EquivariantMap.from_affine((s1 - 1j * si) / 2, (s1 + 1j * si) / 2, beta, prov)
 
 
 def check_equivariance(

@@ -103,6 +103,15 @@ class TestTauFromBeta:
         tau = tau_from_beta(Endomorphism("identity"), 0.0)
         assert tau(3 + 1j) == 3 + 1j
 
+    def test_custom_family_is_affine(self):
+        # rho([a, b]) = [abar, 2 bbar] gives tau(z) = rho([1, z]).0 = 2 zbar
+        rho = Endomorphism("custom", func=lambda g: GroupElement(g.a.conjugate(), 2 * g.b.conjugate()))
+        tau = tau_from_beta(rho, 0.0)
+        assert tau.affine == (0, 2, 0)
+        zs = np.array([0.5 - 0.25j, -1 + 2j])
+        assert np.allclose(tau(zs), [act(apply_endo(rho, GroupElement(1, z)), 0.0) for z in zs], rtol=0, atol=1e-15)
+        assert check_equivariance(rho, tau).max_residual < 1e-12
+
     def test_rejects_beta_outside_fixed_set(self):
         with pytest.raises(ValueError, match="fixed point"):
             tau_from_beta(Endomorphism("complex_conjugate"), 1.0)

@@ -383,3 +383,21 @@ class TestArraySweepsMatchScalarLoops:
         oracle = np.array([scalar_gauge_phi(sys, z) for z in pts])
         assert np.max(np.abs(phi - oracle)) <= 1e-2 * 1e-8  # gauge_check's tol
         assert np.max(np.abs(phi - sys.phi(pts))) <= 1e-8  # the closed form
+
+    def test_custom_family_system(self):
+        # a user-supplied endomorphism runs through the same array sweeps
+        from maf.automorphy import PseudoCharacter
+        from maf.equivariant import Endomorphism, tau_from_beta
+        from maf.groups import DiscreteSubgroup
+        from maf.magnetics import MagneticSystem
+
+        rho = Endomorphism("custom", func=lambda g: GroupElement(g.a, 2 * g.b))
+        square = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
+        sys = MagneticSystem(1.0, 0.5, rho, tau_from_beta(rho, 0.0), square, PseudoCharacter([1, 1]))
+        assert sys.B == 3.0
+        f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
+        assert field_constancy(sys, REPORT_GRID).passed
+        assert intertwining_residual(sys, f, REPORT_GRID).passed
+        for g in square.generators:
+            assert invariance_residual(sys, g, f, REPORT_GRID).passed
+            assert lifting_residual(sys, g, LIFT_GRID).passed
