@@ -175,7 +175,7 @@ def highdim_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     tol = _tol(args, 1e-6)
     reps = []
     for case in block["cases"]:
-        tau = EquivariantMapN.from_dict(case["tau"], n)
+        tau = dataclasses.replace(EquivariantMapN.from_dict(case["tau"], n), fd_step=cfg.fd_step)
         result = constant_field_test(tau, cfg.nu, cfg.mu, seed=cfg.seed, tol=tol)
         worst = max(
             result["per_l"]["max_A"], result["per_l"]["max_B"], result["per_l"]["F_spread"]
@@ -247,20 +247,18 @@ COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="maf", description="Verify mixed automorphic magnetic systems")
-    sub = p.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="config JSON path or bundled name")
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--grid", default=None, help="xmin,xmax,nx,ymin,ymax,ny")
-        sp.add_argument("--kmax", type=int, default=None)
-        sp.add_argument("--k", type=int, default=None)
-        sp.add_argument("--z", default=None, help="RE,IM")
-        sp.add_argument("--w", default=None, help="RE,IM")
-        sp.add_argument("--g", default=None, help="A_RE,A_IM,B_RE,B_IM")
+    p.add_argument("command", choices=COMMANDS)
+    p.add_argument("--config", required=True, help="config JSON path or bundled name")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--out", default=None)
+    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--grid", default=None, help="xmin,xmax,nx,ymin,ymax,ny")
+    p.add_argument("--kmax", type=int, default=None)
+    p.add_argument("--k", type=int, default=None)
+    p.add_argument("--z", default=None, help="RE,IM")
+    p.add_argument("--w", default=None, help="RE,IM")
+    p.add_argument("--g", default=None, help="A_RE,A_IM,B_RE,B_IM")
     return p
 
 

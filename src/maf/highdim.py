@@ -16,10 +16,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .fields import DEFAULT_FD_STEP
 from .reports import CheckReport, from_residuals
 
 UNITARY_TOL = 1e-10
-FD_STEP_N = 1e-4
 
 
 @dataclass
@@ -40,7 +40,7 @@ class GroupElementN:
 
 
 def act_n(g: GroupElementN, z: np.ndarray) -> np.ndarray:
-    return g.A @ np.asarray(z, dtype=complex) + g.b
+    return np.asarray(z, dtype=complex) @ g.A.T + g.b
 
 
 def random_element_n(n: int, rng: np.random.Generator) -> GroupElementN:
@@ -51,40 +51,70 @@ def random_element_n(n: int, rng: np.random.Generator) -> GroupElementN:
 
 
 # ---------------------------------------------------------------------------
-# Equivariant maps tau : C^n -> C^n.
+# Equivariant maps tau : C^n -> C^n.  A point array carries the n coordinates
+# on its last axis; every function below broadcasts over the leading axes.
 
-def _poly_component(terms: list[dict]) -> Callable[[np.ndarray], complex]:
+def _poly_component(terms: list[dict]) -> Callable[[np.ndarray], np.ndarray]:
     parsed = [
         (np.array(t["z"], dtype=int), np.array(t["zbar"], dtype=int), complex(*t["c"]))
         for t in terms
     ]
 
-    def f(z: np.ndarray) -> complex:
+    def f(z: np.ndarray) -> np.ndarray:
         zb = np.conj(z)
-        return sum(c * np.prod(z**ei) * np.prod(zb**ej) for ei, ej, c in parsed)
+        return sum(c * np.prod(z**ei, axis=-1) * np.prod(zb**ej, axis=-1) for ei, ej, c in parsed)
 
     return f
 
 
+def _wirtinger_n(f: Callable, z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d f_m / d z_k, d f_m / d zbar_k) as arrays (..., m, k) for f : (..., n) -> (..., m).
+
+    One 5-point stencil along the real and the imaginary axis of every
+    coordinate, all shifted points evaluated in one call of ``f``.
+    """
+    n = z.shape[-1]
+    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None, None]
+    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * h)
+    e = h * np.eye(n)
+    # shifted points (..., step, axis x|y, direction k, coordinate)
+    fv = f(z[..., None, None, None, :] + steps * np.stack([e, 1j * e]))
+    gx, gy = np.einsum("s,...sakm->a...mk", weights, fv)
+    return 0.5 * (gx - 1j * gy), 0.5 * (gx + 1j * gy)
+
+
 @dataclass
 class EquivariantMapN:
-    """tau given by a descriptor; exact Jacobian blocks for the linear kinds."""
+    """tau given by a descriptor.
+
+    The identity, conjugate and linear kinds are ``tau(z) = U z + V zbar``
+    with ``(U, V)`` = ``(I, 0)``, ``(0, I)`` and ``(U, 0)``, and their exact
+    Jacobian blocks are ``(U, V)``; the polynomial kind is differentiated by
+    5-point stencils with step ``fd_step``.
+    """
 
     kind: str  # identity | conjugate | linear | polynomial
     n: int
     U: Optional[np.ndarray] = None
     components: Optional[list] = None  # polynomial term tables
-    fd_step: float = FD_STEP_N
+    fd_step: float = DEFAULT_FD_STEP
 
     def __post_init__(self):
-        if self.kind == "linear":
-            self.U = np.asarray(self.U, dtype=complex)
-            if self.U.shape != (self.n, self.n):
-                raise ValueError("linear map needs an n x n matrix")
+        self._fns = None
         if self.kind == "polynomial":
             if self.components is None or len(self.components) != self.n:
                 raise ValueError("polynomial map needs one term table per component")
             self._fns = [_poly_component(t) for t in self.components]
+            return
+        if self.kind == "linear":
+            self.U = np.asarray(self.U, dtype=complex)
+            if self.U.shape != (self.n, self.n):
+                raise ValueError("linear map needs an n x n matrix")
+        eye, zero = np.eye(self.n, dtype=complex), np.zeros((self.n, self.n), dtype=complex)
+        UV = {"identity": (eye, zero), "conjugate": (zero, eye), "linear": (self.U, zero)}
+        if self.kind not in UV:
+            raise ValueError(f"unknown map kind {self.kind!r}")
+        self._UV = UV[self.kind]
 
     @classmethod
     def from_dict(cls, d: dict, n: int) -> "EquivariantMapN":
@@ -98,66 +128,55 @@ class EquivariantMapN:
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         z = np.asarray(z, dtype=complex)
-        if self.kind == "identity":
-            return z.copy()
-        if self.kind == "conjugate":
-            return np.conj(z)
-        if self.kind == "linear":
-            return self.U @ z
-        return np.array([f(z) for f in self._fns])
+        if self._fns is not None:
+            return np.stack([f(z) for f in self._fns], axis=-1)
+        U, V = self._UV
+        return z @ U.T + np.conj(z) @ V.T
 
 
 def jacobian_blocks(tau: EquivariantMapN, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices P[l,k] = d tau_l / d z_k and Q[l,k] = d tau_l / d zbar_k."""
-    n = tau.n
-    if tau.kind == "identity":
-        return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
-    if tau.kind == "conjugate":
-        return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
-    if tau.kind == "linear":
-        return tau.U.copy(), np.zeros((n, n), dtype=complex)
+    """Arrays (..., n, n): P[..., l, k] = d tau_l / d z_k and Q[..., l, k] = d tau_l / d zbar_k."""
     z = np.asarray(z, dtype=complex)
-    h = tau.fd_step
-    P = np.zeros((n, n), dtype=complex)
-    Q = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for step, w in ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)):
-            zx = z.copy()
-            zx[k] += step * h
-            fx = tau(zx) * (w / (12 * h))
-            zy = z.copy()
-            zy[k] += 1j * step * h
-            fy = tau(zy) * (w / (12 * h))
-            P[:, k] += 0.5 * (fx - 1j * fy)
-            Q[:, k] += 0.5 * (fx + 1j * fy)
-    return P, Q
+    if tau._fns is not None:
+        return _wirtinger_n(tau, z, tau.fd_step)
+    shape = z.shape[:-1] + (tau.n, tau.n)
+    return tuple(np.broadcast_to(M, shape).copy() for M in tau._UV)
+
+
+def _determinants(p: np.ndarray, q: np.ndarray, i, j) -> tuple:
+    """A, B, C, D from Jacobian rows p = d tau_l / dz, q = d tau_l / dzbar (last axis k).
+
+    ``i`` and ``j`` may be index arrays; the derivatives of the conjugate
+    component are d(tau bar_l)/dz_i = conj(q[i]) and d(tau bar_l)/dzbar_i = conj(p[i]).
+    """
+    pi, pj, qi, qj = p[..., i], p[..., j], q[..., i], q[..., j]
+    A = qi.conj() * pj - qj.conj() * pi
+    B = qi.conj() * qj - pj.conj() * pi
+    C = pi.conj() * pj - qj.conj() * qi
+    D = pi.conj() * qj - pj.conj() * qi
+    return A, B, C, D
 
 
 def determinant_coeffs(
     tau: EquivariantMapN, z: np.ndarray, ell: int, i: int, j: int, k: int
 ) -> dict:
-    """The five 2x2 determinants of the constant-field criterion at z.
+    """The five 2x2 determinants of the constant-field criterion at the points z.
 
     Indices are 0-based; i < j required for the antisymmetric quantities.
     """
     if not i < j:
         raise ValueError("need i < j")
     P, Q = jacobian_blocks(tau, z)
-    p = P[ell]
-    q = Q[ell]
-    # derivatives of the conjugate component: d(tau bar)/dz_i = conj(Q[l,i]) etc.
-    A = q[i].conjugate() * p[j] - q[j].conjugate() * p[i]
-    B = q[i].conjugate() * q[j] - p[j].conjugate() * p[i]
-    C = p[i].conjugate() * p[j] - q[j].conjugate() * q[i]
-    D = p[i].conjugate() * q[j] - p[j].conjugate() * q[i]
-    F = abs(q[k]) ** 2 - abs(p[k]) ** 2
-    return {"A": A, "B": B, "C": C, "D": D, "F": float(F)}
+    p, q = P[..., ell, :], Q[..., ell, :]
+    A, B, C, D = _determinants(p, q, i, j)
+    F = np.abs(q[..., k]) ** 2 - np.abs(p[..., k]) ** 2
+    return {"A": A, "B": B, "C": C, "D": D, "F": F}
 
 
 def potential_n_coeffs(
     tau: EquivariantMapN, nu: float, mu: float, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (c_dz, c_dzbar) of theta at z, each an n-vector.
+    """Coefficients (c_dz, c_dzbar) of theta at the points z, each of z's shape.
 
     theta = -1/2 sum_l { nu (zbar_l dz_l - z_l dzbar_l)
                          + mu (tau bar_l d tau_l - tau_l d tau bar_l) }.
@@ -166,43 +185,28 @@ def potential_n_coeffs(
     c_dz = -0.5 * nu * np.conj(z)
     c_dzb = 0.5 * nu * z
     if mu != 0.0:
-        t = tau(z)
+        t = tau(z)[..., :, None]
         P, Q = jacobian_blocks(tau, z)
         # d tau_l / dz_k = P[l,k]; d (tau bar_l) / dz_k = conj(Q[l,k])
-        for k in range(tau.n):
-            c_dz[k] += -0.5 * mu * np.sum(np.conj(t) * P[:, k] - t * np.conj(Q[:, k]))
-            c_dzb[k] += -0.5 * mu * np.sum(np.conj(t) * Q[:, k] - t * np.conj(P[:, k]))
+        c_dz = c_dz - 0.5 * mu * np.sum(np.conj(t) * P - t * np.conj(Q), axis=-2)
+        c_dzb = c_dzb - 0.5 * mu * np.sum(np.conj(t) * Q - t * np.conj(P), axis=-2)
     return c_dz, c_dzb
 
 
 def _two_form_matrix(tau: EquivariantMapN, nu: float, mu: float, z: np.ndarray, h: float) -> np.ndarray:
-    """Antisymmetric (2n x 2n) coefficient matrix of d theta at z.
+    """Antisymmetric (..., 2n, 2n) coefficient matrices of d theta at the points z.
 
     Basis order (dz_1..dz_n, dzbar_1..dzbar_n); entry [a, b] (a < b) is the
     coefficient of basis_a ^ basis_b.  Derivatives by 5-point stencils in the
     2n Wirtinger directions.
     """
-    n = tau.n
 
     def coeffs(zz: np.ndarray) -> np.ndarray:
-        c_dz, c_dzb = potential_n_coeffs(tau, nu, mu, zz)
-        return np.concatenate([c_dz, c_dzb])
+        return np.concatenate(potential_n_coeffs(tau, nu, mu, zz), axis=-1)
 
-    # d(coeff_b)/d(direction a): directions 0..n-1 are d/dz_k, n..2n-1 d/dzbar_k
-    grad = np.zeros((2 * n, 2 * n), dtype=complex)  # grad[a, b] = d c_b / d dir_a
-    for k in range(n):
-        gx = np.zeros(2 * n, dtype=complex)
-        gy = np.zeros(2 * n, dtype=complex)
-        for step, w in ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0)):
-            zx = z.astype(complex).copy()
-            zx[k] += step * h
-            gx += coeffs(zx) * (w / (12 * h))
-            zy = z.astype(complex).copy()
-            zy[k] += 1j * step * h
-            gy += coeffs(zy) * (w / (12 * h))
-        grad[k] = 0.5 * (gx - 1j * gy)
-        grad[n + k] = 0.5 * (gx + 1j * gy)
-    return grad - grad.T  # M[a,b] = d_a c_b - d_b c_a
+    d_dz, d_dzb = _wirtinger_n(coeffs, np.asarray(z, dtype=complex), h)
+    J = np.concatenate([d_dz, d_dzb], axis=-1)  # J[..., b, a] = d c_b / d dir_a
+    return np.swapaxes(J, -1, -2) - J  # M[a,b] = d_a c_b - d_b c_a
 
 
 def equivariance_check_n(
@@ -255,26 +259,18 @@ def constant_field_test(
     """
     rng = np.random.default_rng(seed)
     n = tau.n
-    pts = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n_points)]
+    xy = rng.normal(size=(n_points, 2, n))
+    pts = xy[:, 0] + 1j * xy[:, 1]
 
-    max_A = max_B = 0.0
-    f_vals: dict[tuple[int, int], list[float]] = {}
-    for z in pts:
-        P, Q = jacobian_blocks(tau, z)
-        for ell in range(n):
-            for k in range(n):
-                f_vals.setdefault((ell, k), []).append(
-                    float(abs(Q[ell, k]) ** 2 - abs(P[ell, k]) ** 2)
-                )
-            for i in range(n):
-                for j in range(i + 1, n):
-                    d = determinant_coeffs(tau, z, ell, i, j, 0)
-                    max_A = max(max_A, float(abs(d["A"])))
-                    max_B = max(max_B, float(abs(d["B"])))
-    f_spread = float(max(max(v) - min(v) for v in f_vals.values()))
+    P, Q = jacobian_blocks(tau, pts)
+    A, B, _, _ = _determinants(P, Q, *np.triu_indices(n, 1))
+    max_A = float(np.abs(A).max(initial=0.0))
+    max_B = float(np.abs(B).max(initial=0.0))
+    F = np.abs(Q) ** 2 - np.abs(P) ** 2  # F[point, l, k]
+    f_spread = float(np.ptp(F, axis=0).max())
     per_l_pass = bool(max_A <= tol and max_B <= tol and f_spread <= tol)
 
-    mats = np.array([_two_form_matrix(tau, nu, mu, z, tau.fd_step) for z in pts])
+    mats = _two_form_matrix(tau, nu, mu, pts, tau.fd_step)
     direct_spread = float(np.abs(mats - mats[0]).max())
     direct_pass = bool(direct_spread <= tol)
 
@@ -283,7 +279,7 @@ def constant_field_test(
             "max_A": max_A,
             "max_B": max_B,
             "F_spread": f_spread,
-            "F_values": {f"{l},{k}": float(np.mean(v)) for (l, k), v in f_vals.items()},
+            "F_values": {f"{l},{k}": float(v) for (l, k), v in np.ndenumerate(F.mean(axis=0))},
             "pass": per_l_pass,
         },
         "direct": {

@@ -206,6 +206,49 @@ class TestCli:
         assert main(["field", "--config", "conjugate"]) == 0
         capsys.readouterr()
 
+    def test_fd_step_reaches_highdim(self, capsys, monkeypatch, tmp_path):
+        import maf.cli
+        from importlib import resources
+
+        steps = []
+        real = maf.cli.constant_field_test
+
+        def spy(tau, *args, **kwargs):
+            steps.append(tau.fd_step)
+            return real(tau, *args, **kwargs)
+
+        monkeypatch.setattr(maf.cli, "constant_field_test", spy)
+        data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+        data["fd_step"] = 3e-3
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        assert main(["highdim", "--config", str(p)]) == 0
+        assert steps == [3e-3] * 3
+        monkeypatch.setenv("MAF_FD_STEP", "1e-2")
+        assert main(["highdim", "--config", "landau"]) == 0
+        assert steps[3:] == [1e-2] * 3
+        capsys.readouterr()
+
+    def test_missing_or_unknown_command_exits_2(self, capsys):
+        for argv in ([], ["--config", "landau"], ["nope", "--config", "landau"], ["report"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv
+        capsys.readouterr()
+
+    def test_readme_cli_examples(self, capsys):
+        import shlex
+        from pathlib import Path
+
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+        lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("maf ")]
+        assert len(lines) >= 8
+        for line in lines:
+            argv = shlex.split(line)[1:]
+            assert main(argv) == 0, line
+            capsys.readouterr()
+
     @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
     def test_bad_fd_step_env_is_config_error(self, capsys, monkeypatch, step):
         monkeypatch.setenv("MAF_FD_STEP", step)
