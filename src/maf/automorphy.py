@@ -72,9 +72,12 @@ class PseudoCharacter:
 class CharacterTable:
     """chi extended over the word closure of a subgroup, with consistency audit.
 
-    Each edge w -> w g of the breadth-first closure carries chi along by
-    twisted multiplicativity; an edge that reaches an element already in the
-    table records the mismatch of the two chi values in ``inconsistency``.
+    chi is carried by twisted multiplicativity along the edge w -> w g that
+    made each entry (from ``parent`` by generator ``slot``), one word length at
+    a time; every other edge reaches an element already in the table, and the
+    largest mismatch of the two chi values there is ``inconsistency``.  ``u``,
+    ``ru`` and ``rv`` hold g^{-1}.0, rho(g^{-1}).0 and rho(g).0 for every entry
+    g (the last two only when mu != 0); g.0 is ``closure.b``.
     """
 
     def __init__(
@@ -88,22 +91,37 @@ class CharacterTable:
     ):
         if len(chi.values_on_generators) != len(gamma.generators):
             raise ValueError("chi must supply one value per generator")
-        self.closure = WordClosure(gamma, MATCH_TOL)
-        gens = [g for _, g in self.closure.gens]
+        self.closure = closure = WordClosure(gamma, MATCH_TOL).grow(max_len)
+        gens = [g for _, g in closure.gens]
         steps = []
         for i, v in enumerate(chi.values_on_generators):
             g, ginv = gens[2 * i], gens[2 * i + 1]
             # chi(e) = 1 forces chi(g^{-1}) = conj(chi(g)) e^{-i phase(g, g^{-1})}
             steps += [v, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, g, ginv))]
-        self.values: list[complex] = [1.0 + 0j]
-        self.inconsistency = 0.0
-        for src, slot, dst, new in self.closure.edges(max_len):
-            w = self.closure.elements[src]
-            cval = self.values[src] * steps[slot] * np.exp(1j * phase(nu, mu, rho, w, gens[slot]))
-            if new:
-                self.values.append(cval)
-            else:
-                self.inconsistency = max(self.inconsistency, abs(cval - self.values[dst]))
+        steps = np.array(steps, complex)
+        # phase(w, g) = nu Im(u_w conj v_g) + mu Im(ru_w conj rv_g), u = w^{-1}.0, v = g.0,
+        # on the edges out of the expanded entries
+        m = closure.offsets[-2]
+        self.u = _cmul(-closure.a.conj(), closure.b)
+        ph = nu * _im_conj_outer(self.u[:m], np.array([act(g, 0.0) for g in gens]))
+        if mu != 0.0:
+            els = closure.elements
+            self.ru = np.array([act(apply_endo(rho, inverse(g)), 0.0) for g in els], complex)
+            self.rv = np.array([act(apply_endo(rho, g), 0.0) for g in els], complex)
+            rv = np.array([act(apply_endo(rho, g), 0.0) for g in gens])
+            ph += mu * _im_conj_outer(self.ru[:m], rv)
+        turn = np.exp(1j * ph)
+        # entries are numbered as first reached, so the edge that made entry j is
+        # where the running maximum of the edge targets first reaches j
+        succ = closure.succ[:m]
+        made = np.searchsorted(np.maximum.accumulate(succ.ravel()), np.arange(len(closure.ab)))
+        self.parent, self.slot = np.divmod(made, max(len(gens), 1))
+        self.values = np.ones(len(closure.ab), complex)
+        for lo, hi in zip(closure.offsets[1:-1], closure.offsets[2:]):
+            s, t = self.parent[lo:hi], self.slot[lo:hi]
+            self.values[lo:hi] = _cmul(_cmul(self.values[s], steps[t]), turn[s, t])
+        diff = _cmul(_cmul(self.values[:m, None], steps), turn) - self.values[succ]
+        self.inconsistency = float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
     @property
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
@@ -211,26 +229,18 @@ def rdq_check(
     table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
     closure = table.closure
     # entries are in BFS order, so the words up to max_word_len are a prefix
-    n = sum(len(w) <= max_word_len for w in closure.words)
-    short = closure.elements[:n]
-    # the entry of g_i g_j: walk the right word's generators from g_i through
-    # the closure's edges; a last column that stays put pads shorter words
-    succ = np.column_stack([np.array(closure.succ), np.arange(len(closure.succ))])
-    slots = np.full((n, max_word_len), -1)
-    for j, word in enumerate(closure.words[:n]):
-        slots[j, : len(word)] = [2 * abs(i) - 2 + (i < 0) for i in word]
-    hit = np.repeat(np.arange(n)[:, None], n, axis=1)
-    for step in range(max_word_len):
-        hit = succ[hit, slots[:, step]]
+    n = closure.offsets[min(max_word_len + 1, len(closure.offsets) - 1)]
+    # the entry of g_i g_j: g_j = g_p gens[s] for the entry p and slot s that made
+    # it, so column j steps along the closure's edges from column p
+    succ, hit = closure.succ, np.empty((n, n), int)
+    hit[:, 0] = np.arange(n)
+    for lo, hi in zip(closure.offsets[1:], closure.offsets[2 : max_word_len + 2]):
+        hit[:, lo:hi] = succ[hit[:, table.parent[lo:hi]], table.slot[lo:hi]]
     # phase(g_i, g_j) = nu Im(u_i conj v_j) + mu Im(ru_i conj rv_j), u = g^{-1}.0, v = g.0
-    u = np.array([act(inverse(g), 0.0) for g in short])
-    v = np.array([act(g, 0.0) for g in short])
-    ph = nu * _im_conj_outer(u, v)
+    ph = nu * _im_conj_outer(table.u[:n], closure.b[:n])
     if mu != 0.0:
-        ru = np.array([act(apply_endo(rho, inverse(g)), 0.0) for g in short])
-        rv = np.array([act(apply_endo(rho, g), 0.0) for g in short])
-        ph += mu * _im_conj_outer(ru, rv)
-    vals = np.array(table.values, dtype=complex)
+        ph += mu * _im_conj_outer(table.ru[:n], table.rv[:n])
+    vals = table.values
     pred = _cmul(_cmul(vals[:n, None], vals[None, :n]), np.exp(1j * ph))
     diff = vals[hit] - pred
     residuals = np.hypot(diff.real, diff.imag).ravel()

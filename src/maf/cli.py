@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import re
 import sys
 
 import numpy as np
@@ -23,6 +24,17 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3  # a computation broke down (e.g. a non-finite derivative)
+
+
+def _join_signed_pairs(argv: list[str]) -> list[str]:
+    """``--z -1,0`` as ``--z=-1,0``: argparse takes a lone ``-1,0`` for an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in ("--z", "--w", "--g") and re.match(r"-[\d.]", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _parse_complex(s: str) -> complex:
@@ -263,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_signed_pairs(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _resolve_config(args.config)
         if args.seed is not None:

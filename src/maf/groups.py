@@ -7,7 +7,6 @@ multiplies like the 2x2 matrices [[a, b], [0, 1]].
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -82,15 +81,17 @@ class DiscreteSubgroup:
             self.labels = [f"g{i}" for i in range(len(self.generators))]
         if len(self.labels) != len(self.generators):
             raise ValueError("labels and generators must have equal length")
+        if not np.isfinite([[g.a, g.b] for g in self.generators]).all():
+            raise ValueError("generators must be finite")
         self._discreteness_smoke_test()
 
     def _discreteness_smoke_test(self, max_len: int = 3):
-        for w in enumerate_words(self, max_len):
-            d = abs(w.a - 1.0) + abs(w.b)
-            if 1e-12 < d < 1e-9:
-                raise ValueError(
-                    f"generator set fails discreteness smoke test: word at distance {d:.2e} from identity"
-                )
+        d = _l1(np.array([1, 0], complex), WordClosure(self).grow(max_len).ab)
+        close = d[(1e-12 < d) & (d < 1e-9)]
+        if close.size:
+            raise ValueError(
+                f"generator set fails discreteness smoke test: word at distance {close[0]:.2e} from identity"
+            )
 
     def symmetric_generators(self) -> list[tuple[int, GroupElement]]:
         """Generators and their inverses, tagged with signed indices (1-based)."""
@@ -101,80 +102,134 @@ class DiscreteSubgroup:
         return out
 
 
-class WordClosure:
-    """Words in the generators and their inverses, grown breadth-first.
+def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``distance`` from x to y, elements as [a, b] on the last axis, rounding as it does."""
+    d = y - x
+    h = np.hypot(d.real, d.imag)
+    return h[..., 0] + h[..., 1]
 
-    Entry i holds ``elements[i]`` and its signed word ``words[i]``; entry 0 is
-    the identity.  Word length L + 1 is one pass of (entries of length L) x
-    ``symmetric_generators()``; a product within ``tol`` of an earlier entry
-    is a repeat, not a new entry.  ``succ[i][slot]`` is the entry of
-    ``elements[i] * gens[slot]`` once entry i has been expanded, else -1.
+
+class WordClosure:
+    """Words in the generators and their inverses, grown one word length at a time.
+
+    Entry i is the element ``ab[i]`` = [a, b] with signed word ``words[i]``;
+    entry 0 is the identity and ``offsets[L]:offsets[L + 1]`` are the words of
+    length L.  A level composes every entry of the last length with each of
+    ``symmetric_generators()``, source-major and slot-minor; a product within
+    ``tol`` of an entry, or of a new product earlier in the level, is a repeat.
+    ``succ[i, slot]`` is the entry of ``elements[i] * gens[slot]``, or -1 while
+    entry i is not expanded.
 
     Matches go through a hash of (a, b) floored to cells of side
     ``max(CELL, 4 tol)``, centred on multiples of the side so that lattice
-    coordinates sit mid-cell.  A lookup probes every cell within 2 tol, so a
-    point near a cell edge also finds its neighbour's entries, and the
-    first-inserted entry within ``tol`` wins.
+    coordinates sit mid-cell.  A product whose box of half-side 2 tol lies in
+    its cell can only match there, so a stable sort of the hashes settles it
+    against the first entry of the cell, confirmed by the distance; the others
+    go through ``lookup``, which probes every cell within 2 tol.  Either way
+    the first-inserted entry within ``tol`` wins.
     """
 
     CELL = 1e-6
+    _MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 1], np.uint64)
 
     def __init__(self, gamma: DiscreteSubgroup, tol: float = DEDUP_TOL):
         self.tol = tol
         self.gens = gamma.symmetric_generators()
-        self.elements: list[GroupElement] = []
-        self.words: list[list[int]] = []
-        self.succ: list[list[int]] = []
-        self._cell = max(self.CELL, 4 * tol)
-        self._cells: dict[tuple[int, ...], list[int]] = {}
-        self._insert(IDENTITY, [])
+        # [a, b][ga, gb] = [a ga, a gb + b]: (re a, im a) dotted with each pair is the
+        # textbook re(a ga), im(a ga), re(a gb), im(a gb)
+        rows = [(g.a.real, -g.a.imag, g.a.imag, g.a.real, g.b.real, -g.b.imag, g.b.imag, g.b.real)
+                for _, g in self.gens]
+        self._g = np.array(rows).reshape(-1, 4, 2)
+        cell = max(self.CELL, 4 * tol)
+        self._scale = 1 / cell
+        self._shift = np.array([0.5, 0.5 - 2 * tol / cell, 0.5 + 2 * tol / cell])[:, None, None]
+        self.ab = np.array([[1, 0]], complex)
+        self._keys = self._hash(self._cells(self.ab)[0])
+        self.words: list[list[int]] = [[]]
+        self.offsets = [0, 1]
+        self.succ = np.full((1, len(self.gens)), -1)
+        self._elements: list[GroupElement] = []
+        self._index = None
 
-    def _keys(self, a: complex, b: complex, r: float):
-        """Keys of the cells that meet the box of half-side r around [a, b]."""
-        coords = (a.real, a.imag, b.real, b.imag)
-        lo = [math.floor((x - r) / self._cell + 0.5) for x in coords]
-        hi = [math.floor((x + r) / self._cell + 0.5) for x in coords]
-        return [tuple(lo)] if lo == hi else itertools.product(*map(range, lo, [h + 1 for h in hi]))
+    a = property(lambda self: self.ab[:, 0])
+    b = property(lambda self: self.ab[:, 1])
 
-    def _insert(self, g: GroupElement, word: list[int]) -> int:
-        (key,) = self._keys(g.a, g.b, 0.0)
-        self._cells.setdefault(key, []).append(len(self.elements))
-        self.elements.append(g)
-        self.words.append(word)
-        self.succ.append([-1] * len(self.gens))
-        return len(self.elements) - 1
+    @property
+    def elements(self) -> list[GroupElement]:
+        done = len(self._elements)
+        self._elements += map(GroupElement, self.a[done:].tolist(), self.b[done:].tolist())
+        return self._elements
+
+    def _cells(self, ab: np.ndarray) -> np.ndarray:
+        """Cells of the (k, 2) elements ab and of their box corners -+ 2 tol, stacked first."""
+        return np.floor(ab.view(float) * self._scale + self._shift).astype(np.int64)
+
+    def _hash(self, cells: np.ndarray) -> np.ndarray:
+        return cells.astype(np.uint64) @ self._MIX
 
     def lookup(self, a: complex, b: complex) -> int | None:
-        """Index of the first entry within ``tol`` of [a, b], or None."""
-        best = None
-        for key in self._keys(a, b, 2 * self.tol):
-            for i in self._cells.get(key, ()):
-                e = self.elements[i]
-                if (best is None or i < best) and abs(e.a - a) + abs(e.b - b) <= self.tol:
-                    best = i
-        return best
+        """Index of the first entry within ``tol`` of [a, b], or None.
 
-    def edges(self, max_len: int) -> Iterator[tuple[int, int, int, bool]]:
-        """Grow to words of length ``max_len``, yielding each edge as it is met.
-
-        An edge is (source entry, generator slot, target entry, whether the
-        target is new).
+        While a level grows, the labels of its products that are new so far
+        count as entries too.
         """
+        if self._index is None:
+            order = np.argsort(self._keys, kind="stable")
+            self._index = self._keys[order], order, self.ab, np.ones(len(order), bool)
+        keys, order, e, live = self._index
+        x = np.array([a, b], complex)
+        _, lo, hi = self._cells(x[None])[:, 0]
+        probe = self._hash(np.array(list(itertools.product(*map(range, lo, hi + 1)))))
+        first, last = np.searchsorted(keys, probe), np.searchsorted(keys, probe, "right")
+        near = np.concatenate([order[i:j] for i, j in zip(first, last)])
+        near = near[live[near]]
+        near = near[_l1(x, e[near]) <= self.tol]
+        return int(near.min()) if near.size else None
+
+    def levels(self, max_len: int) -> Iterator[int]:
+        """Grow to words of length ``max_len``, yielding the first new entry of each
+        level; stop early once a level adds nothing."""
         if max_len < 0:
             raise ValueError("max_len must be nonnegative")
-        for length in range(max_len):
-            for src in [i for i, w in enumerate(self.words) if len(w) == length]:
-                for slot, (idx, g) in enumerate(self.gens):
-                    cand = compose(self.elements[src], g)
-                    dst = self.lookup(cand.a, cand.b)
-                    new = dst is None
-                    if new:
-                        dst = self._insert(cand, self.words[src] + [idx])
-                    self.succ[src][slot] = dst
-                    yield src, slot, dst, new
+        ns, tol = len(self.gens), self.tol
+        while len(self.offsets) - 2 < max_len and self.offsets[-1] > self.offsets[-2]:
+            lo, n = self.offsets[-2:]
+            x = self.ab[lo:].view(float)
+            prod = x[:, None, None, :2] * self._g
+            c = np.add(prod[..., 0], prod[..., 1], order="C")
+            c[..., 2:] += x[:, None, 2:]
+            c[..., :2] /= np.hypot(c[..., :1], c[..., 1:2])
+            # labels: entry i is i, product k is n + k; the stable sort puts the
+            # lowest label of each cell first
+            e = np.concatenate([self.ab, c.reshape(-1, 4).view(complex)])
+            own, lo_corner, hi_corner = self._cells(e[n:])
+            safe = (lo_corner == hi_corner).all(axis=1)
+            keys = np.concatenate([self._keys, self._hash(own)])
+            order = np.argsort(keys, kind="stable")
+            sk = keys[order]
+            dst = order[np.searchsorted(sk, keys[n:])]
+            # an entry, or a safe product first in its cell (hence new), settles
+            # the safe products of its cell within tol of it
+            live = np.concatenate([np.ones(n, bool), safe])
+            fast = safe & live[dst] & (_l1(e[n:], e[dst]) <= tol)
+            live[n:] = fast & (dst == np.arange(n, len(e)))
+            self._index = sk, order, e, live
+            for k in np.flatnonzero(~fast):
+                hit = self.lookup(*e[n + k])
+                dst[k] = n + k if hit is None else hit
+                live[n + k] = hit is None
+            keep = np.flatnonzero(live)
+            self.ab, self._keys = e[keep], keys[keep]
+            made = (keep[n:] - n).tolist()
+            self.words += [self.words[lo + k // ns] + [self.gens[k % ns][0]] for k in made]
+            self.succ[lo:] = np.searchsorted(keep, dst).reshape(n - lo, ns)
+            self.succ = np.concatenate([self.succ, np.full((len(keep) - n, ns), -1)])
+            self.offsets.append(len(keep))
+            self._index = None
+            yield n
 
     def grow(self, max_len: int) -> "WordClosure":
-        for _ in self.edges(max_len):
+        for _ in self.levels(max_len):
             pass
         return self
 
@@ -195,10 +250,11 @@ def find_word(
     """
     if is_identity(target, tol):
         return []
-    closure = WordClosure(gamma)
-    for _, _, dst, new in closure.edges(max_len):
-        if new and distance(closure.elements[dst], target) <= tol:
-            return closure.words[dst]
+    closure, t = WordClosure(gamma), np.array([target.a, target.b])
+    for lo in closure.levels(max_len):
+        hit = np.flatnonzero(_l1(t, closure.ab[lo:]) <= tol)
+        if hit.size:
+            return closure.words[lo + hit[0]]
     return None
 
 

@@ -44,15 +44,17 @@ class CheckReport:
 
 
 def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
-    """Build a report from an iterable of nonnegative residuals.
+    """Build a report from an array (of any shape) or sequence of nonnegative residuals.
 
     A non-finite residual (NaN or inf) is reported as the maximum, so the
-    report fails; the first one met is kept.
+    report fails; the first one in row-major order is kept.
     """
-    vals = [float(r) for r in residuals]
-    if not vals:
+    arr = np.asarray(residuals, dtype=float).ravel()
+    if not arr.size:
         return CheckReport(name, 0.0, 0.0, tol, metadata)
-    worst = next((v for v in vals if not math.isfinite(v)), max(vals))
+    vals = arr.tolist()
+    finite = np.isfinite(arr)
+    worst = max(vals) if finite.all() else vals[int(np.argmin(finite))]
     return CheckReport(name, worst, sum(vals) / len(vals), tol, metadata)
 
 

@@ -18,6 +18,7 @@ from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField
 from maf.groups import IDENTITY, DiscreteSubgroup, GroupElement, act, compose
+from test_groups import P2, P3, P4, EdgeClosure
 
 SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
 # the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
@@ -133,6 +134,50 @@ class TestPseudoCharacter:
             CharacterTable(PseudoCharacter([1]), SQUARE, 1.0, 0.0, ID)
 
 
+def edge_character_table(chi, gamma, nu, mu, rho, max_len):
+    """chi carried edge by edge over the per-edge closure: the loop that the
+    level-at-a-time extension replaced, kept as an oracle."""
+    closure = EdgeClosure(gamma, 1e-9)
+    gens = [g for _, g in closure.gens]
+    steps = []
+    for i, v in enumerate(chi.values_on_generators):
+        steps += [v, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, gens[2 * i], gens[2 * i + 1]))]
+    values, inconsistency = [1.0 + 0j], 0.0
+    for src, slot, dst, new in closure.edges(max_len):
+        w = closure.elements[src]
+        cval = values[src] * steps[slot] * np.exp(1j * phase(nu, mu, rho, w, gens[slot]))
+        if new:
+            values.append(cval)
+        else:
+            inconsistency = max(inconsistency, abs(cval - values[dst]))
+    return closure, values, inconsistency
+
+
+class TestLevelExtension:
+    CASES = {
+        "p6": (PseudoCharacter([1, -1]), P6, P6_NU, 0.0, ID),
+        "square_unquantized": (PseudoCharacter([1, 1]), SQUARE, 1.0, 0.0, ID),
+        "p2": (PseudoCharacter([1j, 1, -1]), P2, np.pi, 0.0, ID),
+        "p3": (PseudoCharacter([1, np.exp(0.3j)]), P3, 2.0, 0.0, ID),
+        "p4_conjugated": (PseudoCharacter([1, 1]), P4, np.pi, 0.7, CONJ),
+    }
+
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", *CASES])
+    def test_matches_per_edge_extension(self, name):
+        if name in self.CASES:
+            chi, gamma, nu, mu, rho = self.CASES[name]
+        else:
+            s = build_system(load_bundled(name))
+            chi, gamma, nu, mu, rho = s.chi, s.gamma, s.nu, s.mu, s.rho
+        table = CharacterTable(chi, gamma, nu, mu, rho, max_len=6)
+        closure, values, inconsistency = edge_character_table(chi, gamma, nu, mu, rho, 6)
+        assert table.closure.elements == closure.elements
+        assert table.closure.words == closure.words
+        # == on complex ignores the sign of zero
+        assert table.values.tolist() == values
+        assert table.inconsistency == inconsistency
+
+
 class TestMixedFactor:
     def test_identity_gives_one(self, conj_system):
         s = conj_system
@@ -186,6 +231,10 @@ class TestRdqCheck:
         rep = rdq_check(1.0, 0.0, ID, SQUARE, PseudoCharacter([1, 1]))
         assert not rep.passed and rep.max_residual >= 0.1
         assert rep.metadata["worst_pair"]["left"]
+
+    def test_trivial_group_passes(self):
+        rep = rdq_check(1.0, 0.0, ID, DiscreteSubgroup([]), PseudoCharacter([]))
+        assert rep.passed and rep.max_residual == 0
 
     def test_rank_one_always_passes(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1)])

@@ -150,6 +150,23 @@ class TestCli:
         assert main(["field", "--config", "landau", "--grid", "0,1,5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "command, spaced, joined",
+        [
+            ("gauge", ["--z", "-1,0"], ["--z=-1,0"]),
+            ("kernel", ["--z", "-1,0", "--w", "-.5,-0.5"], ["--z=-1,0", "--w=-.5,-0.5"]),
+            ("invariance", ["--g", "-1,0,-0.5,1"], ["--g=-1,0,-0.5,1"]),
+        ],
+    )
+    def test_pair_options_take_a_leading_minus(self, capsys, command, spaced, joined):
+        # "--z -1,0" means what "--z=-1,0" means, not an unknown option "-1,0"
+        assert main([command, "--config", "alteration", *spaced]) == 0
+        out = capsys.readouterr().out
+        assert main([command, "--config", "alteration", *joined]) == 0
+        assert capsys.readouterr().out == out
+        if command == "gauge":
+            assert json.loads(out)[0]["metadata"]["z"] == [-1.0, 0.0]
+
     def test_deterministic_output(self, capsys):
         main(["gauge", "--config", "alteration", "--z", "1,1"])
         first = capsys.readouterr().out

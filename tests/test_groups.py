@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +27,10 @@ from maf.groups import (
 SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
 # the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
 P6 = DiscreteSubgroup([GroupElement(0.5 + 0.8660254037844386j, 0), GroupElement(1, 1)])
+# wallpaper groups p2, p3 and p4 from a rotation and lattice translations
+P2 = DiscreteSubgroup([GroupElement(-1, 0), GroupElement(1, 1), GroupElement(1, 1j)])
+P3 = DiscreteSubgroup([GroupElement(np.exp(2j * np.pi / 3), 0), GroupElement(1, 1)])
+P4 = DiscreteSubgroup([GroupElement(1j, 0), GroupElement(1, 1)])
 
 angles = st.floats(0, 2 * np.pi, allow_nan=False)
 coords = st.floats(-5, 5, allow_nan=False)
@@ -146,6 +153,13 @@ class TestDiscreteSubgroup:
         with pytest.raises(ValueError, match="discreteness"):
             DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1 + 1e-10)])
 
+    @pytest.mark.parametrize(
+        "bad", [GroupElement(1, complex(np.nan, 0)), GroupElement(1, np.inf), GroupElement(np.nan, 0)]
+    )
+    def test_rejects_non_finite_generators(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteSubgroup([GroupElement(1, 1j), bad])
+
     def test_labels_default(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1)])
         assert gamma.labels == ["g0"]
@@ -238,7 +252,7 @@ class TestWordClosure:
         closure = WordClosure(P6).grow(4)
         for i, row in enumerate(closure.succ):
             if len(closure.words[i]) == 4:
-                assert row == [-1] * 4  # the last layer is not expanded
+                assert row.tolist() == [-1] * 4  # the last layer is not expanded
                 continue
             for (_, g), dst in zip(closure.gens, row):
                 assert distance(closure.elements[dst], compose(closure.elements[i], g)) < 1e-12
@@ -252,3 +266,101 @@ class TestWordClosure:
             targets += [GroupElement(1, 0.5), GroupElement(1j, 0.25), GroupElement(-1, 7)]
             for t in targets:
                 assert find_word(gamma, t) == _bfs_find_word(gamma, t)
+
+
+class EdgeClosure:
+    """The closure grown one edge at a time with a per-product cell lookup:
+    the breadth-first loop that the level-at-a-time growth replaced, kept as
+    an oracle."""
+
+    CELL = 1e-6
+
+    def __init__(self, gamma, tol=1e-10):
+        self.tol = tol
+        self.gens = gamma.symmetric_generators()
+        self.elements, self.words, self.succ = [], [], []
+        self._cell = max(self.CELL, 4 * tol)
+        self._cells = {}
+        self._insert(IDENTITY, [])
+
+    def _keys(self, a, b, r):
+        coords = (a.real, a.imag, b.real, b.imag)
+        lo = [math.floor((x - r) / self._cell + 0.5) for x in coords]
+        hi = [math.floor((x + r) / self._cell + 0.5) for x in coords]
+        return [tuple(lo)] if lo == hi else itertools.product(*map(range, lo, [h + 1 for h in hi]))
+
+    def _insert(self, g, word):
+        (key,) = self._keys(g.a, g.b, 0.0)
+        self._cells.setdefault(key, []).append(len(self.elements))
+        self.elements.append(g)
+        self.words.append(word)
+        self.succ.append([-1] * len(self.gens))
+        return len(self.elements) - 1
+
+    def lookup(self, a, b):
+        best = None
+        for key in self._keys(a, b, 2 * self.tol):
+            for i in self._cells.get(key, ()):
+                e = self.elements[i]
+                if (best is None or i < best) and abs(e.a - a) + abs(e.b - b) <= self.tol:
+                    best = i
+        return best
+
+    def edges(self, max_len):
+        """Yield (source, slot, target, whether the target is new) per edge."""
+        for length in range(max_len):
+            for src in [i for i, w in enumerate(self.words) if len(w) == length]:
+                for slot, (idx, g) in enumerate(self.gens):
+                    cand = compose(self.elements[src], g)
+                    dst = self.lookup(cand.a, cand.b)
+                    new = dst is None
+                    if new:
+                        dst = self._insert(cand, self.words[src] + [idx])
+                    self.succ[src][slot] = dst
+                    yield src, slot, dst, new
+
+    def grow(self, max_len):
+        for _ in self.edges(max_len):
+            pass
+        return self
+
+
+def _bundled_group(name):
+    return build_system(load_bundled(name)).gamma
+
+
+class TestLevelGrowth:
+    GROUPS = {"p6": P6, "p2": P2, "p3": P3, "p4": P4, "square": SQUARE}
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-9])
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", "p6", "p2", "p3", "p4"])
+    def test_matches_per_edge_growth(self, name, tol):
+        gamma = self.GROUPS.get(name) or _bundled_group(name)
+        length = 6 if name == "p2" else 8
+        closure, oracle = WordClosure(gamma, tol).grow(length), EdgeClosure(gamma, tol).grow(length)
+        # == on complex ignores the sign of zero, which the two products may differ in
+        assert closure.elements == oracle.elements
+        assert closure.words == oracle.words
+        assert closure.succ.tolist() == oracle.succ
+
+    @pytest.mark.parametrize("name, size", [("p2", 578), ("p3", 1027), ("p4", 976), ("p6", 1880)])
+    def test_sizes_at_length_twelve(self, name, size):
+        # the exact counts of perfbench/oracle.py, in Z[i] and Z[omega]
+        assert len(WordClosure(self.GROUPS[name]).grow(12).elements) == size
+
+    def test_cell_mates_farther_than_tol_stay_apart(self):
+        # 3e-7 apart: the same 1e-6 cell, but 300 tol away
+        gamma = DiscreteSubgroup([GroupElement(1, 3e-7)])
+        closure = WordClosure(gamma, tol=1e-9).grow(4)
+        assert sorted(round(b.real / 3e-7) for b in closure.b) == list(range(-4, 5))
+        assert closure.words == EdgeClosure(gamma, 1e-9).grow(4).words
+
+    def test_stops_once_a_level_adds_nothing(self):
+        # the alteration group is finite: a rotation of order 6 about a point
+        closure = WordClosure(_bundled_group("alteration")).grow(50)
+        assert len(closure.offsets) < 10 and closure.offsets[-1] == closure.offsets[-2] == 6
+
+    def test_grows_on_from_where_it_stopped(self):
+        closure = WordClosure(P6).grow(3).grow(6)
+        assert closure.words == WordClosure(P6).grow(6).words
+        assert closure.succ.tolist() == WordClosure(P6).grow(6).succ.tolist()
