@@ -114,7 +114,7 @@ class CharacterTable:
         # entries are numbered as first reached, so the edge that made entry j is
         # where the running maximum of the edge targets first reaches j
         succ = closure.succ[:m]
-        made = np.searchsorted(np.maximum.accumulate(succ.ravel()), np.arange(len(closure.ab)))
+        made = np.maximum.accumulate(succ.ravel()).searchsorted(np.arange(len(closure.ab)))
         self.parent, self.slot = np.divmod(made, max(len(gens), 1))
         self.values = np.ones(len(closure.ab), complex)
         for lo, hi in zip(closure.offsets[1:-1], closure.offsets[2:]):

@@ -165,7 +165,7 @@ class WordClosure:
         return np.floor(ab.view(float) * self._scale + self._shift).astype(np.int64)
 
     def _hash(self, cells: np.ndarray) -> np.ndarray:
-        return cells.astype(np.uint64) @ self._MIX
+        return cells.view(np.uint64) @ self._MIX
 
     def lookup(self, a: complex, b: complex) -> int | None:
         """Index of the first entry within ``tol`` of [a, b], or None.
@@ -174,13 +174,13 @@ class WordClosure:
         count as entries too.
         """
         if self._index is None:
-            order = np.argsort(self._keys, kind="stable")
+            order = self._keys.argsort(kind="stable")
             self._index = self._keys[order], order, self.ab, np.ones(len(order), bool)
         keys, order, e, live = self._index
         x = np.array([a, b], complex)
         _, lo, hi = self._cells(x[None])[:, 0]
         probe = self._hash(np.array(list(itertools.product(*map(range, lo, hi + 1)))))
-        first, last = np.searchsorted(keys, probe), np.searchsorted(keys, probe, "right")
+        first, last = keys.searchsorted(probe), keys.searchsorted(probe, "right")
         near = np.concatenate([order[i:j] for i, j in zip(first, last)])
         near = near[live[near]]
         near = near[_l1(x, e[near]) <= self.tol]
@@ -205,24 +205,25 @@ class WordClosure:
             own, lo_corner, hi_corner = self._cells(e[n:])
             safe = (lo_corner == hi_corner).all(axis=1)
             keys = np.concatenate([self._keys, self._hash(own)])
-            order = np.argsort(keys, kind="stable")
+            order = keys.argsort(kind="stable")
             sk = keys[order]
-            dst = order[np.searchsorted(sk, keys[n:])]
+            dst = order[sk.searchsorted(keys[n:])]
             # an entry, or a safe product first in its cell (hence new), settles
             # the safe products of its cell within tol of it
-            live = np.concatenate([np.ones(n, bool), safe])
+            live = np.ones(len(e), bool)
+            live[n:] = safe
             fast = safe & live[dst] & (_l1(e[n:], e[dst]) <= tol)
             live[n:] = fast & (dst == np.arange(n, len(e)))
             self._index = sk, order, e, live
-            for k in np.flatnonzero(~fast):
+            for k in (~fast).nonzero()[0]:
                 hit = self.lookup(*e[n + k])
                 dst[k] = n + k if hit is None else hit
                 live[n + k] = hit is None
-            keep = np.flatnonzero(live)
+            keep = live.nonzero()[0]
             self.ab, self._keys = e[keep], keys[keep]
             made = (keep[n:] - n).tolist()
             self.words += [self.words[lo + k // ns] + [self.gens[k % ns][0]] for k in made]
-            self.succ[lo:] = np.searchsorted(keep, dst).reshape(n - lo, ns)
+            self.succ[lo:] = keep.searchsorted(dst).reshape(n - lo, ns)
             self.succ = np.concatenate([self.succ, np.full((len(keep) - n, ns), -1)])
             self.offsets.append(len(keep))
             self._index = None
@@ -252,7 +253,7 @@ def find_word(
         return []
     closure, t = WordClosure(gamma), np.array([target.a, target.b])
     for lo in closure.levels(max_len):
-        hit = np.flatnonzero(_l1(t, closure.ab[lo:]) <= tol)
+        hit = (_l1(t, closure.ab[lo:]) <= tol).nonzero()[0]
         if hit.size:
             return closure.words[lo + hit[0]]
     return None
