@@ -348,6 +348,13 @@ class TestLevelGrowth:
         # the exact counts of perfbench/oracle.py, in Z[i] and Z[omega]
         assert len(WordClosure(self.GROUPS[name]).grow(12).elements) == size
 
+    def test_products_through_lookup_match_per_edge_growth(self):
+        # at tol 0.3 every box of half-side 0.6 straddles a cell edge, so every
+        # product goes through lookup, repeats within a level included
+        closure, oracle = WordClosure(SQUARE, 0.3).grow(4), EdgeClosure(SQUARE, 0.3).grow(4)
+        assert closure.elements == oracle.elements and closure.words == oracle.words
+        assert closure.succ.tolist() == oracle.succ
+
     def test_cell_mates_farther_than_tol_stay_apart(self):
         # 3e-7 apart: the same 1e-6 cell, but 300 tol away
         gamma = DiscreteSubgroup([GroupElement(1, 3e-7)])
