@@ -18,9 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivariant import Endomorphism, EquivariantMap, apply_endo
+from .equivariant import Endomorphism, EquivariantMap, apply_endo, apply_endo_ab
 from .fields import Grid, ScalarField
-from .groups import DiscreteSubgroup, GroupElement, WordClosure, act, compose, inverse
+from .groups import (
+    DiscreteSubgroup,
+    GroupElement,
+    WordClosure,
+    _cmul,
+    act,
+    compose,
+    inverse,
+    inverse_ab,
+)
 from .reports import CheckReport, from_residuals
 
 MATCH_TOL = 1e-9
@@ -105,10 +114,10 @@ class CharacterTable:
         self.u = _cmul(-closure.a.conj(), closure.b)
         ph = nu * _im_conj_outer(self.u[:m], np.array([act(g, 0.0) for g in gens]))
         if mu != 0.0:
-            els = closure.elements
-            self.ru = np.array([act(apply_endo(rho, inverse(g)), 0.0) for g in els], complex)
-            self.rv = np.array([act(apply_endo(rho, g), 0.0) for g in els], complex)
-            rv = np.array([act(apply_endo(rho, g), 0.0) for g in gens])
+            # rho(g).0 is the b of rho(g)
+            self.ru = apply_endo_ab(rho, *inverse_ab(closure.a, closure.b))[1]
+            self.rv = apply_endo_ab(rho, closure.a, closure.b)[1]
+            rv = apply_endo_ab(rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))[1]
             ph += mu * _im_conj_outer(self.ru[:m], rv)
         turn = np.exp(1j * ph)
         # entries are numbered as first reached, so the edge that made entry j is
@@ -199,11 +208,6 @@ def defect_phase_residuals(
     spread = float(np.abs(vals - vals[0]).max())
     target = np.exp(-1j * phase(nu, mu, rho, g, gp))
     return spread, float(np.abs(vals - target).max())
-
-
-def _cmul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Complex product by the textbook formula, rounding as scalar complex arithmetic does."""
-    return x.real * y.real - x.imag * y.imag + 1j * (x.real * y.imag + x.imag * y.real)
 
 
 def _im_conj_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -14,7 +14,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .fields import ScalarField
-from .groups import GroupElement, act, compose, distance, random_elements
+from .groups import GroupElement, _abs, _cmul, _l1, compose_ab, random_ab
 from .reports import CheckReport, from_residuals
 
 HOM_TOL = 1e-9
@@ -31,24 +31,38 @@ def _unit_samples(rng: np.random.Generator, n_equi: int = 64, n_rand: int = 32) 
 # ---------------------------------------------------------------------------
 # Separated-map descriptors: rho([a,b]) = [rho_tilde(a), tau_tilde(b)].
 
-def _rho_tilde_fn(desc: dict) -> Callable[[complex], complex]:
+# They take numbers or arrays and round as scalar complex arithmetic does.
+
+def _cpow(a, n: int):
+    """a**n for an integer n by binary powering, as scalar complex ``**`` does for 0 <= n <= 100."""
+    if n < 0:
+        return 1 / _cpow(a, -n)
+    r = np.ones_like(a)
+    while n:
+        if n & 1:
+            r = _cmul(r, a)
+        a, n = _cmul(a, a), n >> 1
+    return r
+
+
+def _rho_tilde_fn(desc: dict) -> Callable:
     kind = desc["kind"]
     if kind == "conjugate":
-        return lambda a: a.conjugate()
+        return np.conj
     if kind == "power":
         n = int(desc["n"])
-        return lambda a: a**n
+        return lambda a: _cpow(a, n)
     raise ValueError(f"unknown circle-map kind {kind!r}")
 
 
-def _tau_tilde_fn(desc: dict) -> Callable[[complex], complex]:
+def _tau_tilde_fn(desc: dict) -> Callable:
     kind = desc["kind"]
     if kind == "conjugate":
-        return lambda b: b.conjugate()
+        return np.conj
     if kind == "linear":
         c = desc["c"]
         c = complex(*c) if isinstance(c, (list, tuple)) else complex(c)
-        return lambda b: c * b
+        return lambda b: _cmul(c, b)
     raise ValueError(f"unknown additive-map kind {kind!r}")
 
 
@@ -97,21 +111,31 @@ class Endomorphism:
         return d
 
 
-def apply_endo(rho: Endomorphism, g: GroupElement) -> GroupElement:
-    """Evaluate rho(g)."""
+def apply_endo_ab(rho: Endomorphism, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """rho([a, b]) for 1-d arrays a and b of equal length, as the arrays of its a and b.
+
+    The built-in families round as scalar complex arithmetic does; the custom
+    family calls ``rho.func`` once per element.
+    """
     if rho.family == "identity":
-        return g
+        return a, b
     if rho.family == "conjugation":
         # h [a,b] h^{-1} = [a, (1-a) beta_h + b alpha_h]
-        ah, bh = rho.h.a, rho.h.b
-        return GroupElement(g.a, (1 - g.a) * bh + g.b * ah)
+        return a, _cmul(1 - a, rho.h.b) + _cmul(b, rho.h.a)
     if rho.family == "complex_conjugate":
-        return GroupElement(g.a.conjugate(), g.b.conjugate())
+        return np.conj(a), np.conj(b)
     if rho.family == "separated":
-        return GroupElement(_rho_tilde_fn(rho.rho_tilde)(g.a), _tau_tilde_fn(rho.tau_tilde)(g.b))
+        return _rho_tilde_fn(rho.rho_tilde)(a), _tau_tilde_fn(rho.tau_tilde)(b)
     if rho.family == "custom":
-        return rho.func(g)
+        images = [rho.func(GroupElement(*g)) for g in zip(a.tolist(), b.tolist())]
+        return np.array([g.a for g in images], complex), np.array([g.b for g in images], complex)
     raise ValueError(f"unknown endomorphism family {rho.family!r}")
+
+
+def apply_endo(rho: Endomorphism, g: GroupElement) -> GroupElement:
+    """Evaluate rho(g)."""
+    (a,), (b,) = apply_endo_ab(rho, np.array([g.a]), np.array([g.b]))
+    return GroupElement(a, b)
 
 
 def homomorphism_report(
@@ -119,14 +143,10 @@ def homomorphism_report(
 ) -> CheckReport:
     """Residual of rho(gh) = rho(g) rho(h) over random pairs."""
     rng = np.random.default_rng(seed)
-    # bypass the custom-family constructor check to avoid recursion
-    apply_ = rho.func if rho.family == "custom" else (lambda g: apply_endo(rho, g))
-    gs = random_elements(rng, n_pairs)
-    hs = random_elements(rng, n_pairs)
-    res = [
-        distance(apply_(compose(g, h)), compose(apply_(g), apply_(h)))
-        for g, h in zip(gs, hs)
-    ]
+    g, h = random_ab(rng, n_pairs), random_ab(rng, n_pairs)
+    lhs = apply_endo_ab(rho, *compose_ab(*g, *h))
+    rhs = compose_ab(*apply_endo_ab(rho, *g), *apply_endo_ab(rho, *h))
+    res = _l1(np.stack(lhs, -1), np.stack(rhs, -1))
     return from_residuals("endomorphism_homomorphism", res, tol, family=rho.family, n_pairs=n_pairs)
 
 
@@ -152,21 +172,20 @@ def xi_rho(rho: Endomorphism, seed: int = 0) -> FixedPointSet:
     phi_a beta + psi_a = beta.  The answer is the whole plane, one point, or
     nothing.
     """
-    rng = np.random.default_rng(seed)
-    images = [apply_endo(rho, GroupElement(a, 0.0)) for a in _unit_samples(rng)]
-    rotating = [g for g in images if abs(g.a - 1) > FIXED_POINT_TOL]
-    if not rotating:
-        if all(abs(g.b) <= FIXED_POINT_TOL for g in images):
+    a = _unit_samples(np.random.default_rng(seed))
+    ga, gb = apply_endo_ab(rho, a, np.zeros_like(a))
+    rotating = (_abs(ga - 1) > FIXED_POINT_TOL).nonzero()[0]
+    if not rotating.size:
+        if (_abs(gb) <= FIXED_POINT_TOL).all():
             return FixedPointSet("all_of_plane")
         return FixedPointSet("empty")
-    betas = [g.b / (1 - g.a) for g in rotating]
-    beta = betas[0]
-    if any(abs(bt - beta) > FIXED_POINT_TOL for bt in betas[1:]):
+    betas = gb[rotating] / (1 - ga[rotating])
+    beta = complex(gb[rotating[0]]) / (1 - complex(ga[rotating[0]]))
+    if (_abs(betas[1:] - beta) > FIXED_POINT_TOL).any():
         raise ValueError("inconsistent fixed points across rotation samples")
     # the remaining (non-rotating) images must also fix beta
-    for g in images:
-        if abs(act(g, beta) - beta) > FIXED_POINT_TOL:
-            return FixedPointSet("empty")
+    if (_abs(_cmul(ga, beta) + gb - beta) > FIXED_POINT_TOL).any():
+        return FixedPointSet("empty")
     return FixedPointSet("single_point", beta)
 
 
@@ -211,7 +230,7 @@ def tau_from_beta(rho: Endomorphism, beta: complex, seed: int = 0) -> Equivarian
     # rotation part to be a rotation-invariant character of C, i.e. 1, and psi
     # is additive, so (being continuous) R-linear: psi(z) = p z + q zbar with
     # psi(1) = p + q and psi(i) = i (p - q).  tau is affine with exact derivatives.
-    s1, si = (apply_endo(rho, GroupElement(1.0, w)).b for w in (1.0, 1j))
+    s1, si = apply_endo_ab(rho, np.ones(2, complex), np.array([1.0, 1j]))[1].tolist()
     return EquivariantMap.from_affine((s1 - 1j * si) / 2, (s1 + 1j * si) / 2, beta, prov)
 
 
@@ -224,18 +243,23 @@ def check_equivariance(
 ) -> CheckReport:
     """Residual of tau(g.z) = rho(g).tau(z) over sampled (g, z)."""
     rng = np.random.default_rng(seed)
-    gs = random_elements(rng, n_samples)
+    a, b = random_ab(rng, n_samples)
     zs = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
     # deterministic probes catch rotation-only failures at the origin
-    gs += [GroupElement(1j, 0.0), GroupElement(-1.0, 0.0)]
-    zs = np.append(zs, [0.0, 0.0])
-    res = [
-        abs(tau(act(g, z)) - act(apply_endo(rho, g), tau(z)))
-        for g, z in zip(gs, zs)
-    ]
+    a, b, zs = np.append(a, [1j, -1.0]), np.append(b, [0.0, 0.0]), np.append(zs, [0.0, 0.0])
+    ra, rb = apply_endo_ab(rho, a, b)
+    res = _abs(_tau_at(tau, _cmul(a, zs) + b) - (_cmul(ra, _tau_at(tau, zs)) + rb))
     return from_residuals(
-        "equivariance", res, tol, family=rho.family, n_samples=len(gs), seed=seed
+        "equivariance", res, tol, family=rho.family, n_samples=len(zs), seed=seed
     )
+
+
+def _tau_at(tau: EquivariantMap, z: np.ndarray) -> np.ndarray:
+    """tau at the points z; an affine tau rounds as it does at one scalar point."""
+    if tau.affine is None:
+        return tau(z)
+    p, q, r = tau.affine
+    return _cmul(p, z) + _cmul(q, z.conj()) + r
 
 
 def classify_separated(

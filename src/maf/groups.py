@@ -71,10 +71,15 @@ def stabilizer_residual(g: GroupElement, x: complex) -> float:
 
 @dataclass
 class DiscreteSubgroup:
-    """Finitely generated subgroup given by its generators."""
+    """Finitely generated subgroup given by its generators.
+
+    ``closure`` is the word closure at ``DEDUP_TOL`` that the discreteness
+    smoke test grows; ``find_word`` grows it on.
+    """
 
     generators: list[GroupElement]
     labels: list[str] = field(default_factory=list)
+    closure: WordClosure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.labels:
@@ -83,10 +88,11 @@ class DiscreteSubgroup:
             raise ValueError("labels and generators must have equal length")
         if not np.isfinite([[g.a, g.b] for g in self.generators]).all():
             raise ValueError("generators must be finite")
+        self.closure = WordClosure(self)
         self._discreteness_smoke_test()
 
     def _discreteness_smoke_test(self, max_len: int = 3):
-        d = _l1(np.array([1, 0], complex), WordClosure(self).grow(max_len).ab)
+        d = _l1(np.array([1, 0], complex), self.closure.grow(max_len).ab)
         close = d[(1e-12 < d) & (d < 1e-9)]
         if close.size:
             raise ValueError(
@@ -104,9 +110,35 @@ class DiscreteSubgroup:
 
 def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """``distance`` from x to y, elements as [a, b] on the last axis, rounding as it does."""
-    d = y - x
-    h = np.hypot(d.real, d.imag)
+    h = _abs(y - x)
     return h[..., 0] + h[..., 1]
+
+
+def _abs(x):
+    """abs of complex numbers, rounding as the scalar abs does."""
+    return np.hypot(x.real, x.imag)
+
+
+def _cmul(x, y):
+    """Complex product by the textbook formula, rounding as scalar complex arithmetic does."""
+    return x.real * y.real - x.imag * y.imag + 1j * (x.real * y.imag + x.imag * y.real)
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / abs(x), rounding as the scalar quotient does."""
+    r = _abs(x)
+    return x.real / r + 1j * (x.imag / r)
+
+
+def compose_ab(ga, gb, ha, hb) -> tuple[np.ndarray, np.ndarray]:
+    """``compose`` on arrays: the a and b of g*h, rounding as it does."""
+    return _unit(_cmul(ga, ha)), _cmul(ga, hb) + gb
+
+
+def inverse_ab(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``inverse`` on arrays, rounding as it does."""
+    abar = np.conj(a)
+    return _unit(abar), _cmul(-abar, b)
 
 
 class WordClosure:
@@ -130,6 +162,10 @@ class WordClosure:
     """
 
     CELL = 1e-6
+    # cell coordinates are clipped to +-LIMIT, inside int64; the box corners of a
+    # coordinate beyond it are clipped to two cells, so its product goes through lookup
+    LIMIT = 2.0**52
+    _CLIP = np.array([[-LIMIT, -LIMIT, 1 - LIMIT], [LIMIT, LIMIT - 1, LIMIT]])[:, :, None, None]
     _MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 1], np.uint64)
 
     def __init__(self, gamma: DiscreteSubgroup, tol: float = DEDUP_TOL):
@@ -162,7 +198,9 @@ class WordClosure:
 
     def _cells(self, ab: np.ndarray) -> np.ndarray:
         """Cells of the (k, 2) elements ab and of their box corners -+ 2 tol, stacked first."""
-        return np.floor(ab.view(float) * self._scale + self._shift).astype(np.int64)
+        cells = np.floor(ab.view(float) * self._scale + self._shift)
+        np.minimum(cells, self._CLIP[1], out=cells)
+        return np.maximum(cells, self._CLIP[0], out=cells).astype(np.int64)
 
     def _hash(self, cells: np.ndarray) -> np.ndarray:
         return cells.view(np.uint64) @ self._MIX
@@ -247,11 +285,15 @@ def find_word(
 ) -> list[int] | None:
     """Signed generator indices of the first word within ``tol`` of target, or None.
 
-    The closure grows only until the target appears.
+    Searches ``gamma.closure``, grown on only until the target appears.
     """
     if is_identity(target, tol):
         return []
-    closure, t = WordClosure(gamma), np.array([target.a, target.b])
+    closure, t = gamma.closure, np.array([target.a, target.b])
+    grown = closure.offsets[min(max_len + 1, len(closure.offsets) - 1)]
+    hit = (_l1(t, closure.ab[1:grown]) <= tol).nonzero()[0]
+    if hit.size:
+        return closure.words[1 + hit[0]]
     for lo in closure.levels(max_len):
         hit = (_l1(t, closure.ab[lo:]) <= tol).nonzero()[0]
         if hit.size:
@@ -259,8 +301,14 @@ def find_word(
     return None
 
 
-def random_elements(rng: np.random.Generator, n: int) -> list[GroupElement]:
-    """n rigid motions with uniform rotation angle and standard normal translation."""
+def random_ab(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The a and b arrays of n rigid motions with uniform rotation angle and
+    standard normal translation."""
     a = np.exp(1j * rng.uniform(0, 2 * np.pi, n))
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
-    return [GroupElement(ai, bi) for ai, bi in zip(a, b)]
+    return a, b
+
+
+def random_elements(rng: np.random.Generator, n: int) -> list[GroupElement]:
+    """The n rigid motions of ``random_ab``, as elements."""
+    return list(map(GroupElement, *random_ab(rng, n)))

@@ -17,7 +17,8 @@ from maf.automorphy import (
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField
-from maf.groups import IDENTITY, DiscreteSubgroup, GroupElement, act, compose
+from maf.groups import IDENTITY, DiscreteSubgroup, GroupElement, act, compose, inverse
+from test_equivariant import apply_endo_oracle
 from test_groups import P2, P3, P4, EdgeClosure
 
 SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
@@ -176,6 +177,19 @@ class TestLevelExtension:
         # == on complex ignores the sign of zero
         assert table.values.tolist() == values
         assert table.inconsistency == inconsistency
+
+
+    @pytest.mark.parametrize("name", ["conjugate", "alteration", "p4_conjugated"])
+    def test_rho_images_match_per_element_oracle(self, name):
+        if name in self.CASES:
+            chi, gamma, nu, mu, rho = self.CASES[name]
+        else:
+            s = build_system(load_bundled(name))
+            chi, gamma, nu, mu, rho = s.chi, s.gamma, s.nu, s.mu, s.rho
+        table = CharacterTable(chi, gamma, nu, mu, rho, max_len=6)
+        els = table.closure.elements
+        assert table.ru.tolist() == [act(apply_endo_oracle(rho, inverse(g)), 0.0) for g in els]
+        assert table.rv.tolist() == [act(apply_endo_oracle(rho, g), 0.0) for g in els]
 
 
 class TestMixedFactor:

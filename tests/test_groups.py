@@ -1,14 +1,18 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maf.config import build_system, load_bundled
-from maf.equivariant import apply_endo
+from pathlib import Path
+
+from maf.config import build_system, load_bundled, load_config
+from maf.equivariant import Endomorphism, apply_endo
 from maf.groups import (
+    DEDUP_TOL,
     IDENTITY,
     DiscreteSubgroup,
     GroupElement,
@@ -367,7 +371,78 @@ class TestLevelGrowth:
         closure = WordClosure(_bundled_group("alteration")).grow(50)
         assert len(closure.offsets) < 10 and closure.offsets[-1] == closure.offsets[-2] == 6
 
+    def test_coordinates_beyond_the_cell_range(self):
+        # 1e13 is beyond 2**52 cells of 1e-6: no invalid cast to int64, and the
+        # products out there go through lookup
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma = DiscreteSubgroup([GroupElement(1, 1e13), GroupElement(1, 1j)])
+            closure = WordClosure(gamma).grow(4)
+            oracle = EdgeClosure(gamma).grow(4)
+        assert len(closure.elements) == 41
+        assert closure.elements == oracle.elements and closure.words == oracle.words
+        assert closure.succ.tolist() == oracle.succ
+
     def test_grows_on_from_where_it_stopped(self):
         closure = WordClosure(P6).grow(3).grow(6)
         assert closure.words == WordClosure(P6).grow(6).words
         assert closure.succ.tolist() == WordClosure(P6).grow(6).succ.tolist()
+
+
+def _fresh_find_word(gamma, target, max_len=6, tol=1e-9):
+    """find_word on a closure of its own, grown from the identity: the search
+    that the one closure per subgroup replaced, kept as an oracle."""
+    if is_identity(target, tol):
+        return []
+    closure, t = WordClosure(gamma), np.array([target.a, target.b])
+    for lo in closure.levels(max_len):
+        hit = [i for i in range(lo, len(closure.ab)) if distance(closure.elements[i], target) <= tol]
+        if hit:
+            return closure.words[hit[0]]
+    return None
+
+
+class TestOneClosurePerSubgroup:
+    CONFIGS = ["landau", "conjugate", "alteration", "perfbench/p6.json"]
+
+    @staticmethod
+    def _load(name):
+        if name.endswith(".json"):
+            return load_config(str(Path(__file__).resolve().parents[1] / name))
+        return load_bundled(name)
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_build_system_grows_one_closure(self, name, monkeypatch):
+        made = []
+        init = WordClosure.__init__
+
+        def counting_init(self, gamma, tol=DEDUP_TOL):
+            made.append(tol)
+            init(self, gamma, tol)
+
+        cfg = self._load(name)
+        monkeypatch.setattr(WordClosure, "__init__", counting_init)
+        system = build_system(cfg)
+        assert made.count(DEDUP_TOL) == 1 and made == [DEDUP_TOL]
+        assert len(system.gamma.closure.offsets) >= 5  # the smoke test grew it to length 3
+
+    @pytest.mark.parametrize("name", ["p6", "p2", "p3", "p4", *CONFIGS[:3]])
+    def test_find_word_matches_fresh_closure(self, name):
+        if name in TestLevelGrowth.GROUPS:
+            gamma = TestLevelGrowth.GROUPS[name]
+            rho = Endomorphism("identity")
+        else:
+            system = build_system(load_bundled(name))
+            gamma, rho = system.gamma, system.rho
+        # a fresh subgroup, so that its closure is grown by this test only
+        gamma = DiscreteSubgroup(gamma.generators, gamma.labels)
+        images = [apply_endo(rho, g) for g in gamma.generators]
+        # a long word first grows the closure on; shorter and unreachable targets
+        # then search the grown levels, also with max_len below them
+        far = WordClosure(gamma).grow(5).elements[-1]
+        targets = [far, *images, GroupElement(1, 0.5), GroupElement(-1, 7)]
+        for t in targets:
+            assert find_word(gamma, t) == _fresh_find_word(gamma, t)
+            assert find_word(gamma, t, max_len=2) == _fresh_find_word(gamma, t, max_len=2)
+        word = find_word(gamma, far)
+        assert len(word) >= 3 and find_word(gamma, far, max_len=len(word) - 1) is None
