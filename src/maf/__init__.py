@@ -17,6 +17,7 @@ from .equivariant import (
     EquivariantMap,
     FixedPointSet,
     apply_endo,
+    apply_endo_ab,
     check_equivariance,
     classify_separated,
     tau_from_beta,

@@ -20,16 +20,7 @@ import numpy as np
 
 from .equivariant import Endomorphism, EquivariantMap, apply_endo, apply_endo_ab
 from .fields import Grid, ScalarField
-from .groups import (
-    DiscreteSubgroup,
-    GroupElement,
-    WordClosure,
-    _cmul,
-    act,
-    compose,
-    inverse,
-    inverse_ab,
-)
+from .groups import DiscreteSubgroup, GroupElement, WordClosure, _cmul, act, compose, inverse, inverse_ab
 from .reports import CheckReport, from_residuals
 
 MATCH_TOL = 1e-9
