@@ -423,7 +423,7 @@ class TestOneClosurePerSubgroup:
         cfg = self._load(name)
         monkeypatch.setattr(WordClosure, "__init__", counting_init)
         system = build_system(cfg)
-        assert made.count(DEDUP_TOL) == 1 and made == [DEDUP_TOL]
+        assert made == [DEDUP_TOL]
         assert len(system.gamma.closure.offsets) >= 5  # the smoke test grew it to length 3
 
     @pytest.mark.parametrize("name", ["p6", "p2", "p3", "p4", *CONFIGS[:3]])
