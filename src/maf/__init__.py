@@ -58,7 +58,6 @@ from .spectral import (
     kernel,
     laguerre,
     landau_level,
-    project,
     strip_eigenfunction,
 )
 

@@ -73,21 +73,31 @@ def _coarse(grid: Grid, n: int = 9) -> Grid:
     return Grid(grid.xmin, grid.xmax, n, grid.ymin, grid.ymax, n)
 
 
-# ---------------------------------------------------------------------------
-# individual check runners
+# The check runners: each takes the built system and returns its reports.
 
-def check_equivariance_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
+def _equivariance(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     return [check_equivariance(sys_.rho, sys_.tau, seed=cfg.seed, tol=_tol(args, 1e-9))]
 
 
-def field_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
+def _homomorphism(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
+    return [homomorphism_report(sys_.rho, seed=cfg.seed, tol=_tol(args, 1e-9))]
+
+
+def _rdq(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
+    nu = cfg.nu
+    chi = sys_.chi
+    if cfg.rdq:
+        nu = float(cfg.rdq.get("nu", nu))
+        if "values_on_generators" in cfg.rdq:
+            chi = PseudoCharacter.from_dict(cfg.rdq)
+    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10))]
+
+
+def _field(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     return [magnetics.field_constancy(sys_, cfg.make_grid(), tol=_tol(args, 1e-8))]
 
 
-def gauge_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
+def _gauge(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     rep = magnetics.gauge_check(sys_, seed=cfg.seed, tol=_tol(args, 1e-8))
     if args.z is not None:
         z = _parse_complex(args.z)
@@ -96,21 +106,27 @@ def gauge_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     return [rep]
 
 
-def invariance_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
-    grid = _coarse(cfg.make_grid())
+def _invariance(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
+    """The worst commutator residual over 3 random elements, or over the ``--g`` element."""
+    extra = {}
     if args.g is not None:
         a_re, a_im, b_re, b_im = (float(v) for v in args.g.split(","))
         gs = [GroupElement(complex(a_re, a_im), complex(b_re, b_im))]
+        extra["g"] = gs[0].to_dict()
     else:
         gs = random_elements(np.random.default_rng(cfg.seed), 3)
+    grid = _coarse(cfg.make_grid())
     f = _probe_field(sys_)
-    tol = _tol(args, 1e-5)
-    return [magnetics.invariance_residual(sys_, g, f, grid, tol=tol) for g in gs]
+    res = [magnetics.invariance_residual(sys_, g, f, grid).max_residual for g in gs]
+    return [from_residuals("invariance", res, _tol(args, 1e-5), n_elements=len(gs), seed=cfg.seed, **extra)]
 
 
-def lift_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
+def _intertwining(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
+    grid = _coarse(cfg.make_grid())
+    return [magnetics.intertwining_residual(sys_, _probe_field(sys_), grid, tol=_tol(args, 1e-5))]
+
+
+def _lift(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     grid = _coarse(cfg.make_grid(), 11)
     tol = _tol(args, 1e-8)
     out = []
@@ -120,8 +136,7 @@ def lift_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     return out
 
 
-def spectrum_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
+def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     kmax = args.kmax if args.kmax is not None else 4
     table = spectral.spectrum_table(sys_.B, kmax)
     basis = spectral.SpectralBasis(sys_.B)
@@ -136,8 +151,7 @@ def spectrum_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     return [rep]
 
 
-def kernel_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
+def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     k = args.k if args.k is not None else 0
     verdict = spectral.select_laguerre_scale(sys_, k=max(k, 1))
     scale = verdict["scale"]
@@ -165,7 +179,39 @@ def kernel_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     return reps
 
 
-def highdim_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
+# In report order.  Runners look up this module's globals when they run, so a
+# wrapper put on one (maf.cli.rdq_check, say) sees the calls of every command.
+CHECKS = {
+    "equivariance": _equivariance,
+    "homomorphism": _homomorphism,
+    "rdq": _rdq,
+    "field": _field,
+    "gauge": _gauge,
+    "invariance": _invariance,
+    "intertwining": _intertwining,
+    "lift": _lift,
+    "spectrum": _spectrum,
+    "kernel": _kernel,
+}
+
+# Each command runs its checks, in this order, on one built system.  highdim
+# runs none of them: it tests constant fields in ℂⁿ and builds no system.
+COMMANDS = {
+    "check-equivariance": ("equivariance",),
+    "field": ("field",),
+    "gauge": ("gauge",),
+    "invariance": ("invariance",),
+    "lift": ("lift",),
+    "spectrum": ("spectrum",),
+    "kernel": ("kernel",),
+    "highdim": (),
+    "rdq": ("rdq",),
+    "report": tuple(CHECKS),
+}
+
+
+def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
+    """Constant-field tests in ℂⁿ: they need no planar system."""
     block = cfg.highdim or {
         "n": 2,
         "cases": [
@@ -205,58 +251,6 @@ def highdim_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
     return reps
 
 
-def rdq_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    sys_ = build_system(cfg)
-    nu = cfg.nu
-    chi = sys_.chi
-    if cfg.rdq:
-        nu = float(cfg.rdq.get("nu", nu))
-        if "values_on_generators" in cfg.rdq:
-            chi = PseudoCharacter.from_dict(cfg.rdq)
-    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10))]
-
-
-def report_cmd(cfg: SystemConfig, args) -> list[CheckReport]:
-    """Run every check in declaration order."""
-    sys_ = build_system(cfg)
-    reports = [
-        check_equivariance(sys_.rho, sys_.tau, seed=cfg.seed, tol=_tol(args, 1e-9)),
-        homomorphism_report(sys_.rho, seed=cfg.seed, tol=_tol(args, 1e-9)),
-        *rdq_cmd(cfg, args),
-        magnetics.field_constancy(sys_, cfg.make_grid(), tol=_tol(args, 1e-8)),
-        magnetics.gauge_check(sys_, seed=cfg.seed, tol=_tol(args, 1e-8)),
-    ]
-    grid = _coarse(cfg.make_grid())
-    f = _probe_field(sys_)
-    inv = [
-        magnetics.invariance_residual(sys_, g, f, grid).max_residual
-        for g in random_elements(np.random.default_rng(cfg.seed), 3)
-    ]
-    reports.append(from_residuals("invariance", inv, _tol(args, 1e-5), n_elements=3, seed=cfg.seed))
-    reports.append(magnetics.intertwining_residual(sys_, f, grid, tol=_tol(args, 1e-5)))
-    lift_grid = _coarse(cfg.make_grid(), 11)
-    for g in sys_.gamma.generators:
-        reports.append(magnetics.chi_tau_hat_spread(sys_, g, lift_grid, tol=_tol(args, 1e-8)))
-        reports.append(magnetics.lifting_residual(sys_, g, lift_grid, tol=_tol(args, 1e-8)))
-    reports.extend(spectrum_cmd(cfg, args))
-    reports.extend(kernel_cmd(cfg, args))
-    return reports
-
-
-COMMANDS = {
-    "check-equivariance": check_equivariance_cmd,
-    "field": field_cmd,
-    "gauge": gauge_cmd,
-    "invariance": invariance_cmd,
-    "lift": lift_cmd,
-    "spectrum": spectrum_cmd,
-    "kernel": kernel_cmd,
-    "highdim": highdim_cmd,
-    "rdq": rdq_cmd,
-    "report": report_cmd,
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="maf", description="Verify mixed automorphic magnetic systems")
     p.add_argument("command", choices=COMMANDS)
@@ -285,7 +279,11 @@ def main(argv: list[str] | None = None) -> int:
         env_step = os.environ.get("MAF_FD_STEP")
         if env_step:
             cfg = dataclasses.replace(cfg, fd_step=float(env_step))
-        reports = COMMANDS[args.command](cfg, args)
+        if args.command == "highdim":
+            reports = _highdim(cfg, args)
+        else:
+            sys_ = build_system(cfg)
+            reports = [rep for name in COMMANDS[args.command] for rep in CHECKS[name](sys_, cfg, args)]
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG

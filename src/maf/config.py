@@ -29,7 +29,6 @@ class SystemConfig:
     chi: dict
     grid: dict = field(default_factory=dict)
     fd_step: float = 1e-4
-    tol: float = 1e-8
     seed: int = 0
     rdq: Optional[dict] = None
     highdim: Optional[dict] = None
@@ -51,7 +50,6 @@ class SystemConfig:
                 chi=d["chi"],
                 grid=d.get("grid", {}),
                 fd_step=float(d.get("fd_step", 1e-4)),
-                tol=float(d.get("tol", 1e-8)),
                 seed=int(d.get("seed", 0)),
                 rdq=d.get("rdq"),
                 highdim=d.get("highdim"),

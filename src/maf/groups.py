@@ -273,11 +273,9 @@ class WordClosure:
         return self
 
 
-def enumerate_words(
-    gamma: DiscreteSubgroup, max_len: int, dedup_tol: float = DEDUP_TOL
-) -> list[GroupElement]:
+def enumerate_words(gamma: DiscreteSubgroup, max_len: int) -> list[GroupElement]:
     """All products of at most max_len generators/inverses, deduplicated, shortest first."""
-    return WordClosure(gamma, dedup_tol).grow(max_len).elements
+    return WordClosure(gamma, DEDUP_TOL).grow(max_len).elements
 
 
 def find_word(

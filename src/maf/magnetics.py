@@ -43,6 +43,8 @@ from .groups import DiscreteSubgroup, GroupElement, act, find_word, inverse
 from .reports import CheckReport, from_residuals
 
 GAUGE_IM_TOL = 1e-9
+WORD_LEN = 8  # word length of the chi extension behind chi_table
+CHECK_TOL = 1e-9  # equivariance tolerance a system must meet to be built
 
 
 def linear_phase_multiply(f: ScalarField, k: complex, sign: float = 1.0) -> ScalarField:
@@ -81,11 +83,9 @@ class MagneticSystem:
     gamma: DiscreteSubgroup
     chi: PseudoCharacter
     fd_step: float = 1e-4
-    word_len: int = 8
-    check_tol: float = 1e-9
 
     def __post_init__(self):
-        rep = check_equivariance(self.rho, self.tau, tol=self.check_tol)
+        rep = check_equivariance(self.rho, self.tau, tol=CHECK_TOL)
         if not rep.passed:
             raise ValueError(f"(rho, tau) is not equivariant: residual {rep.max_residual:.2e}")
         for i, g in enumerate(self.gamma.generators):
@@ -111,7 +111,7 @@ class MagneticSystem:
 
     @cached_property
     def chi_table(self) -> CharacterTable:
-        return CharacterTable(self.chi, self.gamma, self.nu, self.mu, self.rho, self.word_len)
+        return CharacterTable(self.chi, self.gamma, self.nu, self.mu, self.rho, WORD_LEN)
 
     # -- pointwise fields ----------------------------------------------------
 

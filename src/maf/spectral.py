@@ -197,21 +197,6 @@ def select_laguerre_scale(sys: MagneticSystem, k: int = 1, tol: float = 1e-3) ->
     }
 
 
-def project(
-    sys: MagneticSystem,
-    k: int,
-    f,
-    z: complex,
-    radius: float | None = None,
-    n_quad: int = 64,
-    laguerre_scale: float = 1.0,
-) -> complex:
-    """[P_k f](z) = integral of K_k(z, w) f(w) over the truncated plane."""
-    R = truncation_radius(sys.B) if radius is None else radius
-    W, Wt = quad2d_nodes((-R, R, -R, R), n_quad)
-    return complex(np.sum(kernel(sys, k, z, W, laguerre_scale) * f(W) * Wt))
-
-
 # Above x = B|z|^2 = 1400 the start e^{-x/2} of the basis recurrence underflows.
 _MAX_BASIS_X = 1400.0
 

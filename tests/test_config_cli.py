@@ -184,14 +184,18 @@ class TestCli:
         assert json.loads(out.read_text())[0]["pass"]
         assert capsys.readouterr().out == ""
 
-    def test_zero_tol_is_honoured(self, capsys):
-        code = main(["report", "--config", "landau", "--tol", "0"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_zero_tol_is_honoured(self, capsys, command):
+        code = main([command, "--config", "landau", "--tol", "0"])
         reports = json.loads(capsys.readouterr().out)
+        assert reports
         assert all(d["tol"] == 0.0 for d in reports), [d["name"] for d in reports if d["tol"] != 0.0]
         data = {d["name"]: d for d in reports}
+        if command == "report":
+            assert {"spectrum_rayleigh", "kernel_structure"} <= data.keys()
         for name in ("spectrum_rayleigh", "kernel_structure"):
-            assert not data[name]["pass"]
-        assert code == 1
+            assert name not in data or not data[name]["pass"]
+        assert code == (0 if all(d["pass"] for d in reports) else 1)
 
     def test_numerical_breakdown_exit_code(self, capsys, monkeypatch):
         # a huge finite-difference step overflows the stencil's samples
@@ -291,6 +295,17 @@ class TestCli:
         assert main(["invariance", "--config", "conjugate", "--g", "0,1,1,0"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert len(data) == 1 and data[0]["pass"]
+        assert data[0]["name"] == "invariance"
+        assert data[0]["metadata"]["n_elements"] == 1
+        assert data[0]["metadata"]["g"] == {"a": [0.0, 1.0], "b": [1.0, 0.0]}
+        assert data[0]["max_residual"] == data[0]["mean_residual"]
+
+    def test_report_takes_the_point_and_element_options(self, capsys):
+        assert main(["report", "--config", "alteration", "--z", "1,1", "--g", "0,1,1,0"]) == 0
+        data = {d["name"]: d for d in json.loads(capsys.readouterr().out)}
+        assert data["gauge_wellposed"]["metadata"]["z"] == [1.0, 1.0]
+        assert "phi" in data["gauge_wellposed"]["metadata"]
+        assert data["invariance"]["metadata"]["g"] == {"a": [0.0, 1.0], "b": [1.0, 0.0]}
 
     def test_spectrum_listing(self, capsys):
         assert main(["spectrum", "--config", "alteration", "--kmax", "2"]) == 0
@@ -305,3 +320,50 @@ class TestCli:
 
         val = complex(*data[0]["metadata"]["value"])
         assert abs(val - 1 / np.pi) < 1e-12
+
+
+# The report entries each subcommand prints, by name.  report prints these and
+# the two checks that only it runs.
+REPORT_ONLY = {"endomorphism_homomorphism", "intertwining"}
+ENTRIES = {
+    "check-equivariance": {"equivariance"},
+    "field": {"field_constancy"},
+    "gauge": {"gauge_wellposed"},
+    "invariance": {"invariance"},
+    "lift": {"chi_tau_hat_spread", "lifting"},
+    "spectrum": {"spectrum_rayleigh"},
+    "kernel": {"kernel_structure", "kernel_invariance"},
+    "rdq": {"rdq"},
+}
+
+
+class TestCatalogue:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_one_system_per_command(self, capsys, monkeypatch, command):
+        import maf.cli
+
+        calls = []
+        real = maf.cli.build_system
+
+        def spy(cfg):
+            calls.append(cfg.name)
+            return real(cfg)
+
+        monkeypatch.setattr(maf.cli, "build_system", spy)
+        assert main([command, "--config", "landau"]) == 0
+        capsys.readouterr()
+        assert calls == ([] if command == "highdim" else ["landau"])
+
+    def test_entries_cover_the_subcommands(self):
+        assert set(ENTRIES) == set(COMMANDS) - {"report", "highdim"}
+
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_subcommands_print_their_report_entries(self, capsys, name):
+        def run(command):
+            assert main([command, "--config", name]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        report = run("report")
+        assert {d["name"] for d in report} == set().union(REPORT_ONLY, *ENTRIES.values())
+        for command, names in ENTRIES.items():
+            assert run(command) == [d for d in report if d["name"] in names], command

@@ -14,7 +14,6 @@ from maf.spectral import (
     laguerre,
     landau_level,
     level_basis,
-    project,
     project_on_nodes,
     rayleigh_quotient,
     select_laguerre_scale,
@@ -236,9 +235,13 @@ class TestProjector:
         basis = SpectralBasis(B=landau.B, alpha=0.0)
         psi0 = strip_eigenfunction(basis, landau, 0, 0)
         psi1 = strip_eigenfunction(basis, landau, 1, 0)
-        for z in (0.0, 0.5 + 0.3j, -0.7 - 0.4j):
-            assert abs(project(landau, 0, psi0, z) - psi0(z)) < 1e-4
-            assert abs(project(landau, 0, psi1, z)) < 1e-6
+        R = truncation_radius(landau.B)
+        Z, Wt = quad2d_nodes((-R, R, -R, R), 64)
+        inner = np.abs(Z) < 1
+        assert inner.sum() >= 10
+        f0, f1 = psi0(Z), psi1(Z)
+        assert np.abs(project_on_nodes(landau, 0, f0, Z, Wt) - f0)[inner].max() < 1e-4
+        assert np.abs(project_on_nodes(landau, 0, f1, Z, Wt))[inner].max() < 1e-6
 
 
 class TestWeightedInnerProduct:
