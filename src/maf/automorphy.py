@@ -91,6 +91,7 @@ class CharacterTable:
     ):
         if len(chi.values_on_generators) != len(gamma.generators):
             raise ValueError("chi must supply one value per generator")
+        self.max_len = max_len
         self.closure = closure = WordClosure(gamma, MATCH_TOL).grow(max_len)
         gens = [g for _, g in closure.gens]
         steps = []
@@ -214,14 +215,19 @@ def rdq_check(
     chi: PseudoCharacter,
     max_word_len: int = 4,
     tol: float = 1e-10,
+    table: CharacterTable | None = None,
 ) -> CheckReport:
     """Quantization condition: chi(g g') = chi(g) chi(g') exp(+i phase(g, g')).
 
     Checked over all pairs of words up to ``max_word_len`` as one array
     sweep; the report names the first worst-offending pair (row-major, left
-    word outer) by signed generator indices.
+    word outer) by signed generator indices.  A ``table`` of this chi, nu, mu
+    and rho grown to at least 2 ``max_word_len`` is used instead of a new one.
     """
-    table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
+    if table is None:
+        table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
+    elif table.max_len < 2 * max_word_len:
+        raise ValueError(f"character table grown to {table.max_len}, rdq needs {2 * max_word_len}")
     closure = table.closure
     # entries are in BFS order, so the words up to max_word_len are a prefix
     n = closure.offsets[min(max_word_len + 1, len(closure.offsets) - 1)]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import os
 import re
 import sys
@@ -90,7 +91,8 @@ def _rdq(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
         nu = float(cfg.rdq.get("nu", nu))
         if "values_on_generators" in cfg.rdq:
             chi = PseudoCharacter.from_dict(cfg.rdq)
-    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10))]
+    table = sys_.chi_table if (nu, chi) == (sys_.nu, sys_.chi) else None
+    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10), table=table)]
 
 
 def _field(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
@@ -251,7 +253,9 @@ def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
     return reps
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``maf`` argument parser, built once per process and shared by every call."""
     p = argparse.ArgumentParser(prog="maf", description="Verify mixed automorphic magnetic systems")
     p.add_argument("command", choices=COMMANDS)
     p.add_argument("--config", required=True, help="config JSON path or bundled name")

@@ -2,8 +2,10 @@
 
 Conventions: d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2, and the
 area pairing dz ^ dzbar = -2i dx ^ dy.  Finite differences use 5-point
-central stencils with a default step of 1e-4.  Every function here takes an
-ndarray of points and broadcasts over it; a scalar point is numpy's 0-d case.
+central stencils with a default step of 1e-4; an FD jet (value, Wirtinger
+derivatives, Laplacian) is one evaluation of the field on all 9 points of
+the stencils.  Every function here takes an ndarray of points and broadcasts
+over it; a scalar point is numpy's 0-d case.
 """
 
 from __future__ import annotations
@@ -41,41 +43,47 @@ class ScalarField:
         return self.func(z)
 
 
-def _fd_xy(f: ComplexFn, z, h: float):
-    """5-point central first derivatives along x and y."""
-    fx = (-f(z + 2 * h) + 8 * f(z + h) - 8 * f(z - h) + f(z - 2 * h)) / (12 * h)
-    ih = 1j * h
-    fy = (-f(z + 2 * ih) + 8 * f(z + ih) - 8 * f(z - ih) + f(z - 2 * ih)) / (12 * h)
-    return fx, fy
+def _stencil(f: ScalarField, z):
+    """f on the stencils around z from one call of ``f.func``: the arms, (2, 4, *z.shape),
+    at steps 2h, h, -h, -2h along x then y; and f at z itself."""
+    z = np.asarray(z)
+    s = (np.array([[2, 1], [2j, 1j]]) * f.fd_step).reshape((2, 2) + (1,) * z.ndim)
+    arms = np.concatenate([z + s, z - s[:, ::-1]], axis=1)
+    fv = np.broadcast_to(f.func(np.concatenate([arms.reshape((8,) + z.shape), z[None]])), (9,) + z.shape)
+    return fv[:8].reshape(arms.shape), fv[8]
+
+
+def _fd_laplacian(arms, fz, h: float):
+    fxx, fyy = (-arms[:, 0] + 16 * arms[:, 1] - 30 * fz + 16 * arms[:, 2] - arms[:, 3]) / (12 * h * h)
+    return fxx + fyy
+
+
+def jet(f: ScalarField, z):
+    """(f, df/dz, df/dzbar, flat Laplacian) at the points z; one stencil call supplies what f lacks."""
+    exact = f.d_z is not None and f.d_zbar is not None
+    if exact and f.lap is not None:
+        return f.func(z), f.d_z(z), f.d_zbar(z), f.lap(z)
+    arms, fz = _stencil(f, z)
+    if exact:
+        d_z, d_zbar = f.d_z(z), f.d_zbar(z)
+    else:
+        fx, fy = (-arms[:, 0] + 8 * arms[:, 1] - 8 * arms[:, 2] + arms[:, 3]) / (12 * f.fd_step)
+        finite = np.isfinite(fx) & np.isfinite(fy)
+        if not np.all(finite):
+            zs, finite = np.broadcast_arrays(z, finite)
+            raise ArithmeticError(f"non-finite derivative at z={zs[~finite][0]}")
+        d_z, d_zbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+    return fz, d_z, d_zbar, _fd_laplacian(arms, fz, f.fd_step) if f.lap is None else f.lap(z)
 
 
 def wirtinger(f: ScalarField, z):
     """(df/dz, df/dzbar) at the points z, analytic when available."""
-    if f.d_z is not None and f.d_zbar is not None:
-        return f.d_z(z), f.d_zbar(z)
-    fx, fy = _fd_xy(f.func, z, f.fd_step)
-    finite = np.isfinite(fx) & np.isfinite(fy)
-    if not np.all(finite):
-        zs, finite = np.broadcast_arrays(z, finite)
-        raise ArithmeticError(f"non-finite derivative at z={zs[~finite][0]}")
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+    return (f.d_z(z), f.d_zbar(z)) if f.d_z is not None and f.d_zbar is not None else jet(f, z)[1:3]
 
 
 def flat_laplacian(f: ScalarField, z):
     """4 d2f/(dz dzbar) = f_xx + f_yy, analytic when available."""
-    if f.lap is not None:
-        return f.lap(z)
-    h = f.fd_step
-    fn = f.func
-    fz = fn(z)
-    fxx = (
-        -fn(z + 2 * h) + 16 * fn(z + h) - 30 * fz + 16 * fn(z - h) - fn(z - 2 * h)
-    ) / (12 * h * h)
-    ih = 1j * h
-    fyy = (
-        -fn(z + 2 * ih) + 16 * fn(z + ih) - 30 * fz + 16 * fn(z - ih) - fn(z - 2 * ih)
-    ) / (12 * h * h)
-    return fxx + fyy
+    return f.lap(z) if f.lap is not None else _fd_laplacian(*_stencil(f, z), f.fd_step)
 
 
 @dataclass

@@ -36,6 +36,7 @@ from .fields import (
     OneForm,
     ScalarField,
     flat_laplacian,
+    jet,
     line_integral,
     wirtinger,
 )
@@ -168,25 +169,21 @@ def potential(sys: MagneticSystem) -> OneForm:
 
 def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
     """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f + mu(tau lap(tau bar) - tau bar lap(tau)) f."""
-    f_z, f_zb = wirtinger(f, z)
+    fz, f_z, f_zb, lap = jet(f, z)
     S = S_field(sys, z)
-    val = flat_laplacian(f, z) + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * f(z)
+    val = lap + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * fz
     if sys.mu != 0.0:
         lt = flat_laplacian(sys.tau.tau, z)
         if np.any(lt != 0.0):
             t = sys.tau(z)
-            val += sys.mu * (t * lt.conjugate() - t.conjugate() * lt) * f(z)
+            val += sys.mu * (t * lt.conjugate() - t.conjugate() * lt) * fz
     return val
 
 
 def apply_landau(B: float, f: ScalarField, z):
     """Landau Hamiltonian 4 dd_bar + 2B(z d - zbar dbar) - B^2 |z|^2."""
-    f_z, f_zb = wirtinger(f, z)
-    return (
-        flat_laplacian(f, z)
-        + 2 * B * (z * f_z - z.conjugate() * f_zb)
-        - B**2 * abs(z) ** 2 * f(z)
-    )
+    fz, f_z, f_zb, lap = jet(f, z)
+    return lap + 2 * B * (z * f_z - z.conjugate() * f_zb) - B**2 * abs(z) ** 2 * fz
 
 
 def representation(sys: MagneticSystem, g: GroupElement, f: ScalarField) -> ScalarField:

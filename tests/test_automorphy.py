@@ -303,6 +303,18 @@ class TestRdqCheck:
         rep = rdq_check(np.pi, 0.0, ID, SQUARE, PseudoCharacter([1, 1]))
         assert "convention" in rep.metadata
 
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration"])
+    def test_supplied_table(self, name):
+        # the system's own table gives the report rdq_check builds for itself
+        s = build_system(load_bundled(name))
+        rep = rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, table=s.chi_table)
+        assert rep == rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi)
+        short = CharacterTable(s.chi, s.gamma, s.nu, s.mu, s.rho, max_len=7)
+        with pytest.raises(ValueError, match="grown to 7, rdq needs 8"):
+            rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, table=short)
+        rep = rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, max_word_len=3, table=short)
+        assert rep == rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, max_word_len=3)
+
 
 class TestFunctionalEquation:
     def test_zero_function(self):

@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -353,6 +354,39 @@ class TestCatalogue:
         assert main([command, "--config", "landau"]) == 0
         capsys.readouterr()
         assert calls == ([] if command == "highdim" else ["landau"])
+
+    @pytest.mark.parametrize(
+        "name, rdq, tables",
+        [
+            ("landau", "bundled", 2),  # its rdq block checks nu = pi on the nu = 1 system
+            ("landau", None, 1),
+            ("landau", {"nu": 1.0, "values_on_generators": [[1, 0], [1, 0]]}, 1),
+            ("landau", {"values_on_generators": [[1, 0], [-1, 0]]}, 2),
+            ("conjugate", None, 1),
+            ("alteration", None, 1),
+        ],
+    )
+    def test_one_character_table_per_system(self, capsys, monkeypatch, tmp_path, name, rdq, tables):
+        import maf.automorphy
+
+        data = json.loads(resources.files("maf").joinpath("configs", f"{name}.json").read_text())
+        if rdq != "bundled":
+            data.pop("rdq", None)
+            if rdq:
+                data["rdq"] = rdq
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        built = []
+        real = maf.automorphy.CharacterTable.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(maf.automorphy.CharacterTable, "__init__", spy)
+        main(["report", "--config", str(path)])
+        capsys.readouterr()
+        assert len(built) == tables
 
     def test_entries_cover_the_subcommands(self):
         assert set(ENTRIES) == set(COMMANDS) - {"report", "highdim"}

@@ -7,6 +7,7 @@ from maf.fields import (
     ScalarField,
     exterior_derivative,
     flat_laplacian,
+    jet,
     line_integral,
     polyexp_field,
     quad2d,
@@ -61,6 +62,120 @@ class TestWirtinger:
     def test_laplacian(self):
         f = ScalarField(lambda z: abs(z) ** 2)
         assert abs(flat_laplacian(f, 0.5 + 2j) - 4) < 1e-6
+
+
+def oracle_wirtinger(f, z):
+    """The per-call 5-point stencil: 8 calls of f, one per shifted point."""
+    h = f.fd_step
+    fn = f.func
+    fx = (-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)
+    ih = 1j * h
+    fy = (-fn(z + 2 * ih) + 8 * fn(z + ih) - 8 * fn(z - ih) + fn(z - 2 * ih)) / (12 * h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
+
+
+def oracle_laplacian(f, z):
+    """The per-call 5-point stencil for f_xx + f_yy: 9 calls of f."""
+    h = f.fd_step
+    fn = f.func
+    fz = fn(z)
+    fxx = (
+        -fn(z + 2 * h) + 16 * fn(z + h) - 30 * fz + 16 * fn(z - h) - fn(z - 2 * h)
+    ) / (12 * h * h)
+    ih = 1j * h
+    fyy = (
+        -fn(z + 2 * ih) + 16 * fn(z + ih) - 30 * fz + 16 * fn(z - ih) - fn(z - 2 * ih)
+    ) / (12 * h * h)
+    return fxx + fyy
+
+
+def same_bits(got, want) -> bool:
+    """Equal to the last bit, signed zeros included; a scalar stands for every point."""
+    got = np.asarray(got, dtype=complex)
+    want = np.broadcast_to(np.asarray(want, dtype=complex), got.shape)
+    return got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+STENCIL_FIELDS = {
+    "polyexp": lambda z: np.exp(z) * z.conjugate() ** 2,
+    "modulus": lambda z: abs(z) ** 2,
+    "gaussian_phase": lambda z: np.exp(-0.7 * abs(z) ** 2 + 1j * (0.3 * z).imag),
+    "exp": lambda z: np.exp(z - 0.3 * z.conjugate()),
+    "constant": lambda z: 2.5 - 1j,
+}
+STENCIL_POINTS = {
+    "array": np.array([0.3 + 0.4j, -1.0 + 0.2j, 0.7 - 0.9j, 0.0, -0.0 - 2.0j]),
+    "grid": Grid(-2.0, 2.0, 9, -2.0, 2.0, 9).points().reshape(9, 9),
+}
+
+
+def counted(fn, calls):
+    def func(z):
+        calls.append(np.shape(z))
+        return fn(z)
+
+    return func
+
+
+class TestStencil:
+    """One evaluation of the field per jet, equal to the per-call stencil bit for bit."""
+
+    @pytest.mark.parametrize("pts", STENCIL_POINTS)
+    @pytest.mark.parametrize("name", STENCIL_FIELDS)
+    @pytest.mark.parametrize("h", [1e-4, 3e-3])
+    def test_matches_per_call_stencil(self, name, pts, h):
+        calls = []
+        f = ScalarField(counted(STENCIL_FIELDS[name], calls), fd_step=h)
+        z = STENCIL_POINTS[pts]
+        want_dz, want_dzb = oracle_wirtinger(f, z)
+        want_lap = oracle_laplacian(f, z)
+        calls.clear()
+        val, dz, dzb, lap = jet(f, z)
+        assert calls == [(9, *z.shape)]
+        assert same_bits(val, f(z))
+        assert same_bits(dz, want_dz) and same_bits(dzb, want_dzb)
+        assert same_bits(lap, want_lap)
+        dz, dzb = wirtinger(f, z)
+        assert same_bits(dz, want_dz) and same_bits(dzb, want_dzb)
+        assert same_bits(flat_laplacian(f, z), want_lap)
+
+    @pytest.mark.parametrize("name", STENCIL_FIELDS)
+    @pytest.mark.parametrize("h", [1e-4, 3e-3])
+    def test_zero_d_point(self, name, h):
+        calls = []
+        f = ScalarField(counted(STENCIL_FIELDS[name], calls), fd_step=h)
+        eps = np.finfo(float).eps
+        for z in map(np.asarray, (0.3 + 0.4j, -1.1 + 0.25j, 0.7 - 0.9j)):
+            calls.clear()
+            got = jet(f, z)
+            assert calls == [(9,)] and all(np.shape(v) == () for v in got)
+            _, dz, dzb, lap = got
+            # the stencil arithmetic of the one-point array, to the bit
+            want = (*oracle_wirtinger(f, z.reshape(1)), oracle_laplacian(f, z.reshape(1)))
+            assert all(same_bits(np.reshape(g, 1), w) for g, w in zip((dz, dzb, lap), want))
+            assert all(same_bits(np.reshape(g, 1), w) for g, w in zip(wirtinger(f, z), want))
+            # the per-call stencil on the 0-d point evaluates f on numpy scalars,
+            # whose abs and complex products may round the last bit otherwise
+            # (exp agrees); 4 ulp of f through the weights 1.5/h and 10.7/h^2
+            scale = 4 * eps * np.max(np.abs(f(z + 2 * h * np.array([1, -1, 1j, -1j, 0]))))
+            want0 = (*oracle_wirtinger(f, z), oracle_laplacian(f, z))
+            for g, w, tol in zip((dz, dzb, lap), want0, (1.5 / h, 1.5 / h, 10.7 / h**2)):
+                assert abs(g - w) <= tol * scale
+                if name in ("exp", "constant"):
+                    assert same_bits(g, w)
+
+    def test_analytic_parts_come_from_the_field(self):
+        exact = polyexp_field({(1, 1): 1.0, (0, 2): 0.5j}, alpha=0.4)
+        z = STENCIL_POINTS["array"]
+        calls = []
+        func = counted(exact.func, calls)
+        assert all(same_bits(a, b) for a, b in zip(jet(exact, z), (exact(z), *wirtinger(exact, z), exact.lap(z))))
+        # derivatives exact, Laplacian by FD: still one stencil evaluation
+        f = ScalarField(func, exact.d_z, exact.d_zbar)
+        val, dz, dzb, lap = jet(f, z)
+        assert calls == [(9, *z.shape)]
+        assert same_bits(dz, exact.d_z(z)) and same_bits(dzb, exact.d_zbar(z))
+        assert same_bits(lap, oracle_laplacian(f, z)) and same_bits(val, exact(z))
 
 
 class TestExteriorDerivative:

@@ -139,6 +139,27 @@ class TestLandauOperator:
         for z in (0.3 + 0.3j, -0.8 - 0.2j):
             assert abs(apply_mixed_laplacian(landau, f, z) - apply_landau(landau.nu, f, z)) < 1e-10
 
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration"])
+    def test_one_field_evaluation_per_operator(self, name):
+        # an FD-only field is sampled once on its stencil, not once per shifted point
+        sys = build_system(load_bundled(name))
+        exact = probe(sys.B)
+        calls = []
+
+        def func(z):
+            calls.append(np.shape(z))
+            return exact(z)
+
+        f = ScalarField(func, fd_step=1e-3)
+        pts = SMALL.points()
+        mixed = apply_mixed_laplacian(sys, f, pts)
+        assert calls == [(9, *pts.shape)]
+        assert np.max(np.abs(mixed - apply_mixed_laplacian(sys, exact, pts))) < 1e-5
+        calls.clear()
+        landau_val = apply_landau(sys.B, f, pts)
+        assert calls == [(9, *pts.shape)]
+        assert np.max(np.abs(landau_val - apply_landau(sys.B, exact, pts))) < 1e-5
+
 
 class TestRepresentation:
     def test_identity_element(self, conj):
