@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import re
 import sys
@@ -31,7 +32,7 @@ def _join_signed_pairs(argv: list[str]) -> list[str]:
     """``--z -1,0`` as ``--z=-1,0``: argparse takes a lone ``-1,0`` for an option."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in ("--z", "--w", "--g") and re.match(r"-[\d.]", arg):
+        if out and out[-1] in ("--z", "--w", "--g", "--grid") and re.match(r"-[\d.]", arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -274,6 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(_join_signed_pairs(sys.argv[1:] if argv is None else argv))
+    for opt in ("tol", "kmax"):
+        v = getattr(args, opt)
+        if v is not None and not (math.isfinite(v) and v >= 0):
+            build_parser().error(f"argument --{opt}: must be finite and >= 0, got {v}")
     try:
         cfg = _resolve_config(args.config)
         if args.seed is not None:

@@ -95,9 +95,7 @@ def _make_tau(rho: Endomorphism, desc: dict) -> EquivariantMap:
     if kind == "from_beta":
         return tau_from_beta(rho, complex(*desc["beta"]))
     if kind == "affine":
-        return EquivariantMap.from_affine(
-            complex(*desc["p"]), complex(*desc["q"]), complex(*desc["r"])
-        )
+        return EquivariantMap(complex(*desc["p"]), complex(*desc["q"]), complex(*desc["r"]))
     raise ConfigError(f"unknown tau descriptor kind {kind!r}")
 
 

@@ -8,12 +8,11 @@ circle endomorphism and an additive map, and user-supplied callables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .fields import ScalarField
 from .groups import GroupElement, _abs, _cmul, _l1, compose_ab, random_ab
 from .reports import CheckReport, from_residuals
 
@@ -165,14 +164,14 @@ class FixedPointSet:
         return False
 
 
-def xi_rho(rho: Endomorphism, seed: int = 0) -> FixedPointSet:
+def xi_rho(rho: Endomorphism) -> FixedPointSet:
     """Common fixed points of the image of the rotation subgroup under rho.
 
     Samples a over the circle; rho([a,0]) = [phi_a, psi_a] fixes beta iff
     phi_a beta + psi_a = beta.  The answer is the whole plane, one point, or
     nothing.
     """
-    a = _unit_samples(np.random.default_rng(seed))
+    a = _unit_samples(np.random.default_rng(0))
     ga, gb = apply_endo_ab(rho, a, np.zeros_like(a))
     rotating = (_abs(ga - 1) > FIXED_POINT_TOL).nonzero()[0]
     if not rotating.size:
@@ -191,47 +190,37 @@ def xi_rho(rho: Endomorphism, seed: int = 0) -> FixedPointSet:
 
 @dataclass
 class EquivariantMap:
-    """The plane map tau of an equivariant pair.
+    """The plane map tau(z) = p z + q zbar + r of an equivariant pair.
 
-    ``affine = (p, q, r)`` records tau(z) = p z + q zbar + r when tau has that
-    closed form; downstream gauge and field computations exploit it.
+    Every equivariant tau on the plane has this form: tau(z) = rho([1,z]).tau(0)
+    = tau(0) + psi(z) with psi additive and continuous, hence R-linear.
     """
 
-    tau: ScalarField
-    provenance: dict = field(default_factory=dict)
-    affine: Optional[tuple[complex, complex, complex]] = None
+    p: complex
+    q: complex
+    r: complex
 
-    def __call__(self, z: complex) -> complex:
-        return self.tau(z)
+    def __post_init__(self):
+        self.p, self.q, self.r = complex(self.p), complex(self.q), complex(self.r)
 
-    @classmethod
-    def from_affine(cls, p: complex, q: complex, r: complex, provenance: dict | None = None) -> "EquivariantMap":
-        p, q, r = complex(p), complex(q), complex(r)
-        fld = ScalarField(
-            func=lambda z: p * z + q * z.conjugate() + r,
-            d_z=lambda z: p,
-            d_zbar=lambda z: q,
-            lap=lambda z: 0.0,
-        )
-        return cls(fld, provenance or {"kind": "affine"}, (p, q, r))
+    def __call__(self, z):
+        return self.p * z + self.q * z.conjugate() + self.r
 
 
-def tau_from_beta(rho: Endomorphism, beta: complex, seed: int = 0) -> EquivariantMap:
+def tau_from_beta(rho: Endomorphism, beta: complex) -> EquivariantMap:
     """The canonical compatible map z -> rho([1,z]).beta.
 
     Requires beta to lie in the fixed-point set of rho; outside it the
     construction is not equivariant.
     """
-    xi = xi_rho(rho, seed=seed)
-    if not xi.contains(beta):
+    if not xi_rho(rho).contains(beta):
         raise ValueError(f"beta={beta} is not a common fixed point of the rotation image")
-    prov = {"kind": "from_beta", "beta": [beta.real, beta.imag], "family": rho.family}
     # rho([1, z]) = [1, psi(z)]: conjugating translations by rotations forces the
     # rotation part to be a rotation-invariant character of C, i.e. 1, and psi
     # is additive, so (being continuous) R-linear: psi(z) = p z + q zbar with
-    # psi(1) = p + q and psi(i) = i (p - q).  tau is affine with exact derivatives.
+    # psi(1) = p + q and psi(i) = i (p - q).
     s1, si = apply_endo_ab(rho, np.ones(2, complex), np.array([1.0, 1j]))[1].tolist()
-    return EquivariantMap.from_affine((s1 - 1j * si) / 2, (s1 + 1j * si) / 2, beta, prov)
+    return EquivariantMap((s1 - 1j * si) / 2, (s1 + 1j * si) / 2, beta)
 
 
 def check_equivariance(
@@ -255,11 +244,8 @@ def check_equivariance(
 
 
 def _tau_at(tau: EquivariantMap, z: np.ndarray) -> np.ndarray:
-    """tau at the points z; an affine tau rounds as it does at one scalar point."""
-    if tau.affine is None:
-        return tau(z)
-    p, q, r = tau.affine
-    return _cmul(p, z) + _cmul(q, z.conj()) + r
+    """tau at the points z, rounding as it does at one scalar point."""
+    return _cmul(tau.p, z) + _cmul(tau.q, z.conj()) + tau.r
 
 
 def classify_separated(

@@ -53,11 +53,6 @@ def _stencil(f: ScalarField, z):
     return fv[:8].reshape(arms.shape), fv[8]
 
 
-def _fd_laplacian(arms, fz, h: float):
-    fxx, fyy = (-arms[:, 0] + 16 * arms[:, 1] - 30 * fz + 16 * arms[:, 2] - arms[:, 3]) / (12 * h * h)
-    return fxx + fyy
-
-
 def jet(f: ScalarField, z):
     """(f, df/dz, df/dzbar, flat Laplacian) at the points z; one stencil call supplies what f lacks."""
     exact = f.d_z is not None and f.d_zbar is not None
@@ -73,17 +68,16 @@ def jet(f: ScalarField, z):
             zs, finite = np.broadcast_arrays(z, finite)
             raise ArithmeticError(f"non-finite derivative at z={zs[~finite][0]}")
         d_z, d_zbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-    return fz, d_z, d_zbar, _fd_laplacian(arms, fz, f.fd_step) if f.lap is None else f.lap(z)
+    if f.lap is not None:
+        return fz, d_z, d_zbar, f.lap(z)
+    h = f.fd_step
+    fxx, fyy = (-arms[:, 0] + 16 * arms[:, 1] - 30 * fz + 16 * arms[:, 2] - arms[:, 3]) / (12 * h * h)
+    return fz, d_z, d_zbar, fxx + fyy
 
 
 def wirtinger(f: ScalarField, z):
     """(df/dz, df/dzbar) at the points z, analytic when available."""
     return (f.d_z(z), f.d_zbar(z)) if f.d_z is not None and f.d_zbar is not None else jet(f, z)[1:3]
-
-
-def flat_laplacian(f: ScalarField, z):
-    """4 d2f/(dz dzbar) = f_xx + f_yy, analytic when available."""
-    return f.lap(z) if f.lap is not None else _fd_laplacian(*_stencil(f, z), f.fd_step)
 
 
 @dataclass
@@ -231,6 +225,11 @@ class Grid:
     ymin: float = -2.0
     ymax: float = 2.0
     ny: int = 41
+
+    def __post_init__(self):
+        for n in ("nx", "ny"):
+            if not getattr(self, n) >= 1:
+                raise ValueError(f"grid {n} must be >= 1, got {getattr(self, n)}")
 
     def points(self) -> np.ndarray:
         xs = np.linspace(self.xmin, self.xmax, self.nx)

@@ -13,13 +13,17 @@ where S(z) = nu z + mu (tau d(tau bar)/dzbar - tau bar d(tau)/dzbar).  The
 transform W = e^{i phi} conjugates the mixed Laplacian into the Landau
 Hamiltonian with field B and carries its automorphy to a classical factor
 with the corrected character chi_tau.
+
+Every equivariant tau is affine, tau(z) = p z + q zbar + r, so the term
+mu (tau lap(tau bar) - tau bar lap(tau)) of the mixed Laplacian vanishes and
+phi is always 2 Re(k z), k = ``gauge_k``; ``gauge_phi`` is its line-integral
+oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
@@ -31,15 +35,7 @@ from .automorphy import (
     mixed_factor_nochi,
 )
 from .equivariant import Endomorphism, EquivariantMap, apply_endo, check_equivariance
-from .fields import (
-    Grid,
-    OneForm,
-    ScalarField,
-    flat_laplacian,
-    jet,
-    line_integral,
-    wirtinger,
-)
+from .fields import Grid, OneForm, ScalarField, jet, line_integral
 from .groups import DiscreteSubgroup, GroupElement, act, find_word, inverse
 from .reports import CheckReport, from_residuals
 
@@ -102,11 +98,9 @@ class MagneticSystem:
         return float(magnetic_field(self, 0.3 + 0.7j))
 
     @cached_property
-    def gauge_k(self) -> Optional[complex]:
-        """phi(z) = 2 Re(gauge_k z) when tau is affine; None otherwise."""
-        if self.tau.affine is None:
-            return None
-        p, q, r = self.tau.affine
+    def gauge_k(self) -> complex:
+        """phi(z) = 2 Re(gauge_k z)."""
+        p, q, r = self.tau.p, self.tau.q, self.tau.r
         c = self.mu * (p.conjugate() * r - q * r.conjugate())
         return 1j * c.conjugate() / 2
 
@@ -117,10 +111,8 @@ class MagneticSystem:
     # -- pointwise fields ----------------------------------------------------
 
     def phi(self, z):
-        """The gauge at the points z, by closed form when available, else by line integral."""
-        if self.gauge_k is not None:
-            return 2 * (self.gauge_k * z).real
-        return gauge_phi(self, z)
+        """The gauge at the points z, in closed form; ``gauge_phi`` is its line-integral oracle."""
+        return 2 * (self.gauge_k * z).real
 
     def factor(self, gamma_elem: GroupElement, z):
         return mixed_factor(self.nu, self.mu, self.rho, self.tau, self.chi_table, gamma_elem, z)
@@ -134,17 +126,16 @@ def S_field(sys: MagneticSystem, z):
     if sys.mu == 0.0:
         return sys.nu * z
     t = sys.tau(z)
-    t_z, t_zb = wirtinger(sys.tau.tau, z)
-    # d(tau bar)/dzbar = conj(d tau / dz)
-    return sys.nu * z + sys.mu * (t * t_z.conjugate() - t.conjugate() * t_zb)
+    # d(tau bar)/dzbar = conj(d tau / dz) = conj(p), and d tau / dzbar = q
+    return sys.nu * z + sys.mu * (t * sys.tau.p.conjugate() - t.conjugate() * sys.tau.q)
 
 
 def magnetic_field(sys: MagneticSystem, z):
-    """B(z) = nu + mu (|tau_z|^2 - |tau_zbar|^2) at the points z; constant for equivariant tau."""
+    """B(z) = nu + mu (|tau_z|^2 - |tau_zbar|^2) = nu + mu (|p|^2 - |q|^2) at the points z."""
     if sys.mu == 0.0:
         return np.full(np.shape(z), float(sys.nu))
-    t_z, t_zb = wirtinger(sys.tau.tau, z)
-    return np.broadcast_to(sys.nu + sys.mu * (np.abs(t_z) ** 2 - np.abs(t_zb) ** 2), np.shape(z))
+    b = sys.nu + sys.mu * (np.abs(sys.tau.p) ** 2 - np.abs(sys.tau.q) ** 2)
+    return np.broadcast_to(b, np.shape(z))
 
 
 def field_constancy(sys: MagneticSystem, grid: Grid, tol: float = 1e-8) -> CheckReport:
@@ -168,16 +159,10 @@ def potential(sys: MagneticSystem) -> OneForm:
 
 
 def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
-    """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f + mu(tau lap(tau bar) - tau bar lap(tau)) f."""
+    """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f (its mu-term vanishes for affine tau)."""
     fz, f_z, f_zb, lap = jet(f, z)
     S = S_field(sys, z)
-    val = lap + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * fz
-    if sys.mu != 0.0:
-        lt = flat_laplacian(sys.tau.tau, z)
-        if np.any(lt != 0.0):
-            t = sys.tau(z)
-            val += sys.mu * (t * lt.conjugate() - t.conjugate() * lt) * fz
-    return val
+    return lap + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * fz
 
 
 def apply_landau(B: float, f: ScalarField, z):
@@ -280,9 +265,7 @@ def gauge_check(sys: MagneticSystem, seed: int = 0, n_points: int = 20, tol: flo
 
 def w_transform(sys: MagneticSystem, f: ScalarField, sign: float = 1.0) -> ScalarField:
     """[W f](z) = e^{i phi(z)} f(z); sign=-1 gives the inverse transform."""
-    if sys.gauge_k is not None:
-        return linear_phase_multiply(f, sys.gauge_k, sign)
-    return ScalarField(lambda z: np.exp(1j * sign * sys.phi(z)) * f(z), fd_step=f.fd_step)
+    return linear_phase_multiply(f, sys.gauge_k, sign)
 
 
 def intertwining_residual(

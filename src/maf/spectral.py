@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivariant import EquivariantMap
-from .fields import ScalarField, quad2d_nodes, wirtinger
+from .fields import ScalarField, quad2d_nodes
 from .groups import GroupElement, act, inverse
 from .magnetics import MagneticSystem, apply_mixed_laplacian
 from .reports import CheckReport, from_residuals
@@ -141,11 +141,9 @@ def truncation_radius(B: float, tail: float = 1e-8) -> float:
 
 
 def _phi(sys: MagneticSystem, z):
-    """The gauge at the points z; by closed form first, so that anything with
-    ``B`` and ``gauge_k`` serves as a system for the kernel."""
-    if sys.gauge_k is not None:
-        return 2 * (sys.gauge_k * z).real
-    return sys.phi(z)
+    """The gauge at the points z, so that anything with ``B`` and ``gauge_k``
+    serves as a system for the kernel."""
+    return 2 * (sys.gauge_k * z).real
 
 
 def kernel(
@@ -283,9 +281,8 @@ class WeightedInnerProduct:
     domain: tuple[float, float, float, float]
 
     def weight(self, z):
-        t_z, t_zb = wirtinger(self.tau.tau, z)
         expo = -self.nu * np.abs(z) ** 2 - self.mu * (
-            np.abs(z * t_z) ** 2 - np.abs(np.conjugate(z) * t_zb) ** 2
+            np.abs(z * self.tau.p) ** 2 - np.abs(np.conjugate(z) * self.tau.q) ** 2
         )
         return np.exp(expo)
 

@@ -151,12 +151,35 @@ class TestCli:
         assert main(["field", "--config", "landau", "--grid", "0,1,5"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("grid, axis", [("-3,3,0,-3,3,5", "nx"), ("-3,3,5,-3,3,-1", "ny")])
+    def test_empty_grid_names_the_axis(self, capsys, grid, axis):
+        for command in ("field", "report"):
+            assert main([command, "--config", "landau", f"--grid={grid}"]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith(f"usage error: grid {axis} must be >= 1")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "option, value", [("--kmax", "-1"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf")]
+    )
+    def test_out_of_range_option_is_usage_error(self, capsys, option, value):
+        # --kmax -1 would list no level and check none; a NaN or negative
+        # tolerance would fail every check
+        for command in ("spectrum", "report"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--config", "landau", option, value])
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert f"argument {option}: must be finite and >= 0" in captured.err
+            assert captured.out == ""
+
     @pytest.mark.parametrize(
         "command, spaced, joined",
         [
             ("gauge", ["--z", "-1,0"], ["--z=-1,0"]),
             ("kernel", ["--z", "-1,0", "--w", "-.5,-0.5"], ["--z=-1,0", "--w=-.5,-0.5"]),
             ("invariance", ["--g", "-1,0,-0.5,1"], ["--g=-1,0,-0.5,1"]),
+            ("field", ["--grid", "-3,3,21,-3,3,21"], ["--grid=-3,3,21,-3,3,21"]),
         ],
     )
     def test_pair_options_take_a_leading_minus(self, capsys, command, spaced, joined):
@@ -167,6 +190,8 @@ class TestCli:
         assert capsys.readouterr().out == out
         if command == "gauge":
             assert json.loads(out)[0]["metadata"]["z"] == [-1.0, 0.0]
+        if command == "field":
+            assert json.loads(out)[0]["metadata"]["grid"]["xmin"] == -3.0
 
     def test_deterministic_output(self, capsys):
         main(["gauge", "--config", "alteration", "--z", "1,1"])

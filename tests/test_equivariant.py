@@ -17,7 +17,6 @@ from maf.equivariant import (
     tau_from_beta,
     xi_rho,
 )
-from maf.fields import ScalarField
 from maf.groups import GroupElement, act, compose, distance, inverse, random_elements
 from maf.reports import from_residuals
 
@@ -178,7 +177,7 @@ class TestTauFromBeta:
         tau = tau_from_beta(Endomorphism("complex_conjugate"), 0.0)
         z = 1 + 2j
         assert tau(z) == z.conjugate()
-        assert tau.affine == (0, 1, 0)
+        assert (tau.p, tau.q, tau.r) == (0, 1, 0)
 
     def test_conjugation_affine(self):
         tau = tau_from_beta(Endomorphism("conjugation", h=H), H.b)
@@ -193,7 +192,7 @@ class TestTauFromBeta:
         # rho([a, b]) = [abar, 2 bbar] gives tau(z) = rho([1, z]).0 = 2 zbar
         rho = Endomorphism("custom", func=lambda g: GroupElement(g.a.conjugate(), 2 * g.b.conjugate()))
         tau = tau_from_beta(rho, 0.0)
-        assert tau.affine == (0, 2, 0)
+        assert (tau.p, tau.q, tau.r) == (0, 2, 0)
         zs = np.array([0.5 - 0.25j, -1 + 2j])
         assert np.allclose(tau(zs), [act(apply_endo(rho, GroupElement(1, z)), 0.0) for z in zs], rtol=0, atol=1e-15)
         assert check_equivariance(rho, tau).max_residual < 1e-12
@@ -226,7 +225,7 @@ class TestCheckEquivariance:
     def test_shifted_translation_fails_at_rotation(self):
         # tau = z + 1 with identity rho: at g = [i, 0], z = 0 the two sides
         # differ by |1 - i|
-        tau = EquivariantMap.from_affine(1.0, 0.0, 1.0)
+        tau = EquivariantMap(1.0, 0.0, 1.0)
         rep = check_equivariance(Endomorphism("identity"), tau)
         assert rep.max_residual >= abs(1 - 1j) - 1e-12
 
@@ -286,11 +285,11 @@ class TestArrayPathMatchesPerElementOracle:
         xi = xi_rho(rho)
         # the canonical tau where there is one, else a tau the check must reject
         if xi.kind == "empty":
-            taus = [EquivariantMap.from_affine(1.0, 0.5j, 1.0)]
+            taus = [EquivariantMap(1.0, 0.5j, 1.0)]
         else:
             taus = [tau_from_beta(rho, 0.3 - 0.2j if xi.beta is None else xi.beta)]
-        # and a tau that is not affine, evaluated as a field on arrays
-        taus.append(EquivariantMap(ScalarField(lambda z: np.conj(z) + 1)))
+        # and zbar + 1 on every family, equivariant or not
+        taus.append(EquivariantMap(0, 1, 1))
         for tau in taus:
             rep = check_equivariance(rho, tau, seed=seed)
             assert rep == check_equivariance_oracle(rho, tau, seed=seed)
@@ -309,7 +308,7 @@ class TestArrayPathMatchesPerElementOracle:
         for name, rho in FAMILIES.items():
             if name == "custom":
                 continue
-            tau = EquivariantMap.from_affine(1.0, 0.0, 0.0)
+            tau = EquivariantMap(1.0, 0.0, 0.0)
             made.clear()
             check_equivariance(rho, tau)
             homomorphism_report(rho)
@@ -322,8 +321,9 @@ class TestNegativeControls:
 
     def test_tau_with_shifted_r(self):
         rho = Endomorphism("conjugation", h=H)
-        p, q, r = tau_from_beta(rho, H.b).affine
-        tau = EquivariantMap.from_affine(p, q, r + 1e-6)
+        tau = tau_from_beta(rho, H.b)
+        p, q, r = tau.p, tau.q, tau.r
+        tau = EquivariantMap(p, q, r + 1e-6)
         rep, oracle = check_equivariance(rho, tau), check_equivariance_oracle(rho, tau)
         assert rep == oracle and not rep.passed
         assert rep.max_residual > 1e-7
