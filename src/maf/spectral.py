@@ -18,8 +18,8 @@ orthonormal level-k basis of ``level_basis``:
 
 ``project_on_nodes`` applies P_k through that factorization.  On N nodes with
 x_max = B max|z|^2 it keeps the r = ceil(x_max + (8 + k) sqrt(x_max)) + k + 1
-basis functions that are not negligible there, at O(N r) cost in time and
-memory instead of the O(N^2) of dense kernel blocks.
+basis functions that are not negligible there, streamed in blocks of about 1 MiB and
+never formed: O(N r) time and O(N) memory instead of the O(N^2) of dense kernel blocks.
 """
 
 from __future__ import annotations
@@ -137,6 +137,8 @@ def rayleigh_quotient(sys: MagneticSystem, f: ScalarField, points) -> complex:
 
 def truncation_radius(B: float, tail: float = 1e-8) -> float:
     """Smallest R with Gaussian kernel tail e^{-B R^2 / 8} below ``tail``."""
+    if not (B > 0 and 0 < tail < 1):
+        raise ValueError(f"need field B > 0 and tail in (0, 1), got B = {B}, tail = {tail}")
     return float(np.sqrt(-8.0 * np.log(tail) / B))
 
 
@@ -197,6 +199,7 @@ def select_laguerre_scale(sys: MagneticSystem, k: int = 1, tol: float = 1e-3) ->
 
 # Above x = B|z|^2 = 1400 the start e^{-x/2} of the basis recurrence underflows.
 _MAX_BASIS_X = 1400.0
+_BLOCK_BYTES = 1 << 20  # the basis is streamed in blocks of rows this large, which stay in cache
 
 
 def level_basis(sys: MagneticSystem, k: int, z: np.ndarray) -> np.ndarray:
@@ -206,44 +209,57 @@ def level_basis(sys: MagneticSystem, k: int, z: np.ndarray) -> np.ndarray:
     x = B|z|^2, where with u = sqrt(B) z
 
         chi_{k,m}(u) = sqrt(k!/m!) u^(m-k) L_k^(m-k)(|u|^2)          (m >= k)
-        chi_{k,m}(u) = sqrt(m!/k!) (-ubar)^(k-m) L_m^(k-m)(|u|^2)   (m < k).
+        chi_{k,m}(u) = sqrt(m!/k!) (-ubar)^(k-m) L_m^(k-m)(|u|^2)   (m <= k).
 
     The rows m = 0 .. r-1 with r = ceil(x_max + (8 + k) sqrt(x_max)) + k + 1,
     x_max = B max|z|^2, are kept: for m - k beyond that, e^{-x} x^(m-k) / (m-k)!
     is a Poisson tail more than 8 + k standard deviations out on every point.  The factor
     e^{-x/2} u^a / sqrt(a!) is carried by the recurrence g_a = g_{a-1} u / sqrt(a),
-    so no power or factorial is formed and nothing overflows.
+    so no power or factorial is formed and nothing overflows.  Concatenates ``_level_blocks``.
     """
+    return np.concatenate([block.copy() for block in _level_blocks(sys, k, z)])
+
+
+def _level_blocks(sys: MagneticSystem, k: int, z: np.ndarray):
+    """Yield the rows of ``level_basis`` in order: m <= k, then blocks of about ``_BLOCK_BYTES``
+    of rows m = k + a, each a view that the next block overwrites."""
+    if k < 0:
+        raise ValueError("level index must be nonnegative")
     z = np.asarray(z, dtype=complex).ravel()
+    if (bad := np.flatnonzero(~np.isfinite(z))).size:
+        raise ValueError(f"node {bad[0]} is not finite: {z[bad[0]]}")
     B = sys.B
     u = np.sqrt(B) * z
     x = B * np.abs(z) ** 2
     x_max = float(x.max(initial=0.0))
     if x_max > _MAX_BASIS_X:
-        raise ValueError(
-            f"points reach B|z|^2 = {x_max:.0f} > {_MAX_BASIS_X:.0f}, "
-            "where the level basis underflows in float64"
-        )
+        raise ValueError(f"nodes reach B|z|^2 = {x_max:.0f} > {_MAX_BASIS_X:.0f}: basis underflows")
     n_high = int(np.ceil(x_max + (8 + k) * np.sqrt(x_max))) + 1
-    psi = np.empty((k + n_high, z.size), dtype=complex)
     g0 = np.sqrt(B / np.pi) * np.exp(-1j * _phi(sys, z) - x / 2)
 
-    high = psi[k:]  # rows m = k + a
-    high[0] = g0
-    for a in range(1, n_high):
-        np.multiply(high[a - 1], u / np.sqrt(a), out=high[a])
-    a = np.arange(n_high, dtype=float)[:, None]
-    binom = np.prod([(a + i) / i for i in range(1, k + 1)], axis=0)  # C(a+k, k)
-    factor = laguerre(k, x, a)
-    factor /= np.sqrt(binom)
-    high *= factor
-
-    for m in range(k):  # rows m < k, b = k - m
+    low = np.empty((k + 1, z.size), dtype=complex)
+    for m in range(k + 1):  # b = k - m
         g = g0.copy()
         for j in range(1, k - m + 1):
             g *= -u.conjugate() / np.sqrt(j)
-        psi[m] = g * laguerre(m, x, float(k - m)) / np.sqrt(math.comb(k, m))
-    return psi
+        low[m] = g * laguerre(m, x, float(k - m)) / np.sqrt(math.comb(k, m))
+    yield low
+
+    rows = max(1, _BLOCK_BYTES // (16 * max(1, z.size)))
+    buf = np.empty((min(rows, n_high), z.size), dtype=complex)
+    prev, step = g0, np.empty_like(u)
+    for a0 in range(1, n_high, rows):
+        high = buf[: min(rows, n_high - a0)]
+        for a, row in enumerate(high, a0):
+            np.multiply(u, 1 / np.sqrt(a), out=step)  # rounds as u / sqrt(a), 5x faster
+            prev = np.multiply(prev, step, out=row)
+        prev = prev.copy()  # seeds the next block, which overwrites buf
+        if k:  # for k = 0 the factor is exactly 1
+            a = np.arange(a0, a0 + len(high), dtype=float)[:, None]
+            factor = laguerre(k, x, a)
+            factor /= np.sqrt(np.prod([(a + i) / i for i in range(1, k + 1)], axis=0))  # C(a+k,k)
+            high *= factor
+        yield high
 
 
 def project_on_nodes(
@@ -259,12 +275,11 @@ def project_on_nodes(
     has the same shape, enabling iterated projections without re-sampling.
     With Psi the N x r matrix of the level-k basis on the nodes (the transpose
     of ``level_basis``), the quadrature sum of K_k(z, w) f(w) Wt(w) is
-    Psi (Psi^* (f Wt)): O(N r) work and memory, with r about
-    x_max + (8 + k) sqrt(x_max), x_max = B max|Z|^2.
+    Psi (Psi^* (f Wt)), one term per basis row: the rows are streamed in blocks of about 1 MiB
+    and Psi is never formed, O(N r) time and O(N) memory, r ~ x_max + (8 + k) sqrt(x_max).
     """
-    psi = level_basis(sys, k, Z)
-    coeffs = (psi @ (fvals * Wt).ravel().conjugate()).conjugate()
-    return (coeffs @ psi).reshape(Z.shape)
+    v = (fvals * Wt).ravel().conjugate()
+    return sum((psi @ v).conjugate() @ psi for psi in _level_blocks(sys, k, Z)).reshape(Z.shape)
 
 
 @dataclass

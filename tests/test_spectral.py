@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from maf import spectral
 from maf.automorphy import functional_equation_residual
 from maf.config import build_system, load_bundled
 from maf.fields import Grid, quad2d_nodes
@@ -175,10 +178,43 @@ def nodes(landau):
     return quad2d_nodes((-R, R, -R, R), 48)
 
 
+def plane_nodes(sys, n):
+    """n x n Gauss-Legendre nodes of the plane truncated at tail 1e-8."""
+    R = truncation_radius(sys.B)
+    return quad2d_nodes((-R, R, -R, R), n)
+
+
+def assert_matches_dense_kernel(sys, k):
+    # oracle: the dense quadrature sum of the closed-form kernel, on
+    # random complex values where no smoothness hides a wrong basis
+    Z, Wt = plane_nodes(sys, 20)
+    rng = np.random.default_rng(k)
+    fvals = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
+    z = Z.ravel()
+    out = project_on_nodes(sys, k, fvals, Z, Wt).ravel()
+
+    def dense(level):
+        return kernel(sys, level, z[:, None], z[None, :]) @ (fvals * Wt).ravel()
+
+    def rel_diff(ref):
+        return np.abs(out - ref).max() / np.abs(ref).max()
+
+    assert rel_diff(dense(k)) <= 1e-10
+    # negative control: the neighbouring level is a different projector
+    assert rel_diff(dense(k + 1)) > 1e-2
+
+
 class TestProjector:
     def test_truncation_radius(self):
         R = truncation_radius(1.0)
         assert abs(np.exp(-(R**2) / 8) - 1e-8) < 1e-12
+
+    @pytest.mark.parametrize(
+        "B, tail", [(0.0, 1e-8), (-1.0, 1e-8), (np.nan, 1e-8), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0)]
+    )
+    def test_truncation_radius_rejects_bad_input(self, B, tail):
+        with pytest.raises(ValueError):
+            truncation_radius(B, tail)
 
     def test_idempotent(self, landau, nodes):
         Z, Wt = nodes
@@ -201,25 +237,42 @@ class TestProjector:
     @pytest.mark.parametrize("name", ["landau", "alteration"])
     @pytest.mark.parametrize("k", [0, 1, 2, 3])
     def test_matches_dense_kernel(self, name, k):
-        # oracle: the dense quadrature sum of the closed-form kernel, on
-        # random complex values where no smoothness hides a wrong basis
-        sys = build_system(load_bundled(name))
-        R = truncation_radius(sys.B)
-        Z, Wt = quad2d_nodes((-R, R, -R, R), 20)
-        rng = np.random.default_rng(k)
-        fvals = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
-        z = Z.ravel()
-        out = project_on_nodes(sys, k, fvals, Z, Wt).ravel()
+        assert_matches_dense_kernel(build_system(load_bundled(name)), k)
 
-        def dense(level):
-            return kernel(sys, level, z[:, None], z[None, :]) @ (fvals * Wt).ravel()
+    @pytest.mark.parametrize("rows", [1, 7])
+    def test_block_boundaries(self, monkeypatch, rows):
+        # blocks of one row, and ragged blocks of 7 against r = 432 on 32^2 nodes,
+        # may move only the order in which project_on_nodes adds the rows' terms
+        for name in ("landau", "alteration"):
+            sys = build_system(load_bundled(name))
+            Z, Wt = plane_nodes(sys, 32)
+            fvals = np.exp(-np.abs(Z - 0.3) ** 2)
+            for k in (0, 3):  # without and with the Laguerre factor
+                basis = level_basis(sys, k, Z)
+                pk = project_on_nodes(sys, k, fvals, Z, Wt)
+                with monkeypatch.context() as m:
+                    m.setattr(spectral, "_BLOCK_BYTES", rows * 16 * Z.size)
+                    assert np.array_equal(level_basis(sys, k, Z), basis)
+                    out = project_on_nodes(sys, k, fvals, Z, Wt)
+                assert np.abs(out - pk).max() / np.abs(pk).max() <= 1e-14
+            with monkeypatch.context() as m:
+                m.setattr(spectral, "_BLOCK_BYTES", rows * 16 * 20**2)  # its 20^2 nodes
+                for k in range(4):
+                    assert_matches_dense_kernel(sys, k)
 
-        def rel_diff(ref):
-            return np.abs(out - ref).max() / np.abs(ref).max()
-
-        assert rel_diff(dense(k)) <= 1e-10
-        # negative control: the neighbouring level is a different projector
-        assert rel_diff(dense(k + 1)) > 1e-2
+    def test_projection_memory_is_per_block(self, landau):
+        # the basis is streamed, never formed: one projection may hold at most
+        # a quarter of the r x N complex basis (the whole basis is 32 MB here)
+        Z, Wt = plane_nodes(landau, 64)
+        fvals = np.exp(-np.abs(Z - 0.3) ** 2)
+        r = len(level_basis(landau, 3, Z))
+        tracemalloc.start()
+        try:
+            project_on_nodes(landau, 3, fvals, Z, Wt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= r * Z.size * 16 / 4
 
     def test_basis_rank_follows_nodes(self, landau):
         Z = np.array([0.0, 3.0 + 4.0j])  # x_max = 25
@@ -229,6 +282,21 @@ class TestProjector:
     def test_basis_rejects_underflowing_nodes(self, landau):
         with pytest.raises(ValueError):
             level_basis(landau, 0, np.array([40.0]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
+    def test_rejects_non_finite_nodes(self, landau, bad):
+        Z = np.array([0.5, 1.0j, bad, np.nan])
+        with pytest.raises(ValueError, match="node 2 is not finite"):
+            level_basis(landau, 0, Z)
+        with pytest.raises(ValueError, match="node 2 is not finite"):
+            project_on_nodes(landau, 1, np.ones(4), Z, np.ones(4))
+
+    def test_rejects_negative_level(self, landau):
+        Z = np.array([0.5, 1.0j])
+        with pytest.raises(ValueError, match="level index must be nonnegative"):
+            level_basis(landau, -1, Z)
+        with pytest.raises(ValueError, match="level index must be nonnegative"):
+            project_on_nodes(landau, -1, np.ones(2), Z, np.ones(2))
 
     def test_reproduces_own_level(self, landau):
         # P_0 fixes the lowest-level state and kills the first excited one
