@@ -55,6 +55,7 @@ from .spectral import (
     SpectralBasis,
     WeightedInnerProduct,
     hermite,
+    hermite_function,
     kernel,
     laguerre,
     landau_level,

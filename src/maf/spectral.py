@@ -10,21 +10,28 @@ explicit kernel
 whose Laguerre argument scale is adjudicated numerically against the
 eigen-equation (``select_laguerre_scale``).
 
-With scale 1 the kernel is the reproducing kernel of the k-th true
-polyanalytic Fock space (Bargmann; Vasilevski), so it factors over the
-orthonormal level-k basis of ``level_basis``:
+With scale 1 the kernel factors in the Landau gauge over the level-k states
+centred on the lines x = c.  With z = x + iy, w = x' + iy', the phase
+u(z) = e^{-i(phi(z) + Bxy)} and psi_k the normalized Hermite function
+(``hermite_function``),
 
-    K_k(z, w) = sum_m psi_{k,m}(z) conj(psi_{k,m}(w)).
+    K_k(z, w) = u(z) conj(u(w)) (B/pi) sqrt(2B)
+                int dc e^{2iBc(y-y')} psi_k(sqrt(2B)(x-c)) psi_k(sqrt(2B)(x'-c)).
 
-``project_on_nodes`` applies P_k through that factorization.  On N nodes with
-x_max = B max|z|^2 it keeps the r = ceil(x_max + (8 + k) sqrt(x_max)) + k + 1
-basis functions that are not negligible there, streamed in blocks of about 1 MiB and
-never formed: O(N r) time and O(N) memory instead of the O(N^2) of dense kernel blocks.
+``project_on_nodes`` applies P_k through that factorization.  On an n x n
+product grid of nodes the c-integral is a trapezoid sum over P points
+(``_c_grid``, exact to round-off), and a projection is two complex matrix
+products, (n x n)(n x P) and (n x P)(P x n): O(n^2 P) time and O(n P) memory,
+with P about 410-530 on the 64^2 nodes of the truncated plane, independent of
+n and nearly so of k.  The dense ``kernel`` is its oracle.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +56,21 @@ def hermite(m: int, x):
     return h
 
 
+def hermite_function(k: int, t):
+    """Normalized Hermite function H_k(t) e^{-t^2/2} / sqrt(2^k k! sqrt(pi)).
+
+    By the recurrence psi_{j+1} = sqrt(2/(j+1)) t psi_j - sqrt(j/(j+1)) psi_{j-1},
+    which forms no power or factorial, so nothing overflows at any degree.
+    """
+    if k < 0:
+        raise ValueError("Hermite degree must be nonnegative")
+    t = np.asarray(t, dtype=float)
+    psi_prev, psi = 0.0, np.pi**-0.25 * np.exp(-t * t / 2)
+    for j in range(k):
+        psi_prev, psi = psi, math.sqrt(2 / (j + 1)) * t * psi - math.sqrt(j / (j + 1)) * psi_prev
+    return psi
+
+
 def laguerre(k: int, x, alpha=0.0):
     """Generalized Laguerre polynomial L_k^(alpha), by recurrence in k.
 
@@ -63,7 +85,7 @@ def laguerre(k: int, x, alpha=0.0):
     l_prev = 1.0
     l = 1.0 + alpha - x
     for j in range(1, k):
-        # in place: on the level basis these are r x N arrays
+        # in place: the dense kernel passes N x N arrays
         nxt = (2 * j + 1 + alpha) - x
         nxt *= l
         nxt -= (j + alpha) * l_prev
@@ -197,69 +219,35 @@ def select_laguerre_scale(sys: MagneticSystem, k: int = 1, tol: float = 1e-3) ->
     }
 
 
-# Above x = B|z|^2 = 1400 the start e^{-x/2} of the basis recurrence underflows.
-_MAX_BASIS_X = 1400.0
-_BLOCK_BYTES = 1 << 20  # the basis is streamed in blocks of rows this large, which stay in cache
+def _openblas_threads():
+    """Get and set functions of the thread count of numpy's bundled OpenBLAS, or None."""
+    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
+            if get and put:
+                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
+                return get, put
+    return None
 
 
-def level_basis(sys: MagneticSystem, k: int, z: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the k-th Landau level on the points z, one row per function.
+_BLAS_THREADS = _openblas_threads()
 
-    Row m holds psi_{k,m}(z) = sqrt(B/pi) e^{-i phi(z)} e^{-x/2} chi_{k,m}(sqrt(B) z),
-    x = B|z|^2, where with u = sqrt(B) z
 
-        chi_{k,m}(u) = sqrt(k!/m!) u^(m-k) L_k^(m-k)(|u|^2)          (m >= k)
-        chi_{k,m}(u) = sqrt(m!/k!) (-ubar)^(k-m) L_m^(k-m)(|u|^2)   (m <= k).
+def _c_grid(B: float, k: int, x: np.ndarray, y: np.ndarray):
+    """Nodes and step of the trapezoid sum over the Landau-gauge centre c.
 
-    The rows m = 0 .. r-1 with r = ceil(x_max + (8 + k) sqrt(x_max)) + k + 1,
-    x_max = B max|z|^2, are kept: for m - k beyond that, e^{-x} x^(m-k) / (m-k)!
-    is a Poisson tail more than 8 + k standard deviations out on every point.  The factor
-    e^{-x/2} u^a / sqrt(a!) is carried by the recurrence g_a = g_{a-1} u / sqrt(a),
-    so no power or factorial is formed and nothing overflows.  Concatenates ``_level_blocks``.
+    The nodes cover [min x - d, max x + d], d = (sqrt(37) + 2 sqrt(k) + 1) / sqrt(B):
+    beyond d of every node the factor psi_k(sqrt(2B)(x - c)) is below e^{-37} of its
+    peak.  The step is 2 pi / (2B span(y) + sqrt(8B(37 + 2k)) + 2 sqrt(B)): the
+    integrand oscillates at 2B(y - y'), and the transform of the product of the two
+    psi_k factors is below e^{-37} past sqrt(8B(37 + 2k)), so the sum aliases nothing
+    above round-off.
     """
-    return np.concatenate([block.copy() for block in _level_blocks(sys, k, z)])
-
-
-def _level_blocks(sys: MagneticSystem, k: int, z: np.ndarray):
-    """Yield the rows of ``level_basis`` in order: m <= k, then blocks of about ``_BLOCK_BYTES``
-    of rows m = k + a, each a view that the next block overwrites."""
-    if k < 0:
-        raise ValueError("level index must be nonnegative")
-    z = np.asarray(z, dtype=complex).ravel()
-    if (bad := np.flatnonzero(~np.isfinite(z))).size:
-        raise ValueError(f"node {bad[0]} is not finite: {z[bad[0]]}")
-    B = sys.B
-    u = np.sqrt(B) * z
-    x = B * np.abs(z) ** 2
-    x_max = float(x.max(initial=0.0))
-    if x_max > _MAX_BASIS_X:
-        raise ValueError(f"nodes reach B|z|^2 = {x_max:.0f} > {_MAX_BASIS_X:.0f}: basis underflows")
-    n_high = int(np.ceil(x_max + (8 + k) * np.sqrt(x_max))) + 1
-    g0 = np.sqrt(B / np.pi) * np.exp(-1j * _phi(sys, z) - x / 2)
-
-    low = np.empty((k + 1, z.size), dtype=complex)
-    for m in range(k + 1):  # b = k - m
-        g = g0.copy()
-        for j in range(1, k - m + 1):
-            g *= -u.conjugate() / np.sqrt(j)
-        low[m] = g * laguerre(m, x, float(k - m)) / np.sqrt(math.comb(k, m))
-    yield low
-
-    rows = max(1, _BLOCK_BYTES // (16 * max(1, z.size)))
-    buf = np.empty((min(rows, n_high), z.size), dtype=complex)
-    prev, step = g0, np.empty_like(u)
-    for a0 in range(1, n_high, rows):
-        high = buf[: min(rows, n_high - a0)]
-        for a, row in enumerate(high, a0):
-            np.multiply(u, 1 / np.sqrt(a), out=step)  # rounds as u / sqrt(a), 5x faster
-            prev = np.multiply(prev, step, out=row)
-        prev = prev.copy()  # seeds the next block, which overwrites buf
-        if k:  # for k = 0 the factor is exactly 1
-            a = np.arange(a0, a0 + len(high), dtype=float)[:, None]
-            factor = laguerre(k, x, a)
-            factor /= np.sqrt(np.prod([(a + i) / i for i in range(1, k + 1)], axis=0))  # C(a+k,k)
-            high *= factor
-        yield high
+    d = (math.sqrt(37) + 2 * math.sqrt(k) + 1) / math.sqrt(B)
+    step = 2 * math.pi / (2 * B * np.ptp(y) + math.sqrt(8 * B * (37 + 2 * k)) + 2 * math.sqrt(B))
+    lo, hi = x.min() - d, x.max() + d
+    return lo + step * np.arange(math.ceil((hi - lo) / step) + 1), step
 
 
 def project_on_nodes(
@@ -273,13 +261,37 @@ def project_on_nodes(
 
     ``fvals`` are f's values on the node array Z with weights Wt; the result
     has the same shape, enabling iterated projections without re-sampling.
-    With Psi the N x r matrix of the level-k basis on the nodes (the transpose
-    of ``level_basis``), the quadrature sum of K_k(z, w) f(w) Wt(w) is
-    Psi (Psi^* (f Wt)), one term per basis row: the rows are streamed in blocks of about 1 MiB
-    and Psi is never formed, O(N r) time and O(N) memory, r ~ x_max + (8 + k) sqrt(x_max).
+    Z must be an axis-aligned product grid as ``quad2d_nodes`` makes it: x_i along
+    axis 0, y_j along axis 1.  With the phase e^{-i(phi(z) + B x y)} and the c-grid
+    of ``_c_grid``, the quadrature sum of K_k(z, w) f(w) Wt(w) is two matrix products
+    with the n x P tables psi_k(sqrt(2B)(x_i - c)) and e^{2iB y_j c}: O(n^2 P) time,
+    the same for every level.  On an affine (lattice-cell) grid the same factorization
+    holds with the gauge taken along one cell vector; only the axis-aligned
+    grid is implemented.
     """
-    v = (fvals * Wt).ravel().conjugate()
-    return sum((psi @ v).conjugate() @ psi for psi in _level_blocks(sys, k, Z)).reshape(Z.shape)
+    if k < 0:
+        raise ValueError("level index must be nonnegative")
+    Z = np.asarray(Z, dtype=complex)
+    if (bad := np.flatnonzero(~np.isfinite(Z))).size:
+        raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
+    if Z.ndim != 2 or np.any(Z.real != Z.real[:, :1]) or np.any(Z.imag != Z.imag[:1]):
+        raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
+    B = sys.B
+    x, y = Z.real[:, 0], Z.imag[0]
+    c, step = _c_grid(B, k, x, y)
+    psi = hermite_function(k, math.sqrt(2 * B) * (x[:, None] - c))
+    e = np.exp(1j * np.outer(2 * B * y, c))
+    phase = np.exp(-1j * (_phi(sys, Z) + B * Z.real * Z.imag))
+    # One BLAS thread: split across threads, products this small are slower on an idle
+    # host and stall for a scheduler time slice whenever another process holds a CPU.
+    get, put = _BLAS_THREADS or (lambda: None, lambda n: None)
+    before = get()
+    put(1)
+    try:
+        at_c = np.sum(psi * ((phase.conjugate() * fvals * Wt) @ e.conjugate()), axis=0)
+        return (B / np.pi) * math.sqrt(2 * B) * step * phase * ((psi * at_c) @ e.T)
+    finally:
+        put(before)
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,12 +12,12 @@ from maf.spectral import (
     SpectralBasis,
     WeightedInnerProduct,
     hermite,
+    hermite_function,
     kernel,
     kernel_eigen_residual,
     kernel_invariance_residual,
     laguerre,
     landau_level,
-    level_basis,
     project_on_nodes,
     rayleigh_quotient,
     select_laguerre_scale,
@@ -57,6 +58,23 @@ class TestSpecialFunctions:
     def test_hermite_negative_degree(self):
         with pytest.raises(ValueError):
             hermite(-1, 0.0)
+
+    def test_hermite_function_matches_polynomial(self):
+        t = np.linspace(-6.0, 6.0, 49)
+        for k in range(11):
+            norm = np.sqrt(2.0**k * math.factorial(k) * np.sqrt(np.pi))
+            ref = hermite(k, t) * np.exp(-(t**2) / 2) / norm
+            assert np.abs(hermite_function(k, t) - ref).max() <= 1e-14
+        with pytest.raises(ValueError):
+            hermite_function(-1, 0.0)
+
+    def test_hermite_function_high_degree(self):
+        # 2^150 150! sqrt(pi) = 1.4e308: the polynomial form is at the edge of overflow
+        assert np.all(np.isfinite(hermite_function(150, np.array([-40.0, -17.0, 0.0, 17.0, 40.0]))))
+        t, dt = np.linspace(-30.0, 30.0, 6001, retstep=True)
+        psi = {k: hermite_function(k, t) for k in (148, 150)}
+        assert abs(np.sum(psi[150] ** 2) * dt - 1) <= 1e-12
+        assert abs(np.sum(psi[148] * psi[150]) * dt) <= 1e-12
 
     def test_laguerre_values(self):
         assert laguerre(0, 7.0) == 1.0
@@ -184,24 +202,29 @@ def plane_nodes(sys, n):
     return quad2d_nodes((-R, R, -R, R), n)
 
 
-def assert_matches_dense_kernel(sys, k):
-    # oracle: the dense quadrature sum of the closed-form kernel, on
-    # random complex values where no smoothness hides a wrong basis
-    Z, Wt = plane_nodes(sys, 20)
+def dense_miss(sys, k, level, rect=None):
+    """max |P_k f - dense P_level f| / max |dense P_level f| on 20 x 20 nodes of rect.
+
+    The oracle is the dense quadrature sum of the closed-form kernel, on random
+    complex values where no smoothness hides a wrong factorization; rect defaults
+    to the truncated plane.
+    """
+    if rect is None:
+        R = truncation_radius(sys.B)
+        rect = (-R, R, -R, R)
+    Z, Wt = quad2d_nodes(rect, 20)
     rng = np.random.default_rng(k)
     fvals = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
     z = Z.ravel()
     out = project_on_nodes(sys, k, fvals, Z, Wt).ravel()
+    ref = kernel(sys, level, z[:, None], z[None, :]) @ (fvals * Wt).ravel()
+    return np.abs(out - ref).max() / np.abs(ref).max()
 
-    def dense(level):
-        return kernel(sys, level, z[:, None], z[None, :]) @ (fvals * Wt).ravel()
 
-    def rel_diff(ref):
-        return np.abs(out - ref).max() / np.abs(ref).max()
-
-    assert rel_diff(dense(k)) <= 1e-10
+def assert_matches_dense_kernel(sys, k, rect=None):
+    assert dense_miss(sys, k, k, rect) <= 1e-10
     # negative control: the neighbouring level is a different projector
-    assert rel_diff(dense(k + 1)) > 1e-2
+    assert dense_miss(sys, k, k + 1, rect) > 1e-2
 
 
 class TestProjector:
@@ -234,67 +257,92 @@ class TestProjector:
         scale = np.abs(p0[central]).max()
         assert np.abs(p10[central]).max() / scale < 1e-3
 
-    @pytest.mark.parametrize("name", ["landau", "alteration"])
-    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    @pytest.mark.parametrize("name", ["landau", "alteration", "conjugate"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5])
     def test_matches_dense_kernel(self, name, k):
         assert_matches_dense_kernel(build_system(load_bundled(name)), k)
 
-    @pytest.mark.parametrize("rows", [1, 7])
-    def test_block_boundaries(self, monkeypatch, rows):
-        # blocks of one row, and ragged blocks of 7 against r = 432 on 32^2 nodes,
-        # may move only the order in which project_on_nodes adds the rows' terms
-        for name in ("landau", "alteration"):
-            sys = build_system(load_bundled(name))
-            Z, Wt = plane_nodes(sys, 32)
-            fvals = np.exp(-np.abs(Z - 0.3) ** 2)
-            for k in (0, 3):  # without and with the Laguerre factor
-                basis = level_basis(sys, k, Z)
-                pk = project_on_nodes(sys, k, fvals, Z, Wt)
-                with monkeypatch.context() as m:
-                    m.setattr(spectral, "_BLOCK_BYTES", rows * 16 * Z.size)
-                    assert np.array_equal(level_basis(sys, k, Z), basis)
-                    out = project_on_nodes(sys, k, fvals, Z, Wt)
-                assert np.abs(out - pk).max() / np.abs(pk).max() <= 1e-14
-            with monkeypatch.context() as m:
-                m.setattr(spectral, "_BLOCK_BYTES", rows * 16 * 20**2)  # its 20^2 nodes
-                for k in range(4):
-                    assert_matches_dense_kernel(sys, k)
+    @pytest.mark.parametrize("name", ["landau", "alteration", "conjugate"])
+    def test_matches_dense_kernel_off_centre(self, name):
+        # an off-centre, non-square rectangle: the c-grid follows the nodes, not R
+        sys = build_system(load_bundled(name))
+        for k in range(6):
+            assert_matches_dense_kernel(sys, k, (-3.0, 5.0, -1.0, 2.0))
 
-    def test_projection_memory_is_per_block(self, landau):
-        # the basis is streamed, never formed: one projection may hold at most
-        # a quarter of the r x N complex basis (the whole basis is 32 MB here)
+    def test_coarser_c_grid_misses_dense_kernel(self, monkeypatch, landau, alt):
+        # negative control: a c-grid step 1.3x coarser aliases e^{2iBc(y - y')}
+        c_grid = spectral._c_grid
+
+        def coarse(B, k, x, y):
+            c, step = c_grid(B, k, x, y)
+            return np.arange(c[0], c[-1] + 1.3 * step, 1.3 * step), 1.3 * step
+
+        monkeypatch.setattr(spectral, "_c_grid", coarse)
+        for sys in (landau, alt):
+            for k in range(6):
+                assert dense_miss(sys, k, k) > 1e-2
+
+    def test_far_plane_matches_dense_kernel(self, landau):
+        # B max|z|^2 = 1775, where e^{-B|z|^2 / 2} underflows: the Landau-gauge
+        # factorization never forms it, so the projection stays finite and exact
+        rect = (-30.0, 30.0, -30.0, 30.0)
+        Z, Wt = quad2d_nodes(rect, 20)
+        assert landau.B * np.abs(Z).max() ** 2 > 1700
+        for k in (0, 3):
+            assert np.all(np.isfinite(project_on_nodes(landau, k, np.ones(Z.shape), Z, Wt)))
+            assert_matches_dense_kernel(landau, k, rect)
+
+    def test_projection_memory_is_level_independent(self, landau):
+        # every level holds the same few n x P tables, P about 410-500 here
         Z, Wt = plane_nodes(landau, 64)
         fvals = np.exp(-np.abs(Z - 0.3) ** 2)
-        r = len(level_basis(landau, 3, Z))
-        tracemalloc.start()
-        try:
-            project_on_nodes(landau, 3, fvals, Z, Wt)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= r * Z.size * 16 / 4
+        peaks = {}
+        for k in (0, 3):
+            tracemalloc.start()
+            try:
+                project_on_nodes(landau, k, fvals, Z, Wt)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] < 8e6
+        assert max(peaks.values()) <= 1.5 * min(peaks.values())
 
-    def test_basis_rank_follows_nodes(self, landau):
-        Z = np.array([0.0, 3.0 + 4.0j])  # x_max = 25
-        assert level_basis(landau, 0, Z).shape == (1 + int(np.ceil(25 + 8 * 5)), 2)
-        assert level_basis(landau, 2, Z).shape == (3 + int(np.ceil(25 + 10 * 5)), 2)
+    def test_rejects_nodes_off_a_product_grid(self, landau):
+        Z, Wt = plane_nodes(landau, 8)
+        shuffled = Z.ravel()[np.random.default_rng(0).permutation(Z.size)].reshape(Z.shape)
+        for nodes in (shuffled, Z.T, Z.ravel()):
+            with pytest.raises(ValueError, match="not a product grid"):
+                project_on_nodes(landau, 0, np.ones(nodes.shape), nodes, np.ones(nodes.shape))
 
-    def test_basis_rejects_underflowing_nodes(self, landau):
+    def test_products_run_on_one_blas_thread(self, monkeypatch, landau):
+        # the count drops to 1 for the products and comes back, also when they raise
+        counts = []
+        monkeypatch.setattr(spectral, "_BLAS_THREADS", (lambda: 2, counts.append))
+        Z, Wt = plane_nodes(landau, 8)
+        out = project_on_nodes(landau, 1, np.ones(Z.shape), Z, Wt)
+        assert counts == [1, 2]
         with pytest.raises(ValueError):
-            level_basis(landau, 0, np.array([40.0]))
+            project_on_nodes(landau, 1, np.ones(3), Z, Wt)
+        assert counts == [1, 2, 1, 2]
+        monkeypatch.setattr(spectral, "_BLAS_THREADS", None)
+        assert np.array_equal(project_on_nodes(landau, 1, np.ones(Z.shape), Z, Wt), out)
+
+    @pytest.mark.skipif(spectral._BLAS_THREADS is None, reason="numpy does not bundle OpenBLAS")
+    def test_blas_thread_count_restored(self, landau):
+        get, _ = spectral._BLAS_THREADS
+        before = get()
+        Z, Wt = plane_nodes(landau, 8)
+        project_on_nodes(landau, 0, np.ones(Z.shape), Z, Wt)
+        assert get() == before
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
     def test_rejects_non_finite_nodes(self, landau, bad):
         Z = np.array([0.5, 1.0j, bad, np.nan])
         with pytest.raises(ValueError, match="node 2 is not finite"):
-            level_basis(landau, 0, Z)
-        with pytest.raises(ValueError, match="node 2 is not finite"):
             project_on_nodes(landau, 1, np.ones(4), Z, np.ones(4))
 
     def test_rejects_negative_level(self, landau):
         Z = np.array([0.5, 1.0j])
-        with pytest.raises(ValueError, match="level index must be nonnegative"):
-            level_basis(landau, -1, Z)
         with pytest.raises(ValueError, match="level index must be nonnegative"):
             project_on_nodes(landau, -1, np.ones(2), Z, np.ones(2))
 
