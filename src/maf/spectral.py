@@ -20,18 +20,15 @@ u(z) = e^{-i(phi(z) + Bxy)} and psi_k the normalized Hermite function
 
 ``project_on_nodes`` applies P_k through that factorization.  On an n x n
 product grid of nodes the c-integral is a trapezoid sum over P points
-(``_c_grid``, exact to round-off), and a projection is two complex matrix
-products, (n x n)(n x P) and (n x P)(P x n): O(n^2 P) time and O(n P) memory,
-with P about 410-530 on the 64^2 nodes of the truncated plane, independent of
-n and nearly so of k.  The dense ``kernel`` is its oracle.
+(``_c_grid``, exact to round-off), taken in blocks of 64 c-columns: per block,
+two real-by-complex matrix products, (64 x n)(n x n) and (n x 64)(64 x n).
+That is O(n^2 P) time, with P about 410-530 on the 64^2 nodes of the truncated
+plane, independent of n and nearly so of k.  The dense ``kernel`` is its oracle.
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,8 +173,8 @@ def kernel(
     z,
     w,
     laguerre_scale: float = 1.0,
-) -> complex:
-    """Eigenprojector kernel K_k(z, w); accepts numpy arrays in z or w."""
+) -> complex | np.ndarray:
+    """Eigenprojector kernel K_k(z, w); a complex for scalar z and w, else an array."""
     B = sys.B
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -219,19 +216,7 @@ def select_laguerre_scale(sys: MagneticSystem, k: int = 1, tol: float = 1e-3) ->
     }
 
 
-def _openblas_threads():
-    """Get and set functions of the thread count of numpy's bundled OpenBLAS, or None."""
-    for path in glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "*openblas*")):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
-            get, put = (getattr(lib, name.format(op), None) for op in ("get", "set"))
-            if get and put:
-                get.restype, put.argtypes = ctypes.c_int, [ctypes.c_int]
-                return get, put
-    return None
-
-
-_BLAS_THREADS = _openblas_threads()
+_BLOCK = 64  # c-columns per block of project_on_nodes: on 64^2 nodes no table exceeds 64 KiB
 
 
 def _c_grid(B: float, k: int, x: np.ndarray, y: np.ndarray):
@@ -259,39 +244,54 @@ def project_on_nodes(
 ) -> np.ndarray:
     """P_k f evaluated on the quadrature nodes themselves.
 
-    ``fvals`` are f's values on the node array Z with weights Wt; the result
-    has the same shape, enabling iterated projections without re-sampling.
+    ``fvals`` are f's values on the node array Z with weights Wt, all of one shape;
+    the result has that shape too, enabling iterated projections without re-sampling.
     Z must be an axis-aligned product grid as ``quad2d_nodes`` makes it: x_i along
     axis 0, y_j along axis 1.  With the phase e^{-i(phi(z) + B x y)} and the c-grid
-    of ``_c_grid``, the quadrature sum of K_k(z, w) f(w) Wt(w) is two matrix products
-    with the n x P tables psi_k(sqrt(2B)(x_i - c)) and e^{2iB y_j c}: O(n^2 P) time,
-    the same for every level.  On an affine (lattice-cell) grid the same factorization
-    holds with the gauge taken along one cell vector; only the axis-aligned
-    grid is implemented.
+    of ``_c_grid``, the quadrature sum of K_k(z, w) f(w) Wt(w) is taken over blocks
+    of 64 c-columns.  A block's e^{2iB y_j c} is a shared table of the first 64
+    offsets times one coarse row: n (P/64 + 64) complex exponentials, not n P.  The
+    real psi_k(sqrt(2B)(x_i - c)) multiplies float views of complex factors: two
+    real-by-complex products, half the flops of complex ones; on 64^2 nodes they are
+    small enough that OpenBLAS keeps them on one thread and the allocator reuses
+    their memory.  O(n^2 P) time, the same for every level.  On an affine
+    (lattice-cell) grid the same factorization holds with the gauge taken along one
+    cell vector; only the axis-aligned grid is implemented.
     """
     if k < 0:
         raise ValueError("level index must be nonnegative")
     Z = np.asarray(Z, dtype=complex)
     if (bad := np.flatnonzero(~np.isfinite(Z))).size:
         raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
+    for name, values in (("fvals", fvals), ("Wt", Wt)):
+        if np.shape(values) != Z.shape:
+            raise ValueError(f"{name} has shape {np.shape(values)}, the nodes Z have shape {Z.shape}")
     if Z.ndim != 2 or np.any(Z.real != Z.real[:, :1]) or np.any(Z.imag != Z.imag[:1]):
         raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
     B = sys.B
     x, y = Z.real[:, 0], Z.imag[0]
     c, step = _c_grid(B, k, x, y)
-    psi = hermite_function(k, math.sqrt(2 * B) * (x[:, None] - c))
-    e = np.exp(1j * np.outer(2 * B * y, c))
-    phase = np.exp(-1j * (_phi(sys, Z) + B * Z.real * Z.imag))
-    # One BLAS thread: split across threads, products this small are slower on an idle
-    # host and stall for a scheduler time slice whenever another process holds a CPU.
-    get, put = _BLAS_THREADS or (lambda: None, lambda n: None)
-    before = get()
-    put(1)
-    try:
-        at_c = np.sum(psi * ((phase.conjugate() * fvals * Wt) @ e.conjugate()), axis=0)
-        return (B / np.pi) * math.sqrt(2 * B) * step * phase * ((psi * at_c) @ e.T)
-    finally:
-        put(before)
+    # With c = c[m0] + step j, e^{2iB y c[m0]} joins the phase and the rest is e^{i a j},
+    # a = 2B step y.  Split a = hi + lo with hi * j exact: e^{i a j} = e^{i hi j} (1 + i lo j)
+    # to 1e-16, and no argument of hundreds of radians is rounded, so every block width
+    # gives the same table to round-off.
+    m0 = c.size // 2
+    phase = np.exp(-1j * (_phi(sys, Z) + B * Z.imag * (Z.real - 2 * c[m0])))
+    a = 2 * B * step * y
+    hi = a * 8193.0
+    hi -= hi - a  # Veltkamp split: hi keeps 40 bits, so hi * j is exact for |j| < 8192
+    turns = lambda j: np.exp(1j * np.multiply.outer(j, hi)) * (1 + 1j * np.multiply.outer(j, a - hi))
+    fine = turns(np.arange(min(_BLOCK, c.size)))
+    G = np.ascontiguousarray(phase.conjugate() * fvals * Wt).view(float)
+    out = np.zeros((x.size, 2 * y.size))
+    for m in range(0, c.size, _BLOCK):
+        cb = c[m : m + _BLOCK]
+        psi = hermite_function(k, math.sqrt(2 * B) * (x[:, None] - cb))
+        psi[np.abs(psi) < 1e-150] = 0.0  # subnormal Gaussian tails slow the products 5x
+        e = fine[: cb.size] * turns(m - m0)
+        at = np.einsum("cj,cj->c", (psi.T @ G).view(complex), e.conj())
+        out += psi @ (at[:, None] * e).view(float)
+    return (B / np.pi) * math.sqrt(2 * B) * step * phase * out.view(complex)
 
 
 @dataclass
