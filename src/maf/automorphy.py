@@ -20,10 +20,8 @@ import numpy as np
 
 from .equivariant import Endomorphism, EquivariantMap, apply_endo, apply_endo_ab
 from .fields import Grid, ScalarField
-from .groups import DiscreteSubgroup, GroupElement, WordClosure, _cmul, act, compose, inverse, inverse_ab
+from .groups import DiscreteSubgroup, GroupElement, _cmul, act, compose, inverse, inverse_ab
 from .reports import CheckReport, from_residuals
-
-MATCH_TOL = 1e-9
 
 
 class UnknownGroupElementError(ValueError):
@@ -70,11 +68,13 @@ class PseudoCharacter:
 
 
 class CharacterTable:
-    """chi extended over the word closure of a subgroup, with consistency audit.
+    """chi extended over the words up to ``max_len``, with consistency audit.
 
+    The entries are the first ``len(values)`` of ``gamma.closure``, which the
+    table grows to ``max_len``; words grown past that are not the table's.
     chi is carried by twisted multiplicativity along the edge w -> w g that
     made each entry (from ``parent`` by generator ``slot``), one word length at
-    a time; every other edge reaches an element already in the table, and the
+    a time; every other edge out of the shorter words reaches an entry, and the
     largest mismatch of the two chi values there is ``inconsistency``.  ``u``,
     ``ru`` and ``rv`` hold g^{-1}.0, rho(g^{-1}).0 and rho(g).0 for every entry
     g (the last two only when mu != 0); g.0 is ``closure.b``.
@@ -92,46 +92,42 @@ class CharacterTable:
         if len(chi.values_on_generators) != len(gamma.generators):
             raise ValueError("chi must supply one value per generator")
         self.max_len = max_len
-        self.closure = closure = WordClosure(gamma, MATCH_TOL).grow(max_len)
+        self.closure = closure = gamma.closure.grow(max_len)
         gens = [g for _, g in closure.gens]
-        steps = []
-        for i, v in enumerate(chi.values_on_generators):
-            g, ginv = gens[2 * i], gens[2 * i + 1]
-            # chi(e) = 1 forces chi(g^{-1}) = conj(chi(g)) e^{-i phase(g, g^{-1})}
-            steps += [v, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, g, ginv))]
-        steps = np.array(steps, complex)
+        # chi(e) = 1 forces chi(g^{-1}) = conj(chi(g)) e^{-i phase(g, g^{-1})}
+        steps = [[v, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, g, ginv))]
+                 for v, g, ginv in zip(chi.values_on_generators, gens[::2], gens[1::2])]
+        steps = np.array(steps, complex).reshape(-1)
+        # the table's entries, and the expanded ones among them (all, once a finite group closes)
+        n, m = closure.size(max_len), closure.size(max_len - 1)
+        a, b = closure.a[:n], closure.b[:n]
         # phase(w, g) = nu Im(u_w conj v_g) + mu Im(ru_w conj rv_g), u = w^{-1}.0, v = g.0,
         # on the edges out of the expanded entries
-        m = closure.offsets[-2]
-        self.u = _cmul(-closure.a.conj(), closure.b)
+        self.u = _cmul(-a.conj(), b)
         ph = nu * _im_conj_outer(self.u[:m], np.array([act(g, 0.0) for g in gens]))
         if mu != 0.0:
             # rho(g).0 is the b of rho(g)
-            self.ru = apply_endo_ab(rho, *inverse_ab(closure.a, closure.b))[1]
-            self.rv = apply_endo_ab(rho, closure.a, closure.b)[1]
+            self.ru = apply_endo_ab(rho, *inverse_ab(a, b))[1]
+            self.rv = apply_endo_ab(rho, a, b)[1]
             rv = apply_endo_ab(rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))[1]
             ph += mu * _im_conj_outer(self.ru[:m], rv)
         turn = np.exp(1j * ph)
-        # entries are numbered as first reached, so the edge that made entry j is
-        # where the running maximum of the edge targets first reaches j
-        succ = closure.succ[:m]
-        made = np.maximum.accumulate(succ.ravel()).searchsorted(np.arange(len(closure.ab)))
-        self.parent, self.slot = np.divmod(made, max(len(gens), 1))
-        self.values = np.ones(len(closure.ab), complex)
-        for lo, hi in zip(closure.offsets[1:-1], closure.offsets[2:]):
+        self.parent, self.slot = closure.parent[:n], closure.slot[:n]
+        self.values = np.ones(n, complex)
+        for lo, hi in zip(closure.offsets[1 : max_len + 1], closure.offsets[2 : max_len + 2]):
             s, t = self.parent[lo:hi], self.slot[lo:hi]
             self.values[lo:hi] = _cmul(_cmul(self.values[s], steps[t]), turn[s, t])
-        diff = _cmul(_cmul(self.values[:m, None], steps), turn) - self.values[succ]
+        diff = _cmul(_cmul(self.values[:m, None], steps), turn) - self.values[closure.succ[:m]]
         self.inconsistency = float(np.hypot(diff.real, diff.imag).max(initial=0.0))
 
     @property
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
-        return list(zip(self.closure.elements, self.values, self.closure.words))
+        return list(zip(self.closure.elements_upto(len(self.values)), self.values, self.closure.words))
 
     def _index(self, g: GroupElement) -> int:
         hit = self.closure.lookup(g.a, g.b)
-        if hit is None:
-            raise UnknownGroupElementError(f"element {g} not in word closure of the subgroup")
+        if hit is None or hit >= len(self.values):
+            raise UnknownGroupElementError(f"element {g} not among the words of length <= {self.max_len}")
         return hit
 
     def value(self, g: GroupElement) -> complex:
@@ -223,6 +219,7 @@ def rdq_check(
     sweep; the report names the first worst-offending pair (row-major, left
     word outer) by signed generator indices.  A ``table`` of this chi, nu, mu
     and rho grown to at least 2 ``max_word_len`` is used instead of a new one.
+    Either way the words are a prefix of ``gamma.closure``, shared by every check.
     """
     if table is None:
         table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
@@ -230,7 +227,7 @@ def rdq_check(
         raise ValueError(f"character table grown to {table.max_len}, rdq needs {2 * max_word_len}")
     closure = table.closure
     # entries are in BFS order, so the words up to max_word_len are a prefix
-    n = closure.offsets[min(max_word_len + 1, len(closure.offsets) - 1)]
+    n = closure.size(max_word_len)
     # the entry of g_i g_j: g_j = g_p gens[s] for the entry p and slot s that made
     # it, so column j steps along the closure's edges from column p
     succ, hit = closure.succ, np.empty((n, n), int)

@@ -20,7 +20,7 @@ from .fields import Grid, polyexp_field
 from .groups import GroupElement, random_elements
 from .highdim import EquivariantMapN, constant_field_test
 from .magnetics import MagneticSystem
-from .reports import CheckReport, emit, from_residuals, jsonable
+from .reports import CheckReport, emit, from_residuals
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -49,10 +49,7 @@ def _parse_grid(s: str) -> dict:
     if len(vals) != 6:
         raise ValueError("grid spec must be xmin,xmax,nx,ymin,ymax,ny")
     keys = ("xmin", "xmax", "nx", "ymin", "ymax", "ny")
-    out = {}
-    for k, v in zip(keys, vals):
-        out[k] = int(v) if k in ("nx", "ny") else float(v)
-    return out
+    return {k: int(v) if k in ("nx", "ny") else float(v) for k, v in zip(keys, vals)}
 
 
 def _resolve_config(path: str) -> SystemConfig:
@@ -86,12 +83,9 @@ def _homomorphism(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckRe
 
 
 def _rdq(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
-    nu = cfg.nu
-    chi = sys_.chi
-    if cfg.rdq:
-        nu = float(cfg.rdq.get("nu", nu))
-        if "values_on_generators" in cfg.rdq:
-            chi = PseudoCharacter.from_dict(cfg.rdq)
+    rdq = cfg.rdq or {}
+    nu = float(rdq.get("nu", cfg.nu)) if rdq else cfg.nu
+    chi = PseudoCharacter.from_dict(rdq) if "values_on_generators" in rdq else sys_.chi
     table = sys_.chi_table if (nu, chi) == (sys_.nu, sys_.chi) else None
     return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10), table=table)]
 
@@ -132,11 +126,8 @@ def _intertwining(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckRe
 def _lift(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     grid = _coarse(cfg.make_grid(), 11)
     tol = _tol(args, 1e-8)
-    out = []
-    for g in sys_.gamma.generators:
-        out.append(magnetics.chi_tau_hat_spread(sys_, g, grid, tol=tol))
-        out.append(magnetics.lifting_residual(sys_, g, grid, tol=tol))
-    return out
+    checks = (magnetics.chi_tau_hat_spread, magnetics.lifting_residual)
+    return [check(sys_, g, grid, tol=tol) for g in sys_.gamma.generators for check in checks]
 
 
 def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
@@ -164,18 +155,13 @@ def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     herm = np.abs(spectral.kernel(sys_, k, zs, ws, scale) - np.conjugate(spectral.kernel(sys_, k, ws, zs, scale)))
     diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j, scale) - sys_.B / np.pi)
     rep = from_residuals(
-        "kernel_structure",
-        np.append(herm, diag),
-        _tol(args, 1e-12),
-        laguerre_scale_verdict=verdict,
-        k=k,
+        "kernel_structure", np.append(herm, diag), _tol(args, 1e-12), laguerre_scale_verdict=verdict, k=k
     )
-    reps = [rep]
-    gs = random_elements(rng, 5)
-    pairs = np.column_stack([zs, ws])
-    tol = _tol(args, 1e-8)
-    for g in gs:
-        reps.append(spectral.kernel_invariance_residual(sys_, k, g, pairs, tol=tol, laguerre_scale=scale))
+    pairs, tol = np.column_stack([zs, ws]), _tol(args, 1e-8)
+    reps = [rep] + [
+        spectral.kernel_invariance_residual(sys_, k, g, pairs, tol=tol, laguerre_scale=scale)
+        for g in random_elements(rng, 5)
+    ]
     if args.z is not None and args.w is not None:
         val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w), scale)
         rep.metadata["value"] = [val.real, val.imag]
@@ -248,7 +234,7 @@ def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
                 result["direct"]["spread"],
                 result["direct"]["spread"],
                 tol,
-                {"per_l_worst": worst, "result": jsonable(result)},
+                {"per_l_worst": worst, "result": result},
             )
         )
     return reps

@@ -73,8 +73,9 @@ def stabilizer_residual(g: GroupElement, x: complex) -> float:
 class DiscreteSubgroup:
     """Finitely generated subgroup given by its generators.
 
-    ``closure`` is the word closure at ``DEDUP_TOL`` that the discreteness
-    smoke test grows; ``find_word`` grows it on.
+    ``closure`` is its one word closure, at ``DEDUP_TOL``: the discreteness smoke
+    test grows it to length 3; ``find_word``, ``enumerate_words`` and every
+    ``CharacterTable`` grow it on and read a prefix.
     """
 
     generators: list[GroupElement]
@@ -101,11 +102,7 @@ class DiscreteSubgroup:
 
     def symmetric_generators(self) -> list[tuple[int, GroupElement]]:
         """Generators and their inverses, tagged with signed indices (1-based)."""
-        out = []
-        for i, g in enumerate(self.generators):
-            out.append((i + 1, g))
-            out.append((-(i + 1), inverse(g)))
-        return out
+        return [pair for i, g in enumerate(self.generators, 1) for pair in ((i, g), (-i, inverse(g)))]
 
 
 def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -150,7 +147,8 @@ class WordClosure:
     ``symmetric_generators()``, source-major and slot-minor; a product within
     ``tol`` of an entry, or of a new product earlier in the level, is a repeat.
     ``succ[i, slot]`` is the entry of ``elements[i] * gens[slot]``, or -1 while
-    entry i is not expanded.
+    entry i is not expanded; entry i > 0 was first reached as
+    ``elements[parent[i]] * gens[slot[i]]`` (entry 0 has parent 0, slot 0).
 
     Matches go through a hash of (a, b) floored to cells of side
     ``max(CELL, 4 tol)``, centred on multiples of the side so that lattice
@@ -184,17 +182,20 @@ class WordClosure:
         self.words: list[list[int]] = [[]]
         self.offsets = [0, 1]
         self.succ = np.full((1, len(self.gens)), -1)
+        self.parent, self.slot = np.zeros(1, int), np.zeros(1, int)
         self._elements: list[GroupElement] = []
         self._index = None
 
     a = property(lambda self: self.ab[:, 0])
     b = property(lambda self: self.ab[:, 1])
 
-    @property
-    def elements(self) -> list[GroupElement]:
+    def elements_upto(self, n: int) -> list[GroupElement]:
+        """The first n entries as elements, converted once and kept."""
         done = len(self._elements)
-        self._elements += map(GroupElement, self.a[done:].tolist(), self.b[done:].tolist())
-        return self._elements
+        self._elements += map(GroupElement, self.a[done:n].tolist(), self.b[done:n].tolist())
+        return self._elements[:n]
+
+    elements = property(lambda self: self.elements_upto(len(self.ab)))
 
     def _cells(self, ab: np.ndarray) -> np.ndarray:
         """Cells of the (k, 2) elements ab and of their box corners -+ 2 tol, stacked first."""
@@ -259,8 +260,9 @@ class WordClosure:
                 live[n + k] = hit is None
             keep = live.nonzero()[0]
             self.ab, self._keys = e[keep], keys[keep]
-            made = (keep[n:] - n).tolist()
-            self.words += [self.words[lo + k // ns] + [self.gens[k % ns][0]] for k in made]
+            parent, slot = np.divmod(keep[n:] - n + lo * ns, ns)
+            self.words += [self.words[p] + [self.gens[k][0]] for p, k in zip(parent.tolist(), slot.tolist())]
+            self.parent, self.slot = np.concatenate([self.parent, parent]), np.concatenate([self.slot, slot])
             self.succ[lo:] = keep.searchsorted(dst).reshape(n - lo, ns)
             self.succ = np.concatenate([self.succ, np.full((len(keep) - n, ns), -1)])
             self.offsets.append(len(keep))
@@ -272,10 +274,15 @@ class WordClosure:
             pass
         return self
 
+    def size(self, max_len: int) -> int:
+        """Number of entries of word length at most ``max_len``, as far as grown."""
+        return self.offsets[min(max_len + 1, len(self.offsets) - 1)]
+
 
 def enumerate_words(gamma: DiscreteSubgroup, max_len: int) -> list[GroupElement]:
     """All products of at most max_len generators/inverses, deduplicated, shortest first."""
-    return WordClosure(gamma, DEDUP_TOL).grow(max_len).elements
+    closure = gamma.closure.grow(max_len)
+    return closure.elements_upto(closure.size(max_len))
 
 
 def find_word(
@@ -288,12 +295,9 @@ def find_word(
     if is_identity(target, tol):
         return []
     closure, t = gamma.closure, np.array([target.a, target.b])
-    grown = closure.offsets[min(max_len + 1, len(closure.offsets) - 1)]
-    hit = (_l1(t, closure.ab[1:grown]) <= tol).nonzero()[0]
-    if hit.size:
-        return closure.words[1 + hit[0]]
-    for lo in closure.levels(max_len):
-        hit = (_l1(t, closure.ab[lo:]) <= tol).nonzero()[0]
+    # the levels grown so far, then each new level
+    for lo in itertools.chain([1], closure.levels(max_len)):
+        hit = (_l1(t, closure.ab[lo : closure.size(max_len)]) <= tol).nonzero()[0]
         if hit.size:
             return closure.words[lo + hit[0]]
     return None

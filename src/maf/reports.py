@@ -47,55 +47,72 @@ def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
     """Build a report from an array (of any shape) or sequence of nonnegative residuals.
 
     A non-finite residual (NaN or inf) is reported as the maximum, so the
-    report fails; the first one in row-major order is kept.
+    report fails; the first one in row-major order is kept.  The mean sums
+    left to right, as the builtin ``sum`` over floats does up to Python 3.11.
     """
     arr = np.asarray(residuals, dtype=float).ravel()
     if not arr.size:
         return CheckReport(name, 0.0, 0.0, tol, metadata)
-    vals = arr.tolist()
     finite = np.isfinite(arr)
-    worst = max(vals) if finite.all() else vals[int(np.argmin(finite))]
-    return CheckReport(name, worst, sum(vals) / len(vals), tol, metadata)
+    worst = arr.max() if finite.all() else arr[np.argmin(finite)]
+    with np.errstate(over="ignore"):
+        total = np.cumsum(arr)[-1]
+    return CheckReport(name, float(worst), float(total) / arr.size, tol, metadata)
 
 
 _NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+_quote = json.encoder.encode_basestring_ascii
 
 
-def jsonable(obj):
-    """obj as plain JSON data.
-
-    Numpy scalars are unwrapped, complex numbers become [re, im], tuples
-    become lists, and non-finite floats the strings "nan", "inf" or "-inf".
-    """
-    if isinstance(obj, dict):
-        return {k: jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        obj = obj.item()
-    if isinstance(obj, complex):
-        return [jsonable(obj.real), jsonable(obj.imag)]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+def _write(obj, out: list[str], pad: str) -> None:
+    """Append obj to ``out`` as JSON at indentation ``pad``, byte for byte as
+    ``json.dumps(..., indent=2, sort_keys=True)`` writes it.  Numpy scalars are
+    unwrapped, complex numbers become [re, im], tuples become lists, and
+    non-finite floats the strings "nan", "inf" or "-inf"; keys must be str."""
+    if isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, float):
+        out.append(float.__repr__(obj) if math.isfinite(obj) else _quote(float.__repr__(obj)))
+    elif isinstance(obj, dict):
+        inner, sep = pad + "  ", "{"
+        for k in sorted(obj):
+            out.append(f"{sep}\n{inner}{_quote(k)}: ")
+            _write(obj[k], out, inner)
+            sep = ","
+        out.append(f"\n{pad}}}" if obj else "{}")
+    elif isinstance(obj, (list, tuple)):
+        inner, sep = pad + "  ", "["
+        for v in obj:
+            out.append(f"{sep}\n{inner}")
+            _write(v, out, inner)
+            sep = ","
+        out.append(f"\n{pad}]" if obj else "[]")
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, (np.floating, np.integer)):
+        _write(obj.item(), out, pad)
+    elif isinstance(obj, complex):
+        _write([obj.real, obj.imag], out, pad)
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:
     """Serialize reports to JSON or CSV; write to ``out`` (path or file) if given.
 
-    JSON stays valid when a value is non-finite (see ``jsonable``).
+    JSON stays valid when a value is non-finite (see ``_write``).
     """
     if fmt == "json":
-        data = jsonable([r.to_dict() for r in reports])
-        text = json.dumps(data, indent=2, sort_keys=True, allow_nan=False)
+        chunks: list[str] = []
+        _write([r.to_dict() for r in reports], chunks, "")
+        text = "".join(chunks)
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "max_residual", "mean_residual", "tol", "pass"])
-        for r in reports:
-            writer.writerow(
-                [r.name, repr(r.max_residual), repr(r.mean_residual), repr(r.tol), r.passed]
-            )
+        writer.writerows([r.name, *map(repr, (r.max_residual, r.mean_residual, r.tol)), r.passed] for r in reports)
         text = buf.getvalue()
     else:
         raise ValueError(f"unknown format {fmt!r}")
@@ -117,9 +134,5 @@ def parse_json(text: str) -> list[CheckReport]:
     def num(v):
         return _NONFINITE.get(v, v) if isinstance(v, str) else v
 
-    return [
-        CheckReport(
-            d["name"], num(d["max_residual"]), num(d["mean_residual"]), num(d["tol"]), d.get("metadata", {})
-        )
-        for d in json.loads(text)
-    ]
+    keys = ("max_residual", "mean_residual", "tol")
+    return [CheckReport(d["name"], *(num(d[k]) for k in keys), d.get("metadata", {})) for d in json.loads(text)]

@@ -17,7 +17,7 @@ from maf.automorphy import (
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField
-from maf.groups import IDENTITY, DiscreteSubgroup, GroupElement, act, compose, inverse
+from maf.groups import DEDUP_TOL, IDENTITY, DiscreteSubgroup, GroupElement, act, compose, inverse
 from test_equivariant import apply_endo_oracle
 from test_groups import P2, P3, P4, EdgeClosure
 
@@ -130,6 +130,23 @@ class TestPseudoCharacter:
         with pytest.raises(UnknownGroupElementError):
             table.word(GroupElement(np.exp(2j * np.pi / 3), 1 + 1j))  # 1 + i is off the lattice
 
+    def test_refuses_words_past_its_length(self):
+        # rdq at length 6 grows the shared closure to 12; a table at 8 still
+        # reads only the words of length <= 8
+        gamma = DiscreteSubgroup(SQUARE.generators)
+        chi = PseudoCharacter([1, 1])
+        rdq_check(np.pi, 0.0, ID, gamma, chi, max_word_len=6)
+        assert len(gamma.closure.offsets) == 14
+        table = CharacterTable(chi, gamma, np.pi, 0.0, ID, max_len=8)
+        assert len(table.entries) == 2 * 8 * 9 + 1
+        assert max(len(w) for _, _, w in table.entries) == 8
+        assert table.value(GroupElement(1, 8)) == square_chi(8, 0)
+        far = GroupElement(1, 10)
+        assert gamma.closure.lookup(far.a, far.b) is not None  # in the closure, past the table
+        for method in (table.value, table.word):
+            with pytest.raises(UnknownGroupElementError):
+                method(far)
+
     def test_generator_count_mismatch(self):
         with pytest.raises(ValueError):
             CharacterTable(PseudoCharacter([1]), SQUARE, 1.0, 0.0, ID)
@@ -138,7 +155,7 @@ class TestPseudoCharacter:
 def edge_character_table(chi, gamma, nu, mu, rho, max_len):
     """chi carried edge by edge over the per-edge closure: the loop that the
     level-at-a-time extension replaced, kept as an oracle."""
-    closure = EdgeClosure(gamma, 1e-9)
+    closure = EdgeClosure(gamma, DEDUP_TOL)
     gens = [g for _, g in closure.gens]
     steps = []
     for i, v in enumerate(chi.values_on_generators):
@@ -172,12 +189,31 @@ class TestLevelExtension:
             chi, gamma, nu, mu, rho = s.chi, s.gamma, s.nu, s.mu, s.rho
         table = CharacterTable(chi, gamma, nu, mu, rho, max_len=6)
         closure, values, inconsistency = edge_character_table(chi, gamma, nu, mu, rho, 6)
-        assert table.closure.elements == closure.elements
-        assert table.closure.words == closure.words
+        # the table is the length-6 prefix of gamma.closure, which other tests
+        # may have grown further
+        elements, _, words = map(list, zip(*table.entries))
+        assert elements == closure.elements
+        assert words == closure.words
         # == on complex ignores the sign of zero
         assert table.values.tolist() == values
         assert table.inconsistency == inconsistency
 
+    @pytest.mark.parametrize("name", ["conjugate", "alteration", "p6", "p4_conjugated"])
+    def test_table_on_grown_closure_matches_fresh_subgroup(self, name):
+        if name in self.CASES:
+            chi, gamma, nu, mu, rho = self.CASES[name]
+        else:
+            s = build_system(load_bundled(name))
+            chi, gamma, nu, mu, rho = s.chi, s.gamma, s.nu, s.mu, s.rho
+        grown, fresh = (DiscreteSubgroup(gamma.generators) for _ in range(2))
+        grown.closure.grow(12)
+        tables = [CharacterTable(chi, g, nu, mu, rho, max_len=6) for g in (grown, fresh)]
+        assert len(grown.closure.offsets) > len(fresh.closure.offsets) or name == "alteration"
+        for attr in ("values", "parent", "slot", "u", *(("ru", "rv") if mu else ())):
+            a, b = (getattr(t, attr) for t in tables)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
+        assert tables[0].inconsistency == tables[1].inconsistency
+        assert [w for *_, w in tables[0].entries] == [w for *_, w in tables[1].entries]
 
     @pytest.mark.parametrize("name", ["conjugate", "alteration", "p4_conjugated"])
     def test_rho_images_match_per_element_oracle(self, name):
@@ -187,7 +223,7 @@ class TestLevelExtension:
             s = build_system(load_bundled(name))
             chi, gamma, nu, mu, rho = s.chi, s.gamma, s.nu, s.mu, s.rho
         table = CharacterTable(chi, gamma, nu, mu, rho, max_len=6)
-        els = table.closure.elements
+        els = [g for g, _, _ in table.entries]
         assert table.ru.tolist() == [act(apply_endo_oracle(rho, inverse(g)), 0.0) for g in els]
         assert table.rv.tolist() == [act(apply_endo_oracle(rho, g), 0.0) for g in els]
 

@@ -1,8 +1,13 @@
 import json
 import math
+import struct
+import sys
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from maf.cli import COMMANDS, main
 from maf.config import (
@@ -16,7 +21,101 @@ from maf.config import (
 from maf.reports import CheckReport, emit, from_residuals, parse_json
 
 
+def old_from_residuals(residuals):
+    """(max, mean) as from_residuals took them through Python floats: the
+    formula the numpy reduction replaced, kept as an oracle."""
+    arr = np.asarray(residuals, dtype=float).ravel()
+    if not arr.size:
+        return 0.0, 0.0
+    vals = arr.tolist()
+    finite = np.isfinite(arr)
+    worst = max(vals) if finite.all() else vals[int(np.argmin(finite))]
+    return worst, sum(vals) / len(vals)
+
+
+def jsonable(obj):
+    """obj as plain JSON data, as emit converted it before its writer folded
+    the conversion in; kept with json.dumps as the writer's oracle."""
+    if isinstance(obj, dict):
+        return {k: jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, complex):
+        return [jsonable(obj.real), jsonable(obj.imag)]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _residuals(vals, n, seed, inserts):
+    """vals and n uniform residuals (enough that a pairwise sum rounds apart from
+    a left-to-right one), with NaN and inf inserted at the given positions."""
+    vals = vals + (np.random.default_rng(seed).random(n) * 1e3).tolist()
+    for i, x in inserts:
+        vals.insert(i, x)
+    return vals
+
+
+residual_lists = st.builds(
+    _residuals,
+    st.lists(st.floats(min_value=0.0, allow_nan=False), max_size=20),
+    st.integers(0, 300),
+    st.integers(0, 2**32 - 1),
+    st.lists(st.tuples(st.integers(0, 320), st.sampled_from([math.nan, math.inf])), max_size=3),
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.text(),
+    st.complex_numbers(),
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.complex_numbers().map(np.complex128),
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=4),
+    ),
+    max_leaves=20,
+)
+
+
 class TestReports:
+    @given(residual_lists, st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_from_residuals_matches_python_float_reduction(self, residuals, as_matrix):
+        arr = np.array(residuals, float)
+        if as_matrix and arr.size % 2 == 0:
+            arr = arr.reshape(2, -1)
+        rep = from_residuals("x", arr, 1e-8)
+        worst, mean = old_from_residuals(arr)
+        assert _bits(rep.max_residual) == _bits(worst)
+        if sys.version_info < (3, 12):  # from 3.12 on, sum() over floats is compensated
+            assert _bits(rep.mean_residual) == _bits(mean)
+
+    @given(st.text(), residual_lists, st.floats(), json_values)
+    @settings(max_examples=100, deadline=None)
+    def test_emit_matches_json_dumps(self, name, residuals, tol, metadata):
+        reports = [from_residuals(name, residuals, tol, value=metadata), CheckReport(name, 0.0, 0.0, tol)]
+        oracle = json.dumps(jsonable([r.to_dict() for r in reports]), indent=2, sort_keys=True, allow_nan=False)
+        assert emit(reports) == oracle
+
+    def test_emit_rejects_keys_that_are_not_strings(self):
+        with pytest.raises(TypeError):
+            emit([CheckReport("x", 0.0, 0.0, 1.0, {"counts": {1: 2}})])
+
     def test_pass_threshold_inclusive(self):
         assert CheckReport("x", 1e-8, 1e-8, 1e-8).passed
         assert not CheckReport("x", 1.0001e-8, 1e-8, 1e-8).passed

@@ -411,20 +411,41 @@ class TestOneClosurePerSubgroup:
             return load_config(str(Path(__file__).resolve().parents[1] / name))
         return load_bundled(name)
 
-    @pytest.mark.parametrize("name", CONFIGS)
-    def test_build_system_grows_one_closure(self, name, monkeypatch):
-        made = []
-        init = WordClosure.__init__
+    @pytest.fixture
+    def closures_made(self, monkeypatch):
+        """The tol of every WordClosure constructed while the test runs."""
+        made, init = [], WordClosure.__init__
 
         def counting_init(self, gamma, tol=DEDUP_TOL):
             made.append(tol)
             init(self, gamma, tol)
 
-        cfg = self._load(name)
         monkeypatch.setattr(WordClosure, "__init__", counting_init)
-        system = build_system(cfg)
-        assert made == [DEDUP_TOL]
+        return made
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_build_system_grows_one_closure(self, name, closures_made):
+        system = build_system(self._load(name))
+        assert closures_made == [DEDUP_TOL]
         assert len(system.gamma.closure.offsets) >= 5  # the smoke test grew it to length 3
+
+    @pytest.mark.parametrize("name", CONFIGS)
+    def test_report_grows_one_closure(self, name, closures_made, capsys):
+        from maf.cli import main
+
+        config = str(Path(__file__).resolve().parents[1] / name) if name.endswith(".json") else name
+        main(["report", "--config", config])
+        capsys.readouterr()
+        assert closures_made == [DEDUP_TOL]
+
+    def test_second_rdq_grows_no_level(self):
+        from maf.automorphy import PseudoCharacter, rdq_check
+
+        gamma, chi, rho = DiscreteSubgroup(SQUARE.generators), PseudoCharacter([1, 1]), Endomorphism("identity")
+        assert rdq_check(np.pi, 0.0, rho, gamma, chi, max_word_len=5).passed
+        ab, offsets = gamma.closure.ab, list(gamma.closure.offsets)
+        assert not rdq_check(1.0, 0.0, rho, gamma, chi, max_word_len=5).passed
+        assert gamma.closure.ab is ab and gamma.closure.offsets == offsets
 
     @pytest.mark.parametrize("name", ["p6", "p2", "p3", "p4", *CONFIGS[:3]])
     def test_find_word_matches_fresh_closure(self, name):
