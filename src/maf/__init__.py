@@ -15,11 +15,9 @@ from .config import ConfigError, SystemConfig, build_system, load_bundled, load_
 from .equivariant import (
     Endomorphism,
     EquivariantMap,
-    FixedPointSet,
     apply_endo,
     apply_endo_ab,
     check_equivariance,
-    classify_separated,
     tau_from_beta,
     xi_rho,
 )

@@ -1,15 +1,15 @@
 """Equivariant pairs (rho, tau) on the rigid-motion group.
 
 An endomorphism rho of the group pairs with a plane map tau satisfying
-tau(g.z) = rho(g).tau(z).  Built-in families: identity, conjugation by a
-fixed element h, entrywise complex conjugation, separated products of a
-circle endomorphism and an additive map, and user-supplied callables.
+tau(g.z) = rho(g).tau(z).  In the plane both are in closed form: every
+continuous rho is the normal form ``Endomorphism(n, c, beta)`` and every
+equivariant tau is the affine ``EquivariantMap(p, q, r)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,115 +20,87 @@ HOM_TOL = 1e-9
 FIXED_POINT_TOL = 1e-9
 
 
-def _unit_samples(rng: np.random.Generator, n_equi: int = 64, n_rand: int = 32) -> np.ndarray:
-    angles = np.concatenate(
-        [2 * np.pi * np.arange(n_equi) / n_equi, rng.uniform(0, 2 * np.pi, n_rand)]
-    )
-    return np.exp(1j * angles)
-
-
-# ---------------------------------------------------------------------------
-# Separated-map descriptors: rho([a,b]) = [rho_tilde(a), tau_tilde(b)].
-
-# They take numbers or arrays and round as scalar complex arithmetic does.
-
 def _cpow(a, n: int):
-    """a**n for an integer n by binary powering, as scalar complex ``**`` does for 0 <= n <= 100."""
+    """a**n for an integer n by binary powering, rounding as scalar complex ``**``
+    does for 0 <= n <= 100; for n < 0, conj(a)**-n, which is a**n on the unit circle."""
     if n < 0:
-        return 1 / _cpow(a, -n)
-    r = np.ones_like(a)
+        return _cpow(np.conj(a), -n)
+    r = None  # the empty product
     while n:
         if n & 1:
-            r = _cmul(r, a)
-        a, n = _cmul(a, a), n >> 1
-    return r
-
-
-def _rho_tilde_fn(desc: dict) -> Callable:
-    kind = desc["kind"]
-    if kind == "conjugate":
-        return np.conj
-    if kind == "power":
-        n = int(desc["n"])
-        return lambda a: _cpow(a, n)
-    raise ValueError(f"unknown circle-map kind {kind!r}")
-
-
-def _tau_tilde_fn(desc: dict) -> Callable:
-    kind = desc["kind"]
-    if kind == "conjugate":
-        return np.conj
-    if kind == "linear":
-        c = desc["c"]
-        c = complex(*c) if isinstance(c, (list, tuple)) else complex(c)
-        return lambda b: _cmul(c, b)
-    raise ValueError(f"unknown additive-map kind {kind!r}")
+            r = a if r is None else _cmul(r, a)
+        n >>= 1
+        if n:
+            a = _cmul(a, a)
+    return np.ones_like(a) if r is None else r
 
 
 @dataclass
 class Endomorphism:
-    """A group endomorphism, tagged with the family it belongs to."""
+    """The endomorphism rho([a, b]) = [a^n, c b^(n) + (1 - a^n) beta] of the group.
 
-    family: str  # identity | conjugation | complex_conjugate | separated | custom
-    h: Optional[GroupElement] = None
-    rho_tilde: Optional[dict] = None
-    tau_tilde: Optional[dict] = None
-    func: Optional[Callable[[GroupElement], GroupElement]] = None
+    b^(1) = b, b^(-1) = conj(b), and c = 0 for every other n.  Every continuous
+    endomorphism has this form: rho([1, b]) = [1, psi(b)] with psi additive and
+    continuous, hence R-linear; rho([a, 0]) = [a^n, (1 - a^n) beta], its cocycle
+    being a coboundary since U(1) is compact; and psi(ab) = a^n psi(b) leaves
+    psi = c b for n = 1, psi = c conj(b) for n = -1, or psi = 0.  ``family``
+    only labels reports.
+    """
+
+    n: int
+    c: complex = 0
+    beta: complex = 0
+    family: str = "normal_form"
 
     def __post_init__(self):
-        if self.family == "conjugation" and self.h is None:
-            raise ValueError("conjugation family needs the conjugating element h")
-        if self.family == "separated" and (self.rho_tilde is None or self.tau_tilde is None):
-            raise ValueError("separated family needs rho_tilde and tau_tilde descriptors")
-        if self.family == "custom":
-            if self.func is None:
-                raise ValueError("custom family needs a callable")
-            rep = homomorphism_report(self)
-            if not rep.passed:
-                raise ValueError(
-                    f"custom map is not an endomorphism: residual {rep.max_residual:.2e}"
-                )
+        self.n, self.c, self.beta = int(self.n), complex(self.c), complex(self.beta)
+        if self.c and self.n not in (1, -1):
+            raise ValueError(f"not an endomorphism: c = {self.c} needs n = 1 or -1, got n = {self.n}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "Endomorphism":
+        """The normal form of a config's family descriptor."""
         fam = d["family"]
+        if fam == "identity":
+            return cls(1, 1, 0, fam)
         if fam == "conjugation":
-            return cls("conjugation", h=GroupElement.from_dict(d["h"]))
-        if fam == "separated":
-            return cls("separated", rho_tilde=d["rho_tilde"], tau_tilde=d["tau_tilde"])
-        if fam in ("identity", "complex_conjugate"):
-            return cls(fam)
-        raise ValueError(f"unknown endomorphism family {fam!r}")
-
-    def to_dict(self) -> dict:
-        d: dict = {"family": self.family}
-        if self.family == "conjugation":
-            d["h"] = self.h.to_dict()
-        elif self.family == "separated":
-            d["rho_tilde"] = self.rho_tilde
-            d["tau_tilde"] = self.tau_tilde
-        return d
+            h = GroupElement.from_dict(d["h"])
+            return cls(1, h.a, h.b, fam)
+        if fam == "complex_conjugate":
+            return cls(-1, 1, 0, fam)
+        if fam != "separated":
+            raise ValueError(f"unknown endomorphism family {fam!r}")
+        # rho([a, b]) = [rho_tilde(a), tau_tilde(b)]
+        rt, tt = d["rho_tilde"], d["tau_tilde"]
+        if rt["kind"] == "conjugate":
+            n = -1
+        elif rt["kind"] == "power":
+            n = int(rt["n"])
+        else:
+            raise ValueError(f"unknown circle-map kind {rt['kind']!r}")
+        if tt["kind"] == "conjugate":
+            c, needs = 1, -1
+        elif tt["kind"] == "linear":
+            c = tt["c"]
+            c, needs = complex(*c) if isinstance(c, (list, tuple)) else complex(c), 1
+        else:
+            raise ValueError(f"unknown additive-map kind {tt['kind']!r}")
+        if c and n != needs:
+            raise ValueError(
+                f"separated rho with power {n} and a nonzero {tt['kind']} map is not an endomorphism: "
+                "a nonzero additive map needs power 1 if linear, -1 if conjugate"
+            )
+        return cls(n, c, 0, fam)
 
 
 def apply_endo_ab(rho: Endomorphism, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """rho([a, b]) for 1-d arrays a and b of equal length, as the arrays of its a and b.
 
-    The built-in families round as scalar complex arithmetic does; the custom
-    family calls ``rho.func`` once per element.
+    Rounds as the normal form in scalar complex arithmetic does.
     """
-    if rho.family == "identity":
-        return a, b
-    if rho.family == "conjugation":
-        # h [a,b] h^{-1} = [a, (1-a) beta_h + b alpha_h]
-        return a, _cmul(1 - a, rho.h.b) + _cmul(b, rho.h.a)
-    if rho.family == "complex_conjugate":
-        return np.conj(a), np.conj(b)
-    if rho.family == "separated":
-        return _rho_tilde_fn(rho.rho_tilde)(a), _tau_tilde_fn(rho.tau_tilde)(b)
-    if rho.family == "custom":
-        images = [rho.func(GroupElement(*g)) for g in zip(a.tolist(), b.tolist())]
-        return np.array([g.a for g in images], complex), np.array([g.b for g in images], complex)
-    raise ValueError(f"unknown endomorphism family {rho.family!r}")
+    an = _cpow(a, rho.n)
+    bn = b if rho.n == 1 else np.conj(b)  # c = 0 unless n = -1
+    return an, _cmul(rho.c, bn) + _cmul(1 - an, rho.beta)
 
 
 def apply_endo(rho: Endomorphism, g: GroupElement) -> GroupElement:
@@ -149,43 +121,12 @@ def homomorphism_report(
     return from_residuals("endomorphism_homomorphism", res, tol, family=rho.family, n_pairs=n_pairs)
 
 
-@dataclass
-class FixedPointSet:
-    """The set of points fixed by every rho([a,0]): plane, one point, or empty."""
+def xi_rho(rho: Endomorphism) -> Optional[complex]:
+    """The common fixed point beta of the rotation image rho([a, 0]) = [a^n, (1 - a^n) beta].
 
-    kind: str  # all_of_plane | single_point | empty
-    beta: Optional[complex] = None
-
-    def contains(self, beta: complex, tol: float = FIXED_POINT_TOL) -> bool:
-        if self.kind == "all_of_plane":
-            return True
-        if self.kind == "single_point":
-            return abs(beta - self.beta) <= tol
-        return False
-
-
-def xi_rho(rho: Endomorphism) -> FixedPointSet:
-    """Common fixed points of the image of the rotation subgroup under rho.
-
-    Samples a over the circle; rho([a,0]) = [phi_a, psi_a] fixes beta iff
-    phi_a beta + psi_a = beta.  The answer is the whole plane, one point, or
-    nothing.
+    None when n = 0: the image is then trivial and fixes the whole plane.
     """
-    a = _unit_samples(np.random.default_rng(0))
-    ga, gb = apply_endo_ab(rho, a, np.zeros_like(a))
-    rotating = (_abs(ga - 1) > FIXED_POINT_TOL).nonzero()[0]
-    if not rotating.size:
-        if (_abs(gb) <= FIXED_POINT_TOL).all():
-            return FixedPointSet("all_of_plane")
-        return FixedPointSet("empty")
-    betas = gb[rotating] / (1 - ga[rotating])
-    beta = complex(gb[rotating[0]]) / (1 - complex(ga[rotating[0]]))
-    if (_abs(betas[1:] - beta) > FIXED_POINT_TOL).any():
-        raise ValueError("inconsistent fixed points across rotation samples")
-    # the remaining (non-rotating) images must also fix beta
-    if (_abs(_cmul(ga, beta) + gb - beta) > FIXED_POINT_TOL).any():
-        return FixedPointSet("empty")
-    return FixedPointSet("single_point", beta)
+    return rho.beta if rho.n else None
 
 
 @dataclass
@@ -208,19 +149,16 @@ class EquivariantMap:
 
 
 def tau_from_beta(rho: Endomorphism, beta: complex) -> EquivariantMap:
-    """The canonical compatible map z -> rho([1,z]).beta.
+    """The canonical compatible map z -> rho([1,z]).beta = c z^(n) + beta.
 
-    Requires beta to lie in the fixed-point set of rho; outside it the
-    construction is not equivariant.
+    Requires beta to be fixed by every rho([a,0]); otherwise the map is not
+    equivariant.
     """
-    if not xi_rho(rho).contains(beta):
+    fixed = xi_rho(rho)
+    if fixed is not None and abs(beta - fixed) > FIXED_POINT_TOL:
         raise ValueError(f"beta={beta} is not a common fixed point of the rotation image")
-    # rho([1, z]) = [1, psi(z)]: conjugating translations by rotations forces the
-    # rotation part to be a rotation-invariant character of C, i.e. 1, and psi
-    # is additive, so (being continuous) R-linear: psi(z) = p z + q zbar with
-    # psi(1) = p + q and psi(i) = i (p - q).
-    s1, si = apply_endo_ab(rho, np.ones(2, complex), np.array([1.0, 1j]))[1].tolist()
-    return EquivariantMap((s1 - 1j * si) / 2, (s1 + 1j * si) / 2, beta)
+    p, q = (rho.c, 0) if rho.n == 1 else (0, rho.c)  # c = 0 unless n = -1
+    return EquivariantMap(p, q, beta)
 
 
 def check_equivariance(
@@ -246,43 +184,3 @@ def check_equivariance(
 def _tau_at(tau: EquivariantMap, z: np.ndarray) -> np.ndarray:
     """tau at the points z, rounding as it does at one scalar point."""
     return _cmul(tau.p, z) + _cmul(tau.q, z.conj()) + tau.r
-
-
-def classify_separated(
-    rho_tilde: dict, tau_tilde: dict, n_samples: int = 200, seed: int = 0, tol: float = 1e-9
-) -> dict:
-    """Decide which compatibility case a separated pair falls into.
-
-    Case 1: rho_tilde is a nontrivial circle endomorphism and
-    tau_tilde(ab+c) = rho_tilde(a) tau_tilde(b) + tau_tilde(c); the compatible
-    map is tau = tau_tilde itself.  Case 2: rho_tilde is trivial and tau_tilde
-    is equivariant-additive, tau_tilde(ab+c) = tau_tilde(b) + tau_tilde(c);
-    compatible maps are tau_tilde + beta for any beta.  Otherwise: neither,
-    with a violating sample reported.
-    """
-    rt = _rho_tilde_fn(rho_tilde)
-    tt = _tau_tilde_fn(tau_tilde)
-    rng = np.random.default_rng(seed)
-    a_s = np.exp(1j * rng.uniform(0, 2 * np.pi, n_samples))
-    b_s = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    c_s = rng.normal(size=n_samples) + 1j * rng.normal(size=n_samples)
-    # deterministic probe: a = i, b = 1, c = 0
-    a_s = np.append(a_s, 1j)
-    b_s = np.append(b_s, 1.0)
-    c_s = np.append(c_s, 0.0)
-
-    trivial = all(abs(rt(a) - 1) <= tol for a in a_s)
-    worst = (0.0, None)
-    for a, b, c in zip(a_s, b_s, c_s):
-        factor = 1.0 if trivial else rt(a)
-        r = abs(tt(a * b + c) - (factor * tt(b) + tt(c)))
-        if r > worst[0]:
-            worst = (r, (complex(a), complex(b), complex(c)))
-    case = ("case_2" if trivial else "case_1") if worst[0] <= tol else "neither"
-    out = {"case": case, "rho_tilde_trivial": trivial, "max_residual": worst[0]}
-    if case == "neither" and worst[1] is not None:
-        a, b, c = worst[1]
-        out["violating_sample"] = {
-            "a": [a.real, a.imag], "b": [b.real, b.imag], "c": [c.real, c.imag]
-        }
-    return out

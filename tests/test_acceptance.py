@@ -140,7 +140,7 @@ def test_criterion_5_lifting(systems):
 
 def test_criterion_6_quantization(systems):
     square = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
-    rho = Endomorphism("identity")
+    rho = Endomorphism(1, 1)
     chi = PseudoCharacter([1, 1])
     good = rdq_check(np.pi, 0.0, rho, square, chi, max_word_len=4, tol=1e-10)
     bad = rdq_check(1.0, 0.0, rho, square, chi, max_word_len=4, tol=1e-10)

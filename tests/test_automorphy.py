@@ -25,8 +25,8 @@ SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
 # the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
 P6 = DiscreteSubgroup([GroupElement(0.5 + 0.8660254037844386j, 0), GroupElement(1, 1)])
 P6_NU = 3.6275987284684357  # 2 pi / sqrt(3): pi over the covolume of the hexagonal lattice
-ID = Endomorphism("identity")
-CONJ = Endomorphism("complex_conjugate")
+ID = Endomorphism(1, 1)
+CONJ = Endomorphism(-1, 1)
 
 
 def square_chi(m: int, n: int) -> complex:

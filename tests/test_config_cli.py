@@ -331,6 +331,50 @@ class TestCli:
         assert captured.err.startswith("numerical error: non-finite derivative")
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "rho_tilde, tau_tilde",
+        [
+            ({"kind": "power", "n": 2}, {"kind": "linear", "c": [1, 0]}),
+            ({"kind": "power", "n": 0}, {"kind": "linear", "c": [0, 1]}),
+            ({"kind": "conjugate"}, {"kind": "linear", "c": [2, 0]}),
+            ({"kind": "power", "n": 3}, {"kind": "conjugate"}),
+        ],
+    )
+    def test_separated_non_endomorphism_names_rho(self, capsys, tmp_path, rho_tilde, tau_tilde):
+        data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+        data["rho"] = {"family": "separated", "rho_tilde": rho_tilde, "tau_tilde": tau_tilde}
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        assert main(["report", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: system invariant violated: separated rho with power")
+        assert "a nonzero additive map needs power 1 if linear, -1 if conjugate" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("kept, failing", [(0, "equivariance"), (1, "endomorphism_homomorphism")])
+    def test_rho_without_its_fixed_point_term_fails(self, capsys, monkeypatch, kept, failing):
+        # apply_endo_ab with c b^(n) + kept * beta in place of c b^(n) + (1 - a^n) beta,
+        # swapped in once the system is built.  kept = 0 gives the endomorphism
+        # (n, c, 0), whose fixed point is 0 and no longer tau's beta; kept = 1 is
+        # not an endomorphism at all.
+        import maf.cli
+        import maf.equivariant
+
+        def broken(rho, a, b):
+            an = maf.equivariant._cpow(a, rho.n)
+            return an, rho.c * (b if rho.n == 1 else np.conj(b)) + kept * rho.beta
+
+        def build_then_break(cfg):
+            sys_ = build_system(cfg)
+            monkeypatch.setattr(maf.equivariant, "apply_endo_ab", broken)
+            return sys_
+
+        monkeypatch.setattr(maf.cli, "build_system", build_then_break)
+        assert main(["report", "--config", "alteration"]) == 1
+        reports = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+        assert not reports[failing]["pass"] and reports[failing]["max_residual"] > 0.1
+        assert reports["endomorphism_homomorphism"]["pass"] == (kept == 0)
+
     def test_csv_format(self, capsys):
         assert main(["field", "--config", "landau", "--format", "csv"]) == 0
         out = capsys.readouterr().out

@@ -1,18 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import maf.groups
 from maf.equivariant import (
     FIXED_POINT_TOL,
     HOM_TOL,
     Endomorphism,
     EquivariantMap,
-    FixedPointSet,
-    _unit_samples,
     apply_endo,
     apply_endo_ab,
     check_equivariance,
-    classify_separated,
     homomorphism_report,
     tau_from_beta,
     xi_rho,
@@ -28,18 +26,9 @@ H = GroupElement(np.exp(1j * np.pi / 3), 1.0)
 # GroupElement per sample and scalar complex arithmetic throughout.
 
 def apply_endo_oracle(rho, g):
-    if rho.family == "identity":
-        return g
-    if rho.family == "conjugation":
-        return GroupElement(g.a, (1 - g.a) * rho.h.b + g.b * rho.h.a)
-    if rho.family == "complex_conjugate":
-        return GroupElement(g.a.conjugate(), g.b.conjugate())
-    if rho.family == "separated":
-        rt, tt = rho.rho_tilde, rho.tau_tilde
-        a = g.a.conjugate() if rt["kind"] == "conjugate" else g.a ** int(rt["n"])
-        b = g.b.conjugate() if tt["kind"] == "conjugate" else complex(*tt["c"]) * g.b
-        return GroupElement(a, b)
-    return rho.func(g)
+    an = (g.a if rho.n >= 0 else g.a.conjugate()) ** abs(rho.n)
+    bn = g.b if rho.n == 1 else g.b.conjugate()
+    return GroupElement(an, rho.c * bn + (1 - an) * rho.beta)
 
 
 def homomorphism_report_oracle(rho, n_pairs=128, seed=0, tol=HOM_TOL):
@@ -51,22 +40,32 @@ def homomorphism_report_oracle(rho, n_pairs=128, seed=0, tol=HOM_TOL):
     return from_residuals("endomorphism_homomorphism", res, tol, family=rho.family, n_pairs=n_pairs)
 
 
+def _unit_samples(rng, n_equi=64, n_rand=32):
+    angles = np.concatenate([2 * np.pi * np.arange(n_equi) / n_equi, rng.uniform(0, 2 * np.pi, n_rand)])
+    return np.exp(1j * angles)
+
+
 def xi_rho_oracle(rho, seed=0):
+    """The sampled search that the closed form replaced: the common fixed point
+    of the images rho([a, 0]) over a on the circle, None for the whole plane."""
     rng = np.random.default_rng(seed)
     images = [apply_endo_oracle(rho, GroupElement(a, 0.0)) for a in _unit_samples(rng)]
     rotating = [g for g in images if abs(g.a - 1) > FIXED_POINT_TOL]
     if not rotating:
         if all(abs(g.b) <= FIXED_POINT_TOL for g in images):
-            return FixedPointSet("all_of_plane")
-        return FixedPointSet("empty")
+            return None
+        raise ValueError("no common fixed point")
     betas = [g.b / (1 - g.a) for g in rotating]
     beta = betas[0]
     if any(abs(bt - beta) > FIXED_POINT_TOL for bt in betas[1:]):
         raise ValueError("inconsistent fixed points across rotation samples")
-    for g in images:
-        if abs(act(g, beta) - beta) > FIXED_POINT_TOL:
-            return FixedPointSet("empty")
-    return FixedPointSet("single_point", beta)
+    if any(abs(act(g, beta) - beta) > FIXED_POINT_TOL for g in images):
+        raise ValueError("no common fixed point")
+    return beta
+
+
+def same_fixed_point(x, y):
+    return x is None and y is None or None not in (x, y) and abs(x - y) <= FIXED_POINT_TOL
 
 
 def check_equivariance_oracle(rho, tau, n_samples=100, seed=0, tol=1e-9):
@@ -80,117 +79,102 @@ def check_equivariance_oracle(rho, tau, n_samples=100, seed=0, tol=1e-9):
 
 
 def _separated(rt, tt):
-    return Endomorphism("separated", rho_tilde=rt, tau_tilde=tt)
+    return Endomorphism.from_dict({"family": "separated", "rho_tilde": rt, "tau_tilde": tt})
 
 
-def _custom_unchecked(func):
-    """A custom endomorphism that skips the constructor's homomorphism check."""
-    rho = Endomorphism.__new__(Endomorphism)
-    rho.family, rho.h, rho.rho_tilde, rho.tau_tilde, rho.func = "custom", None, None, None, func
+def _unchecked(n, c, beta=0j):
+    """The triple (n, c, beta) forced past the constructor's refusal."""
+    rho = object.__new__(Endomorphism)
+    rho.n, rho.c, rho.beta, rho.family = n, complex(c), complex(beta), "normal_form"
     return rho
 
 
 FAMILIES = {
-    "identity": Endomorphism("identity"),
-    "conjugation": Endomorphism("conjugation", h=H),
-    "complex_conjugate": Endomorphism("complex_conjugate"),
+    "identity": Endomorphism.from_dict({"family": "identity"}),
+    "conjugation": Endomorphism.from_dict({"family": "conjugation", "h": H.to_dict()}),
+    "complex_conjugate": Endomorphism.from_dict({"family": "complex_conjugate"}),
     "separated_conjugate": _separated({"kind": "conjugate"}, {"kind": "conjugate"}),
-    "separated_power": _separated({"kind": "power", "n": 3}, {"kind": "linear", "c": [0.3, -1.7]}),
+    "separated_power": _separated({"kind": "power", "n": 3}, {"kind": "linear", "c": [0, 0]}),
+    "separated_linear": _separated({"kind": "power", "n": 1}, {"kind": "linear", "c": [0.3, -1.7]}),
     "separated_trivial": _separated({"kind": "power", "n": 0}, {"kind": "linear", "c": [0, 0]}),
-    "custom": Endomorphism("custom", func=lambda g: GroupElement(g.a.conjugate(), 2 * g.b.conjugate())),
+    # triples built by hand rather than parsed from a config
+    "custom": Endomorphism(-1, 2, 0),
+    "custom_linear": Endomorphism(1, 2, 0),
+    "custom_shifted": Endomorphism(-3, 0, 0.4 + 1.1j),
 }
 
 
 class TestApplyEndo:
     def test_identity(self):
         g = GroupElement(1j, 2 - 1j)
-        assert apply_endo(Endomorphism("identity"), g) == g
+        assert apply_endo(FAMILIES["identity"], g) == g
 
     def test_conjugation_matrix_oracle(self):
         h = GroupElement(1, 1)
-        rho = Endomorphism("conjugation", h=h)
+        rho = Endomorphism.from_dict({"family": "conjugation", "h": h.to_dict()})
         g = GroupElement(1j, 0)
         expected = compose(compose(h, g), inverse(h))
         assert distance(apply_endo(rho, g), expected) < 1e-14
         assert distance(apply_endo(rho, g), GroupElement(1j, 1 - 1j)) < 1e-14
 
     def test_complex_conjugate(self):
-        out = apply_endo(Endomorphism("complex_conjugate"), GroupElement(1j, 1 + 2j))
+        out = apply_endo(FAMILIES["complex_conjugate"], GroupElement(1j, 1 + 2j))
         assert distance(out, GroupElement(-1j, 1 - 2j)) < 1e-14
 
     def test_separated(self):
-        rho = Endomorphism(
-            "separated", rho_tilde={"kind": "power", "n": 2}, tau_tilde={"kind": "linear", "c": [2, 0]}
-        )
-        out = apply_endo(rho, GroupElement(1j, 1 + 1j))
-        assert distance(out, GroupElement(-1, 2 + 2j)) < 1e-14
+        rho = _separated({"kind": "power", "n": 1}, {"kind": "linear", "c": [2, 0]})
+        assert (rho.n, rho.c, rho.beta, rho.family) == (1, 2, 0, "separated")
+        assert distance(apply_endo(rho, GroupElement(1j, 1 + 1j)), GroupElement(1j, 2 + 2j)) < 1e-14
+        rho = _separated({"kind": "power", "n": 2}, {"kind": "linear", "c": [0, 0]})
+        assert distance(apply_endo(rho, GroupElement(1j, 1 + 1j)), GroupElement(-1, 0)) < 1e-14
 
     def test_homomorphism_property_builtin_families(self):
-        for rho in (
-            Endomorphism("identity"),
-            Endomorphism("conjugation", h=H),
-            Endomorphism("complex_conjugate"),
-            Endomorphism("separated", rho_tilde={"kind": "conjugate"}, tau_tilde={"kind": "conjugate"}),
-        ):
+        for rho in FAMILIES.values():
             assert homomorphism_report(rho).max_residual < 1e-10
 
     def test_custom_family_validated(self):
-        with pytest.raises(ValueError, match="endomorphism"):
-            Endomorphism("custom", func=lambda g: GroupElement(g.a, g.b + 1))
+        # a nonzero additive part needs n = 1 or -1
+        with pytest.raises(ValueError, match="not an endomorphism"):
+            Endomorphism(2, 1, 0)
 
     def test_custom_family_valid(self):
-        rho = Endomorphism("custom", func=lambda g: GroupElement(g.a, 2 * g.b))
+        rho = Endomorphism(1, 2, 0)
         assert apply_endo(rho, GroupElement(1, 1)).b == 2
 
 
 class TestXiRho:
     def test_complex_conjugate_fixes_origin(self):
-        fps = xi_rho(Endomorphism("complex_conjugate"))
-        assert fps.kind == "single_point" and abs(fps.beta) < 1e-12
+        assert xi_rho(FAMILIES["complex_conjugate"]) == 0
 
     def test_conjugation_fixes_center(self):
-        fps = xi_rho(Endomorphism("conjugation", h=H))
-        assert fps.kind == "single_point" and abs(fps.beta - H.b) < 1e-9
+        assert xi_rho(FAMILIES["conjugation"]) == H.b
 
     def test_identity_fixes_origin(self):
-        fps = xi_rho(Endomorphism("identity"))
-        assert fps.kind == "single_point" and abs(fps.beta) < 1e-12
+        assert xi_rho(FAMILIES["identity"]) == 0
 
     def test_trivial_rotation_image_gives_plane(self):
-        rho = Endomorphism(
-            "separated", rho_tilde={"kind": "power", "n": 0}, tau_tilde={"kind": "linear", "c": [0, 0]}
-        )
-        assert xi_rho(rho).kind == "all_of_plane"
-
-    def test_empty_case(self):
-        # exercise the trichotomy branch directly: trivial rotation images
-        # with nonzero translations admit no common fixed point
-        rho = Endomorphism.__new__(Endomorphism)
-        rho.family = "custom"
-        rho.h = rho.rho_tilde = rho.tau_tilde = None
-        rho.func = lambda g: GroupElement(1.0, g.a.imag)
-        assert xi_rho(rho).kind == "empty"
+        assert xi_rho(FAMILIES["separated_trivial"]) is None
 
 
 class TestTauFromBeta:
     def test_conjugate_map(self):
-        tau = tau_from_beta(Endomorphism("complex_conjugate"), 0.0)
+        tau = tau_from_beta(FAMILIES["complex_conjugate"], 0.0)
         z = 1 + 2j
         assert tau(z) == z.conjugate()
         assert (tau.p, tau.q, tau.r) == (0, 1, 0)
 
     def test_conjugation_affine(self):
-        tau = tau_from_beta(Endomorphism("conjugation", h=H), H.b)
+        tau = tau_from_beta(FAMILIES["conjugation"], H.b)
         z = 0.5 - 0.25j
         assert abs(tau(z) - (H.a * z + H.b)) < 1e-14
 
     def test_identity_translation(self):
-        tau = tau_from_beta(Endomorphism("identity"), 0.0)
+        tau = tau_from_beta(FAMILIES["identity"], 0.0)
         assert tau(3 + 1j) == 3 + 1j
 
     def test_custom_family_is_affine(self):
         # rho([a, b]) = [abar, 2 bbar] gives tau(z) = rho([1, z]).0 = 2 zbar
-        rho = Endomorphism("custom", func=lambda g: GroupElement(g.a.conjugate(), 2 * g.b.conjugate()))
+        rho = FAMILIES["custom"]
         tau = tau_from_beta(rho, 0.0)
         assert (tau.p, tau.q, tau.r) == (0, 2, 0)
         zs = np.array([0.5 - 0.25j, -1 + 2j])
@@ -199,13 +183,13 @@ class TestTauFromBeta:
 
     def test_rejects_beta_outside_fixed_set(self):
         with pytest.raises(ValueError, match="fixed point"):
-            tau_from_beta(Endomorphism("complex_conjugate"), 1.0)
+            tau_from_beta(FAMILIES["complex_conjugate"], 1.0)
 
     def test_constructed_pairs_are_equivariant(self):
         for rho, beta in (
-            (Endomorphism("complex_conjugate"), 0.0),
-            (Endomorphism("conjugation", h=H), H.b),
-            (Endomorphism("identity"), 0.0),
+            (FAMILIES["complex_conjugate"], 0.0),
+            (FAMILIES["conjugation"], H.b),
+            (FAMILIES["identity"], 0.0),
         ):
             tau = tau_from_beta(rho, beta)
             assert check_equivariance(rho, tau).max_residual < 1e-10
@@ -213,12 +197,12 @@ class TestTauFromBeta:
 
 class TestCheckEquivariance:
     def test_conjugation_pair_passes(self):
-        rho = Endomorphism("conjugation", h=H)
+        rho = FAMILIES["conjugation"]
         tau = tau_from_beta(rho, H.b)
         assert check_equivariance(rho, tau).max_residual < 1e-12
 
     def test_conjugate_pair_passes(self):
-        rho = Endomorphism("complex_conjugate")
+        rho = FAMILIES["complex_conjugate"]
         tau = tau_from_beta(rho, 0.0)
         assert check_equivariance(rho, tau).max_residual < 1e-12
 
@@ -226,31 +210,35 @@ class TestCheckEquivariance:
         # tau = z + 1 with identity rho: at g = [i, 0], z = 0 the two sides
         # differ by |1 - i|
         tau = EquivariantMap(1.0, 0.0, 1.0)
-        rep = check_equivariance(Endomorphism("identity"), tau)
+        rep = check_equivariance(FAMILIES["identity"], tau)
         assert rep.max_residual >= abs(1 - 1j) - 1e-12
 
 
 class TestClassifySeparated:
+    """The compatibility cases of a separated pair [rho_tilde(a), tau_tilde(b)]:
+    case 1 (rho_tilde nontrivial, tau_tilde intertwines it) and case 2
+    (rho_tilde trivial, tau_tilde = 0) parse; any other pair is refused."""
+
     def test_conjugation_is_case_one(self):
-        out = classify_separated({"kind": "conjugate"}, {"kind": "conjugate"})
-        assert out["case"] == "case_1"
+        rho = _separated({"kind": "conjugate"}, {"kind": "conjugate"})
+        assert (rho.n, rho.c, rho.beta) == (-1, 1, 0)
+        assert homomorphism_report(rho).passed
 
     def test_trivial_is_case_two(self):
-        out = classify_separated({"kind": "power", "n": 0}, {"kind": "linear", "c": [0, 0]})
-        assert out["case"] == "case_2"
+        rho = _separated({"kind": "power", "n": 0}, {"kind": "linear", "c": [0, 0]})
+        assert (rho.n, rho.c, rho.beta) == (0, 0, 0)
+        assert homomorphism_report(rho).passed
 
     def test_square_map_is_neither(self):
-        out = classify_separated({"kind": "power", "n": 2}, {"kind": "linear", "c": [1, 0]})
-        assert out["case"] == "neither"
-        assert "violating_sample" in out
+        with pytest.raises(ValueError, match="needs power 1 if linear, -1 if conjugate"):
+            _separated({"kind": "power", "n": 2}, {"kind": "linear", "c": [1, 0]})
+        assert not homomorphism_report(_unchecked(2, 1)).passed
 
     def test_descriptor_roundtrip(self):
-        rho = Endomorphism.from_dict(
-            {"family": "separated", "rho_tilde": {"kind": "conjugate"}, "tau_tilde": {"kind": "conjugate"}}
-        )
-        assert rho.family == "separated"
-        d = Endomorphism("conjugation", h=H).to_dict()
-        assert Endomorphism.from_dict(d).h == H
+        rho = Endomorphism.from_dict({"family": "conjugation", "h": H.to_dict()})
+        assert (rho.n, rho.c, rho.beta, rho.family) == (1, H.a, H.b, "conjugation")
+        rho = Endomorphism.from_dict({"family": "complex_conjugate"})
+        assert rho == Endomorphism(-1, 1, 0, "complex_conjugate")
 
 
 class TestArrayPathMatchesPerElementOracle:
@@ -272,24 +260,15 @@ class TestArrayPathMatchesPerElementOracle:
     @pytest.mark.parametrize("name", FAMILIES)
     def test_xi_rho(self, name):
         rho = FAMILIES[name]
-        assert xi_rho(rho) == xi_rho_oracle(rho)
-
-    def test_xi_rho_empty_case(self):
-        rho = _custom_unchecked(lambda g: GroupElement(1.0, g.a.imag))
-        assert xi_rho(rho) == xi_rho_oracle(rho) == FixedPointSet("empty")
+        assert same_fixed_point(xi_rho(rho), xi_rho_oracle(rho))
 
     @pytest.mark.parametrize("seed", [0, 5])
     @pytest.mark.parametrize("name", FAMILIES)
     def test_check_equivariance(self, name, seed):
         rho = FAMILIES[name]
         xi = xi_rho(rho)
-        # the canonical tau where there is one, else a tau the check must reject
-        if xi.kind == "empty":
-            taus = [EquivariantMap(1.0, 0.5j, 1.0)]
-        else:
-            taus = [tau_from_beta(rho, 0.3 - 0.2j if xi.beta is None else xi.beta)]
-        # and zbar + 1 on every family, equivariant or not
-        taus.append(EquivariantMap(0, 1, 1))
+        # the canonical tau, and zbar + 1 on every family, equivariant or not
+        taus = [tau_from_beta(rho, 0.3 - 0.2j if xi is None else xi), EquivariantMap(0, 1, 1)]
         for tau in taus:
             rep = check_equivariance(rho, tau, seed=seed)
             assert rep == check_equivariance_oracle(rho, tau, seed=seed)
@@ -297,30 +276,57 @@ class TestArrayPathMatchesPerElementOracle:
     def test_canonical_pairs_of_endomorphisms_pass(self):
         for name, rho in FAMILIES.items():
             xi = xi_rho(rho)
-            if homomorphism_report(rho).passed and xi.kind != "empty":
-                tau = tau_from_beta(rho, 0.3 - 0.2j if xi.beta is None else xi.beta)
-                assert check_equivariance(rho, tau).passed, name
+            assert homomorphism_report(rho).passed, name
+            tau = tau_from_beta(rho, 0.3 - 0.2j if xi is None else xi)
+            assert check_equivariance(rho, tau).passed, name
 
     def test_no_group_element_per_sample(self, monkeypatch):
         made = []
         init = GroupElement.__post_init__
         monkeypatch.setattr(GroupElement, "__post_init__", lambda g: made.append(g) or init(g))
         for name, rho in FAMILIES.items():
-            if name == "custom":
-                continue
             tau = EquivariantMap(1.0, 0.0, 0.0)
             made.clear()
             check_equivariance(rho, tau)
             homomorphism_report(rho)
             xi_rho(rho)
+            tau_from_beta(rho, rho.beta)
             assert made == [], name
+
+
+# Random triples: n in [-3, 3], c and beta in a box; c = 0 unless n = +-1.
+coords = st.floats(-3, 3, allow_nan=False)
+points = st.builds(complex, coords, coords)
+
+
+@st.composite
+def valid_triples(draw):
+    n = draw(st.integers(-3, 3))
+    return Endomorphism(n, draw(points) if n in (1, -1) else 0, draw(points))
+
+
+class TestNormalFormProperties:
+    @given(valid_triples())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_valid_triples(self, rho):
+        assert homomorphism_report_oracle(rho).passed
+        assert check_equivariance(rho, tau_from_beta(rho, rho.beta)).passed
+        assert same_fixed_point(xi_rho(rho), xi_rho_oracle(rho))
+
+    @given(st.sampled_from([-3, -2, 0, 2, 3]), points.filter(lambda c: abs(c) > 0.1), points)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_invalid_triples_refused(self, n, c, beta):
+        with pytest.raises(ValueError, match="not an endomorphism"):
+            Endomorphism(n, c, beta)
+        rho = _unchecked(n, c, beta)
+        assert not homomorphism_report(rho).passed and not homomorphism_report_oracle(rho).passed
 
 
 class TestNegativeControls:
     """Each must fail on the array path and on the per-element oracle."""
 
     def test_tau_with_shifted_r(self):
-        rho = Endomorphism("conjugation", h=H)
+        rho = FAMILIES["conjugation"]
         tau = tau_from_beta(rho, H.b)
         p, q, r = tau.p, tau.q, tau.r
         tau = EquivariantMap(p, q, r + 1e-6)
@@ -329,15 +335,17 @@ class TestNegativeControls:
         assert rep.max_residual > 1e-7
 
     def test_custom_map_not_a_homomorphism(self):
-        rho = _custom_unchecked(lambda g: GroupElement(g.a, g.b + 0.5 * g.a.imag))
+        # (n, c) = (2, 1): rho([a, b]) = [a^2, bbar], forced past the constructor
+        rho = _unchecked(2, 1)
         rep, oracle = homomorphism_report(rho), homomorphism_report_oracle(rho)
         assert rep == oracle and not rep.passed
         with pytest.raises(ValueError, match="not an endomorphism"):
-            Endomorphism("custom", func=rho.func)
+            Endomorphism(2, 1)
 
     def test_beta_outside_fixed_point_set(self):
-        rho = Endomorphism("conjugation", h=H)
+        rho = FAMILIES["conjugation"]
         beta = H.b + 1e-6
-        assert not xi_rho(rho).contains(beta) and not xi_rho_oracle(rho).contains(beta)
+        for fixed in (xi_rho(rho), xi_rho_oracle(rho)):
+            assert not same_fixed_point(fixed, beta)
         with pytest.raises(ValueError, match="fixed point"):
             tau_from_beta(rho, beta)

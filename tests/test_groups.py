@@ -441,7 +441,7 @@ class TestOneClosurePerSubgroup:
     def test_second_rdq_grows_no_level(self):
         from maf.automorphy import PseudoCharacter, rdq_check
 
-        gamma, chi, rho = DiscreteSubgroup(SQUARE.generators), PseudoCharacter([1, 1]), Endomorphism("identity")
+        gamma, chi, rho = DiscreteSubgroup(SQUARE.generators), PseudoCharacter([1, 1]), Endomorphism(1, 1)
         assert rdq_check(np.pi, 0.0, rho, gamma, chi, max_word_len=5).passed
         ab, offsets = gamma.closure.ab, list(gamma.closure.offsets)
         assert not rdq_check(1.0, 0.0, rho, gamma, chi, max_word_len=5).passed
@@ -451,7 +451,7 @@ class TestOneClosurePerSubgroup:
     def test_find_word_matches_fresh_closure(self, name):
         if name in TestLevelGrowth.GROUPS:
             gamma = TestLevelGrowth.GROUPS[name]
-            rho = Endomorphism("identity")
+            rho = Endomorphism(1, 1)
         else:
             system = build_system(load_bundled(name))
             gamma, rho = system.gamma, system.rho

@@ -406,13 +406,13 @@ class TestArraySweepsMatchScalarLoops:
         assert np.max(np.abs(phi - sys.phi(pts))) <= 1e-8  # the closed form
 
     def test_custom_family_system(self):
-        # a user-supplied endomorphism runs through the same array sweeps
+        # a hand-built normal form, rho([a, b]) = [a, 2b], runs through the same array sweeps
         from maf.automorphy import PseudoCharacter
         from maf.equivariant import Endomorphism, tau_from_beta
         from maf.groups import DiscreteSubgroup
         from maf.magnetics import MagneticSystem
 
-        rho = Endomorphism("custom", func=lambda g: GroupElement(g.a, 2 * g.b))
+        rho = Endomorphism(1, 2, 0)
         square = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
         sys = MagneticSystem(1.0, 0.5, rho, tau_from_beta(rho, 0.0), square, PseudoCharacter([1, 1]))
         assert sys.B == 3.0
