@@ -28,10 +28,10 @@ class UnknownGroupElementError(ValueError):
     """Raised when an element is not reachable in the subgroup's word closure."""
 
 
-def j_factor(alpha: float, g: GroupElement, z):
-    """exp(-i alpha Im(z * conj(g^{-1}.0)))."""
-    w = act(inverse(g), 0.0)
-    return np.exp(-1j * alpha * (z * w.conjugate()).imag)
+def j_factor(alpha: float, a, b, z):
+    """exp(-i alpha Im(z * conj(g^{-1}.0))) for g = [a, b]; a and b broadcast against z."""
+    w = inverse_ab(a, b)[1]
+    return np.exp(-1j * alpha * (z * np.conj(w)).imag)
 
 
 def phase(nu: float, mu: float, rho: Endomorphism, g: GroupElement, gp: GroupElement) -> float:
@@ -124,29 +124,27 @@ class CharacterTable:
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
         return list(zip(self.closure.elements_upto(len(self.values)), self.values, self.closure.words))
 
-    def _index(self, g: GroupElement) -> int:
-        hit = self.closure.lookup(g.a, g.b)
+    def _index(self, a: complex, b: complex) -> int:
+        hit = self.closure.lookup(a, b)
         if hit is None or hit >= len(self.values):
-            raise UnknownGroupElementError(f"element {g} not among the words of length <= {self.max_len}")
+            raise UnknownGroupElementError(f"element [{a}, {b}] not among the words of length <= {self.max_len}")
         return hit
 
     def value(self, g: GroupElement) -> complex:
-        return self.values[self._index(g)]
+        return self.values[self._index(g.a, g.b)]
+
+    def values_at(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """chi at the elements [a, b], arrays of one shape: one lookup per element."""
+        hits = [self._index(x, y) for x, y in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+        return self.values[hits].reshape(np.shape(a))
 
     def word(self, g: GroupElement) -> list[int]:
-        return self.closure.words[self._index(g)]
+        return self.closure.words[self._index(g.a, g.b)]
 
 
-def mixed_factor_nochi(
-    nu: float,
-    mu: float,
-    rho: Endomorphism,
-    tau: EquivariantMap,
-    g: GroupElement,
-    z,
-):
-    """j^nu(g, z) j^mu(rho(g), tau(z)) — the character-free part, defined for all g."""
-    return j_factor(nu, g, z) * j_factor(mu, apply_endo(rho, g), tau(z))
+def mixed_factor_nochi(nu: float, mu: float, rho: Endomorphism, tau: EquivariantMap, a, b, z):
+    """j^nu(g, z) j^mu(rho(g), tau(z)) for g = [a, b] — the character-free part, defined for all g."""
+    return j_factor(nu, a, b, z) * j_factor(mu, *apply_endo_ab(rho, a, b), tau(z))
 
 
 def mixed_factor(
@@ -159,7 +157,7 @@ def mixed_factor(
     z,
 ):
     """chi(gamma) j^nu(gamma, z) j^mu(rho(gamma), tau(z))."""
-    return table.value(gamma_elem) * mixed_factor_nochi(nu, mu, rho, tau, gamma_elem, z)
+    return table.value(gamma_elem) * mixed_factor_nochi(nu, mu, rho, tau, gamma_elem.a, gamma_elem.b, z)
 
 
 def cocycle_defect(
@@ -175,11 +173,8 @@ def cocycle_defect(
 
     A z-independent unit complex; equals exp(-i phase(g, g')).
     """
-    num = mixed_factor_nochi(nu, mu, rho, tau, compose(g, gp), z)
-    den = mixed_factor_nochi(nu, mu, rho, tau, g, act(gp, z)) * mixed_factor_nochi(
-        nu, mu, rho, tau, gp, z
-    )
-    return num / den
+    J0 = lambda h, x: mixed_factor_nochi(nu, mu, rho, tau, h.a, h.b, x)
+    return J0(compose(g, gp), z) / (J0(g, act(gp, z)) * J0(gp, z))
 
 
 def defect_phase_residuals(

@@ -17,7 +17,7 @@ from .automorphy import PseudoCharacter, rdq_check
 from .config import ConfigError, SystemConfig, build_system, load_bundled, load_config
 from .equivariant import check_equivariance, homomorphism_report
 from .fields import Grid, polyexp_field
-from .groups import GroupElement, random_elements
+from .groups import GroupElement, random_ab
 from .highdim import EquivariantMapN, constant_field_test
 from .magnetics import MagneticSystem
 from .reports import CheckReport, emit, from_residuals
@@ -108,14 +108,13 @@ def _invariance(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckRepo
     extra = {}
     if args.g is not None:
         a_re, a_im, b_re, b_im = (float(v) for v in args.g.split(","))
-        gs = [GroupElement(complex(a_re, a_im), complex(b_re, b_im))]
-        extra["g"] = gs[0].to_dict()
+        g = GroupElement(complex(a_re, a_im), complex(b_re, b_im))
+        gs, extra["g"] = ([g.a], [g.b]), g.to_dict()
     else:
-        gs = random_elements(np.random.default_rng(cfg.seed), 3)
-    grid = _coarse(cfg.make_grid())
-    f = _probe_field(sys_)
-    res = [magnetics.invariance_residual(sys_, g, f, grid).max_residual for g in gs]
-    return [from_residuals("invariance", res, _tol(args, 1e-5), n_elements=len(gs), seed=cfg.seed, **extra)]
+        gs = random_ab(np.random.default_rng(cfg.seed), 3)
+    reps = magnetics.invariance_residual(sys_, gs, _probe_field(sys_), _coarse(cfg.make_grid()))
+    res, tol = [r.max_residual for r in reps], _tol(args, magnetics.INVARIANCE_TOL)
+    return [from_residuals("invariance", res, tol, n_elements=len(res), seed=cfg.seed, **extra)]
 
 
 def _intertwining(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
@@ -126,8 +125,9 @@ def _intertwining(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckRe
 def _lift(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     grid = _coarse(cfg.make_grid(), 11)
     tol = _tol(args, 1e-8)
-    checks = (magnetics.chi_tau_hat_spread, magnetics.lifting_residual)
-    return [check(sys_, g, grid, tol=tol) for g in sys_.gamma.generators for check in checks]
+    gs = tuple(zip(*((g.a, g.b) for g in sys_.gamma.generators)))
+    spreads = magnetics.chi_tau_hat_spread(sys_, gs, grid, tol=tol)
+    return [rep for pair in zip(spreads, magnetics.lifting_residual(sys_, gs, grid, tol=tol)) for rep in pair]
 
 
 def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
@@ -157,11 +157,8 @@ def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     rep = from_residuals(
         "kernel_structure", np.append(herm, diag), _tol(args, 1e-12), laguerre_scale_verdict=verdict, k=k
     )
-    pairs, tol = np.column_stack([zs, ws]), _tol(args, 1e-8)
-    reps = [rep] + [
-        spectral.kernel_invariance_residual(sys_, k, g, pairs, tol=tol, laguerre_scale=scale)
-        for g in random_elements(rng, 5)
-    ]
+    pairs, gs, tol = np.column_stack([zs, ws]), random_ab(rng, 5), _tol(args, 1e-8)
+    reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, pairs, tol=tol, laguerre_scale=scale)]
     if args.z is not None and args.w is not None:
         val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w), scale)
         rep.metadata["value"] = [val.real, val.imag]

@@ -12,6 +12,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .reports import element_dicts
+
 UNIT_TOL = 1e-12
 DEDUP_TOL = 1e-10
 
@@ -30,7 +32,7 @@ class GroupElement:
         object.__setattr__(self, "b", complex(self.b))
 
     def to_dict(self) -> dict:
-        return {"a": [self.a.real, self.a.imag], "b": [self.b.real, self.b.imag]}
+        return element_dicts(([self.a], [self.b]))[0]
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroupElement":
@@ -133,8 +135,10 @@ def compose_ab(ga, gb, ha, hb) -> tuple[np.ndarray, np.ndarray]:
 
 
 def inverse_ab(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``inverse`` on arrays, rounding as it does."""
+    """``inverse`` on arrays, rounding as it does; every |a| must be 1, as in ``GroupElement``."""
     abar = np.conj(a)
+    if not abs(_abs(abar) - 1.0).max() <= UNIT_TOL:  # NaN fails too
+        raise ValueError(f"rotation part must be unimodular, got |a| in {np.unique(_abs(abar))}")
     return _unit(abar), _cmul(-abar, b)
 
 
@@ -310,7 +314,3 @@ def random_ab(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]
     b = rng.normal(size=n) + 1j * rng.normal(size=n)
     return a, b
 
-
-def random_elements(rng: np.random.Generator, n: int) -> list[GroupElement]:
-    """The n rigid motions of ``random_ab``, as elements."""
-    return list(map(GroupElement, *random_ab(rng, n)))

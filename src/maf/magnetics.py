@@ -18,6 +18,9 @@ Every equivariant tau is affine, tau(z) = p z + q zbar + r, so the term
 mu (tau lap(tau bar) - tau bar lap(tau)) of the mixed Laplacian vanishes and
 phi is always 2 Re(k z), k = ``gauge_k``; ``gauge_phi`` is its line-integral
 oracle.
+
+A group check takes its elements gs = (a, b), 1-d arrays, in one call and sweeps them
+(axis 0) by the grid points (axis 1), one report per element.
 """
 
 from __future__ import annotations
@@ -27,46 +30,37 @@ from functools import cached_property
 
 import numpy as np
 
-from .automorphy import (
-    CharacterTable,
-    PseudoCharacter,
-    j_factor,
-    mixed_factor,
-    mixed_factor_nochi,
-)
-from .equivariant import Endomorphism, EquivariantMap, apply_endo, check_equivariance
+from .automorphy import CharacterTable, PseudoCharacter, j_factor, mixed_factor, mixed_factor_nochi
+from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, check_equivariance
 from .fields import Grid, OneForm, ScalarField, jet, line_integral
-from .groups import DiscreteSubgroup, GroupElement, act, find_word, inverse
-from .reports import CheckReport, from_residuals
+from .groups import DiscreteSubgroup, GroupElement, find_word, inverse_ab
+from .reports import CheckReport, element_dicts, from_element_residuals, from_residuals
 
 GAUGE_IM_TOL = 1e-9
 WORD_LEN = 8  # word length of the chi extension behind chi_table
 CHECK_TOL = 1e-9  # equivariance tolerance a system must meet to be built
+INVARIANCE_TOL = 1e-11  # exact T_g
 
 
-def linear_phase_multiply(f: ScalarField, k: complex, sign: float = 1.0) -> ScalarField:
-    """e^{i s phi} f for the real linear phase phi(z) = 2 Re(k z).
+def phase_pullback(f: ScalarField, ks: complex, a=1.0, b=0.0, c=1.0) -> ScalarField:
+    """c e^{2i Re(ks z)} f(a z + b): f pulled back by [a, b] times a linear phase, its derivatives
+    by ``_phase_rule`` from f's jet (exact where f's are)."""
+    phase = lambda z: c * np.exp(2j * (ks * z).real)
 
-    Propagates analytic derivatives of f when present.
-    """
-    ks = sign * k
+    def whole(z):  # the jet from one jet of f
+        F, p = jet(f, a * z + b), phase(z)
+        return (p * F[0], *(p * d for d in _phase_rule(ks, a, *F)))
 
-    def phase(z):
-        return np.exp(2j * (ks * z).real)
+    part = lambda i: lambda z: whole(z)[i]
+    return ScalarField(lambda z: phase(z) * f(a * z + b), part(1), part(2), part(3), f.fd_step, whole)
 
-    func = lambda z: phase(z) * f(z)
-    d_z = d_zbar = lap = None
-    if f.d_z is not None and f.d_zbar is not None:
-        d_z = lambda z: phase(z) * (1j * ks * f(z) + f.d_z(z))
-        d_zbar = lambda z: phase(z) * (1j * ks.conjugate() * f(z) + f.d_zbar(z))
-        if f.lap is not None:
-            lap = lambda z: phase(z) * (
-                f.lap(z)
-                + 4j * ks * f.d_zbar(z)
-                + 4j * ks.conjugate() * f.d_z(z)
-                - 4 * abs(ks) ** 2 * f(z)
-            )
-    return ScalarField(func, d_z, d_zbar, lap, fd_step=f.fd_step)
+
+def _phase_rule(ks: complex, a, F, F_z, F_zb, lap):
+    """(d, dbar, Lap) of e^{2i Re(ks z)} f(a z + b) over its phase, from f's jet at a z + b, as
+    (f o g)_z = a f_z, (f o g)_zbar = abar f_zbar and, for |a| = 1, Lap(f o g) = Lap f."""
+    ksb, ab = np.conj(ks), np.conj(a)
+    lap_t = lap + 4j * ks * ab * F_zb + 4j * ksb * a * F_z - 4 * abs(ks) ** 2 * F
+    return 1j * ks * F + a * F_z, 1j * ksb * F + ab * F_zb, lap_t
 
 
 @dataclass
@@ -85,8 +79,10 @@ class MagneticSystem:
         rep = check_equivariance(self.rho, self.tau, tol=CHECK_TOL)
         if not rep.passed:
             raise ValueError(f"(rho, tau) is not equivariant: residual {rep.max_residual:.2e}")
-        for i, g in enumerate(self.gamma.generators):
-            if find_word(self.gamma, apply_endo(self.rho, g)) is None:
+        gens = self.gamma.generators
+        images = apply_endo_ab(self.rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))
+        for i, (a, b) in enumerate(zip(*(x.tolist() for x in images))):
+            if find_word(self.gamma, GroupElement(a, b)) is None:
                 raise ValueError(f"rho does not preserve the subgroup: generator {i} escapes")
         if self.B <= 0:
             raise ValueError(f"derived field B={self.B} must be positive")
@@ -116,9 +112,6 @@ class MagneticSystem:
 
     def factor(self, gamma_elem: GroupElement, z):
         return mixed_factor(self.nu, self.mu, self.rho, self.tau, self.chi_table, gamma_elem, z)
-
-    def factor_nochi(self, g: GroupElement, z):
-        return mixed_factor_nochi(self.nu, self.mu, self.rho, self.tau, g, z)
 
 
 def S_field(sys: MagneticSystem, z):
@@ -160,39 +153,52 @@ def potential(sys: MagneticSystem) -> OneForm:
 
 def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
     """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f (its mu-term vanishes for affine tau)."""
-    fz, f_z, f_zb, lap = jet(f, z)
-    S = S_field(sys, z)
+    return _mixed(S_field(sys, z), *jet(f, z))
+
+
+def _mixed(S, fz, f_z, f_zb, lap):
+    """The mixed Laplacian from S and the jet (f, df, dbar_f, flat Laplacian) at the same points."""
     return lap + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * fz
 
 
 def apply_landau(B: float, f: ScalarField, z):
-    """Landau Hamiltonian 4 dd_bar + 2B(z d - zbar dbar) - B^2 |z|^2."""
-    fz, f_z, f_zb, lap = jet(f, z)
-    return lap + 2 * B * (z * f_z - z.conjugate() * f_zb) - B**2 * abs(z) ** 2 * fz
+    """Landau Hamiltonian 4 dd_bar + 2B(z d - zbar dbar) - B^2 |z|^2: the mixed Laplacian with S = B z."""
+    return _mixed(B * np.asarray(z), *jet(f, z))
 
 
-def representation(sys: MagneticSystem, g: GroupElement, f: ScalarField) -> ScalarField:
-    """[T_g f](z) = conj(J0(g, z)) f(g.z), with the character-free factor J0.
+def representation(sys: MagneticSystem, a, b, f: ScalarField) -> ScalarField:
+    """[T_g f](z) = conj(J0(g, z)) f(g.z) for g = [a, b], J0 the character-free factor; exact.
 
-    Defined for every group element, not only for the subgroup's.
+    T_g f = c e^{-2i Re(K z)} (f o g) (``_conj_j0``, ``phase_pullback``) has every derivative
+    that f has.  a and b broadcast against the points (e.g. (G, 1) columns); any element will do.
     """
+    K, c = _conj_j0(sys, a, b)
+    return phase_pullback(f, -K, a, b, c)
 
-    def func(z):
-        return sys.factor_nochi(g, z).conjugate() * f(act(g, z))
 
-    return ScalarField(func, fd_step=f.fd_step)
+def _conj_j0(sys: MagneticSystem, a, b):
+    """(K, c) with conj J0(g, z) = c e^{-2i Re(K z)} for g = [a, b]: K = i nu wbar/2 +
+    i mu (p w2bar - qbar w2)/2 and c = e^{i mu Im(r w2bar)}, w = g^{-1}.0, w2 = rho(g)^{-1}.0."""
+    w, w2 = inverse_ab(a, b)[1], inverse_ab(*apply_endo_ab(sys.rho, a, b))[1]
+    p, q, r = sys.tau.p, sys.tau.q, sys.tau.r
+    K = 1j * sys.nu * np.conj(w) / 2 + 1j * sys.mu * (p * np.conj(w2) - np.conj(q) * w2) / 2
+    return K, np.exp(1j * sys.mu * (r * np.conj(w2)).imag)
 
 
 def invariance_residual(
-    sys: MagneticSystem, g: GroupElement, f: ScalarField, grid: Grid, tol: float = 1e-5
-) -> CheckReport:
-    """Commutator residual |T_g(Delta f) - Delta(T_g f)| over the grid."""
-    lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z), fd_step=sys.fd_step)
-    t_lap = representation(sys, g, lap_f)
-    t_f = representation(sys, g, f)
-    pts = grid.points()
-    res = np.abs(t_lap(pts) - apply_mixed_laplacian(sys, t_f, pts))
-    return from_residuals("invariance", res, tol, g=g.to_dict(), grid=grid.to_dict())
+    sys: MagneticSystem, gs, f: ScalarField, grid: Grid, tol: float = INVARIANCE_TOL
+) -> list[CheckReport]:
+    """Commutator residual |T_g(Delta f) - Delta(T_g f)| over the grid, per element of gs.
+
+    Both sides come from one jet of f at g.z: T_g(Delta f) = u (Delta f)(g.z), u = conj J0(g, z),
+    and Delta(T_g f) by ``representation``'s ``_phase_rule``, with u factored out of both.
+    """
+    a, b = (np.reshape(x, (-1, 1)) for x in gs)
+    z = grid.points()
+    F = jet(f, a * z + b)
+    t_f = _phase_rule(-_conj_j0(sys, a, b)[0], a, *F)
+    res = np.abs(_mixed(S_field(sys, a * z + b), *F) - _mixed(S_field(sys, z), F[0], *t_f))
+    return from_element_residuals("invariance", res, tol, gs, grid=grid.to_dict())
 
 
 # -- gauge -------------------------------------------------------------------
@@ -265,7 +271,7 @@ def gauge_check(sys: MagneticSystem, seed: int = 0, n_points: int = 20, tol: flo
 
 def w_transform(sys: MagneticSystem, f: ScalarField, sign: float = 1.0) -> ScalarField:
     """[W f](z) = e^{i phi(z)} f(z); sign=-1 gives the inverse transform."""
-    return linear_phase_multiply(f, sys.gauge_k, sign)
+    return phase_pullback(f, sign * sys.gauge_k)
 
 
 def intertwining_residual(
@@ -286,57 +292,45 @@ def intertwining_residual(
 
 # -- lifting -----------------------------------------------------------------
 
-def chi_tau(sys: MagneticSystem, gamma_elem: GroupElement, drop: str | None = None) -> complex:
-    """Corrected character chi_tau(gamma) = chi(gamma) e^{i phi(gamma.0)} e^{-i mu Im<tau(0), rho(gamma)^{-1}.0>}.
+def chi_tau(sys: MagneticSystem, gs, drop: str | None = None) -> np.ndarray:
+    """Corrected character chi_tau(g) = chi(g) e^{i phi(g.0)} e^{-i mu Im<tau(0), rho(g)^{-1}.0>},
+    per element of gs.
 
     ``drop`` removes one correction sub-factor ("phase_at_orbit" or "inner")
     for negative-control testing.
     """
-    val = sys.chi_table.value(gamma_elem)
+    a, b = (np.asarray(x, complex).ravel() for x in gs)
+    val = sys.chi_table.values_at(a, b)
     if drop != "phase_at_orbit":
-        val *= np.exp(1j * sys.phi(act(gamma_elem, 0.0)))
+        val = val * np.exp(1j * sys.phi(b))
     if drop != "inner":
-        t0 = sys.tau(0.0)
-        w = act(inverse(apply_endo(sys.rho, gamma_elem)), 0.0)
-        val *= np.exp(-1j * sys.mu * (t0 * w.conjugate()).imag)
+        val = val * np.conj(_conj_j0(sys, a, b)[1])  # tau(0) = r
     return val
 
 
-def chi_tau_hat(sys: MagneticSystem, gamma_elem: GroupElement, z):
-    """The z-dependent quotient e^{i(phi(gamma.z) - phi(z))} J(gamma, z) / j^B(gamma, z)."""
-    num = np.exp(1j * (sys.phi(act(gamma_elem, z)) - sys.phi(z))) * sys.factor(gamma_elem, z)
-    return num / j_factor(sys.B, gamma_elem, z)
+def _lifted_factor(sys: MagneticSystem, gs, z):
+    """(e^{i(phi(g.z) - phi(z))} J(g, z), j^B(g, z)) at the points z, per element of gs."""
+    a, b = (np.reshape(x, (-1, 1)) for x in gs)
+    J = sys.chi_table.values_at(a, b) * mixed_factor_nochi(sys.nu, sys.mu, sys.rho, sys.tau, a, b, z)
+    return np.exp(1j * (sys.phi(a * z + b) - sys.phi(z))) * J, j_factor(sys.B, a, b, z)
 
 
-def chi_tau_hat_spread(
-    sys: MagneticSystem, gamma_elem: GroupElement, grid: Grid, tol: float = 1e-8
-) -> CheckReport:
-    """z-independence of chi_tau_hat over the grid (max deviation from its mean)."""
-    vals = chi_tau_hat(sys, gamma_elem, grid.points())
-    center = vals.mean()
-    res = np.abs(vals - center)
-    return from_residuals(
-        "chi_tau_hat_spread",
-        res,
-        tol,
-        gamma=gamma_elem.to_dict(),
-        value=[center.real, center.imag],
-        grid=grid.to_dict(),
-    )
+def chi_tau_hat_spread(sys: MagneticSystem, gs, grid: Grid, tol: float = 1e-8) -> list[CheckReport]:
+    """z-independence of chi_tau_hat = e^{i(phi(g.z) - phi(z))} J(g, z) / j^B(g, z) over the grid
+    (max deviation from its mean), per element of gs."""
+    vals = np.divide(*_lifted_factor(sys, gs, grid.points()))
+    center = vals.mean(axis=1)
+    res = np.abs(vals - center[:, None])
+    return [
+        from_residuals("chi_tau_hat_spread", r, tol, gamma=g, value=[m.real, m.imag], grid=grid.to_dict())
+        for r, m, g in zip(res, center.tolist(), element_dicts(gs))
+    ]
 
 
 def lifting_residual(
-    sys: MagneticSystem,
-    gamma_elem: GroupElement,
-    grid: Grid,
-    tol: float = 1e-8,
-    drop: str | None = None,
-) -> CheckReport:
-    """Residual of e^{i(phi(gamma.z)-phi(z))} J(gamma, z) = chi_tau(gamma) j^B(gamma, z)."""
-    target = chi_tau(sys, gamma_elem, drop=drop)
-    pts = grid.points()
-    lhs = np.exp(1j * (sys.phi(act(gamma_elem, pts)) - sys.phi(pts))) * sys.factor(gamma_elem, pts)
-    res = np.abs(lhs - target * j_factor(sys.B, gamma_elem, pts))
-    return from_residuals(
-        "lifting", res, tol, gamma=gamma_elem.to_dict(), dropped=drop, grid=grid.to_dict()
-    )
+    sys: MagneticSystem, gs, grid: Grid, tol: float = 1e-8, drop: str | None = None
+) -> list[CheckReport]:
+    """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per element of gs."""
+    lhs, jb = _lifted_factor(sys, gs, grid.points())
+    res = np.abs(lhs - chi_tau(sys, gs, drop=drop)[:, None] * jb)
+    return from_element_residuals("lifting", res, tol, gs, "gamma", dropped=drop, grid=grid.to_dict())

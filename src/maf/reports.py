@@ -60,6 +60,17 @@ def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
     return CheckReport(name, float(worst), float(total) / arr.size, tol, metadata)
 
 
+def element_dicts(gs) -> list[dict]:
+    """The JSON form {"a": [re, im], "b": [re, im]} of each of the group elements gs = (a, b)."""
+    a, b = (np.asarray(x, complex).ravel().tolist() for x in gs)
+    return [{"a": [x.real, x.imag], "b": [y.real, y.imag]} for x, y in zip(a, b)]
+
+
+def from_element_residuals(name: str, res, tol: float, gs, key: str = "g", **metadata) -> list[CheckReport]:
+    """``from_residuals`` of each row of res, with its element of gs = (a, b) under ``key``."""
+    return [from_residuals(name, r, tol, **{key: g}, **metadata) for r, g in zip(res, element_dicts(gs))]
+
+
 _NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 _quote = json.encoder.encode_basestring_ascii
 

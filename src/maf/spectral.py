@@ -33,11 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .automorphy import j_factor
 from .equivariant import EquivariantMap
 from .fields import ScalarField, quad2d_nodes
-from .groups import GroupElement, act, inverse
 from .magnetics import MagneticSystem, apply_mixed_laplacian
-from .reports import CheckReport, from_residuals
+from .reports import CheckReport, from_element_residuals
 
 
 def hermite(m: int, x):
@@ -57,12 +57,15 @@ def hermite_function(k: int, t):
     """Normalized Hermite function H_k(t) e^{-t^2/2} / sqrt(2^k k! sqrt(pi)).
 
     By the recurrence psi_{j+1} = sqrt(2/(j+1)) t psi_j - sqrt(j/(j+1)) psi_{j-1},
-    which forms no power or factorial, so nothing overflows at any degree.
+    which forms no power or factorial, so nothing overflows at any degree.  Where
+    e^{-t^2/2} would underflow below the normal range, it is 0 (numpy's exp is slow there).
     """
     if k < 0:
         raise ValueError("Hermite degree must be nonnegative")
     t = np.asarray(t, dtype=float)
-    psi_prev, psi = 0.0, np.pi**-0.25 * np.exp(-t * t / 2)
+    g = np.asarray(-t * t / 2)
+    g[g < math.log(np.finfo(float).tiny)] = -np.inf
+    psi_prev, psi = 0.0, np.pi**-0.25 * np.exp(g)
     for j in range(k):
         psi_prev, psi = psi, math.sqrt(2 / (j + 1)) * t * psi - math.sqrt(j / (j + 1)) * psi_prev
     return psi
@@ -321,28 +324,23 @@ class WeightedInnerProduct:
 def kernel_invariance_residual(
     sys: MagneticSystem,
     k: int,
-    g: GroupElement,
+    gs,
     pairs,
     tol: float = 1e-8,
     laguerre_scale: float = 1.0,
-) -> CheckReport:
+) -> list[CheckReport]:
     """Residual of the covariance K(z,w) = e^{i d_gauge} e^{iB Im<z-w, g^{-1}.0>} K(gz, gw),
 
-    with d_gauge = (phi(gz) - phi(gw)) - (phi(z) - phi(w)).
+    with d_gauge = (phi(gz) - phi(gw)) - (phi(z) - phi(w)), one report per element of gs = (a, b).
     """
+    a, b = (np.reshape(x, (-1, 1)) for x in gs)
     z, w = np.asarray(pairs, dtype=complex).reshape(-1, 2).T
-    gz, gw = act(g, z), act(g, w)
-    g0 = act(inverse(g), 0.0)
+    gz, gw = a * z + b, a * w + b
     d_gauge = sys.phi(gz) - sys.phi(gw) - (sys.phi(z) - sys.phi(w))
-    rhs = (
-        np.exp(1j * d_gauge)
-        * np.exp(1j * sys.B * ((z - w) * np.conjugate(g0)).imag)
-        * kernel(sys, k, gz, gw, laguerre_scale)
-    )
+    # e^{iB Im<z-w, g^{-1}.0>} = conj j^B(g, z - w)
+    rhs = np.exp(1j * d_gauge) * np.conj(j_factor(sys.B, a, b, z - w)) * kernel(sys, k, gz, gw, laguerre_scale)
     res = np.abs(kernel(sys, k, z, w, laguerre_scale) - rhs)
-    return from_residuals(
-        "kernel_invariance", res, tol, k=k, g=g.to_dict(), n_pairs=len(res)
-    )
+    return from_element_residuals("kernel_invariance", res, tol, gs, k=k, n_pairs=res.shape[1])
 
 
 def spectrum_table(B: float, kmax: int) -> list[dict]:

@@ -15,8 +15,9 @@ from maf.equivariant import (
     tau_from_beta,
     xi_rho,
 )
-from maf.groups import GroupElement, act, compose, distance, inverse, random_elements
+from maf.groups import GroupElement, act, compose, distance, inverse
 from maf.reports import from_residuals
+from test_groups import random_elements
 
 H = GroupElement(np.exp(1j * np.pi / 3), 1.0)
 

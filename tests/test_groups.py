@@ -23,8 +23,9 @@ from maf.groups import (
     enumerate_words,
     find_word,
     inverse,
+    inverse_ab,
     is_identity,
-    random_elements,
+    random_ab,
     stabilizer_residual,
 )
 
@@ -50,6 +51,14 @@ class TestGroupElement:
     def test_unimodular_check(self):
         with pytest.raises(ValueError):
             GroupElement(1.1, 0.0)
+
+    def test_array_inverse_checks_unimodular_too(self):
+        a, b = np.exp(1j * np.array([0.3, 2.0])), np.array([1 + 1j, -2.0])
+        for got, g in zip(zip(*inverse_ab(a, b)), map(GroupElement, a, b)):
+            assert got == (inverse(g).a, inverse(g).b)
+        for bad in (1.1, 1 + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="unimodular"):
+                inverse_ab(np.array([1.0, bad]), np.zeros(2))
 
     def test_serialization_roundtrip(self):
         g = GroupElement(1j, 2 + 3j)
@@ -186,6 +195,11 @@ class TestFindWord:
     def test_unreachable(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1)])
         assert find_word(gamma, GroupElement(1, 0.5)) is None
+
+
+def random_elements(rng, n):
+    """The n rigid motions of ``random_ab``, as elements."""
+    return list(map(GroupElement, *random_ab(rng, n)))
 
 
 class TestRandomElements:

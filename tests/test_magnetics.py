@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from maf.config import build_system, load_bundled
-from maf.fields import Grid, ScalarField, exterior_derivative, polyexp_field
-from maf.groups import IDENTITY, GroupElement, act
+from maf import magnetics
+from maf.automorphy import mixed_factor_nochi
+from maf.config import build_system, load_bundled, load_config
+from maf.fields import Grid, ScalarField, exterior_derivative, jet, polyexp_field
+from maf.groups import IDENTITY, GroupElement, act, random_ab
 from maf.magnetics import (
     S_field,
     apply_landau,
@@ -18,14 +22,25 @@ from maf.magnetics import (
     intertwining_residual,
     invariance_residual,
     lifting_residual,
-    linear_phase_multiply,
     magnetic_field,
+    phase_pullback,
     potential,
     representation,
     w_transform,
 )
 
 SMALL = Grid(-1.5, 1.5, 5, -1.5, 1.5, 5)
+P6_CONFIG = Path(__file__).resolve().parents[1] / "perfbench" / "p6.json"
+
+
+def ab(elements):
+    """The elements as gs = (a, b), the arrays the group checks take."""
+    return [g.a for g in elements], [g.b for g in elements]
+
+
+def config_system(name):
+    """A bundled system by name, or the p6 system of the benchmark."""
+    return build_system(load_config(str(P6_CONFIG)) if name == "p6" else load_bundled(name))
 
 
 @pytest.fixture(scope="module")
@@ -54,14 +69,14 @@ def probe(B, extra=None):
 class TestLinearPhaseMultiply:
     def test_value(self):
         f = ScalarField(lambda z: 1.0, d_z=lambda z: 0.0, d_zbar=lambda z: 0.0, lap=lambda z: 0.0)
-        g = linear_phase_multiply(f, 0.5j)
+        g = phase_pullback(f, 0.5j)
         z = 1 + 2j
         assert abs(g(z) - np.exp(2j * (0.5j * z).real)) < 1e-14
 
     def test_derivatives_propagate(self):
         k = 0.3 - 0.1j
         f = polyexp_field({(1, 0): 1.0}, alpha=0.5)
-        g = linear_phase_multiply(f, k)
+        g = phase_pullback(f, k)
         h = ScalarField(g.func)  # finite-difference twin
         from maf.fields import jet, wirtinger
 
@@ -73,7 +88,7 @@ class TestLinearPhaseMultiply:
 
     def test_inverse_sign(self):
         f = polyexp_field({(0, 0): 1.0}, alpha=0.5)
-        g = linear_phase_multiply(linear_phase_multiply(f, 0.2j), 0.2j, sign=-1.0)
+        g = phase_pullback(phase_pullback(f, 0.2j), -0.2j)
         z = 0.9 - 0.3j
         assert abs(g(z) - f(z)) < 1e-14
 
@@ -161,31 +176,81 @@ class TestLandauOperator:
         assert np.max(np.abs(landau_val - apply_landau(sys.B, exact, pts))) < 1e-5
 
 
+def fd_representation(sys, g, f):
+    """T_g f = conj(J0(g, z)) f(g.z) from the factor itself, without derivatives, so that
+    every derivative of it is a finite difference: the oracle of the exact T_g."""
+
+    def func(z):
+        return mixed_factor_nochi(sys.nu, sys.mu, sys.rho, sys.tau, g.a, g.b, z).conjugate() * f(act(g, z))
+
+    return ScalarField(func, fd_step=f.fd_step)
+
+
+ORACLE_ELEMENTS = [GroupElement(np.exp(0.9j), 0.5 - 0.5j), GroupElement(-1j, -1.2 + 0.3j), IDENTITY]
+
+
 class TestRepresentation:
     def test_identity_element(self, conj):
         f = probe(conj.B)
-        tf = representation(conj, IDENTITY, f)
+        tf = representation(conj, IDENTITY.a, IDENTITY.b, f)
         z = 0.4 - 0.7j
         assert abs(tf(z) - f(z)) < 1e-12
 
     def test_modulus_is_pullback(self, conj):
         f = probe(conj.B)
         g = GroupElement(np.exp(0.9j), 0.5 - 0.5j)
-        tf = representation(conj, g, f)
+        tf = representation(conj, g.a, g.b, f)
         for z in (0.0, 1 - 1j):
             assert abs(abs(tf(z)) - abs(f(act(g, z)))) < 1e-12
 
     def test_commutes_with_laplacian(self, conj):
         f = probe(conj.B)
-        g = conj.gamma.generators[0]
-        rep = invariance_residual(conj, g, f, SMALL)
+        (rep,) = invariance_residual(conj, ab(conj.gamma.generators[:1]), f, SMALL)
         assert rep.passed
 
     def test_commutes_generic_element(self, alt):
         f = probe(alt.B)
-        g = GroupElement(np.exp(0.4j), 0.3 + 0.2j)
-        rep = invariance_residual(alt, g, f, SMALL)
+        (rep,) = invariance_residual(alt, ab([GroupElement(np.exp(0.4j), 0.3 + 0.2j)]), f, SMALL)
         assert rep.passed
+
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", "p6"])
+    def test_matches_fd_oracle(self, name):
+        # values to round-off; the jet against the oracle's 5-point stencils
+        sys = config_system(name)
+        f = probe(sys.B)
+        pts = SMALL.points()
+        for g in ORACLE_ELEMENTS:
+            exact, oracle = representation(sys, g.a, g.b, f), fd_representation(sys, g, f)
+            assert np.max(np.abs(exact(pts) - oracle(pts))) <= 1e-13
+            for got, want in zip(jet(exact, pts), jet(oracle, pts)):
+                assert np.max(np.abs(got - want)) <= 1e-6
+            lap = apply_mixed_laplacian(sys, exact, pts) - apply_mixed_laplacian(sys, oracle, pts)
+            assert np.max(np.abs(lap)) <= 1e-6
+
+    def test_elements_broadcast_against_points(self, alt):
+        # (G, 1) element columns against n points give the (G, n) values of each T_g
+        f = probe(alt.B)
+        pts = SMALL.points()
+        a, b = (np.array(x)[:, None] for x in ab(ORACLE_ELEMENTS))
+        batch = representation(alt, a, b, f)
+        for i, g in enumerate(ORACLE_ELEMENTS):
+            one = representation(alt, g.a, g.b, f)
+            for got, want in zip(jet(batch, pts), jet(one, pts)):
+                assert np.max(np.abs(got[i] - want)) <= 1e-14
+
+    def test_perturbed_phase_fails(self, monkeypatch):
+        # K off by 1e-9 relative: T_g no longer commutes with the Laplacian at the exact tol
+        real = magnetics._conj_j0
+
+        def perturbed(sys_, a, b):
+            K, c = real(sys_, a, b)
+            return K * (1 + 1e-9), c
+
+        monkeypatch.setattr(magnetics, "_conj_j0", perturbed)
+        for name in ("landau", "conjugate", "alteration", "p6"):
+            sys = config_system(name)
+            reps = invariance_residual(sys, ab(ORACLE_ELEMENTS[:2]), probe(sys.B), REPORT_GRID)
+            assert all(not r.passed and r.max_residual > 10 * r.tol for r in reps), name
 
 
 class TestGauge:
@@ -255,28 +320,59 @@ class TestWTransform:
 class TestLifting:
     def test_quotient_is_constant(self, landau, conj, alt):
         for sys in (landau, conj, alt):
-            for g in sys.gamma.generators:
-                assert chi_tau_hat_spread(sys, g, SMALL).passed
+            reps = chi_tau_hat_spread(sys, ab(sys.gamma.generators), SMALL)
+            assert len(reps) == len(sys.gamma.generators) and all(r.passed for r in reps)
 
     def test_identity_lifts_to_one(self, conj):
-        assert abs(chi_tau(conj, IDENTITY) - 1) < 1e-12
+        assert abs(chi_tau(conj, ab([IDENTITY]))[0] - 1) < 1e-12
 
     def test_unimodular(self, alt):
-        for g in alt.gamma.generators:
-            assert abs(abs(chi_tau(alt, g)) - 1) < 1e-10
+        assert np.all(np.abs(np.abs(chi_tau(alt, ab(alt.gamma.generators))) - 1) < 1e-10)
 
     def test_residual_vanishes(self, landau, conj, alt):
         for sys in (landau, conj, alt):
-            for g in sys.gamma.generators:
-                assert lifting_residual(sys, g, SMALL).passed
+            reps = lifting_residual(sys, ab(sys.gamma.generators), SMALL)
+            assert len(reps) == len(sys.gamma.generators) and all(r.passed for r in reps)
 
     def test_drop_controls_fail(self, alt):
         # removing either correction sub-factor breaks the identity
         g = alt.gamma.generators[0]
         for drop in ("phase_at_orbit", "inner"):
-            rep = lifting_residual(alt, g, SMALL, drop=drop)
+            (rep,) = lifting_residual(alt, ab([g]), SMALL, drop=drop)
             assert not rep.passed
             assert rep.max_residual > 0.1
+
+    @pytest.mark.parametrize("name", ["landau", "p6"])
+    def test_nudged_chi_fails_its_own_entry_only(self, name, monkeypatch):
+        # chi_tau off by e^{1e-3 i} on the second generator: that entry fails, the first passes
+        sys = config_system(name)
+        real = magnetics.chi_tau
+
+        def nudged(sys_, gs, drop=None):
+            return real(sys_, gs, drop) * np.array([1, np.exp(1e-3j)])
+
+        monkeypatch.setattr(magnetics, "chi_tau", nudged)
+        first, second = lifting_residual(sys, ab(sys.gamma.generators), LIFT_GRID)
+        assert first.passed and first.max_residual < 1e-14
+        assert not second.passed and second.max_residual > 1e-4
+        assert second.metadata["gamma"] == sys.gamma.generators[1].to_dict()
+
+
+class TestElementArrays:
+    def test_non_unit_rotation_is_rejected(self, alt):
+        # [2, 0] is no rigid motion: T_g's product rule and j's g^{-1}.0 need |a| = 1
+        from maf.spectral import kernel_invariance_residual
+
+        f, gs = probe(alt.B), ([2.0], [0.5])
+        with pytest.raises(ValueError, match="unimodular"):
+            representation(alt, 2.0, 0.5, f)
+        with pytest.raises(ValueError, match="unimodular"):
+            invariance_residual(alt, gs, f, SMALL)
+        with pytest.raises(ValueError, match="unimodular"):
+            kernel_invariance_residual(alt, 0, gs, [(0.1, 0.2j)])
+        for check in (chi_tau_hat_spread, lifting_residual):  # also not in the subgroup
+            with pytest.raises(ValueError):
+                check(alt, gs, SMALL)
 
 
 class TestSystemValidation:
@@ -317,21 +413,21 @@ def scalar_intertwining(sys, f, grid, B):
 
 def scalar_invariance(sys, g, f, grid):
     lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z), fd_step=sys.fd_step)
-    t_lap = representation(sys, g, lap_f)
-    t_f = representation(sys, g, f)
+    t_lap = representation(sys, g.a, g.b, lap_f)
+    t_f = representation(sys, g.a, g.b, f)
     return [abs(t_lap(z) - apply_mixed_laplacian(sys, t_f, z)) for z in grid.points()]
 
 
 def scalar_lifting(sys, g, grid, drop=None):
     from maf.automorphy import j_factor
 
-    target = chi_tau(sys, g, drop=drop)
+    target = chi_tau(sys, ab([g]), drop=drop)[0]
     chi = sys.chi_table.value(g)
     res = []
     for z in grid.points():
-        J = chi * sys.factor_nochi(g, z)
+        J = chi * mixed_factor_nochi(sys.nu, sys.mu, sys.rho, sys.tau, g.a, g.b, z)
         lhs = np.exp(1j * (sys.phi(act(g, z)) - sys.phi(z))) * J
-        res.append(abs(lhs - target * j_factor(sys.B, g, z)))
+        res.append(abs(lhs - target * j_factor(sys.B, g.a, g.b, z)))
     return res
 
 
@@ -375,25 +471,49 @@ class TestArraySweepsMatchScalarLoops:
     def test_invariance(self, name):
         sys = build_system(load_bundled(name))
         f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
-        for g in [*sys.gamma.generators, GroupElement(np.exp(0.4j), 0.3 + 0.2j)]:
-            rep = invariance_residual(sys, g, f, REPORT_GRID)
-            assert rep.passed
+        elements = [*sys.gamma.generators, GroupElement(np.exp(0.4j), 0.3 + 0.2j)]
+        for g, rep in zip(elements, invariance_residual(sys, ab(elements), f, REPORT_GRID), strict=True):
+            assert rep.passed and rep.metadata["g"] == g.to_dict()
             assert_report_matches(rep, scalar_invariance(sys, g, f, REPORT_GRID))
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_lifting(self, name):
         sys = build_system(load_bundled(name))
-        for g in sys.gamma.generators:
-            rep = lifting_residual(sys, g, LIFT_GRID)
-            assert rep.passed
+        elements = sys.gamma.generators
+        for g, rep in zip(elements, lifting_residual(sys, ab(elements), LIFT_GRID), strict=True):
+            assert rep.passed and rep.metadata["gamma"] == g.to_dict()
             assert_report_matches(rep, scalar_lifting(sys, g, LIFT_GRID))
 
     def test_lifting_drop_controls(self, alt):
         g = alt.gamma.generators[0]
         for drop in ("phase_at_orbit", "inner"):
-            rep = lifting_residual(alt, g, LIFT_GRID, drop=drop)
+            (rep,) = lifting_residual(alt, ab([g]), LIFT_GRID, drop=drop)
             assert not rep.passed and rep.max_residual > 0.1
             assert_report_matches(rep, scalar_lifting(alt, g, LIFT_GRID, drop=drop))
+
+    @pytest.mark.parametrize("name", [*SYSTEMS, "p6"])
+    def test_batch_equals_one_element_calls(self, name):
+        # the report of each element is the one a one-element call gives, to round-off
+        sys = config_system(name)
+        f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
+        rng_elements = list(map(GroupElement, *random_ab(np.random.default_rng(5), 3)))
+        cases = [
+            (lambda gs: invariance_residual(sys, gs, f, REPORT_GRID), rng_elements),
+            (lambda gs: chi_tau_hat_spread(sys, gs, LIFT_GRID), sys.gamma.generators),
+            (lambda gs: lifting_residual(sys, gs, LIFT_GRID), sys.gamma.generators),
+        ]
+        for check, elements in cases:
+            batch = check(ab(elements))
+            assert len(batch) == len(elements)
+            for rep, g in zip(batch, elements):
+                (one,) = check(ab([g]))
+                assert rep.name == one.name and rep.tol == one.tol
+                assert abs(rep.max_residual - one.max_residual) <= 1e-15
+                assert abs(rep.mean_residual - one.mean_residual) <= 1e-15
+                assert rep.metadata.keys() == one.metadata.keys()
+                assert rep.metadata.get("gamma", rep.metadata.get("g")) == g.to_dict()
+                if "value" in one.metadata:
+                    assert np.allclose(rep.metadata["value"], one.metadata["value"], rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_gauge_phi(self, name):
@@ -419,6 +539,6 @@ class TestArraySweepsMatchScalarLoops:
         f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
         assert field_constancy(sys, REPORT_GRID).passed
         assert intertwining_residual(sys, f, REPORT_GRID).passed
-        for g in square.generators:
-            assert invariance_residual(sys, g, f, REPORT_GRID).passed
-            assert lifting_residual(sys, g, LIFT_GRID).passed
+        gs = ab(square.generators)
+        assert all(r.passed for r in invariance_residual(sys, gs, f, REPORT_GRID))
+        assert all(r.passed for r in lifting_residual(sys, gs, LIFT_GRID))

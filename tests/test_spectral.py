@@ -10,6 +10,7 @@ from maf import spectral
 from maf.automorphy import functional_equation_residual
 from maf.config import build_system, load_bundled
 from maf.fields import Grid, quad2d_nodes
+from maf.groups import GroupElement, random_ab
 from maf.spectral import (
     SpectralBasis,
     WeightedInnerProduct,
@@ -184,12 +185,34 @@ class TestKernel:
         for sys in (conj, alt):
             g = GroupElement(np.exp(0.6j), 0.4 - 0.3j)
             for k in (0, 1):
-                assert kernel_invariance_residual(sys, k, g, pairs).passed
+                (rep,) = kernel_invariance_residual(sys, k, ([g.a], [g.b]), pairs)
+                assert rep.passed and rep.metadata["g"] == g.to_dict()
 
     def test_invariance_subgroup_generators(self, alt):
         pairs = [(0.2 + 0.4j, -0.1 - 0.3j), (0.9, -0.5j)]
-        for g in alt.gamma.generators:
-            assert kernel_invariance_residual(alt, 0, g, pairs).passed
+        gs = [g.a for g in alt.gamma.generators], [g.b for g in alt.gamma.generators]
+        assert all(r.passed for r in kernel_invariance_residual(alt, 0, gs, pairs))
+
+    @pytest.mark.parametrize("k", [0, 2])
+    def test_invariance_batch_equals_one_element_calls(self, alt, k):
+        # one report per element, each the report of a one-element call, to round-off
+        pairs = [(0.3 + 0.1j, -0.4 + 0.7j), (1.0, 0.5j), (-0.8 - 0.2j, 0.2 + 0.9j)]
+        a, b = random_ab(np.random.default_rng(2), 5)
+        batch = kernel_invariance_residual(alt, k, (a, b), pairs)
+        assert len(batch) == 5
+        for rep, x, y in zip(batch, a, b):
+            (one,) = kernel_invariance_residual(alt, k, ([x], [y]), pairs)
+            assert abs(rep.max_residual - one.max_residual) <= 1e-15
+            assert abs(rep.mean_residual - one.mean_residual) <= 1e-15
+            assert rep.metadata == one.metadata == {"k": k, "g": GroupElement(x, y).to_dict(), "n_pairs": 3}
+
+    def test_invariance_negative_control(self, alt, monkeypatch):
+        # the conjugate kernel is not covariant: every element's entry fails
+        pairs = [(0.3 + 0.1j, -0.4 + 0.7j), (1.0, 0.5j)]
+        real = spectral.kernel
+        monkeypatch.setattr(spectral, "kernel", lambda *args: np.conj(real(*args)))
+        reps = kernel_invariance_residual(alt, 0, random_ab(np.random.default_rng(4), 3), pairs)
+        assert len(reps) == 3 and not any(r.passed for r in reps)
 
 
 @pytest.fixture(scope="module")

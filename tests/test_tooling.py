@@ -60,3 +60,69 @@ def test_trace_counters_bind_by_name(target):
     module, attr = target.rsplit(".", 1)
     fn = getattr(importlib.import_module(module), attr)
     assert COUNTED_ARGUMENTS[target] <= set(inspect.signature(fn).parameters)
+
+
+def _report_args():
+    import maf.cli
+
+    return maf.cli.build_parser().parse_args(["report", "--config", "landau"])
+
+
+@pytest.mark.parametrize("config", ["landau", "alteration"])
+def test_invariance_runner_takes_no_stencil(monkeypatch, config):
+    # T_g carries exact derivatives, so the invariance check takes no finite difference
+    import maf.cli
+    import maf.fields
+
+    calls = []
+    real = maf.fields._stencil
+    monkeypatch.setattr(maf.fields, "_stencil", lambda *a: calls.append(a) or real(*a))
+    cfg = maf.cli._resolve_config(config)
+    sys_ = maf.cli.build_system(cfg)
+    maf.cli.CHECKS["invariance"](sys_, cfg, _report_args())
+    assert calls == []
+    maf.cli.CHECKS["spectrum"](sys_, cfg, _report_args())  # an FD check, so the spy does see stencils
+    assert calls
+
+
+# each group check's traced entry points, and how many elements its one call takes
+RUNNER_ENTRY_POINTS = {
+    "invariance": ([("maf.magnetics", "invariance_residual")], lambda sys_: 3),
+    "lift": (
+        [("maf.magnetics", "chi_tau_hat_spread"), ("maf.magnetics", "lifting_residual")],
+        lambda sys_: len(sys_.gamma.generators),
+    ),
+    "kernel": ([("maf.spectral", "kernel_invariance_residual")], lambda sys_: 5),
+}
+
+
+@pytest.mark.parametrize("check", sorted(RUNNER_ENTRY_POINTS))
+def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check):
+    # one call takes all the report's elements; the benchmark counts its points by ``grid``
+    import maf.cli
+
+    entry_points, n_elements = RUNNER_ENTRY_POINTS[check]
+    traced = {(m, a) for m, a, _ in _tracing_literal("TARGETS")}
+    per_point = set(_tracing_literal("PER_POINT"))
+    calls = {}
+    for module_name, attr in entry_points:
+        assert (module_name, attr) in traced
+        module = importlib.import_module(module_name)
+        real = getattr(module, attr)
+
+        def spy(*args, _real=real, _attr=attr, **kwargs):
+            calls.setdefault(_attr, []).append(inspect.signature(_real).bind(*args, **kwargs).arguments)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, attr, spy)
+    for config in ("landau", "alteration"):
+        calls.clear()
+        assert maf.cli.main(["report", "--config", config]) == 0
+        capsys.readouterr()
+        sys_ = maf.cli.build_system(maf.cli._resolve_config(config))
+        assert sorted(calls) == sorted(attr for _, attr in entry_points)
+        for attr, seen in calls.items():
+            assert len(seen) == 1
+            assert len(seen[0]["gs"][0]) == n_elements(sys_)
+            if attr in per_point:
+                assert isinstance(seen[0]["grid"], maf.cli.Grid)
