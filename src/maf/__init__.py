@@ -32,7 +32,7 @@ from .groups import (
     inverse,
     stabilizer_residual,
 )
-from .highdim import EquivariantMapN, GroupElementN, constant_field_test, determinant_coeffs, jacobian_blocks
+from .highdim import EquivariantMapN, constant_field_test, determinant_coeffs, two_form
 from .magnetics import (
     MagneticSystem,
     apply_landau,

@@ -124,18 +124,26 @@ class CharacterTable:
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
         return list(zip(self.closure.elements_upto(len(self.values)), self.values, self.closure.words))
 
+    def _unknown(self, a: complex, b: complex) -> UnknownGroupElementError:
+        return UnknownGroupElementError(f"element [{a}, {b}] not among the words of length <= {self.max_len}")
+
     def _index(self, a: complex, b: complex) -> int:
         hit = self.closure.lookup(a, b)
         if hit is None or hit >= len(self.values):
-            raise UnknownGroupElementError(f"element [{a}, {b}] not among the words of length <= {self.max_len}")
+            raise self._unknown(a, b)
         return hit
 
     def value(self, g: GroupElement) -> complex:
         return self.values[self._index(g.a, g.b)]
 
     def values_at(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """chi at the elements [a, b], arrays of one shape: one lookup per element."""
-        hits = [self._index(x, y) for x, y in zip(np.ravel(a).tolist(), np.ravel(b).tolist())]
+        """chi at the elements [a, b], arrays of one shape, in one probe of the closure's hash."""
+        flat_a, flat_b = np.ravel(a), np.ravel(b)
+        hits = self.closure.lookup_all(flat_a, flat_b)
+        unknown = (hits < 0) | (hits >= len(self.values))
+        if unknown.any():
+            k = unknown.argmax()
+            raise self._unknown(flat_a[k].item(), flat_b[k].item())
         return self.values[hits].reshape(np.shape(a))
 
     def word(self, g: GroupElement) -> list[int]:

@@ -181,7 +181,7 @@ CHECKS = {
 }
 
 # Each command runs its checks, in this order, on one built system.  highdim
-# runs none of them: it tests constant fields in ℂⁿ and builds no system.
+# runs none of them: it checks maps on ℂⁿ and builds no system.
 COMMANDS = {
     "check-equivariance": ("equivariance",),
     "field": ("field",),
@@ -197,7 +197,7 @@ COMMANDS = {
 
 
 def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
-    """Constant-field tests in ℂⁿ: they need no planar system."""
+    """Each case's equivariance defect in ℂⁿ, with its constant 2-form; no planar system is built."""
     block = cfg.highdim or {
         "n": 2,
         "cases": [
@@ -215,26 +215,12 @@ def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
             },
         ],
     }
-    n = int(block.get("n", 2))
-    tol = _tol(args, 1e-6)
-    reps = []
-    for case in block["cases"]:
-        tau = dataclasses.replace(EquivariantMapN.from_dict(case["tau"], n), fd_step=cfg.fd_step)
-        result = constant_field_test(tau, cfg.nu, cfg.mu, seed=cfg.seed, tol=tol)
-        worst = max(
-            result["per_l"]["max_A"], result["per_l"]["max_B"], result["per_l"]["F_spread"]
-        )
-        reps.append(
-            CheckReport(
-                f"highdim_{case.get('name', tau.kind)}",
-                # the direct 2-form oracle is authoritative for pass/fail
-                result["direct"]["spread"],
-                result["direct"]["spread"],
-                tol,
-                {"per_l_worst": worst, "result": result},
-            )
-        )
-    return reps
+    n, tol = int(block.get("n", 2)), _tol(args, 1e-12)
+    return [
+        constant_field_test(EquivariantMapN.from_dict(case["tau"], n), cfg.nu, cfg.mu, tol,
+                            f"highdim_{case.get('name', case['tau']['kind'])}")
+        for case in block["cases"]
+    ]
 
 
 @functools.cache

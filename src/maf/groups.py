@@ -210,16 +210,40 @@ class WordClosure:
     def _hash(self, cells: np.ndarray) -> np.ndarray:
         return cells.view(np.uint64) @ self._MIX
 
+    def _sorted(self) -> tuple:
+        """(sorted keys, entry of each, elements, live mask) of the entries and, while
+        a level grows, of its products."""
+        if self._index is None:
+            order = self._keys.argsort(kind="stable")
+            self._index = self._keys[order], order, self.ab, np.ones(len(order), bool)
+        return self._index
+
+    def lookup_all(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """``lookup`` of every element [a[i], b[i]] of two 1-d arrays, -1 for None.
+
+        One probe of the hash settles each element whose box lies in its cell
+        and whose cell's first entry is within ``tol``; the rest go through ``lookup``.
+        """
+        keys, order, e, live = self._sorted()
+        x = np.stack([np.asarray(a, complex), np.asarray(b, complex)], axis=-1)
+        own, lo_corner, hi_corner = self._cells(x)
+        # the first entry of the cell when it has one, else an entry of
+        # another cell, which is not within tol of a box inside this cell
+        first = order[np.minimum(keys.searchsorted(self._hash(own)), len(keys) - 1)]
+        hit = (lo_corner == hi_corner).all(axis=1) & live[first] & (_l1(x, e[first]) <= self.tol)
+        out = np.where(hit, first, -1)
+        for k in (~hit).nonzero()[0]:
+            found = self.lookup(*x[k])
+            out[k] = -1 if found is None else found
+        return out
+
     def lookup(self, a: complex, b: complex) -> int | None:
         """Index of the first entry within ``tol`` of [a, b], or None.
 
         While a level grows, the labels of its products that are new so far
         count as entries too.
         """
-        if self._index is None:
-            order = self._keys.argsort(kind="stable")
-            self._index = self._keys[order], order, self.ab, np.ones(len(order), bool)
-        keys, order, e, live = self._index
+        keys, order, e, live = self._sorted()
         x = np.array([a, b], complex)
         _, lo, hi = self._cells(x[None])[:, 0]
         probe = self._hash(np.array(list(itertools.product(*map(range, lo, hi + 1)))))

@@ -1,146 +1,67 @@
-"""Constant-field criteria on C^n under U(n) |x C^n.
+"""Constant-field criteria on C^n under U(n) |x C^n, in closed form.
 
-Mirrors the one-variable machinery in several variables: component
-equivariance, the potential one-form in 2n coordinates, the 2x2 determinant
-quantities entering the per-component constant-field criterion, and an
-independent oracle that differentiates the full potential and tests the
-resulting 2-form for constancy.  The two verdicts can disagree (aggregate
-cancellation across components); the report carries an agreement flag rather
-than hiding the discrepancy.
+Mirrors the one-variable machinery in several variables.  Every equivariant
+map it builds is ``tau(z) = U z + V zbar``, so its Jacobian blocks are the
+constant matrices ``(U, V)`` and the 2-form of the potential
+
+    theta = -1/2 sum_l { nu (zbar_l dz_l - z_l dzbar_l) + mu (tau bar_l d tau_l - tau_l d tau bar_l) }
+
+is the constant ``d theta = -sum_l [nu dzbar_l ^ dz_l + mu d tau bar_l ^ d tau_l]``:
+nothing is sampled or differentiated numerically.  What can fail is the
+equivariance of tau under the rho its kind declares.  The per-component 2x2
+determinants of the componentwise criterion are reported beside it; they
+vanish exactly when each component of tau involves one coordinate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .fields import DEFAULT_FD_STEP
-from .reports import CheckReport, from_residuals
+from .config import ConfigError
+from .reports import CheckReport
 
-UNITARY_TOL = 1e-10
-
-
-@dataclass
-class GroupElementN:
-    """A rigid motion z -> A z + b of C^n with unitary A."""
-
-    A: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=complex)
-        self.b = np.asarray(self.b, dtype=complex).ravel()
-        n = self.b.size
-        if self.A.shape != (n, n):
-            raise ValueError("rotation block and translation sizes disagree")
-        if np.abs(self.A.conj().T @ self.A - np.eye(n)).max() > UNITARY_TOL:
-            raise ValueError("rotation block is not unitary")
-
-
-def act_n(g: GroupElementN, z: np.ndarray) -> np.ndarray:
-    return np.asarray(z, dtype=complex) @ g.A.T + g.b
-
-
-def random_element_n(n: int, rng: np.random.Generator) -> GroupElementN:
-    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    Q, R = np.linalg.qr(M)
-    Q = Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
-    return GroupElementN(Q, rng.normal(size=n) + 1j * rng.normal(size=n))
-
-
-# ---------------------------------------------------------------------------
-# Equivariant maps tau : C^n -> C^n.  A point array carries the n coordinates
-# on its last axis; every function below broadcasts over the leading axes.
-
-def _poly_component(terms: list[dict]) -> Callable[[np.ndarray], np.ndarray]:
-    parsed = [
-        (np.array(t["z"], dtype=int), np.array(t["zbar"], dtype=int), complex(*t["c"]))
-        for t in terms
-    ]
-
-    def f(z: np.ndarray) -> np.ndarray:
-        zb = np.conj(z)
-        return sum(c * np.prod(z**ei, axis=-1) * np.prod(zb**ej, axis=-1) for ei, ej, c in parsed)
-
-    return f
-
-
-def _wirtinger_n(f: Callable, z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """(d f_m / d z_k, d f_m / d zbar_k) as arrays (..., m, k) for f : (..., n) -> (..., m).
-
-    One 5-point stencil along the real and the imaginary axis of every
-    coordinate, all shifted points evaluated in one call of ``f``.
-    """
-    n = z.shape[-1]
-    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None, None]
-    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * h)
-    e = h * np.eye(n)
-    # shifted points (..., step, axis x|y, direction k, coordinate)
-    fv = f(z[..., None, None, None, :] + steps * np.stack([e, 1j * e]))
-    gx, gy = np.einsum("s,...sakm->a...mk", weights, fv)
-    return 0.5 * (gx - 1j * gy), 0.5 * (gx + 1j * gy)
+# the rho each kind of tau is equivariant under, for g = (A, b):
+# (A, b), (conj A, conj b) and (U A U*, U b)
+RHO = {"identity": "identity", "conjugate": "conjugate", "linear": "unitary_conj"}
 
 
 @dataclass
 class EquivariantMapN:
-    """tau given by a descriptor.
+    """tau(z) = U z + V zbar given by a descriptor.
 
-    The identity, conjugate and linear kinds are ``tau(z) = U z + V zbar``
-    with ``(U, V)`` = ``(I, 0)``, ``(0, I)`` and ``(U, 0)``, and their exact
-    Jacobian blocks are ``(U, V)``; the polynomial kind is differentiated by
-    5-point stencils with step ``fd_step``.
+    The identity, conjugate and linear kinds have ``(U, V)`` = ``(I, 0)``,
+    ``(0, I)`` and ``(U, 0)``; these are also tau's Jacobian blocks
+    d tau_l / dz_k = U[l, k] and d tau_l / dzbar_k = V[l, k].
     """
 
-    kind: str  # identity | conjugate | linear | polynomial
+    kind: str  # identity | conjugate | linear
     n: int
     U: Optional[np.ndarray] = None
-    components: Optional[list] = None  # polynomial term tables
-    fd_step: float = DEFAULT_FD_STEP
+    V: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self._fns = None
-        if self.kind == "polynomial":
-            if self.components is None or len(self.components) != self.n:
-                raise ValueError("polynomial map needs one term table per component")
-            self._fns = [_poly_component(t) for t in self.components]
-            return
+        if self.kind not in RHO:
+            raise ConfigError(f"unknown map kind {self.kind!r}; supported kinds: {', '.join(RHO)}")
+        eye, zero = np.eye(self.n, dtype=complex), np.zeros((self.n, self.n), dtype=complex)
         if self.kind == "linear":
             self.U = np.asarray(self.U, dtype=complex)
             if self.U.shape != (self.n, self.n):
                 raise ValueError("linear map needs an n x n matrix")
-        eye, zero = np.eye(self.n, dtype=complex), np.zeros((self.n, self.n), dtype=complex)
-        UV = {"identity": (eye, zero), "conjugate": (zero, eye), "linear": (self.U, zero)}
-        if self.kind not in UV:
-            raise ValueError(f"unknown map kind {self.kind!r}")
-        self._UV = UV[self.kind]
+        self.U, self.V = {"identity": (eye, zero), "conjugate": (zero, eye), "linear": (self.U, zero)}[self.kind]
 
     @classmethod
     def from_dict(cls, d: dict, n: int) -> "EquivariantMapN":
-        kind = d["kind"]
-        if kind == "linear":
-            U = np.array([[complex(*e) for e in row] for row in d["U"]])
-            return cls("linear", n, U=U)
-        if kind == "polynomial":
-            return cls("polynomial", n, components=d["components"])
-        return cls(kind, n)
+        if d["kind"] == "linear":
+            return cls("linear", n, U=np.array([[complex(*e) for e in row] for row in d["U"]]))
+        return cls(d["kind"], n)
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
+        """tau at the points z, the n coordinates on the last axis."""
         z = np.asarray(z, dtype=complex)
-        if self._fns is not None:
-            return np.stack([f(z) for f in self._fns], axis=-1)
-        U, V = self._UV
-        return z @ U.T + np.conj(z) @ V.T
-
-
-def jacobian_blocks(tau: EquivariantMapN, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (..., n, n): P[..., l, k] = d tau_l / d z_k and Q[..., l, k] = d tau_l / d zbar_k."""
-    z = np.asarray(z, dtype=complex)
-    if tau._fns is not None:
-        return _wirtinger_n(tau, z, tau.fd_step)
-    shape = z.shape[:-1] + (tau.n, tau.n)
-    return tuple(np.broadcast_to(M, shape).copy() for M in tau._UV)
+        return z @ self.U.T + np.conj(z) @ self.V.T
 
 
 def _determinants(p: np.ndarray, q: np.ndarray, i, j) -> tuple:
@@ -157,142 +78,74 @@ def _determinants(p: np.ndarray, q: np.ndarray, i, j) -> tuple:
     return A, B, C, D
 
 
-def determinant_coeffs(
-    tau: EquivariantMapN, z: np.ndarray, ell: int, i: int, j: int, k: int
-) -> dict:
-    """The five 2x2 determinants of the constant-field criterion at the points z.
+def determinant_coeffs(tau: EquivariantMapN, ell: int, i: int, j: int, k: int) -> dict:
+    """The five 2x2 determinants of the componentwise criterion for component ``ell``.
 
     Indices are 0-based; i < j required for the antisymmetric quantities.
     """
     if not i < j:
         raise ValueError("need i < j")
-    P, Q = jacobian_blocks(tau, z)
-    p, q = P[..., ell, :], Q[..., ell, :]
+    p, q = tau.U[ell], tau.V[ell]
     A, B, C, D = _determinants(p, q, i, j)
-    F = np.abs(q[..., k]) ** 2 - np.abs(p[..., k]) ** 2
-    return {"A": A, "B": B, "C": C, "D": D, "F": F}
+    return {"A": A, "B": B, "C": C, "D": D, "F": abs(q[k]) ** 2 - abs(p[k]) ** 2}
 
 
-def potential_n_coeffs(
-    tau: EquivariantMapN, nu: float, mu: float, z: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (c_dz, c_dzbar) of theta at the points z, each of z's shape.
+def two_form(tau: EquivariantMapN, nu: float, mu: float) -> np.ndarray:
+    """The antisymmetric (2n, 2n) coefficient matrix M of d theta.
 
-    theta = -1/2 sum_l { nu (zbar_l dz_l - z_l dzbar_l)
-                         + mu (tau bar_l d tau_l - tau_l d tau bar_l) }.
+    Basis order (dz_1..dz_n, dzbar_1..dzbar_n); M[a, b] (a < b) is the
+    coefficient of basis_a ^ basis_b.  With d tau_l = alpha_l . basis and
+    d tau bar_l = beta_l . basis, d theta = sum_ab X[a, b] basis_a ^ basis_b
+    for X = -nu E - mu sum_l beta_l alpha_l^T, E[n + l, l] = 1, and M = X - X^T.
     """
-    z = np.asarray(z, dtype=complex)
-    c_dz = -0.5 * nu * np.conj(z)
-    c_dzb = 0.5 * nu * z
-    if mu != 0.0:
-        t = tau(z)[..., :, None]
-        P, Q = jacobian_blocks(tau, z)
-        # d tau_l / dz_k = P[l,k]; d (tau bar_l) / dz_k = conj(Q[l,k])
-        c_dz = c_dz - 0.5 * mu * np.sum(np.conj(t) * P - t * np.conj(Q), axis=-2)
-        c_dzb = c_dzb - 0.5 * mu * np.sum(np.conj(t) * Q - t * np.conj(P), axis=-2)
-    return c_dz, c_dzb
-
-
-def _two_form_matrix(tau: EquivariantMapN, nu: float, mu: float, z: np.ndarray, h: float) -> np.ndarray:
-    """Antisymmetric (..., 2n, 2n) coefficient matrices of d theta at the points z.
-
-    Basis order (dz_1..dz_n, dzbar_1..dzbar_n); entry [a, b] (a < b) is the
-    coefficient of basis_a ^ basis_b.  Derivatives by 5-point stencils in the
-    2n Wirtinger directions.
-    """
-
-    def coeffs(zz: np.ndarray) -> np.ndarray:
-        return np.concatenate(potential_n_coeffs(tau, nu, mu, zz), axis=-1)
-
-    d_dz, d_dzb = _wirtinger_n(coeffs, np.asarray(z, dtype=complex), h)
-    J = np.concatenate([d_dz, d_dzb], axis=-1)  # J[..., b, a] = d c_b / d dir_a
-    return np.swapaxes(J, -1, -2) - J  # M[a,b] = d_a c_b - d_b c_a
-
-
-def equivariance_check_n(
-    tau: EquivariantMapN,
-    rho_kind: str,
-    n_samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-8,
-    U: Optional[np.ndarray] = None,
-) -> CheckReport:
-    """Residual of tau(g.z) = alpha(g) tau(z) + beta(g) for the declared rho.
-
-    ``rho_kind``: "identity" (alpha=A, beta=b), "conjugate" (entrywise
-    conjugation of [A, b]), or "unitary_conj" (alpha = U A U*, beta = U b).
-    """
-    rng = np.random.default_rng(seed)
     n = tau.n
-    res = []
-    for _ in range(n_samples):
-        g = random_element_n(n, rng)
-        z = rng.normal(size=n) + 1j * rng.normal(size=n)
-        if rho_kind == "identity":
-            alpha, beta = g.A, g.b
-        elif rho_kind == "conjugate":
-            alpha, beta = np.conj(g.A), np.conj(g.b)
-        elif rho_kind == "unitary_conj":
-            alpha, beta = U @ g.A @ U.conj().T, U @ g.b
-        else:
-            raise ValueError(f"unknown rho kind {rho_kind!r}")
-        res.append(float(np.abs(tau(act_n(g, z)) - (alpha @ tau(z) + beta)).max()))
-    return from_residuals(
-        "equivariance_n", res, tol, rho=rho_kind, n=n, n_samples=n_samples, seed=seed
-    )
+    alpha = np.hstack([tau.U, tau.V])  # rows alpha_l
+    beta = np.hstack([tau.V.conj(), tau.U.conj()])  # rows beta_l
+    X = -mu * (beta.T @ alpha)
+    X[n:, :n] -= nu * np.eye(n)
+    return X - X.T
+
+
+def equivariance_defect(tau: EquivariantMapN) -> float:
+    """max |W* W - I| for tau's nonzero Jacobian block W.
+
+    tau(g.z) = rho(g).tau(z) holds for every g = (A, b) of U(n) |x C^n and
+    the kind's rho (``RHO``) exactly when W is unitary: for the linear kind
+    the difference is U A (U* U - I) z, and as the unitary A span all
+    matrices it vanishes for all g and z only when U* U = I (or U = 0).
+    """
+    W = tau.V if tau.kind == "conjugate" else tau.U
+    return float(np.abs(W.conj().T @ W - np.eye(tau.n)).max())
 
 
 def constant_field_test(
-    tau: EquivariantMapN,
-    nu: float,
-    mu: float,
-    n_points: int = 12,
-    seed: int = 0,
-    tol: float = 1e-6,
-) -> dict:
-    """Per-component criterion vs. direct 2-form constancy, with agreement flag.
+    tau: EquivariantMapN, nu: float, mu: float, tol: float = 1e-12, name: str = "highdim"
+) -> CheckReport:
+    """tau's equivariance defect under its declared rho, with d theta and the
+    per-component determinants in the metadata.
 
-    Per-component: max |A|, max |B| over sample points and index choices, and
-    the spread of each F across points, all required below ``tol``.  Direct:
-    the full 2-form d theta is assembled numerically; every coefficient must
-    be constant across points within ``tol``.
+    d theta is constant by construction.  ``coordinate_decoupling`` holds the
+    largest |A| and |B| over components and index pairs i < j, and F[l, k] =
+    |V[l, k]|^2 - |U[l, k]|^2; with V = 0, B_ij = -conj(U[l, j]) U[l, i], so
+    the block reads ``decoupled`` only when each component involves one
+    coordinate (the 45 degree rotation is not).
     """
-    rng = np.random.default_rng(seed)
     n = tau.n
-    xy = rng.normal(size=(n_points, 2, n))
-    pts = xy[:, 0] + 1j * xy[:, 1]
-
-    P, Q = jacobian_blocks(tau, pts)
-    A, B, _, _ = _determinants(P, Q, *np.triu_indices(n, 1))
-    max_A = float(np.abs(A).max(initial=0.0))
-    max_B = float(np.abs(B).max(initial=0.0))
-    F = np.abs(Q) ** 2 - np.abs(P) ** 2  # F[point, l, k]
-    f_spread = float(np.ptp(F, axis=0).max())
-    per_l_pass = bool(max_A <= tol and max_B <= tol and f_spread <= tol)
-
-    mats = _two_form_matrix(tau, nu, mu, pts, tau.fd_step)
-    direct_spread = float(np.abs(mats - mats[0]).max())
-    direct_pass = bool(direct_spread <= tol)
-
-    return {
-        "per_l": {
+    i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the pairs i < j
+    A, B, _, _ = _determinants(tau.U, tau.V, i, j)
+    max_A, max_B = (float(np.abs(x).max(initial=0.0)) for x in (A, B))
+    F = np.abs(tau.V) ** 2 - np.abs(tau.U) ** 2
+    defect = equivariance_defect(tau)
+    return CheckReport(name, defect, defect, tol, {
+        "rho": RHO[tau.kind],
+        "two_form": [[[v.real, v.imag] for v in row] for row in two_form(tau, nu, mu).tolist()],
+        "coordinate_decoupling": {
             "max_A": max_A,
             "max_B": max_B,
-            "F_spread": f_spread,
-            "F_values": {f"{l},{k}": float(v) for (l, k), v in np.ndenumerate(F.mean(axis=0))},
-            "pass": per_l_pass,
+            "F_values": {f"{l},{k}": v for l, row in enumerate(F.tolist()) for k, v in enumerate(row)},
+            "decoupled": max_A <= tol and max_B <= tol,
         },
-        "direct": {
-            "spread": direct_spread,
-            "coefficients": _matrix_to_json(mats[0]),
-            "pass": direct_pass,
-        },
-        "agree": bool(per_l_pass == direct_pass),
         "nu": nu,
         "mu": mu,
         "n": n,
-    }
-
-
-def _matrix_to_json(M: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in M]
+    })

@@ -12,7 +12,7 @@ from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, polyexp_field, quad2d_nodes
 from maf.groups import DiscreteSubgroup, GroupElement
-from maf.highdim import EquivariantMapN, constant_field_test, potential_n_coeffs
+from maf.highdim import EquivariantMapN, constant_field_test, two_form
 from maf.magnetics import (
     S_field,
     apply_landau,
@@ -37,6 +37,7 @@ from maf.spectral import (
     strip_eigenfunction,
     truncation_radius,
 )
+from test_highdim import _two_form_matrix, potential_n_coeffs
 
 NAMES = ("landau", "conjugate", "alteration")
 EXPECTED_B = {"landau": 1.0, "conjugate": 1.0, "alteration": 1.5}
@@ -212,21 +213,26 @@ def test_criterion_8_kernel(systems):
 
 
 def test_criterion_9_highdim_verdicts():
-    ident = constant_field_test(EquivariantMapN("identity", 2), 1.0, 0.5, n_points=6)
-    conj = constant_field_test(EquivariantMapN("conjugate", 2), 1.0, 0.5, n_points=6)
+    # d theta is the closed form, checked against the stencil oracle at sample
+    # points; each map is equivariant at 1e-12, and only the rotation couples
+    # its coordinates
     c = np.sqrt(0.5)
-    rot = constant_field_test(
-        EquivariantMapN("linear", 2, U=np.array([[c, -c], [c, c]], dtype=complex)),
-        1.0,
-        0.5,
-        n_points=6,
-    )
-    ok = ident["per_l"]["pass"] and ident["direct"]["pass"] and ident["agree"]
-    ok &= all(abs(v + 1.0) < 1e-8 for v in ident["per_l"]["F_values"].values() if v != 0.0)
-    ok &= conj["per_l"]["pass"] and conj["direct"]["pass"] and conj["agree"]
-    ok &= rot["per_l"]["pass"] is False
-    ok &= rot["direct"]["pass"] is True
-    ok &= rot["agree"] is False
+    maps = {
+        "identity": EquivariantMapN("identity", 2),
+        "conjugate": EquivariantMapN("conjugate", 2),
+        "rotation45": EquivariantMapN("linear", 2, U=np.array([[c, -c], [c, c]], dtype=complex)),
+    }
+    reps = {name: constant_field_test(tau, 1.0, 0.5) for name, tau in maps.items()}
+    pts = np.random.default_rng(0).normal(size=(6, 2, 2)) @ np.array([1, 1j])
+    ok = True
+    for name, tau in maps.items():
+        fd = _two_form_matrix(tau, 1.0, 0.5, pts, 1e-4)
+        ok &= np.abs(fd - two_form(tau, 1.0, 0.5)).max() <= 1e-8
+        ok &= reps[name].passed and reps[name].tol == 1e-12
+    ident, conj, rot = (reps[name].metadata["coordinate_decoupling"] for name in maps)
+    ok &= ident["decoupled"] and conj["decoupled"]
+    ok &= all(abs(v + 1.0) < 1e-8 for v in ident["F_values"].values() if v != 0.0)
+    ok &= rot["decoupled"] is False and rot["max_B"] > 0.4
     assert _verdict("9", ok)
 
 

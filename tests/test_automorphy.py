@@ -152,6 +152,63 @@ class TestPseudoCharacter:
             CharacterTable(PseudoCharacter([1]), SQUARE, 1.0, 0.0, ID)
 
 
+class TestValuesAt:
+    """``values_at`` reads chi at many elements in one probe of the closure's
+    hash; ``value`` and ``lookup`` take one element at a time."""
+
+    @pytest.fixture(scope="class")
+    def table(self):
+        return CharacterTable(PseudoCharacter([1, -1]), DiscreteSubgroup(P6.generators), P6_NU, 0.0, ID, max_len=8)
+
+    @staticmethod
+    def counted_lookups(monkeypatch, closure) -> list:
+        calls, real = [], closure.lookup
+        monkeypatch.setattr(closure, "lookup", lambda *x: calls.append(x) or real(*x))
+        return calls
+
+    def test_every_p6_entry(self, table, monkeypatch):
+        closure = table.closure
+        calls = self.counted_lookups(monkeypatch, closure)
+        got = table.values_at(closure.a[:712].reshape(8, 89), closure.b[:712].reshape(8, 89))
+        # a box of half-side 2 tol straddles a cell edge with a chance of about 8 tol / CELL
+        assert len(calls) <= 4
+        assert got.shape == (8, 89) and len(table.values) == 712
+        want = [table.value(g) for g, _, _ in table.entries]
+        assert np.array_equal(got.ravel(), want) and np.array_equal(got.ravel(), table.values)
+
+    def test_nudged_within_tol(self, table, monkeypatch):
+        rng = np.random.default_rng(0)
+        closure, tol = table.closure, table.closure.tol
+        idx = rng.integers(0, 712, 400)
+        # |da| + |db| <= 0.4 tol + 0.55 tol; a stays on the unit circle
+        a = closure.a[idx] * np.exp(0.4j * tol * rng.uniform(-1, 1, 400))
+        b = closure.b[idx] + 0.55 * tol * np.exp(2j * np.pi * rng.uniform(size=400))
+        calls = self.counted_lookups(monkeypatch, closure)
+        got = table.values_at(a, b)
+        assert len(calls) <= 4
+        monkeypatch.undo()
+        assert np.array_equal(got, [table.value(GroupElement(x, y)) for x, y in zip(a, b)])
+        assert np.array_equal(got, table.values[idx])
+
+    def test_unknown_elements_raise(self, table):
+        closure = table.closure
+        a, b = closure.a[:5].copy(), closure.b[:5].copy()
+        b[3] += 1 + 1j  # off the lattice
+        with pytest.raises(UnknownGroupElementError, match=r"element \[.*\] not among the words of length <= 8"):
+            table.values_at(a, b)
+        b[3] = closure.b[3] + 3 * closure.tol  # beyond tol
+        with pytest.raises(UnknownGroupElementError):
+            table.values_at(a, b)
+
+    def test_words_past_the_table_raise(self):
+        gamma = DiscreteSubgroup(SQUARE.generators)
+        table = CharacterTable(PseudoCharacter([1, 1]), gamma, np.pi, 0.0, ID, max_len=4)
+        gamma.closure.grow(6)
+        assert table.values_at(np.array([1, 1]), np.array([4, 3j])).tolist() == [1, 1]
+        with pytest.raises(UnknownGroupElementError):
+            table.values_at(np.array([1, 1]), np.array([4, 5]))
+
+
 def edge_character_table(chi, gamma, nu, mu, rho, max_len):
     """chi carried edge by edge over the per-edge closure: the loop that the
     level-at-a-time extension replaced, kept as an oracle."""

@@ -384,40 +384,32 @@ class TestCli:
         assert main(["highdim", "--config", "landau"]) == 0
         data = json.loads(capsys.readouterr().out)
         by_name = {d["name"]: d for d in data}
-        assert by_name["highdim_identity"]["pass"]
-        assert by_name["highdim_conjugate"]["pass"]
+        for name in ("highdim_identity", "highdim_conjugate"):
+            assert by_name[name]["pass"] and by_name[name]["tol"] == 1e-12
+            assert by_name[name]["max_residual"] == 0.0
+            assert by_name[name]["metadata"]["coordinate_decoupling"]["decoupled"]
         rot = by_name["highdim_rotation45"]
-        assert rot["pass"]  # the assembled 2-form is constant
-        assert not rot["metadata"]["result"]["per_l"]["pass"]
-        assert not rot["metadata"]["result"]["agree"]
+        assert rot["pass"] and rot["max_residual"] <= 1e-12  # U is unitary
+        assert not rot["metadata"]["coordinate_decoupling"]["decoupled"]
 
     def test_fd_step_env(self, capsys, monkeypatch):
         monkeypatch.setenv("MAF_FD_STEP", "1e-3")
         assert main(["field", "--config", "conjugate"]) == 0
         capsys.readouterr()
 
-    def test_fd_step_reaches_highdim(self, capsys, monkeypatch, tmp_path):
-        import maf.cli
-        from importlib import resources
-
-        steps = []
-        real = maf.cli.constant_field_test
-
-        def spy(tau, *args, **kwargs):
-            steps.append(tau.fd_step)
-            return real(tau, *args, **kwargs)
-
-        monkeypatch.setattr(maf.cli, "constant_field_test", spy)
+    def test_highdim_takes_no_fd_step(self, capsys, monkeypatch, tmp_path):
+        # the 2-form is in closed form, so the step changes no byte of the output
+        assert main(["highdim", "--config", "landau"]) == 0
+        want = capsys.readouterr().out
         data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
         data["fd_step"] = 3e-3
         p = tmp_path / "sys.json"
         p.write_text(json.dumps(data))
         assert main(["highdim", "--config", str(p)]) == 0
-        assert steps == [3e-3] * 3
+        assert capsys.readouterr().out == want
         monkeypatch.setenv("MAF_FD_STEP", "1e-2")
         assert main(["highdim", "--config", "landau"]) == 0
-        assert steps[3:] == [1e-2] * 3
-        capsys.readouterr()
+        assert capsys.readouterr().out == want
 
     def test_missing_or_unknown_command_exits_2(self, capsys):
         for argv in ([], ["--config", "landau"], ["nope", "--config", "landau"], ["report"]):

@@ -2,16 +2,18 @@
 
 The files in ``tests/golden/`` were recorded from the per-point (scalar loop)
 implementation and are not regenerated: they pin every report of the array
-evaluation path to the values the scalar path produced.  The one exception
-is the ``invariance`` entries, re-recorded when T_g became exact: their
-residual fell from finite-difference noise (about 1e-7, tol 1e-5) to
-round-off (1.4e-15 to 2.8e-15, tol 1e-11).  ``X.json`` is
+evaluation path to the values the scalar path produced.  The exceptions:
+the ``invariance`` entries, re-recorded when T_g became exact (their
+residual fell from finite-difference noise, about 1e-7 at tol 1e-5, to
+round-off, 1.4e-15 to 2.8e-15 at tol 1e-11), and the ``highdim`` files,
+re-recorded once when the ℂⁿ 2-form became a closed form and each entry's
+residual became τ's equivariance defect.  ``X.json`` is
 ``maf report --config X``, ``highdim_X.json`` is ``maf highdim --config X``.
 
 Allowance.  Names, verdicts (``pass``), tolerances and every int, str and
 bool value must match exactly.  ``max_residual`` and ``mean_residual`` may
 move by at most ``1e-2 * tol``.  That is for the residuals a 5-point finite
-difference still computes (``spectrum_rayleigh`` and the FD results below):
+difference still computes (``spectrum_rayleigh``):
 the stencil divides round-off by h^2, so evaluating it on a whole array
 instead of point by point moves them.  The residuals of exact paths move by
 round-off alone: batching the elements of ``lifting`` moved one
@@ -24,12 +26,6 @@ may differ by ``rel 1e-9`` or ``abs 1e-12``, except the two eigen-equation resid
 ``laguerre_scale_verdict``: they are FD residuals as well, so they get the
 residual allowance against the verdict's tolerance 1e-3.  The scale-1
 residual of alteration (about 1.4e-8) moved by 2.9e-11, i.e. 2.9e-8 * 1e-3.
-
-In the ``highdim`` reports the floats under ``metadata.result.direct`` and
-``metadata.per_l_worst`` are finite-difference results too (the 2-form is a
-5-point stencil of the potential), so they get the residual allowance
-against the report's tol.  The measured basis: evaluating the ℂⁿ sample
-points as one array moved them by at most 1.9e-12 absolute, i.e. 2e-6 * tol.
 """
 
 import io
@@ -46,10 +42,6 @@ GOLDEN = Path(__file__).parent / "golden"
 RESIDUAL_ALLOWANCE = 1e-2  # times the check's tol
 FLOAT_REL, FLOAT_ABS = 1e-9, 1e-12
 SCALE_VERDICT_TOL = 1e-3  # spectral.select_laguerre_scale's default tol
-
-
-def _is_fd_result(path: str) -> bool:
-    return ".metadata.result.direct." in path or path.endswith(".metadata.per_l_worst")
 
 
 def _compare(got, want, path: str, errors: list[str], tol: float) -> None:
@@ -70,8 +62,6 @@ def _compare(got, want, path: str, errors: list[str], tol: float) -> None:
     elif isinstance(want, float):
         if ".laguerre_scale_verdict.residuals." in path:
             close = abs(got - want) <= RESIDUAL_ALLOWANCE * SCALE_VERDICT_TOL
-        elif _is_fd_result(path):
-            close = abs(got - want) <= RESIDUAL_ALLOWANCE * tol
         else:
             close = math.isclose(got, want, rel_tol=FLOAT_REL, abs_tol=FLOAT_ABS)
         if not close:
@@ -152,34 +142,35 @@ def test_comparison_catches_changes():
     assert changed(move_scale_residual(2e-5))
 
 
-def test_comparison_of_highdim_fd_results():
+def test_comparison_of_highdim_floats():
+    # the highdim entries are closed forms: every float is held to rel 1e-9 / abs 1e-12
     want = json.loads((GOLDEN / "highdim_alteration.json").read_text())
-    tol = want[0]["tol"]
 
     def changed(edit):
         got = json.loads(json.dumps(want))
-        edit(got[0]["metadata"])
+        edit(got[2]["metadata"])  # rotation45
         return compare_reports(got, want)
 
-    def move_direct(delta):
-        return lambda m: m["result"]["direct"].update(spread=m["result"]["direct"]["spread"] + delta)
-
-    def move_coefficient(delta):
+    def move_coefficient(a, b, delta):
         def edit(m):
-            m["result"]["direct"]["coefficients"][0][1][0] += delta
+            m["two_form"][a][b][0] += delta
 
         return edit
 
-    # FD results: within and beyond 1e-2 * tol
-    assert changed(move_direct(5e-3 * tol)) == []
-    assert changed(move_direct(2e-2 * tol))
-    assert changed(move_coefficient(5e-3 * tol)) == []
-    assert changed(move_coefficient(2e-2 * tol))
-    assert changed(lambda m: m.update(per_l_worst=m["per_l_worst"] + 5e-3 * tol)) == []
-    assert changed(lambda m: m.update(per_l_worst=m["per_l_worst"] + 2e-2 * tol))
-    # the per-component criterion is exact for the bundled kinds: rel 1e-9
-    assert changed(lambda m: m["result"]["per_l"].update(max_B=m["result"]["per_l"]["max_B"] + 5e-3 * tol))
-    assert changed(lambda m: m["result"]["direct"].update({"pass": False}))
+    def move_decoupling(key, factor):
+        return lambda m: m["coordinate_decoupling"].update({key: m["coordinate_decoupling"][key] * factor})
+
+    assert changed(lambda m: None) == []
+    # [0][1] is 0, [0][2] is nu + mu = 1.5 (U*U = I)
+    assert changed(move_coefficient(0, 1, 5e-13)) == []
+    assert changed(move_coefficient(0, 1, 2e-12))
+    assert changed(move_coefficient(0, 2, 1e-10)) == []
+    assert changed(move_coefficient(0, 2, 1e-8))
+    assert changed(move_decoupling("max_B", 1 + 1e-10)) == []
+    assert changed(move_decoupling("max_B", 1 + 1e-8))
+    assert changed(lambda m: m["coordinate_decoupling"]["F_values"].update({"0,0": -0.5 * (1 + 1e-8)}))
+    assert changed(lambda m: m["coordinate_decoupling"].update(decoupled=True))
+    assert changed(lambda m: m.update(rho="identity"))
 
 
 def test_one_evaluation_path():

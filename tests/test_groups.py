@@ -265,6 +265,34 @@ class TestWordClosure:
         # with a wide tolerance the identity and a translation by 1 both match 0.5
         assert closure.lookup(1 + 0j, 0.5 + 0j) == 0
         assert len(closure.elements) == 5
+        assert closure.lookup_all(np.array([1, 1]), np.array([0.5, 0.9])).tolist() == [0, 1]
+
+    def test_lookup_all_across_a_cell_edge(self):
+        # entries 1 (b = d) and 3 (b = 2d) are both within tol of b = 2.1e-6, which
+        # lies in 2d's cell (side 4 tol, edges at odd multiples of 2 tol): the
+        # first-inserted entry 1 wins, although 3 is first in the query's own cell
+        tol, d = 1e-6, 1.5e-6
+        closure = WordClosure(DiscreteSubgroup([GroupElement(1, d)]), tol).grow(2)
+        assert closure.b[[1, 3]].tolist() == [d, 2 * d]
+        assert closure.lookup(1 + 0j, 2.1e-6 + 0j) == 1
+        assert closure.lookup_all(np.array([1, 1]), np.array([2.1e-6, 2.9e-6])).tolist() == [1, 3]
+
+    @pytest.mark.parametrize("tol", [1e-10, 1e-9, 2.4e-7, 0.3])
+    def test_lookup_all_matches_lookup(self, tol):
+        # entries, queries within and beyond tol of them, and cell edges; at tol
+        # 2.4e-7 and 0.3 nearly every box straddles a cell edge
+        closure = WordClosure(P6, tol).grow(5)
+        rng = np.random.default_rng(1)
+        idx = rng.integers(0, len(closure.ab), 300)
+        scale = tol * np.array([0.0, 0.3, 0.45, 1.5, 3.0])[rng.integers(0, 5, 300)]
+        a = closure.a[idx] * np.exp(1j * scale * rng.uniform(-1, 1, 300))
+        b = closure.b[idx] + scale * np.exp(2j * np.pi * rng.uniform(size=300))
+        cell = max(WordClosure.CELL, 4 * tol)
+        b[:20] = np.round(b[:20].real / cell) * cell + 0.5 * cell + 1j * b[:20].imag
+        want = [closure.lookup(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        got = closure.lookup_all(a, b)
+        assert got.tolist() == [-1 if w is None else w for w in want]
+        assert (got >= 0).sum() > 100 and (got < 0).sum() > 20
 
     def test_successor_table(self):
         closure = WordClosure(P6).grow(4)

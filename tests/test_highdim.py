@@ -1,18 +1,23 @@
+import ast
+import inspect
+import json
+from dataclasses import dataclass, field
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from maf.cli import main
+from maf.config import ConfigError
 from maf.highdim import (
     EquivariantMapN,
-    GroupElementN,
-    _two_form_matrix,
-    act_n,
+    _determinants,
     constant_field_test,
     determinant_coeffs,
-    equivariance_check_n,
-    jacobian_blocks,
-    potential_n_coeffs,
-    random_element_n,
+    equivariance_defect,
+    two_form,
 )
+from maf.reports import CheckReport, from_residuals
 
 C = np.sqrt(0.5)
 ROT45 = np.array([[C, -C], [C, C]], dtype=complex)
@@ -22,7 +27,195 @@ def rot45_map():
     return EquivariantMapN("linear", 2, U=ROT45)
 
 
-class TestGroupElementN:
+# ---------------------------------------------------------------------------
+# Oracles.  The sampled group action, the polynomial maps (not equivariant:
+# the negative control) and the 5-point Wirtinger stencil that the library
+# used before its 2-form was written in closed form.
+
+UNITARY_TOL = 1e-10
+
+
+@dataclass
+class GroupElementN:
+    """A rigid motion z -> A z + b of C^n with unitary A."""
+
+    A: np.ndarray
+    b: np.ndarray
+
+    def __post_init__(self):
+        self.A = np.asarray(self.A, dtype=complex)
+        self.b = np.asarray(self.b, dtype=complex).ravel()
+        n = self.b.size
+        if self.A.shape != (n, n):
+            raise ValueError("rotation block and translation sizes disagree")
+        if np.abs(self.A.conj().T @ self.A - np.eye(n)).max() > UNITARY_TOL:
+            raise ValueError("rotation block is not unitary")
+
+
+def act_n(g: GroupElementN, z: np.ndarray) -> np.ndarray:
+    return np.asarray(z, dtype=complex) @ g.A.T + g.b
+
+
+def random_element_n(n: int, rng: np.random.Generator) -> GroupElementN:
+    return GroupElementN(random_unitary(n, rng), rng.normal(size=n) + 1j * rng.normal(size=n))
+
+
+def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
+    M = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    Q, R = np.linalg.qr(M)
+    return Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
+
+
+def _poly_component(terms: list[dict]):
+    parsed = [
+        (np.array(t["z"], dtype=int), np.array(t["zbar"], dtype=int), complex(*t["c"]))
+        for t in terms
+    ]
+
+    def f(z: np.ndarray) -> np.ndarray:
+        zb = np.conj(z)
+        return sum(c * np.prod(z**ei, axis=-1) * np.prod(zb**ej, axis=-1) for ei, ej, c in parsed)
+
+    return f
+
+
+@dataclass
+class PolyMapN:
+    """tau with polynomial components, one term table per component."""
+
+    n: int
+    components: list
+    fd_step: float = 1e-4
+    _fns: list = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if len(self.components) != self.n:
+            raise ValueError("polynomial map needs one term table per component")
+        self._fns = [_poly_component(t) for t in self.components]
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        return np.stack([f(np.asarray(z, dtype=complex)) for f in self._fns], axis=-1)
+
+
+@dataclass
+class AffineMapN:
+    """tau(z) = U z + V zbar with both blocks free: not one of the library's kinds."""
+
+    U: np.ndarray
+    V: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.U)
+
+    def __call__(self, z: np.ndarray) -> np.ndarray:
+        z = np.asarray(z, dtype=complex)
+        return z @ self.U.T + np.conj(z) @ self.V.T
+
+
+def _wirtinger_n(f, z: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(d f_m / d z_k, d f_m / d zbar_k) as arrays (..., m, k) for f : (..., n) -> (..., m).
+
+    One 5-point stencil along the real and the imaginary axis of every
+    coordinate, all shifted points evaluated in one call of ``f``.
+    """
+    n = z.shape[-1]
+    steps = np.array([2.0, 1.0, -1.0, -2.0])[:, None, None, None]
+    weights = np.array([-1.0, 8.0, -8.0, 1.0]) / (12 * h)
+    e = h * np.eye(n)
+    # shifted points (..., step, axis x|y, direction k, coordinate)
+    fv = f(z[..., None, None, None, :] + steps * np.stack([e, 1j * e]))
+    gx, gy = np.einsum("s,...sakm->a...mk", weights, fv)
+    return 0.5 * (gx - 1j * gy), 0.5 * (gx + 1j * gy)
+
+
+def jacobian_blocks(tau, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays (..., n, n): P[..., l, k] = d tau_l / d z_k and Q[..., l, k] = d tau_l / d zbar_k."""
+    z = np.asarray(z, dtype=complex)
+    if isinstance(tau, PolyMapN):
+        return _wirtinger_n(tau, z, tau.fd_step)
+    shape = z.shape[:-1] + (tau.n, tau.n)
+    return np.broadcast_to(tau.U, shape).copy(), np.broadcast_to(tau.V, shape).copy()
+
+
+def potential_n_coeffs(tau, nu: float, mu: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients (c_dz, c_dzbar) of theta at the points z, each of z's shape.
+
+    theta = -1/2 sum_l { nu (zbar_l dz_l - z_l dzbar_l)
+                         + mu (tau bar_l d tau_l - tau_l d tau bar_l) }.
+    """
+    z = np.asarray(z, dtype=complex)
+    c_dz = -0.5 * nu * np.conj(z)
+    c_dzb = 0.5 * nu * z
+    if mu != 0.0:
+        t = tau(z)[..., :, None]
+        P, Q = jacobian_blocks(tau, z)
+        # d tau_l / dz_k = P[l,k]; d (tau bar_l) / dz_k = conj(Q[l,k])
+        c_dz = c_dz - 0.5 * mu * np.sum(np.conj(t) * P - t * np.conj(Q), axis=-2)
+        c_dzb = c_dzb - 0.5 * mu * np.sum(np.conj(t) * Q - t * np.conj(P), axis=-2)
+    return c_dz, c_dzb
+
+
+def _two_form_matrix(tau, nu: float, mu: float, z: np.ndarray, h: float) -> np.ndarray:
+    """Antisymmetric (..., 2n, 2n) coefficient matrices of d theta at the points z,
+    by 5-point stencils of the potential in the 2n Wirtinger directions."""
+
+    def coeffs(zz: np.ndarray) -> np.ndarray:
+        return np.concatenate(potential_n_coeffs(tau, nu, mu, zz), axis=-1)
+
+    d_dz, d_dzb = _wirtinger_n(coeffs, np.asarray(z, dtype=complex), h)
+    J = np.concatenate([d_dz, d_dzb], axis=-1)  # J[..., b, a] = d c_b / d dir_a
+    return np.swapaxes(J, -1, -2) - J  # M[a,b] = d_a c_b - d_b c_a
+
+
+def equivariance_check_n(
+    tau, rho_kind: str, n_samples: int = 50, seed: int = 0, tol: float = 1e-8, U=None
+) -> CheckReport:
+    """Residual of tau(g.z) = alpha(g) tau(z) + beta(g) at random g and z for the declared rho.
+
+    ``rho_kind``: "identity" (alpha=A, beta=b), "conjugate" (entrywise
+    conjugation of [A, b]), or "unitary_conj" (alpha = U A U*, beta = U b).
+    """
+    rng = np.random.default_rng(seed)
+    n = tau.n
+    res = []
+    for _ in range(n_samples):
+        g = random_element_n(n, rng)
+        z = rng.normal(size=n) + 1j * rng.normal(size=n)
+        if rho_kind == "identity":
+            alpha, beta = g.A, g.b
+        elif rho_kind == "conjugate":
+            alpha, beta = np.conj(g.A), np.conj(g.b)
+        elif rho_kind == "unitary_conj":
+            alpha, beta = U @ g.A @ U.conj().T, U @ g.b
+        else:
+            raise ValueError(f"unknown rho kind {rho_kind!r}")
+        res.append(float(np.abs(tau(act_n(g, z)) - (alpha @ tau(z) + beta)).max()))
+    return from_residuals("equivariance_n", res, tol, rho=rho_kind, n=n, n_samples=n_samples, seed=seed)
+
+
+def _points(shape, n=2, seed=3):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+
+
+def _matrix(two_form_json) -> np.ndarray:
+    M = np.array(two_form_json)
+    return M[..., 0] + 1j * M[..., 1]
+
+
+IDENTITY_AS_POLY = [
+    [{"z": [1, 0], "zbar": [0, 0], "c": [1, 0]}],
+    [{"z": [0, 1], "zbar": [0, 0], "c": [1, 0]}],
+]
+# tau_1 = z_1 + 0.25 z_2^2, tau_2 = zbar_2 + 0.5i z_1 zbar_1: not affine, both blocks nonzero
+MIXED_POLY = [
+    [{"z": [1, 0], "zbar": [0, 0], "c": [1, 0]}, {"z": [0, 2], "zbar": [0, 0], "c": [0.25, 0]}],
+    [{"z": [0, 0], "zbar": [0, 1], "c": [1, 0]}, {"z": [1, 0], "zbar": [1, 0], "c": [0, 0.5]}],
+]
+
+
+class TestOracleGroupElementN:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             GroupElementN(np.diag([2.0, 1.0]), np.zeros(2))
@@ -43,42 +236,66 @@ class TestGroupElementN:
             assert np.abs(g.A.conj().T @ g.A - np.eye(3)).max() < 1e-10
 
 
+# ---------------------------------------------------------------------------
+# The maps and their Jacobian blocks
+
+
 class TestJacobianBlocks:
     def test_identity(self):
-        P, Q = jacobian_blocks(EquivariantMapN("identity", 3), np.zeros(3))
-        assert np.allclose(P, np.eye(3)) and np.allclose(Q, 0)
+        tau = EquivariantMapN("identity", 3)
+        assert np.array_equal(tau.U, np.eye(3)) and not tau.V.any()
 
     def test_conjugate(self):
-        P, Q = jacobian_blocks(EquivariantMapN("conjugate", 2), np.zeros(2))
-        assert np.allclose(P, 0) and np.allclose(Q, np.eye(2))
+        tau = EquivariantMapN("conjugate", 2)
+        assert not tau.U.any() and np.array_equal(tau.V, np.eye(2))
 
     def test_linear(self):
-        P, Q = jacobian_blocks(rot45_map(), np.ones(2))
-        assert np.allclose(P, ROT45) and np.allclose(Q, 0)
+        tau = rot45_map()
+        assert np.array_equal(tau.U, ROT45) and not tau.V.any()
 
-    def test_polynomial_matches_exact(self):
+    @pytest.mark.parametrize("make", [lambda: EquivariantMapN("conjugate", 2), rot45_map])
+    def test_blocks_match_the_stencil(self, make):
+        tau = make()
+        P, Q = _wirtinger_n(tau, _points((3,)), 1e-4)
+        assert np.abs(P - tau.U).max() < 1e-10 and np.abs(Q - tau.V).max() < 1e-10
+
+    def test_call_broadcasts(self):
+        tau, pts = rot45_map(), _points((3, 4))
+        for idx in np.ndindex(3, 4):
+            assert np.abs(tau(pts)[idx] - ROT45 @ pts[idx]).max() < 1e-15
+        assert np.array_equal(EquivariantMapN("conjugate", 2)(pts), np.conj(pts))
+
+    def test_polynomial_oracle_matches_exact(self):
         # tau_1 = z_1^2, tau_2 = zbar_2: P = diag(2 z_1, 0), Q = diag(0, 1)
         comp = [
             [{"z": [2, 0], "zbar": [0, 0], "c": [1, 0]}],
             [{"z": [0, 0], "zbar": [0, 1], "c": [1, 0]}],
         ]
-        tau = EquivariantMapN("polynomial", 2, components=comp)
         z = np.array([0.4 + 0.3j, -0.7 + 0.1j])
-        P, Q = jacobian_blocks(tau, z)
+        P, Q = jacobian_blocks(PolyMapN(2, comp), z)
         assert abs(P[0, 0] - 2 * z[0]) < 1e-8
         assert abs(Q[1, 1] - 1) < 1e-8
         assert abs(P[1, 1]) < 1e-8 and abs(Q[0, 0]) < 1e-8
 
+    def test_linear_needs_square_matrix(self):
+        with pytest.raises(ValueError, match="n x n"):
+            EquivariantMapN("linear", 3, U=ROT45)
+
 
 class TestDeterminantCoeffs:
     def test_identity_map(self):
-        d = determinant_coeffs(EquivariantMapN("identity", 2), np.zeros(2), 0, 0, 1, 0)
+        d = determinant_coeffs(EquivariantMapN("identity", 2), 0, 0, 1, 0)
         assert d["A"] == 0 and d["B"] == 0
         assert d["F"] == -1.0
 
     def test_conjugate_map(self):
-        d = determinant_coeffs(EquivariantMapN("conjugate", 2), np.zeros(2), 0, 0, 1, 0)
+        d = determinant_coeffs(EquivariantMapN("conjugate", 2), 0, 0, 1, 0)
         assert d["A"] == 0 and d["F"] == 1.0
+
+    def test_rotation_is_not_decoupled(self):
+        # with V = 0, B_ij = -conj(U[l, j]) U[l, i]
+        d = determinant_coeffs(rot45_map(), 1, 0, 1, 1)
+        assert abs(d["B"] + 0.5) < 1e-15 and d["A"] == 0
 
     def test_symmetry_relations(self):
         # D = -conj(A) and C = -conj(B) for any smooth component
@@ -86,283 +303,183 @@ class TestDeterminantCoeffs:
             [{"z": [1, 1], "zbar": [0, 1], "c": [1, 0.5]}],
             [{"z": [0, 2], "zbar": [1, 0], "c": [0, 1]}],
         ]
-        tau = EquivariantMapN("polynomial", 2, components=comp)
-        z = np.array([0.6 - 0.2j, 0.1 + 0.9j])
-        d = determinant_coeffs(tau, z, 0, 0, 1, 1)
-        assert abs(d["D"] + d["A"].conjugate()) < 1e-8
-        assert abs(d["C"] + d["B"].conjugate()) < 1e-8
+        P, Q = jacobian_blocks(PolyMapN(2, comp), np.array([0.6 - 0.2j, 0.1 + 0.9j]))
+        A, B, Cc, D = _determinants(P[0], Q[0], 0, 1)
+        assert abs(D + A.conjugate()) < 1e-8
+        assert abs(Cc + B.conjugate()) < 1e-8
+
+    def test_determinants_broadcast_over_points(self):
+        pts = _points((4,))
+        P, Q = jacobian_blocks(PolyMapN(2, MIXED_POLY, fd_step=1e-2), pts)
+        A, B, _, _ = _determinants(P[:, 1], Q[:, 1], 0, 1)
+        assert A.shape == B.shape == (4,)
+        for m in range(4):
+            Am, Bm, _, _ = _determinants(P[m, 1], Q[m, 1], 0, 1)
+            assert abs(A[m] - Am) < 1e-15 and abs(B[m] - Bm) < 1e-15
 
     def test_requires_ordered_indices(self):
         with pytest.raises(ValueError):
-            determinant_coeffs(EquivariantMapN("identity", 2), np.zeros(2), 0, 1, 0, 0)
-
-
-class TestEquivariance:
-    def test_identity_map(self):
-        rep = equivariance_check_n(EquivariantMapN("identity", 2), "identity")
-        assert rep.passed
-
-    def test_conjugate_map(self):
-        rep = equivariance_check_n(EquivariantMapN("conjugate", 2), "conjugate")
-        assert rep.passed
-
-    def test_linear_map_under_unitary_conjugation(self):
-        rep = equivariance_check_n(rot45_map(), "unitary_conj", U=ROT45)
-        assert rep.passed
-
-    def test_mismatched_rho_fails(self):
-        rep = equivariance_check_n(EquivariantMapN("conjugate", 2), "identity")
-        assert not rep.passed
-
-    def test_unknown_rho(self):
-        with pytest.raises(ValueError):
-            equivariance_check_n(EquivariantMapN("identity", 2), "antipodal")
-
-
-class TestConstantFieldTest:
-    def test_identity_passes_both(self):
-        out = constant_field_test(EquivariantMapN("identity", 2), 1.0, 0.5, n_points=4)
-        assert out["per_l"]["pass"] and out["direct"]["pass"] and out["agree"]
-
-    def test_conjugate_passes_both(self):
-        out = constant_field_test(EquivariantMapN("conjugate", 2), 2.0, 1.0, n_points=4)
-        assert out["per_l"]["pass"] and out["direct"]["pass"] and out["agree"]
-
-    def test_rotation_disagreement(self):
-        # the componentwise criterion rejects the 45-degree rotation while
-        # the assembled 2-form is nonetheless constant
-        out = constant_field_test(rot45_map(), 1.0, 0.5, n_points=4)
-        assert not out["per_l"]["pass"]
-        assert out["per_l"]["max_B"] > 0.4
-        assert out["direct"]["pass"]
-        assert out["direct"]["spread"] < 1e-6
-        assert not out["agree"]
-
-    def test_json_safe(self):
-        import json
-
-        out = constant_field_test(rot45_map(), 1.0, 0.5, n_points=2)
-        json.dumps(out)  # no numpy scalars may leak through
-
-
-class TestPotentialN:
-    def test_matches_one_variable(self):
-        # n = 1 conjugate map against the scalar potential
-        from maf.config import build_system, load_bundled
-        from maf.magnetics import S_field
-
-        sys = build_system(load_bundled("conjugate"))
-        tau = EquivariantMapN("conjugate", 1)
-        for z in (0.3 + 0.4j, -1.1 + 0.2j):
-            c_dz, c_dzb = potential_n_coeffs(tau, sys.nu, sys.mu, np.array([z]))
-            S = S_field(sys, z)
-            assert abs(c_dz[0] - (-S.conjugate() / 2)) < 1e-8
-            assert abs(c_dzb[0] - S / 2) < 1e-8
-
-    def test_pure_translation_part(self):
-        tau = EquivariantMapN("identity", 2)
-        z = np.array([1.0, 1j])
-        c_dz, c_dzb = potential_n_coeffs(tau, 0.0, 0.0, z)
-        assert np.allclose(c_dz, 0) and np.allclose(c_dzb, 0)
+            determinant_coeffs(EquivariantMapN("identity", 2), 0, 1, 0, 0)
 
 
 # ---------------------------------------------------------------------------
-# Per-point oracles: the scalar implementation that the array path replaced,
-# one point and one stencil direction at a time.
-
-STENCIL = ((2, -1.0), (1, 8.0), (-1, -8.0), (-2, 1.0))
-IDENTITY_AS_POLY = [
-    [{"z": [1, 0], "zbar": [0, 0], "c": [1, 0]}],
-    [{"z": [0, 1], "zbar": [0, 0], "c": [1, 0]}],
-]
-# tau_1 = z_1 + 0.25 z_2^2, tau_2 = zbar_2 + 0.5i z_1 zbar_1: not affine, both blocks nonzero
-MIXED_POLY = [
-    [{"z": [1, 0], "zbar": [0, 0], "c": [1, 0]}, {"z": [0, 2], "zbar": [0, 0], "c": [0.25, 0]}],
-    [{"z": [0, 0], "zbar": [0, 1], "c": [1, 0]}, {"z": [1, 0], "zbar": [1, 0], "c": [0, 0.5]}],
-]
+# Closed form against the oracles
 
 
-def tau_point(tau, z):
-    if tau.kind == "identity":
-        return z.copy()
-    if tau.kind == "conjugate":
-        return np.conj(z)
-    if tau.kind == "linear":
-        return tau.U @ z
-    zb = np.conj(z)
-    return np.array([
-        sum(complex(*t["c"]) * np.prod(z ** np.array(t["z"])) * np.prod(zb ** np.array(t["zbar"])) for t in terms)
-        for terms in tau.components
-    ])
-
-
-def jacobian_point(tau, z):
-    n = tau.n
-    if tau.kind == "identity":
-        return np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex)
-    if tau.kind == "conjugate":
-        return np.zeros((n, n), dtype=complex), np.eye(n, dtype=complex)
-    if tau.kind == "linear":
-        return tau.U.copy(), np.zeros((n, n), dtype=complex)
-    h = tau.fd_step
-    P = np.zeros((n, n), dtype=complex)
-    Q = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        for step, w in STENCIL:
-            zx = z.copy()
-            zx[k] += step * h
-            fx = tau_point(tau, zx) * (w / (12 * h))
-            zy = z.copy()
-            zy[k] += 1j * step * h
-            fy = tau_point(tau, zy) * (w / (12 * h))
-            P[:, k] += 0.5 * (fx - 1j * fy)
-            Q[:, k] += 0.5 * (fx + 1j * fy)
-    return P, Q
-
-
-def potential_point(tau, nu, mu, z):
-    c_dz = -0.5 * nu * np.conj(z)
-    c_dzb = 0.5 * nu * z
-    if mu != 0.0:
-        t = tau_point(tau, z)
-        P, Q = jacobian_point(tau, z)
-        for k in range(tau.n):
-            c_dz[k] += -0.5 * mu * np.sum(np.conj(t) * P[:, k] - t * np.conj(Q[:, k]))
-            c_dzb[k] += -0.5 * mu * np.sum(np.conj(t) * Q[:, k] - t * np.conj(P[:, k]))
-    return c_dz, c_dzb
-
-
-def two_form_point(tau, nu, mu, z, h):
-    n = tau.n
-    grad = np.zeros((2 * n, 2 * n), dtype=complex)  # grad[a, b] = d c_b / d dir_a
-    for k in range(n):
-        gx = np.zeros(2 * n, dtype=complex)
-        gy = np.zeros(2 * n, dtype=complex)
-        for step, w in STENCIL:
-            zx = z.copy()
-            zx[k] += step * h
-            gx += np.concatenate(potential_point(tau, nu, mu, zx)) * (w / (12 * h))
-            zy = z.copy()
-            zy[k] += 1j * step * h
-            gy += np.concatenate(potential_point(tau, nu, mu, zy)) * (w / (12 * h))
-        grad[k] = 0.5 * (gx - 1j * gy)
-        grad[n + k] = 0.5 * (gx + 1j * gy)
-    return grad - grad.T
-
-
-def constant_field_point(tau, nu, mu, n_points, seed, tol):
+def random_affine(n: int, seed: int) -> AffineMapN:
     rng = np.random.default_rng(seed)
-    n = tau.n
-    pts = [rng.normal(size=n) + 1j * rng.normal(size=n) for _ in range(n_points)]
-    max_A = max_B = 0.0
-    F = np.zeros((n_points, n, n))
-    for m, z in enumerate(pts):
-        P, Q = jacobian_point(tau, z)
-        F[m] = np.abs(Q) ** 2 - np.abs(P) ** 2
-        for p, q in zip(P, Q):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    max_A = max(max_A, abs(q[i].conjugate() * p[j] - q[j].conjugate() * p[i]))
-                    max_B = max(max_B, abs(q[i].conjugate() * q[j] - p[j].conjugate() * p[i]))
-    f_spread = max(F[:, l, k].max() - F[:, l, k].min() for l in range(n) for k in range(n))
-    mats = np.array([two_form_point(tau, nu, mu, z, tau.fd_step) for z in pts])
-    direct_spread = np.abs(mats - mats[0]).max()
-    return {
-        "per_l": {
-            "max_A": max_A,
-            "max_B": max_B,
-            "F_spread": f_spread,
-            "F_values": {f"{l},{k}": F[:, l, k].mean() for l in range(n) for k in range(n)},
-            "pass": bool(max_A <= tol and max_B <= tol and f_spread <= tol),
-        },
-        "direct": {"spread": direct_spread, "matrix": mats[0], "pass": bool(direct_spread <= tol)},
-    }
+    U, V = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+    return AffineMapN(U, V)
 
 
-ORACLE_MAPS = {
-    "identity": lambda: EquivariantMapN("identity", 2),
-    "conjugate": lambda: EquivariantMapN("conjugate", 2),
+TWO_FORM_MAPS = {
+    "identity2": lambda: EquivariantMapN("identity", 2),
+    "identity3": lambda: EquivariantMapN("identity", 3),
+    "conjugate2": lambda: EquivariantMapN("conjugate", 2),
+    "conjugate3": lambda: EquivariantMapN("conjugate", 3),
     "rotation45": rot45_map,
-    # The potential of a polynomial tau holds an FD Jacobian, so its 2-form is an
-    # FD of an FD whose round-off grows like eps/h^2: two evaluation orders differ
-    # by ~5e-8 at the default h = 1e-4.  At h = 1e-2 the 5-point stencil is still
-    # exact on these quadratic maps and cubic potentials, and round-off is ~1e-12.
-    "polynomial": lambda: EquivariantMapN("polynomial", 2, components=MIXED_POLY, fd_step=1e-2),
+    "unitary3": lambda: EquivariantMapN("linear", 3, U=random_unitary(3, np.random.default_rng(4))),
+    "random_uv2": lambda: random_affine(2, 11),
+    "random_uv3": lambda: random_affine(3, 12),
 }
-ORACLE_TOL = 1e-8  # 1e-2 * the default tol 1e-6 of constant_field_test
+# the potential is linear in z, so the stencil is exact up to round-off eps |c| / h
+FD_TOL = 1e-9
 
 
-def _points(shape, n=2, seed=3):
-    rng = np.random.default_rng(seed)
-    return rng.normal(size=shape + (n,)) + 1j * rng.normal(size=shape + (n,))
+@pytest.mark.parametrize("name", TWO_FORM_MAPS)
+@pytest.mark.parametrize("nu, mu", [(1.0, 0.0), (1.0, 0.5), (2.0, -1.5)])
+def test_two_form_matches_fd_oracle(name, nu, mu):
+    tau = TWO_FORM_MAPS[name]()
+    if name.startswith("random_uv"):
+        assert np.abs(tau.V).min() > 0  # both blocks take part
+    M = two_form(tau, nu, mu)
+    assert M.shape == (2 * tau.n, 2 * tau.n) and np.array_equal(M, -M.T)
+    fd = _two_form_matrix(tau, nu, mu, _points((5,), tau.n), 1e-4)
+    assert np.abs(fd - M).max() < FD_TOL
 
 
-@pytest.mark.parametrize("name", ORACLE_MAPS)
-class TestArrayPathMatchesPerPointOracle:
-    def test_tau_and_jacobian_blocks(self, name):
-        tau = ORACLE_MAPS[name]()
-        pts = _points((3, 4))
-        P, Q = jacobian_blocks(tau, pts)
-        assert P.shape == Q.shape == (3, 4, 2, 2)
-        for idx in np.ndindex(3, 4):
-            assert np.abs(tau(pts[idx]) - tau_point(tau, pts[idx])).max() < 1e-14
-            assert np.abs(tau(pts)[idx] - tau_point(tau, pts[idx])).max() < 1e-14
-            P0, Q0 = jacobian_point(tau, pts[idx])
-            assert np.abs(P[idx] - P0).max() < 1e-10 and np.abs(Q[idx] - Q0).max() < 1e-10
-
-    def test_potential_and_two_form(self, name):
-        tau = ORACLE_MAPS[name]()
-        pts = _points((5,))
-        c_dz, c_dzb = potential_n_coeffs(tau, 1.0, 0.5, pts)
-        mats = _two_form_matrix(tau, 1.0, 0.5, pts, tau.fd_step)
-        assert mats.shape == (5, 4, 4)
-        for m, z in enumerate(pts):
-            o_dz, o_dzb = potential_point(tau, 1.0, 0.5, z)
-            assert np.abs(c_dz[m] - o_dz).max() < 1e-10 and np.abs(c_dzb[m] - o_dzb).max() < 1e-10
-            assert np.abs(mats[m] - two_form_point(tau, 1.0, 0.5, z, tau.fd_step)).max() < ORACLE_TOL
-
-    def test_constant_field_test(self, name):
-        tau = ORACLE_MAPS[name]()
-        got = constant_field_test(tau, 1.0, 0.5, seed=5)
-        want = constant_field_point(tau, 1.0, 0.5, 12, 5, 1e-6)
-        for key in ("max_A", "max_B", "F_spread"):
-            assert abs(got["per_l"][key] - want["per_l"][key]) < ORACLE_TOL, key
-        assert got["per_l"]["F_values"].keys() == want["per_l"]["F_values"].keys()
-        for key, v in want["per_l"]["F_values"].items():
-            assert abs(got["per_l"]["F_values"][key] - v) < ORACLE_TOL, key
-        assert abs(got["direct"]["spread"] - want["direct"]["spread"]) < ORACLE_TOL
-        coeffs = np.array(got["direct"]["coefficients"])
-        assert np.abs(coeffs[..., 0] + 1j * coeffs[..., 1] - want["direct"]["matrix"]).max() < ORACLE_TOL
-        assert got["per_l"]["pass"] == want["per_l"]["pass"]
-        assert got["direct"]["pass"] == want["direct"]["pass"]
+@pytest.mark.parametrize("n", [2, 3])
+def test_two_form_matches_fd_of_fd_oracle(n):
+    # the affine map written as a polynomial: its potential takes an FD Jacobian,
+    # so the oracle's 2-form is an FD of an FD, exact on these degrees up to a
+    # round-off of order eps / h^2, about 1e-7 at the default h = 1e-4
+    tau = random_affine(n, 20 + n)
+    unit, zero = [[int(j == k) for j in range(n)] for k in range(n)], [0] * n
+    poly = PolyMapN(n, [
+        [{"z": unit[k], "zbar": zero, "c": [tau.U[l, k].real, tau.U[l, k].imag]} for k in range(n)]
+        + [{"z": zero, "zbar": unit[k], "c": [tau.V[l, k].real, tau.V[l, k].imag]} for k in range(n)]
+        for l in range(n)
+    ])
+    fd = _two_form_matrix(poly, 1.0, 0.5, _points((4,), n), poly.fd_step)
+    assert np.abs(fd - two_form(tau, 1.0, 0.5)).max() < 1e-6
 
 
-def test_polynomial_map_is_checked_on_both_criteria():
-    # neither criterion holds for a non-affine map: the 2-form's coefficients vary
-    out = constant_field_test(ORACLE_MAPS["polynomial"](), 1.0, 0.5)
-    assert not out["per_l"]["pass"] and not out["direct"]["pass"]
-    assert out["direct"]["spread"] > 0.1 and out["agree"]
+def test_two_form_of_landau_plane():
+    # mu = 0: d theta = -nu sum_l dzbar_l ^ dz_l = nu sum_l dz_l ^ dzbar_l
+    M = two_form(rot45_map(), 1.5, 0.0)
+    assert np.array_equal(M[:2, 2:], 1.5 * np.eye(2)) and not M[:2, :2].any() and not M[2:, 2:].any()
 
 
-def test_identity_as_polynomial_matches_identity_kind():
-    exact = constant_field_test(EquivariantMapN("identity", 2), 1.0, 0.5)
-    poly = constant_field_test(EquivariantMapN("polynomial", 2, components=IDENTITY_AS_POLY), 1.0, 0.5)
-    for part in ("per_l", "direct"):
-        assert poly[part]["pass"] == exact[part]["pass"]
-    assert poly["agree"] == exact["agree"]
-    for key, v in exact["per_l"]["F_values"].items():
-        assert abs(poly["per_l"]["F_values"][key] - v) < 1e-8, key
+def test_polynomial_two_form_varies():
+    # the non-equivariant negative control: its 2-form is not constant
+    poly = PolyMapN(2, MIXED_POLY, fd_step=1e-2)
+    mats = _two_form_matrix(poly, 1.0, 0.5, _points((6,)), poly.fd_step)
+    assert np.abs(mats - mats[0]).max() > 0.1
+    ident = _two_form_matrix(PolyMapN(2, IDENTITY_AS_POLY, fd_step=1e-2), 1.0, 0.5, _points((6,)), 1e-2)
+    assert np.abs(ident - two_form(EquivariantMapN("identity", 2), 1.0, 0.5)).max() < 1e-8
 
 
-def test_determinants_broadcast_over_points():
-    tau = ORACLE_MAPS["polynomial"]()
-    pts = _points((4,))
-    d = determinant_coeffs(tau, pts, 1, 0, 1, 1)
-    assert d["A"].shape == d["F"].shape == (4,)
-    for m, z in enumerate(pts):
-        dm = determinant_coeffs(tau, z, 1, 0, 1, 1)
-        for key in "ABCDF":
-            assert abs(d[key][m] - dm[key]) < 1e-10, key
+def test_n1_conjugate_potential_matches_one_variable():
+    # the oracle's potential for n = 1 is the plane's S/2
+    from maf.config import build_system, load_bundled
+    from maf.magnetics import S_field
+
+    sys = build_system(load_bundled("conjugate"))
+    tau = EquivariantMapN("conjugate", 1)
+    for z in (0.3 + 0.4j, -1.1 + 0.2j):
+        c_dz, c_dzb = potential_n_coeffs(tau, sys.nu, sys.mu, np.array([z]))
+        S = S_field(sys, z)
+        assert abs(c_dz[0] - (-S.conjugate() / 2)) < 1e-8
+        assert abs(c_dzb[0] - S / 2) < 1e-8
+
+
+EQUIVARIANT = {
+    "identity": (lambda n: EquivariantMapN("identity", n), "identity"),
+    "conjugate": (lambda n: EquivariantMapN("conjugate", n), "conjugate"),
+    "unitary": (lambda n: EquivariantMapN("linear", n, U=random_unitary(n, np.random.default_rng(n))), "unitary_conj"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("name", EQUIVARIANT)
+def test_equivariance_defect_matches_sampled_oracle(name, n):
+    make, rho = EQUIVARIANT[name]
+    tau = make(n)
+    sampled = equivariance_check_n(tau, rho, U=tau.U)
+    assert sampled.passed and sampled.max_residual < 1e-12
+    rep = constant_field_test(tau, 1.0, 0.5)
+    assert rep.metadata["rho"] == rho and rep.passed and rep.max_residual < 1e-12
+    assert rep.max_residual == equivariance_defect(tau)
+    if name != "unitary":
+        assert rep.max_residual == 0.0
+
+
+@pytest.mark.parametrize("scale", [0.5, 1.1, 3.0])
+def test_non_unitary_defect_matches_sampled_oracle(scale):
+    # U = s Q: the defect is |s^2 - 1|; the sampled residual is max |s (1 - s^2) Q A z| over its samples
+    Q = random_unitary(2, np.random.default_rng(7))
+    tau = EquivariantMapN("linear", 2, U=scale * Q)
+    rep = constant_field_test(tau, 1.0, 0.5)
+    assert abs(rep.max_residual - abs(scale**2 - 1)) < 1e-12 and not rep.passed
+    sampled = equivariance_check_n(tau, "unitary_conj", U=tau.U)
+    assert not sampled.passed
+    assert sampled.max_residual > rep.max_residual * min(scale, 1) / 3
+
+
+def test_mismatched_rho_fails_the_sampled_oracle():
+    rep = equivariance_check_n(EquivariantMapN("conjugate", 2), "identity")
+    assert not rep.passed
+
+
+def test_unknown_rho_in_the_sampled_oracle():
+    with pytest.raises(ValueError):
+        equivariance_check_n(EquivariantMapN("identity", 2), "antipodal")
+
+
+# ---------------------------------------------------------------------------
+# constant_field_test and the CLI entry
+
+
+class TestConstantFieldTest:
+    def test_identity(self):
+        rep = constant_field_test(EquivariantMapN("identity", 2), 1.0, 0.5)
+        block = rep.metadata["coordinate_decoupling"]
+        assert rep.passed and rep.tol == 1e-12 and rep.max_residual == 0.0
+        assert block["decoupled"] and block["max_A"] == block["max_B"] == 0.0
+        assert block["F_values"] == {"0,0": -1.0, "0,1": 0.0, "1,0": 0.0, "1,1": -1.0}
+
+    def test_conjugate(self):
+        rep = constant_field_test(EquivariantMapN("conjugate", 2), 2.0, 1.0)
+        block = rep.metadata["coordinate_decoupling"]
+        assert rep.passed and block["decoupled"]
+        assert block["F_values"] == {"0,0": 1.0, "0,1": 0.0, "1,0": 0.0, "1,1": 1.0}
+
+    def test_rotation_is_equivariant_but_not_decoupled(self):
+        rep = constant_field_test(rot45_map(), 1.0, 0.5)
+        block = rep.metadata["coordinate_decoupling"]
+        assert rep.passed and rep.max_residual < 1e-15
+        assert not block["decoupled"] and abs(block["max_B"] - 0.5) < 1e-15 and block["max_A"] == 0.0
+        assert all(abs(v + 0.5) < 1e-15 for v in block["F_values"].values())
+
+    def test_metadata(self):
+        rep = constant_field_test(rot45_map(), 1.0, 0.5, tol=1e-9, name="highdim_x")
+        assert rep.name == "highdim_x" and rep.tol == 1e-9
+        meta = rep.metadata
+        assert (meta["nu"], meta["mu"], meta["n"], meta["rho"]) == (1.0, 0.5, 2, "unitary_conj")
+        assert np.array_equal(_matrix(meta["two_form"]), two_form(rot45_map(), 1.0, 0.5))
+
+    def test_json_safe(self):
+        json.dumps(constant_field_test(rot45_map(), 1.0, 0.5).to_dict())  # no numpy scalars may leak through
 
 
 def test_unknown_map_kind():
@@ -370,14 +487,42 @@ def test_unknown_map_kind():
         EquivariantMapN.from_dict({"kind": "antilinear"}, 2)
 
 
-def test_one_stencil_and_no_point_loops():
-    """The ℂⁿ module has one finite-difference stencil and no loop statement over points."""
-    import ast
-    import inspect
+def test_polynomial_kind_is_refused():
+    with pytest.raises(ConfigError, match="supported kinds: identity, conjugate, linear"):
+        EquivariantMapN.from_dict({"kind": "polynomial", "components": IDENTITY_AS_POLY}, 2)
 
+
+def _highdim_config(tmp_path, cases, **extra):
+    data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+    data.update(highdim={"n": 2, "cases": cases}, **extra)
+    path = tmp_path / "sys.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_cli_non_unitary_linear_fails(capsys, tmp_path):
+    U = [[[1.1, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    path = _highdim_config(tmp_path, [{"name": "stretch", "tau": {"kind": "linear", "U": U}}])
+    assert main(["highdim", "--config", path]) == 1
+    (rep,) = json.loads(capsys.readouterr().out)
+    assert rep["name"] == "highdim_stretch" and not rep["pass"]
+    assert abs(rep["max_residual"] - 0.21) < 1e-12
+
+
+def test_cli_polynomial_case_is_config_error(capsys, tmp_path):
+    path = _highdim_config(tmp_path, [{"name": "p", "tau": {"kind": "polynomial", "components": IDENTITY_AS_POLY}}])
+    assert main(["highdim", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "config error: unknown map kind 'polynomial'; supported kinds: identity, conjugate, linear"
+    )
+
+
+def test_no_stencil_and_no_loops():
+    """The ℂⁿ module takes no finite difference and has no loop statement."""
     import maf.highdim as hd
 
-    assert inspect.getsource(hd).count("12 * h") == 1  # the stencil weights (-1, 8, -8, 1) / 12h
-    for fn in (hd.jacobian_blocks, hd.potential_n_coeffs, hd._two_form_matrix, hd.constant_field_test):
-        tree = ast.parse(inspect.getsource(fn))
-        assert not [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))], fn.__name__
+    source = inspect.getsource(hd)
+    assert source.count("12 * h") == 0
+    assert not [node for node in ast.walk(ast.parse(source)) if isinstance(node, (ast.For, ast.While))]
