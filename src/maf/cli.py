@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -136,12 +135,12 @@ def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport
     basis = spectral.SpectralBasis(sys_.B)
     rng = np.random.default_rng(cfg.seed)
     pts = 0.8 * (rng.normal(size=12) + 1j * rng.normal(size=12))
-    res = []
-    for m in range(min(kmax, 2) + 1):
-        psi = spectral.strip_eigenfunction(basis, sys_, m, 0)
-        lam = spectral.rayleigh_quotient(sys_, psi, pts)
-        res.append(abs(lam - spectral.landau_level(sys_.B, m)) / abs(spectral.landau_level(sys_.B, m)))
-    rep = from_residuals("spectrum_rayleigh", res, _tol(args, 1e-4), levels=table, level_index="hermite degree m")
+    # the levels m = 0..min(kmax, 2) stacked in one strip eigenfunction, so one quotient call
+    ms = np.arange(min(kmax, 2) + 1)
+    lam = spectral.rayleigh_quotient(sys_, spectral.strip_eigenfunction(basis, sys_, ms, 0), pts)
+    levels = np.array([row["lambda"] for row in table[: ms.size]])
+    res = np.abs(lam - levels) / np.abs(levels)
+    rep = from_residuals("spectrum_rayleigh", res, _tol(args, 1e-12), levels=table, level_index="hermite degree m")
     return [rep]
 
 
@@ -216,11 +215,14 @@ def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
         ],
     }
     n, tol = int(block.get("n", 2)), _tol(args, 1e-12)
-    return [
-        constant_field_test(EquivariantMapN.from_dict(case["tau"], n), cfg.nu, cfg.mu, tol,
-                            f"highdim_{case.get('name', case['tau']['kind'])}")
-        for case in block["cases"]
-    ]
+    try:
+        return [
+            constant_field_test(EquivariantMapN.from_dict(case["tau"], n), cfg.nu, cfg.mu, tol,
+                                f"highdim_{case.get('name', case['tau']['kind'])}")
+            for case in block["cases"]
+        ]
+    except KeyError as e:  # a case without "tau", a linear map without "U", no "cases" list
+        raise ConfigError(f"highdim block is missing key {e.args[0]!r}") from e
 
 
 @functools.cache
@@ -254,9 +256,6 @@ def main(argv: list[str] | None = None) -> int:
             cfg.seed = args.seed
         if args.grid is not None:
             cfg.grid = _parse_grid(args.grid)
-        env_step = os.environ.get("MAF_FD_STEP")
-        if env_step:
-            cfg = dataclasses.replace(cfg, fd_step=float(env_step))
         if args.command == "highdim":
             reports = _highdim(cfg, args)
         else:

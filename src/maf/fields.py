@@ -118,21 +118,20 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
 def line_integral(omega: OneForm, path: list, n_sub: int = 1):
     """Integral of omega along the polyline, composite Gauss-Legendre per segment.
 
-    The vertices may be arrays of one shape: the result then holds, point by
-    point, the integral along the polyline through the vertices' entries.
+    The vertices may be arrays that broadcast together: the result then holds,
+    point by point, the integral along the polyline through the vertices'
+    entries.  Each coefficient is evaluated once, on every node of every segment.
     """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
-    # every node of a segment at once, along a trailing axis
+    # the segments on a leading axis, the nodes of each on a trailing one
     s = (np.arange(n_sub)[:, None] + (_GL_NODES + 1) / 2).ravel()
     w = np.tile(_GL_WEIGHTS / 2, n_sub)
-    total = 0.0 + 0.0j
-    for z0, z1 in zip(path[:-1], path[1:]):
-        dz_seg = np.expand_dims((z1 - z0) / n_sub, -1)
-        z = np.expand_dims(z0, -1) + s * dz_seg
-        val = omega.coeff_dz(z) * dz_seg + omega.coeff_dzbar(z) * dz_seg.conjugate()
-        total = total + np.sum(w * val, axis=-1)
-    return total
+    v = np.stack(np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in path)))
+    dz_seg = np.expand_dims((v[1:] - v[:-1]) / n_sub, -1)
+    z = np.expand_dims(v[:-1], -1) + s * dz_seg
+    val = omega.coeff_dz(z) * dz_seg + omega.coeff_dzbar(z) * dz_seg.conjugate()
+    return np.sum(w * val, axis=-1).sum(axis=0)
 
 
 def quad2d(f, rect: tuple[float, float, float, float], n: int) -> complex:

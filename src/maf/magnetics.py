@@ -153,7 +153,13 @@ def potential(sys: MagneticSystem) -> OneForm:
 
 def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
     """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f (its mu-term vanishes for affine tau)."""
-    return _mixed(S_field(sys, z), *jet(f, z))
+    return value_and_mixed_laplacian(sys, f, z)[1]
+
+
+def value_and_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
+    """(f, its mixed Laplacian) at the points z, from one jet of f."""
+    F = jet(f, z)
+    return F[0], _mixed(S_field(sys, z), *F)
 
 
 def _mixed(S, fz, f_z, f_zb, lap):
@@ -240,9 +246,8 @@ def gauge_phi(sys: MagneticSystem, z, path_choice: str = "x_first"):
 def gauge_path_residuals(sys: MagneticSystem, zs) -> tuple[np.ndarray, np.ndarray]:
     """(|x-first - y-first| path mismatches, |Im phi| magnitudes) at the points zs."""
     zs = np.asarray(zs, dtype=complex)
-    form = _dphi(sys)
-    v1 = line_integral(form, _l_path(zs, "x_first"))
-    v2 = line_integral(form, _l_path(zs, "y_first"))
+    # the two routes of ``_l_path`` in one integral, on a leading axis
+    v1, v2 = line_integral(_dphi(sys), [0.0, np.stack([zs.real + 0j, 1j * zs.imag]), zs])
     return np.abs(v1 - v2), np.maximum(np.abs(v1.imag), np.abs(v2.imag))
 
 

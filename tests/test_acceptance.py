@@ -170,7 +170,7 @@ def test_criterion_7_landau_levels(systems):
                 psi = strip_eigenfunction(basis, sys_, m, n)
                 lam = landau_level(sys_.B, m)
                 rq = rayleigh_quotient(sys_, psi, CENTRAL)
-                ok &= abs(rq - lam) / abs(lam) <= 1e-4
+                ok &= abs(rq - lam) / abs(lam) <= 1e-12
     assert _verdict("7", ok)
 
 
@@ -190,7 +190,7 @@ def test_criterion_8_kernel(systems):
         )
         ok &= abs(kernel(sys_, 0, 0.2 - 0.4j, 0.2 - 0.4j, scale) - sys_.B / np.pi) <= 1e-12
         for k in (0, 1, 2):
-            ok &= kernel_eigen_residual(sys_, k, 0.1 + 0.05j, CENTRAL, scale) <= 1e-3
+            ok &= kernel_eigen_residual(sys_, k, 0.1 + 0.05j, CENTRAL, scale) <= 1e-12
         pairs = list(zip(zs, ws))
         gs = _ab(_random_elements(rng, 10))
         ok &= all(r.passed for r in kernel_invariance_residual(sys_, 1, gs, pairs, tol=1e-8, laguerre_scale=scale))

@@ -322,13 +322,15 @@ class TestCli:
             assert name not in data or not data[name]["pass"]
         assert code == (0 if all(d["pass"] for d in reports) else 1)
 
-    def test_numerical_breakdown_exit_code(self, capsys, monkeypatch):
-        # a huge finite-difference step overflows the stencil's samples
-        monkeypatch.setenv("MAF_FD_STEP", "1e10")
-        with pytest.warns(RuntimeWarning):
-            assert main(["spectrum", "--config", "landau"]) == 3
+    def test_numerical_breakdown_exit_code(self, capsys, tmp_path):
+        # at B = 1e5 the strip eigenfunctions underflow to 0 on every sample point
+        data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+        data["nu"] = 1e5
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        assert main(["spectrum", "--config", str(p)]) == 3
         captured = capsys.readouterr()
-        assert captured.err.startswith("numerical error: non-finite derivative")
+        assert captured.err == "numerical error: field vanishes on all sample points\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(
@@ -392,24 +394,44 @@ class TestCli:
         assert rot["pass"] and rot["max_residual"] <= 1e-12  # U is unitary
         assert not rot["metadata"]["coordinate_decoupling"]["decoupled"]
 
-    def test_fd_step_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("MAF_FD_STEP", "1e-3")
-        assert main(["field", "--config", "conjugate"]) == 0
-        capsys.readouterr()
-
-    def test_highdim_takes_no_fd_step(self, capsys, monkeypatch, tmp_path):
-        # the 2-form is in closed form, so the step changes no byte of the output
-        assert main(["highdim", "--config", "landau"]) == 0
+    @pytest.mark.parametrize("command", ["report", "highdim"])
+    def test_fd_step_changes_no_output(self, capsys, tmp_path, command):
+        # no command differentiates numerically, so the step changes no byte of the output
+        assert main([command, "--config", "landau"]) == 0
         want = capsys.readouterr().out
         data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
         data["fd_step"] = 3e-3
         p = tmp_path / "sys.json"
         p.write_text(json.dumps(data))
-        assert main(["highdim", "--config", str(p)]) == 0
+        assert main([command, "--config", str(p)]) == 0
         assert capsys.readouterr().out == want
-        monkeypatch.setenv("MAF_FD_STEP", "1e-2")
-        assert main(["highdim", "--config", "landau"]) == 0
+
+    @pytest.mark.parametrize("step", ["nan", "1e-2"])
+    def test_fd_step_env_is_not_read(self, capsys, monkeypatch, step):
+        # no environment variable sets the step: the commands take no finite difference
+        assert main(["report", "--config", "conjugate"]) == 0
+        want = capsys.readouterr().out
+        monkeypatch.setenv("MAF_FD_STEP", step)
+        assert main(["report", "--config", "conjugate"]) == 0
         assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize(
+        "block, key",
+        [
+            ({"n": 2, "cases": [{"name": "notau"}]}, "'tau'"),
+            ({"n": 2, "cases": [{"tau": {"kind": "linear"}}]}, "'U'"),
+            ({"n": 2}, "'cases'"),
+        ],
+    )
+    def test_incomplete_highdim_block_is_config_error(self, capsys, tmp_path, block, key):
+        data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+        data["highdim"] = block
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        assert main(["highdim", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: ") and key in captured.err
+        assert captured.out == ""
 
     def test_missing_or_unknown_command_exits_2(self, capsys):
         for argv in ([], ["--config", "landau"], ["nope", "--config", "landau"], ["report"]):
@@ -430,15 +452,6 @@ class TestCli:
             argv = shlex.split(line)[1:]
             assert main(argv) == 0, line
             capsys.readouterr()
-
-    @pytest.mark.parametrize("step", ["nan", "inf", "0", "-1"])
-    def test_bad_fd_step_env_is_config_error(self, capsys, monkeypatch, step):
-        monkeypatch.setenv("MAF_FD_STEP", step)
-        for command in COMMANDS:
-            assert main([command, "--config", "conjugate"]) == 2, command
-            captured = capsys.readouterr()
-            assert captured.err.startswith("config error: fd_step must be finite and positive")
-            assert captured.out == ""
 
     @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
     def test_bad_fd_step_file_is_config_error(self, capsys, tmp_path, step):

@@ -1,15 +1,20 @@
+import io
+import json
 import math
 import re
 import time
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from maf import spectral
 from maf.automorphy import functional_equation_residual
-from maf.config import build_system, load_bundled
-from maf.fields import Grid, quad2d_nodes
+from maf.cli import main
+from maf.config import build_system, load_bundled, load_config
+from maf.fields import Grid, ScalarField, jet, quad2d_nodes
 from maf.groups import GroupElement, random_ab
 from maf.spectral import (
     SpectralBasis,
@@ -18,6 +23,7 @@ from maf.spectral import (
     hermite_function,
     kernel,
     kernel_eigen_residual,
+    kernel_field,
     kernel_invariance_residual,
     laguerre,
     landau_level,
@@ -30,6 +36,9 @@ from maf.spectral import (
 )
 
 CENTRAL = [0.0, 0.4 + 0.3j, -0.6 + 0.8j, 1.1 - 0.5j, -0.9 - 1.2j]
+P6 = Path(__file__).resolve().parents[1] / "perfbench" / "p6.json"
+SYSTEMS = ["landau", "conjugate", "alteration", str(P6)]
+SYSTEM_IDS = ["landau", "conjugate", "alteration", "p6"]
 
 
 @pytest.fixture(scope="module")
@@ -45,6 +54,25 @@ def conj():
 @pytest.fixture(scope="module")
 def alt():
     return build_system(load_bundled("alteration"))
+
+
+@pytest.fixture(scope="module", params=SYSTEMS, ids=SYSTEM_IDS)
+def any_sys(request):
+    name = request.param
+    return build_system(load_config(name) if name.endswith(".json") else load_bundled(name))
+
+
+def _fd_relative_gap(f: ScalarField, z) -> float:
+    """Worst gap of f's exact jet from the 5-point FD jet of f's values, relative per part."""
+    exact, fd = jet(f, z), jet(ScalarField(f.func, fd_step=f.fd_step), z)
+    return max(float(np.abs(e - d).max() / np.abs(e).max()) for e, d in zip(exact, fd))
+
+
+def _run(argv) -> tuple[int, list[dict]]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, json.loads(buf.getvalue())
 
 
 class TestSpecialFunctions:
@@ -124,13 +152,49 @@ class TestStripEigenfunctions:
         for m in range(3):
             psi = strip_eigenfunction(basis, conj, m, 0)
             rq = rayleigh_quotient(conj, psi, CENTRAL)
-            assert abs(rq - landau_level(conj.B, m)) < 1e-4 * abs(landau_level(conj.B, m))
+            assert abs(rq - landau_level(conj.B, m)) < 1e-12 * abs(landau_level(conj.B, m))
 
     def test_rayleigh_with_gauge(self, alt):
         basis = SpectralBasis(B=alt.B, alpha=0.0)
         psi = strip_eigenfunction(basis, alt, 1, 0)
         rq = rayleigh_quotient(alt, psi, CENTRAL)
-        assert abs(rq - landau_level(alt.B, 1)) < 1e-3
+        assert abs(rq - landau_level(alt.B, 1)) < 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.3])
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_jet_matches_finite_differences(self, any_sys, n, alpha):
+        basis = SpectralBasis(B=any_sys.B, alpha=alpha)
+        for m in range(5):
+            assert _fd_relative_gap(strip_eigenfunction(basis, any_sys, m, n), np.array(CENTRAL)) <= 1e-6
+
+    def test_stacked_degrees_equal_one_degree_calls(self, any_sys):
+        basis = SpectralBasis(B=any_sys.B, alpha=0.3)
+        z, ms = np.array(CENTRAL), np.arange(5)
+        stacked = strip_eigenfunction(basis, any_sys, ms, 1)
+        singles = [strip_eigenfunction(basis, any_sys, m, 1) for m in ms]
+        for part, want in zip(jet(stacked, z), zip(*(jet(f, z) for f in singles))):
+            assert part.shape == (5, z.size)
+            assert np.abs(part - np.array(want)).max() <= 1e-15 * np.abs(part).max()
+        assert np.array_equal(stacked(z), np.array([f(z) for f in singles]))
+        rq = rayleigh_quotient(any_sys, stacked, z)
+        want = np.array([rayleigh_quotient(any_sys, f, z) for f in singles])
+        assert rq.shape == (5,) and np.abs(rq - want).max() <= 1e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("name", SYSTEMS, ids=SYSTEM_IDS)
+    def test_wrong_hermite_derivative_fails_spectrum(self, monkeypatch, name):
+        # H_m' = 2(m-1) H_{m-1} in place of 2m H_{m-1}
+        real = spectral._hermite_jet
+
+        def mutated(m, t):
+            h, _, h2 = real(m, t)
+            m = np.asarray(m)
+            c = m.reshape(m.shape + (1,) * np.ndim(t))
+            return h, 2 * (c - 1) * hermite(np.maximum(m - 1, 0), t), h2
+
+        assert _run(["spectrum", "--config", name])[0] == 0
+        monkeypatch.setattr(spectral, "_hermite_jet", mutated)
+        code, (rep,) = _run(["spectrum", "--config", name])
+        assert code == 1 and not rep["pass"] and rep["tol"] == 1e-12 and rep["max_residual"] > 1e-3
 
     def test_automorphy_under_strip_translation(self, landau):
         # psi_{m,n} transforms under z -> z + 1 with character e^{2 pi i alpha}
@@ -169,14 +233,53 @@ class TestKernel:
 
     def test_eigen_equation(self, landau, conj, alt):
         for sys in (landau, conj, alt):
-            for k in (0, 1):
-                assert kernel_eigen_residual(sys, k, 0.1 + 0.05j, CENTRAL) < 1e-6
+            for k in range(6):
+                assert kernel_eigen_residual(sys, k, 0.1 + 0.05j, CENTRAL) < 1e-12
 
     def test_scale_adjudication(self, alt):
         verdict = select_laguerre_scale(alt)
         assert verdict["scale"] == 1.0
         assert verdict["pass"]
         assert float(verdict["residuals"]["2.0"]) > 1e-2
+
+    @pytest.mark.parametrize("scale", [1.0, 2.0])
+    def test_jet_matches_finite_differences(self, any_sys, scale):
+        z, w = np.array(CENTRAL), 0.1 + 0.05j
+        for k in range(6):
+            f = kernel_field(any_sys, k, w, scale)
+            assert _fd_relative_gap(f, z) <= 1e-6
+            want = kernel(any_sys, k, z, w, scale)
+            assert np.abs(f(z) - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_stacked_scales_equal_one_scale_calls(self, any_sys):
+        z, w, scales = np.array(CENTRAL), -0.3 + 0.4j, (1.0, 2.0, 0.5)
+        for k in (0, 1, 3):
+            stacked = jet(kernel_field(any_sys, k, w, scales), z)
+            for i, s in enumerate(scales):
+                for part, want in zip(stacked, jet(kernel_field(any_sys, k, w, s), z)):
+                    assert np.abs(part[i] - want).max() <= 1e-15 * np.abs(want).max()
+            res = kernel_eigen_residual(any_sys, k, w, z, scales)
+            want = [kernel_eigen_residual(any_sys, k, w, z, s) for s in scales]
+            assert res.shape == (3,) and np.abs(res - want).max() <= 1e-15 * max(want)
+
+    def test_verdict_on_every_system(self, any_sys):
+        # scale 1 holds to round-off at every level; scale 2 fails by far
+        for k in range(1, 6):
+            verdict = select_laguerre_scale(any_sys, k=k)
+            assert verdict["scale"] == 1.0 and verdict["pass"]
+            assert verdict["residuals"]["1.0"] <= 1e-14 and verdict["residuals"]["2.0"] >= 0.1
+
+    def test_wrong_laguerre_derivative_fails_the_verdict(self, monkeypatch, any_sys):
+        # L_k' = +L_{k-1}^(1) in place of -L_{k-1}^(1)
+        real = spectral._laguerre_jet
+
+        def mutated(k, x):
+            L, L1, L2 = real(k, x)
+            return L, -L1, L2
+
+        monkeypatch.setattr(spectral, "_laguerre_jet", mutated)
+        verdict = select_laguerre_scale(any_sys)
+        assert not verdict["pass"] and verdict["residuals"]["1.0"] > 1e-3
 
     def test_invariance(self, conj, alt):
         from maf.groups import GroupElement

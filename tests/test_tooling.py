@@ -62,27 +62,26 @@ def test_trace_counters_bind_by_name(target):
     assert COUNTED_ARGUMENTS[target] <= set(inspect.signature(fn).parameters)
 
 
-def _report_args():
-    import maf.cli
+@pytest.mark.parametrize(
+    "config", ["landau", "conjugate", "alteration", str(TRACING.parent / "p6.json")],
+    ids=["landau", "conjugate", "alteration", "p6"],
+)
+def test_report_takes_no_stencil(capsys, monkeypatch, config):
+    # every check has exact derivatives, so maf report takes no finite difference
+    import numpy as np
 
-    return maf.cli.build_parser().parse_args(["report", "--config", "landau"])
-
-
-@pytest.mark.parametrize("config", ["landau", "alteration"])
-def test_invariance_runner_takes_no_stencil(monkeypatch, config):
-    # T_g carries exact derivatives, so the invariance check takes no finite difference
     import maf.cli
     import maf.fields
 
     calls = []
     real = maf.fields._stencil
     monkeypatch.setattr(maf.fields, "_stencil", lambda *a: calls.append(a) or real(*a))
-    cfg = maf.cli._resolve_config(config)
-    sys_ = maf.cli.build_system(cfg)
-    maf.cli.CHECKS["invariance"](sys_, cfg, _report_args())
+    assert maf.cli.main(["report", "--config", config]) == 0
+    capsys.readouterr()
     assert calls == []
-    maf.cli.CHECKS["spectrum"](sys_, cfg, _report_args())  # an FD check, so the spy does see stencils
-    assert calls
+    # a field without derivatives goes through the stencil, so the spy does see it
+    maf.fields.jet(maf.fields.ScalarField(lambda z: z * np.conj(z)), np.array([0.3 + 0.1j]))
+    assert len(calls) == 1
 
 
 # each group check's traced entry points, and how many elements its one call takes
