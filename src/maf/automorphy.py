@@ -9,7 +9,9 @@ generator values by the twisted multiplicativity
 
 equivalently chi(g g') / (chi(g) chi(g')) is the conjugate of the cocycle
 defect of the chi-free factor; well-definedness of the extension is exactly
-the quantization condition checked by ``rdq_check``.
+the quantization condition checked by ``rdq_check``.  chi is carried as its
+phases theta = arg chi in [-pi, pi), added as reals; a mismatch Delta of two
+phases is the distance |e^{i Delta} - 1| = 2 |sin(Delta / 2)| of their values.
 """
 
 from __future__ import annotations
@@ -72,12 +74,13 @@ class CharacterTable:
 
     The entries are the first ``len(values)`` of ``gamma.closure``, which the
     table grows to ``max_len``; words grown past that are not the table's.
-    chi is carried by twisted multiplicativity along the edge w -> w g that
-    made each entry (from ``parent`` by generator ``slot``), one word length at
-    a time; every other edge out of the shorter words reaches an entry, and the
-    largest mismatch of the two chi values there is ``inconsistency``.  ``u``,
-    ``ru`` and ``rv`` hold g^{-1}.0, rho(g^{-1}).0 and rho(g).0 for every entry
-    g (the last two only when mu != 0); g.0 is ``closure.b``.
+    The phase ``theta`` of chi is carried by twisted multiplicativity along the
+    edge w -> w g that made each entry (from ``parent`` by generator ``slot``),
+    one word length at a time, reduced to [-pi, pi); ``values`` is e^{i theta}.
+    Every other edge out of the shorter words reaches an entry, and the largest
+    mismatch of the two chi values there is ``inconsistency``.  ``u``, ``ru``
+    and ``rv`` hold g^{-1}.0, rho(g^{-1}).0 and rho(g).0 for every entry g (the
+    last two only when mu != 0); g.0 is ``closure.b``.
     """
 
     def __init__(
@@ -94,10 +97,10 @@ class CharacterTable:
         self.max_len = max_len
         self.closure = closure = gamma.closure.grow(max_len)
         gens = [g for _, g in closure.gens]
-        # chi(e) = 1 forces chi(g^{-1}) = conj(chi(g)) e^{-i phase(g, g^{-1})}
-        steps = [[v, v.conjugate() * np.exp(-1j * phase(nu, mu, rho, g, ginv))]
-                 for v, g, ginv in zip(chi.values_on_generators, gens[::2], gens[1::2])]
-        steps = np.array(steps, complex).reshape(-1)
+        # chi(e) = 1 forces theta(g^{-1}) = -theta(g) - phase(g, g^{-1})
+        steps = [[t, -t - phase(nu, mu, rho, g, ginv)]
+                 for t, g, ginv in zip(np.angle(chi.values_on_generators), gens[::2], gens[1::2])]
+        steps = np.array(steps).reshape(-1)
         # the table's entries, and the expanded ones among them (all, once a finite group closes)
         n, m = closure.size(max_len), closure.size(max_len - 1)
         a, b = closure.a[:n], closure.b[:n]
@@ -111,43 +114,35 @@ class CharacterTable:
             self.rv = apply_endo_ab(rho, a, b)[1]
             rv = apply_endo_ab(rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))[1]
             ph += mu * _im_conj_outer(self.ru[:m], rv)
-        turn = np.exp(1j * ph)
         self.parent, self.slot = closure.parent[:n], closure.slot[:n]
-        self.values = np.ones(n, complex)
+        self.theta = theta = np.zeros(n)
         for lo, hi in zip(closure.offsets[1 : max_len + 1], closure.offsets[2 : max_len + 2]):
             s, t = self.parent[lo:hi], self.slot[lo:hi]
-            self.values[lo:hi] = _cmul(_cmul(self.values[s], steps[t]), turn[s, t])
-        diff = _cmul(_cmul(self.values[:m, None], steps), turn) - self.values[closure.succ[:m]]
-        self.inconsistency = float(np.hypot(diff.real, diff.imag).max(initial=0.0))
+            x = np.remainder(theta[s] + ph[s, t] + steps[t] + np.pi, 2 * np.pi) - np.pi
+            theta[lo:hi] = np.where(x < np.pi, x, -np.pi)  # the remainder may round up to 2 pi
+        self.values = np.exp(1j * theta)
+        delta = theta[:m, None] + ph + steps - theta[closure.succ[:m]]
+        self.inconsistency = float(2 * np.abs(np.sin(delta / 2)).max(initial=0.0))
 
     @property
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
         return list(zip(self.closure.elements_upto(len(self.values)), self.values, self.closure.words))
 
-    def _unknown(self, a: complex, b: complex) -> UnknownGroupElementError:
-        return UnknownGroupElementError(f"element [{a}, {b}] not among the words of length <= {self.max_len}")
-
-    def _index(self, a: complex, b: complex) -> int:
-        hit = self.closure.lookup(a, b)
-        if hit is None or hit >= len(self.values):
-            raise self._unknown(a, b)
-        return hit
-
-    def value(self, g: GroupElement) -> complex:
-        return self.values[self._index(g.a, g.b)]
-
-    def values_at(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """chi at the elements [a, b], arrays of one shape, in one probe of the closure's hash."""
+    def indices(self, a, b) -> np.ndarray:
+        """The entries of the elements [a, b], arrays of one shape, in one probe of the closure's hash."""
         flat_a, flat_b = np.ravel(a), np.ravel(b)
         hits = self.closure.lookup_all(flat_a, flat_b)
         unknown = (hits < 0) | (hits >= len(self.values))
         if unknown.any():
-            k = unknown.argmax()
-            raise self._unknown(flat_a[k].item(), flat_b[k].item())
-        return self.values[hits].reshape(np.shape(a))
+            x, y = flat_a[unknown.argmax()].item(), flat_b[unknown.argmax()].item()
+            raise UnknownGroupElementError(f"element [{x}, {y}] not among the words of length <= {self.max_len}")
+        return hits.reshape(np.shape(a))
+
+    def value(self, g: GroupElement) -> complex:
+        return self.values[self.indices(g.a, g.b)]
 
     def word(self, g: GroupElement) -> list[int]:
-        return self.closure.words[self._index(g.a, g.b)]
+        return self.closure.words[self.indices(g.a, g.b)]
 
 
 def mixed_factor_nochi(nu: float, mu: float, rho: Endomorphism, tau: EquivariantMap, a, b, z):
@@ -241,10 +236,9 @@ def rdq_check(
     ph = nu * _im_conj_outer(table.u[:n], closure.b[:n])
     if mu != 0.0:
         ph += mu * _im_conj_outer(table.ru[:n], table.rv[:n])
-    vals = table.values
-    pred = _cmul(_cmul(vals[:n, None], vals[None, :n]), np.exp(1j * ph))
-    diff = vals[hit] - pred
-    residuals = np.hypot(diff.real, diff.imag).ravel()
+    # |chi(g_i g_j) - chi(g_i) chi(g_j) e^{i phase}| = 2 |sin(delta / 2)| of the phase mismatch
+    theta = table.theta
+    residuals = 2 * np.abs(np.sin((theta[hit] - theta[:n, None] - theta[:n] - ph).ravel() / 2))
     i, j = divmod(int(np.argmax(residuals)), n)
     words = closure.words
     return from_residuals(

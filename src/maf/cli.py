@@ -153,9 +153,9 @@ def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     ws = rng.normal(size=8) + 1j * rng.normal(size=8)
     herm = np.abs(spectral.kernel(sys_, k, zs, ws, scale) - np.conjugate(spectral.kernel(sys_, k, ws, zs, scale)))
     diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j, scale) - sys_.B / np.pi)
-    rep = from_residuals(
-        "kernel_structure", np.append(herm, diag), _tol(args, 1e-12), laguerre_scale_verdict=verdict, k=k
-    )
+    # the eigen-equation at the chosen scale counts too, so a failing verdict fails the entry
+    res = [*herm, diag, verdict["residuals"][str(scale)]]
+    rep = from_residuals("kernel_structure", res, _tol(args, 1e-12), laguerre_scale_verdict=verdict, k=k)
     pairs, gs, tol = np.column_stack([zs, ws]), random_ab(rng, 5), _tol(args, 1e-8)
     reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, pairs, tol=tol, laguerre_scale=scale)]
     if args.z is not None and args.w is not None:

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .automorphy import CharacterTable, PseudoCharacter, j_factor, mixed_factor, mixed_factor_nochi
+from .automorphy import CharacterTable, PseudoCharacter, mixed_factor
 from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, check_equivariance
 from .fields import Grid, OneForm, ScalarField, jet, line_integral
 from .groups import DiscreteSubgroup, GroupElement, find_word, inverse_ab
@@ -304,26 +304,33 @@ def chi_tau(sys: MagneticSystem, gs, drop: str | None = None) -> np.ndarray:
     ``drop`` removes one correction sub-factor ("phase_at_orbit" or "inner")
     for negative-control testing.
     """
-    a, b = (np.asarray(x, complex).ravel() for x in gs)
-    val = sys.chi_table.values_at(a, b)
-    if drop != "phase_at_orbit":
-        val = val * np.exp(1j * sys.phi(b))
-    if drop != "inner":
-        val = val * np.conj(_conj_j0(sys, a, b)[1])  # tau(0) = r
-    return val
+    return _chi_tau(sys, sys.chi_table.indices(*gs), drop)
 
 
-def _lifted_factor(sys: MagneticSystem, gs, z):
-    """(e^{i(phi(g.z) - phi(z))} J(g, z), j^B(g, z)) at the points z, per element of gs."""
-    a, b = (np.reshape(x, (-1, 1)) for x in gs)
-    J = sys.chi_table.values_at(a, b) * mixed_factor_nochi(sys.nu, sys.mu, sys.rho, sys.tau, a, b, z)
-    return np.exp(1j * (sys.phi(a * z + b) - sys.phi(z))) * J, j_factor(sys.B, a, b, z)
+def _chi_tau(sys: MagneticSystem, idx, drop: str | None = None) -> np.ndarray:
+    """``chi_tau`` at the chi table's entries idx."""
+    t = sys.chi_table
+    arg = t.theta[idx] + (0.0 if drop == "phase_at_orbit" else sys.phi(t.closure.b[idx]))
+    if drop != "inner" and sys.mu != 0.0:
+        arg = arg - sys.mu * (sys.tau.r * np.conj(t.ru[idx])).imag  # tau(0) = r, ru = rho(g)^{-1}.0
+    return np.exp(1j * arg)
+
+
+def _lifted_factor(sys: MagneticSystem, idx, z):
+    """(e^{i(phi(g.z) - phi(z))} J(g, z), j^B(g, z)) at the points z, per chi table entry of idx, with
+    J = chi(g) e^{-i(nu Im(z ubar) + mu Im(tau(z) conj(ru)))} and j^B = e^{-iB Im(z ubar)}, u = g^{-1}.0."""
+    t, idx = sys.chi_table, np.reshape(idx, (-1, 1))
+    im_zu = (z * np.conj(t.u[idx])).imag
+    arg = t.theta[idx] - sys.nu * im_zu + sys.phi(t.closure.a[idx] * z + t.closure.b[idx]) - sys.phi(z)
+    if sys.mu != 0.0:
+        arg -= sys.mu * (sys.tau(z) * np.conj(t.ru[idx])).imag
+    return np.exp(1j * arg), np.exp(-1j * sys.B * im_zu)
 
 
 def chi_tau_hat_spread(sys: MagneticSystem, gs, grid: Grid, tol: float = 1e-8) -> list[CheckReport]:
     """z-independence of chi_tau_hat = e^{i(phi(g.z) - phi(z))} J(g, z) / j^B(g, z) over the grid
     (max deviation from its mean), per element of gs."""
-    vals = np.divide(*_lifted_factor(sys, gs, grid.points()))
+    vals = np.divide(*_lifted_factor(sys, sys.chi_table.indices(*gs), grid.points()))
     center = vals.mean(axis=1)
     res = np.abs(vals - center[:, None])
     return [
@@ -336,6 +343,7 @@ def lifting_residual(
     sys: MagneticSystem, gs, grid: Grid, tol: float = 1e-8, drop: str | None = None
 ) -> list[CheckReport]:
     """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per element of gs."""
-    lhs, jb = _lifted_factor(sys, gs, grid.points())
-    res = np.abs(lhs - chi_tau(sys, gs, drop=drop)[:, None] * jb)
+    idx = sys.chi_table.indices(*gs)
+    lhs, jb = _lifted_factor(sys, idx, grid.points())
+    res = np.abs(lhs - _chi_tau(sys, idx, drop)[:, None] * jb)
     return from_element_residuals("lifting", res, tol, gs, "gamma", dropped=drop, grid=grid.to_dict())

@@ -124,8 +124,6 @@ class SpectralBasis:
 
     B: float
     alpha: float = 0.0
-    m_max: int = 3
-    n_max: int = 1
 
     def __post_init__(self):
         if self.B <= 0:

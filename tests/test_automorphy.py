@@ -153,8 +153,8 @@ class TestPseudoCharacter:
 
 
 class TestValuesAt:
-    """``values_at`` reads chi at many elements in one probe of the closure's
-    hash; ``value`` and ``lookup`` take one element at a time."""
+    """``indices`` finds the entries of many elements in one probe of the
+    closure's hash, and chi is read there; ``lookup`` takes one element at a time."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -169,12 +169,15 @@ class TestValuesAt:
     def test_every_p6_entry(self, table, monkeypatch):
         closure = table.closure
         calls = self.counted_lookups(monkeypatch, closure)
-        got = table.values_at(closure.a[:712].reshape(8, 89), closure.b[:712].reshape(8, 89))
+        got = table.indices(closure.a[:712].reshape(8, 89), closure.b[:712].reshape(8, 89))
         # a box of half-side 2 tol straddles a cell edge with a chance of about 8 tol / CELL
         assert len(calls) <= 4
         assert got.shape == (8, 89) and len(table.values) == 712
+        assert np.array_equal(got.ravel(), np.arange(712))
+        monkeypatch.undo()
+        assert [closure.lookup(g.a, g.b) for g, _, _ in table.entries] == list(range(712))
         want = [table.value(g) for g, _, _ in table.entries]
-        assert np.array_equal(got.ravel(), want) and np.array_equal(got.ravel(), table.values)
+        assert np.array_equal(table.values[got].ravel(), want)
 
     def test_nudged_within_tol(self, table, monkeypatch):
         rng = np.random.default_rng(0)
@@ -184,29 +187,29 @@ class TestValuesAt:
         a = closure.a[idx] * np.exp(0.4j * tol * rng.uniform(-1, 1, 400))
         b = closure.b[idx] + 0.55 * tol * np.exp(2j * np.pi * rng.uniform(size=400))
         calls = self.counted_lookups(monkeypatch, closure)
-        got = table.values_at(a, b)
+        got = table.indices(a, b)
         assert len(calls) <= 4
         monkeypatch.undo()
-        assert np.array_equal(got, [table.value(GroupElement(x, y)) for x, y in zip(a, b)])
-        assert np.array_equal(got, table.values[idx])
+        assert got.tolist() == [closure.lookup(x, y) for x, y in zip(a, b)]
+        assert np.array_equal(table.values[got], table.values[idx])
 
     def test_unknown_elements_raise(self, table):
         closure = table.closure
         a, b = closure.a[:5].copy(), closure.b[:5].copy()
         b[3] += 1 + 1j  # off the lattice
         with pytest.raises(UnknownGroupElementError, match=r"element \[.*\] not among the words of length <= 8"):
-            table.values_at(a, b)
+            table.indices(a, b)
         b[3] = closure.b[3] + 3 * closure.tol  # beyond tol
         with pytest.raises(UnknownGroupElementError):
-            table.values_at(a, b)
+            table.indices(a, b)
 
     def test_words_past_the_table_raise(self):
         gamma = DiscreteSubgroup(SQUARE.generators)
         table = CharacterTable(PseudoCharacter([1, 1]), gamma, np.pi, 0.0, ID, max_len=4)
         gamma.closure.grow(6)
-        assert table.values_at(np.array([1, 1]), np.array([4, 3j])).tolist() == [1, 1]
+        assert table.values[table.indices(np.array([1, 1]), np.array([4, 3j]))].tolist() == [1, 1]
         with pytest.raises(UnknownGroupElementError):
-            table.values_at(np.array([1, 1]), np.array([4, 5]))
+            table.indices(np.array([1, 1]), np.array([4, 5]))
 
 
 def edge_character_table(chi, gamma, nu, mu, rho, max_len):
@@ -251,9 +254,12 @@ class TestLevelExtension:
         elements, _, words = map(list, zip(*table.entries))
         assert elements == closure.elements
         assert words == closure.words
-        # == on complex ignores the sign of zero
-        assert table.values.tolist() == values
-        assert table.inconsistency == inconsistency
+        # chi is carried as phases, reduced to [-pi, pi) at each level, so it meets
+        # the complex products of the oracle to round-off
+        assert ((-np.pi <= table.theta) & (table.theta < np.pi)).all()
+        assert np.array_equal(table.values, np.exp(1j * table.theta))
+        assert np.abs(table.values - values).max() <= 2e-14
+        assert abs(table.inconsistency - inconsistency) <= 2e-14
 
     @pytest.mark.parametrize("name", ["conjugate", "alteration", "p6", "p4_conjugated"])
     def test_table_on_grown_closure_matches_fresh_subgroup(self, name):
@@ -266,7 +272,7 @@ class TestLevelExtension:
         grown.closure.grow(12)
         tables = [CharacterTable(chi, g, nu, mu, rho, max_len=6) for g in (grown, fresh)]
         assert len(grown.closure.offsets) > len(fresh.closure.offsets) or name == "alteration"
-        for attr in ("values", "parent", "slot", "u", *(("ru", "rv") if mu else ())):
+        for attr in ("theta", "values", "parent", "slot", "u", *(("ru", "rv") if mu else ())):
             a, b = (getattr(t, attr) for t in tables)
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), attr
         assert tables[0].inconsistency == tables[1].inconsistency
@@ -349,20 +355,25 @@ class TestRdqCheck:
         assert rep.passed
 
     # (nu, gamma, chi, max_word_len) -> (max, mean, inconsistency, worst pair),
-    # as the pairwise scan over the linear-scan table reported them
+    # as the pairwise scan over the linear-scan table reported them; the worst
+    # pair is None where round-off picks it among tied pairs
     RECORDED = [
         (np.pi, SQUARE, [1, 1], 6, 1.445330815248512e-14, 1.3935499533171178e-15,
-         6.246936636924677e-15, [2] * 5, [1] * 6),
+         6.246936636924677e-15, None, None),
         (1.0, SQUARE, [1, 1], 6, 1.9835577068862311, 0.9170308731053869,
          1.9999804131014072, [2] * 6, [1] * 6),
-        # round-off decides between tied pairs here
         (1.0, SQUARE, [1, 1], 4, 1.978716493246764, 0.7891383242972166,
-         1.9178485493262771, [2] * 4, [1, 1, -2]),
+         1.9178485493262771, None, None),
         (1.0, SQUARE, [1, 1], 5, 1.9787164932467642, 0.8610058117649179,
-         1.978716493246764, [2] * 4, [1, 1, 2, 2, 2]),
+         1.978716493246764, None, None),
         (P6_NU, P6, [1, -1], 4, 5.451535198115487e-15, 5.449801328135552e-16,
-         5.512148557436266e-15, [2, 1, 2, 2], [-2, 1, -2, -2]),
+         5.512148557436266e-15, None, None),
     ]
+
+    @staticmethod
+    def scalar_residual(nu, mu, rho, table, g, gp):
+        """|chi(g g') - chi(g) chi(g') e^{i phase(g, g')}|, one group element at a time."""
+        return abs(table.value(compose(g, gp)) - table.value(g) * table.value(gp) * np.exp(1j * phase(nu, mu, rho, g, gp)))
 
     @pytest.mark.parametrize(
         "case", RECORDED, ids=["landau_pi", "landau_1", "landau_1_len4", "landau_1_len5", "p6"]
@@ -371,26 +382,55 @@ class TestRdqCheck:
         nu, gamma, chi, length, mx, mean, incons, left, right = case
         rep = rdq_check(nu, 0.0, ID, gamma, PseudoCharacter(chi), max_word_len=length)
         assert rep.passed == (mx <= 1e-10)
-        assert rep.metadata["worst_pair"] == {"left": left, "right": right}
+        if left is not None:
+            assert rep.metadata["worst_pair"] == {"left": left, "right": right}
+        # the named pair attains the maximum, by the scalar formula
+        table = CharacterTable(PseudoCharacter(chi), gamma, nu, 0.0, ID, max_len=2 * length)
+        word_elements = dict(zip(map(tuple, table.closure.words), table.closure.elements))
+        g, gp = (word_elements[tuple(rep.metadata["worst_pair"][side])] for side in ("left", "right"))
+        assert abs(self.scalar_residual(nu, 0.0, ID, table, g, gp) - rep.max_residual) <= 1e-13
         assert abs(rep.max_residual - mx) <= 1e-13
         assert abs(rep.mean_residual - mean) <= 1e-13
         assert abs(rep.metadata["extension_inconsistency"] - incons) <= 1e-13
 
     @pytest.mark.parametrize("name", ["conjugate", "alteration"])
     def test_pairs_against_scalar_formula(self, name):
-        # mu != 0; every pair residual recomputed one group element at a time
-        # must agree to the last bit, so the report matches the pairwise scan
+        # mu != 0; every pair residual recomputed one group element at a time, by
+        # complex products, agrees with the sweep over the phases to round-off
         s = build_system(load_bundled(name))
         rep = rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, max_word_len=3)
         table = CharacterTable(s.chi, s.gamma, s.nu, s.mu, s.rho, max_len=6)
-        short = [e for e in table.entries if len(e[2]) <= 3]
-        res = [
-            abs(table.value(compose(g, gp)) - vg * vgp * np.exp(1j * phase(s.nu, s.mu, s.rho, g, gp)))
-            for g, vg, _ in short
-            for gp, vgp, _ in short
-        ]
-        assert rep.max_residual == max(res)
-        assert rep.mean_residual == sum(res) / len(res)
+        short = [g for g, _, w in table.entries if len(w) <= 3]
+        res = [self.scalar_residual(s.nu, s.mu, s.rho, table, g, gp) for g in short for gp in short]
+        assert abs(rep.max_residual - max(res)) <= 2e-14
+        assert abs(rep.mean_residual - sum(res) / len(res)) <= 2e-14
+
+    NUDGE_CASES = {
+        "square_pi": (SQUARE, np.pi, [1, 1], 6, 2e-14),
+        "p6": (P6, P6_NU, [1, -1], 6, 5e-14),
+    }
+
+    @pytest.mark.parametrize("name", sorted(NUDGE_CASES))
+    @pytest.mark.parametrize("generator", [0, 1])
+    def test_nudged_generator_entry_fails(self, name, generator):
+        # chi on one generator's entry times e^{1e-9 i}: the pairs through it fail
+        gamma, nu, chi, length, clean = self.NUDGE_CASES[name]
+        table = CharacterTable(PseudoCharacter(chi), gamma, nu, 0.0, ID, max_len=2 * length)
+        rep = rdq_check(nu, 0.0, ID, gamma, PseudoCharacter(chi), max_word_len=length, table=table)
+        assert rep.passed and rep.max_residual <= clean
+        k = table.closure.words.index([generator + 1])
+        table.theta = table.theta.copy()
+        table.theta[k] += 1e-9
+        rep = rdq_check(nu, 0.0, ID, gamma, PseudoCharacter(chi), max_word_len=length, table=table)
+        assert not rep.passed and rep.max_residual >= 5e-10
+        assert [generator + 1] in rep.metadata["worst_pair"].values()
+
+    def test_nudged_rotation_value_fails_p6(self):
+        # a chi off the solution set: chi(r)^6 = 1 is broken by 6e-9
+        chi = PseudoCharacter([np.exp(1e-9j), -1])
+        rep = rdq_check(P6_NU, 0.0, ID, P6, chi, max_word_len=6)
+        assert not rep.passed and rep.max_residual >= 5e-10
+        assert rdq_check(P6_NU, 0.0, ID, P6, PseudoCharacter([1, -1]), max_word_len=6).max_residual <= 5e-14
 
     def test_convention_echoed(self):
         rep = rdq_check(np.pi, 0.0, ID, SQUARE, PseudoCharacter([1, 1]))

@@ -11,8 +11,12 @@ residual became τ's equivariance defect; and the ``spectrum_rayleigh``
 residuals and tol and the two ``laguerre_scale_verdict`` residuals of
 ``kernel_structure``, re-recorded once when the strip eigenfunctions and the
 kernel got exact jets (3e-9 to 5e-9 at tol 1e-4 → 1.8e-16 to 3.0e-16 at tol
-1e-12, and 1.4e-8 to 1.9e-8 → 6.9e-17 to 7.2e-17 at scale 1).  ``X.json`` is
-``maf report --config X``, ``highdim_X.json`` is ``maf highdim --config X``.
+1e-12, and 1.4e-8 to 1.9e-8 → 6.9e-17 to 7.2e-17 at scale 1); and the
+``rdq`` ``worst_pair`` of every file, re-recorded once when chi came to be
+carried as phases: on these passing entries every pair's residual is
+round-off (at most 3.5e-15), so which pair is worst is round-off's choice.
+``X.json`` is ``maf report --config X``, ``highdim_X.json`` is
+``maf highdim --config X``.
 
 Allowance.  Names, verdicts (``pass``), tolerances and every int, str and
 bool value must match exactly.  Every float, ``max_residual`` and

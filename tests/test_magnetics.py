@@ -344,14 +344,15 @@ class TestLifting:
 
     @pytest.mark.parametrize("name", ["landau", "p6"])
     def test_nudged_chi_fails_its_own_entry_only(self, name, monkeypatch):
-        # chi_tau off by e^{1e-3 i} on the second generator: that entry fails, the first passes
+        # chi_tau off by e^{1e-3 i} on the second generator: that entry fails, the first passes;
+        # lifting_residual reads chi_tau by entry index, through _chi_tau
         sys = config_system(name)
-        real = magnetics.chi_tau
+        real = magnetics._chi_tau
 
-        def nudged(sys_, gs, drop=None):
-            return real(sys_, gs, drop) * np.array([1, np.exp(1e-3j)])
+        def nudged(sys_, idx, drop=None):
+            return real(sys_, idx, drop) * np.array([1, np.exp(1e-3j)])
 
-        monkeypatch.setattr(magnetics, "chi_tau", nudged)
+        monkeypatch.setattr(magnetics, "_chi_tau", nudged)
         first, second = lifting_residual(sys, ab(sys.gamma.generators), LIFT_GRID)
         assert first.passed and first.max_residual < 1e-14
         assert not second.passed and second.max_residual > 1e-4

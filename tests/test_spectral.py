@@ -281,6 +281,25 @@ class TestKernel:
         verdict = select_laguerre_scale(any_sys)
         assert not verdict["pass"] and verdict["residuals"]["1.0"] > 1e-3
 
+    def test_wrong_laguerre_derivative_fails_the_report(self, monkeypatch, capsys):
+        # the verdict's residual at the chosen scale is one of kernel_structure's residuals
+        real = spectral._laguerre_jet
+
+        def mutated(k, x):
+            L, L1, L2 = real(k, x)
+            return L, -L1, L2
+
+        assert main(["report", "--config", "landau"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(spectral, "_laguerre_jet", mutated)
+        assert main(["report", "--config", "landau"]) == 1
+        reports = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
+        entry = reports["kernel_structure"]
+        verdict = entry["metadata"]["laguerre_scale_verdict"]
+        assert not entry["pass"] and not verdict["pass"]
+        assert entry["max_residual"] == min(verdict["residuals"].values()) > 1e-3
+        assert [name for name, r in reports.items() if not r["pass"]] == ["kernel_structure"]
+
     def test_invariance(self, conj, alt):
         from maf.groups import GroupElement
 

@@ -125,3 +125,34 @@ def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check
             assert len(seen[0]["gs"][0]) == n_elements(sys_)
             if attr in per_point:
                 assert isinstance(seen[0]["grid"], maf.cli.Grid)
+
+
+def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch):
+    # the lift checks read chi, g.0, g^{-1}.0 and rho(g)^{-1}.0 by entry index, so each
+    # traced call probes the word closure's hash once, for all its elements
+    import maf.cli
+    import maf.groups
+
+    probes, per_call = [], []
+    real_lookup_all = maf.groups.WordClosure.lookup_all
+    monkeypatch.setattr(
+        maf.groups.WordClosure, "lookup_all", lambda self, a, b: probes.append(len(a)) or real_lookup_all(self, a, b)
+    )
+    entry_points, n_elements = RUNNER_ENTRY_POINTS["lift"]
+    for module_name, attr in entry_points:
+        module = importlib.import_module(module_name)
+
+        def spy(*args, _real=getattr(module, attr), **kwargs):
+            before = len(probes)
+            try:
+                return _real(*args, **kwargs)
+            finally:
+                per_call.append(probes[before:])
+
+        monkeypatch.setattr(module, attr, spy)
+    for config in ("landau", "conjugate", "alteration", str(TRACING.parent / "p6.json")):
+        per_call.clear()
+        assert maf.cli.main(["lift", "--config", config]) == 0
+        capsys.readouterr()
+        n = n_elements(maf.cli.build_system(maf.cli._resolve_config(config)))
+        assert per_call == [[n], [n]]
