@@ -20,15 +20,18 @@ u(z) = e^{-i(phi(z) + Bxy)} and psi_k the normalized Hermite function
 
 ``project_on_nodes`` applies P_k through that factorization.  On an n x n
 product grid of nodes the c-integral is a trapezoid sum over P points
-(``_c_grid``, exact to round-off), taken in blocks of 64 c-columns: per block,
-two real-by-complex matrix products, (64 x n)(n x n) and (n x 64)(64 x n).
-That is O(n^2 P) time, with P about 410-530 on the 64^2 nodes of the truncated
-plane, independent of n and nearly so of k.  The dense ``kernel`` is its oracle.
+(``_c_grid``, exact to round-off), in blocks of 64 c-columns, each on the band of
+rows x within the reach d of its c: two real-by-complex products per block, from a
+plan of the f-independent tables (``_plan``) kept per nodes and level.  P is about
+410-530 on the 64^2 nodes of the truncated plane, and the band holds 37-49% of the
+n P pairs (x, c) for k <= 5.  The dense ``kernel`` is its oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,50 +259,80 @@ def select_laguerre_scale(sys: MagneticSystem, k: int = 1, tol: float = 1e-12) -
     }
 
 
-_BLOCK = 64  # c-columns per block of project_on_nodes: on 64^2 nodes no table exceeds 64 KiB
+_BLOCK = 64  # c-columns per block of a projection plan: on 64^2 nodes no table exceeds 64 KiB
+
+
+def _reach(B: float, k: int) -> float:
+    """d = (sqrt(37) + 2 sqrt(k) + 1) / sqrt(B): beyond d of x, psi_k(sqrt(2B)(x - c)) is below e^{-37} of its peak."""
+    return (math.sqrt(37) + 2 * math.sqrt(k) + 1) / math.sqrt(B)
 
 
 def _c_grid(B: float, k: int, x: np.ndarray, y: np.ndarray):
     """Nodes and step of the trapezoid sum over the Landau-gauge centre c.
 
-    The nodes cover [min x - d, max x + d], d = (sqrt(37) + 2 sqrt(k) + 1) / sqrt(B):
-    beyond d of every node the factor psi_k(sqrt(2B)(x - c)) is below e^{-37} of its
-    peak.  The step is 2 pi / (2B span(y) + sqrt(8B(37 + 2k)) + 2 sqrt(B)): the
-    integrand oscillates at 2B(y - y'), and the transform of the product of the two
-    psi_k factors is below e^{-37} past sqrt(8B(37 + 2k)), so the sum aliases nothing
-    above round-off.
+    The nodes cover [min x - d, max x + d], d = ``_reach(B, k)``.  The step is
+    2 pi / (2B span(y) + sqrt(8B(37 + 2k)) + 2 sqrt(B)): the integrand oscillates at
+    2B(y - y'), and the transform of the product of the two psi_k factors is below
+    e^{-37} past sqrt(8B(37 + 2k)), so the sum aliases nothing above round-off.
     """
-    d = (math.sqrt(37) + 2 * math.sqrt(k) + 1) / math.sqrt(B)
+    d = _reach(B, k)
     step = 2 * math.pi / (2 * B * np.ptp(y) + math.sqrt(8 * B * (37 + 2 * k)) + 2 * math.sqrt(B))
     lo, hi = x.min() - d, x.max() + d
     return lo + step * np.arange(math.ceil((hi - lo) / step) + 1), step
 
 
-def project_on_nodes(
-    sys: MagneticSystem,
-    k: int,
-    fvals: np.ndarray,
-    Z: np.ndarray,
-    Wt: np.ndarray,
-) -> np.ndarray:
+@functools.lru_cache(maxsize=16)  # plans kept, the least recently used dropped first
+def _plan(B: float, gauge_k: complex, k: int, xb: bytes, yb: bytes, c0: float, step: float, P: int, width: int):
+    """The read-only tables of ``project_on_nodes`` that do not depend on f, on the nodes x_i + i y_j.
+
+    (order, rank, u, fine, blocks): the row order of ascending x and its inverse, the phase
+    u = e^{-i(phi(z) + B y (x - 2 c[P // 2]))}, e^{2iBy step r} for r < width, and per block of
+    ``width`` c-columns (i0, i1, psi, turn): the sorted rows within d = ``_reach(B, k)`` of some c
+    in the block, psi_k(sqrt(2B)(x - c)) on them, 0 where |x - c| > d so that every block width
+    sums the same terms, and the block's coarse row of e^{2iByc}.
+    """
+    x, y = np.frombuffer(xb), np.frombuffer(yb)
+    order = np.argsort(x, kind="stable")
+    xs, rank = x[order], np.argsort(order)
+    c, m0, d = c0 + step * np.arange(P), P // 2, _reach(B, k)
+    u = np.exp(-1j * (2 * (gauge_k * (x[:, None] + 1j * y)).real + B * y * (x[:, None] - 2 * c[m0])))
+    # With c = c[m0] + step j, e^{2iB y c[m0]} joins the phase and the rest is e^{i a j},
+    # a = 2B step y.  Split a = hi + lo with hi * j exact: e^{i a j} = e^{i hi j} (1 + i lo j)
+    # to 1e-16, and no argument of hundreds of radians is rounded, so every block width
+    # gives the same table to round-off.
+    a = 2 * B * step * y
+    hi = a * 8193.0
+    hi -= hi - a  # Veltkamp split: hi keeps 40 bits, so hi * j is exact for |j| < 8192
+    turns = lambda j: np.exp(1j * np.multiply.outer(j, hi)) * (1 + 1j * np.multiply.outer(j, a - hi))
+    fine, blocks = turns(np.arange(min(width, P))), []
+    for m in range(0, P, width):
+        cb = c[m : m + width]
+        i0, i1 = np.searchsorted(xs, cb[0] - d), np.searchsorted(xs, cb[-1] + d, "right")
+        dx = xs[i0:i1, None] - cb
+        blocks.append((i0, i1, np.where(np.abs(dx) <= d, hermite_function(k, math.sqrt(2 * B) * dx), 0), turns(m - m0)))
+    for table in (order, rank, u, fine, *(t for block in blocks for t in block[2:])):
+        table.setflags(write=False)
+    return order, rank, u, fine, tuple(blocks)
+
+
+def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarray, Wt: np.ndarray) -> np.ndarray:
     """P_k f evaluated on the quadrature nodes themselves.
 
     ``fvals`` are f's values on the node array Z with weights Wt, all of one shape;
     the result has that shape too, enabling iterated projections without re-sampling.
     Z must be an axis-aligned product grid as ``quad2d_nodes`` makes it: x_i along
-    axis 0, y_j along axis 1.  With the phase e^{-i(phi(z) + B x y)} and the c-grid
-    of ``_c_grid``, the quadrature sum of K_k(z, w) f(w) Wt(w) is taken over blocks
-    of 64 c-columns.  A block's e^{2iB y_j c} is a shared table of the first 64
-    offsets times one coarse row: n (P/64 + 64) complex exponentials, not n P.  The
-    real psi_k(sqrt(2B)(x_i - c)) multiplies float views of complex factors: two
-    real-by-complex products, half the flops of complex ones; on 64^2 nodes they are
-    small enough that OpenBLAS keeps them on one thread and the allocator reuses
-    their memory.  O(n^2 P) time, the same for every level.  On an affine
+    axis 0, y_j along axis 1.  With the phase e^{-i(phi(z) + B x y)} and the c-grid of
+    ``_c_grid``, the quadrature sum of K_k(z, w) f(w) Wt(w) is taken over blocks of 64
+    c-columns, each on the band of rows x within d of its columns.  All but f is a plan
+    (``_plan``), built once per B, gauge, level, nodes, c-grid and block width; the last
+    16 are kept.  Per block, two real-by-complex products (psi_k is real), small enough
+    on 64^2 nodes that OpenBLAS keeps them on one thread.  Banded O(n^2 P) time, about
+    40% of the full sum on the truncated plane, the same for every level.  On an affine
     (lattice-cell) grid the same factorization holds with the gauge taken along one
     cell vector; only the axis-aligned grid is implemented.
     """
-    if k < 0:
-        raise ValueError("level index must be nonnegative")
+    if not hasattr(k, "__index__") or (k := operator.index(k)) < 0:
+        raise ValueError("level index must be a nonnegative integer")
     Z = np.asarray(Z, dtype=complex)
     if (bad := np.flatnonzero(~np.isfinite(Z))).size:
         raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
@@ -308,30 +341,16 @@ def project_on_nodes(
             raise ValueError(f"{name} has shape {np.shape(values)}, the nodes Z have shape {Z.shape}")
     if Z.ndim != 2 or np.any(Z.real != Z.real[:, :1]) or np.any(Z.imag != Z.imag[:1]):
         raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
-    B = sys.B
-    x, y = Z.real[:, 0], Z.imag[0]
+    B, x, y = float(sys.B), Z.real[:, 0], Z.imag[0]
     c, step = _c_grid(B, k, x, y)
-    # With c = c[m0] + step j, e^{2iB y c[m0]} joins the phase and the rest is e^{i a j},
-    # a = 2B step y.  Split a = hi + lo with hi * j exact: e^{i a j} = e^{i hi j} (1 + i lo j)
-    # to 1e-16, and no argument of hundreds of radians is rounded, so every block width
-    # gives the same table to round-off.
-    m0 = c.size // 2
-    phase = np.exp(-1j * (_phi(sys, Z) + B * Z.imag * (Z.real - 2 * c[m0])))
-    a = 2 * B * step * y
-    hi = a * 8193.0
-    hi -= hi - a  # Veltkamp split: hi keeps 40 bits, so hi * j is exact for |j| < 8192
-    turns = lambda j: np.exp(1j * np.multiply.outer(j, hi)) * (1 + 1j * np.multiply.outer(j, a - hi))
-    fine = turns(np.arange(min(_BLOCK, c.size)))
-    G = np.ascontiguousarray(phase.conjugate() * fvals * Wt).view(float)
+    order, rank, u, fine, blocks = _plan(B, sys.gauge_k, k, x.tobytes(), y.tobytes(), c[0], step, c.size, _BLOCK)
+    G = (u.conjugate() * fvals * Wt)[order].view(float)
     out = np.zeros((x.size, 2 * y.size))
-    for m in range(0, c.size, _BLOCK):
-        cb = c[m : m + _BLOCK]
-        psi = hermite_function(k, math.sqrt(2 * B) * (x[:, None] - cb))
-        psi[np.abs(psi) < 1e-150] = 0.0  # subnormal Gaussian tails slow the products 5x
-        e = fine[: cb.size] * turns(m - m0)
-        at = np.einsum("cj,cj->c", (psi.T @ G).view(complex), e.conj())
-        out += psi @ (at[:, None] * e).view(float)
-    return (B / np.pi) * math.sqrt(2 * B) * step * phase * out.view(complex)
+    for i0, i1, psi, turn in blocks:
+        e = fine[: psi.shape[1]] * turn
+        at = np.einsum("cj,cj->c", (psi.T @ G[i0:i1]).view(complex), e.conj())
+        out[i0:i1] += psi @ (at[:, None] * e).view(float)
+    return (B / np.pi) * math.sqrt(2 * B) * step * u * out.view(complex)[rank]
 
 
 @dataclass

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -349,17 +350,17 @@ def plane_nodes(sys, n):
     return quad2d_nodes((-R, R, -R, R), n)
 
 
-def dense_miss(sys, k, level, rect=None):
-    """max |P_k f - dense P_level f| / max |dense P_level f| on 20 x 20 nodes of rect.
+def dense_miss(sys, k, level, rect=None, nodes=None):
+    """max |P_k f - dense P_level f| / max |dense P_level f| on the nodes (Z, Wt).
 
     The oracle is the dense quadrature sum of the closed-form kernel, on random
-    complex values where no smoothness hides a wrong factorization; rect defaults
-    to the truncated plane.
+    complex values where no smoothness hides a wrong factorization; the nodes
+    default to 20 x 20 nodes of rect, and rect to the truncated plane.
     """
     if rect is None:
         R = truncation_radius(sys.B)
         rect = (-R, R, -R, R)
-    Z, Wt = quad2d_nodes(rect, 20)
+    Z, Wt = quad2d_nodes(rect, 20) if nodes is None else nodes
     rng = np.random.default_rng(k)
     fvals = rng.normal(size=Z.shape) + 1j * rng.normal(size=Z.shape)
     z = Z.ravel()
@@ -427,7 +428,56 @@ class TestProjector:
         monkeypatch.setattr(spectral, "_c_grid", coarse)
         for sys in (landau, alt):
             for k in range(6):
+                misses = spectral._plan.cache_info().misses
                 assert dense_miss(sys, k, k) > 1e-2
+                assert spectral._plan.cache_info().misses == misses + 1  # no plan of the finer grid
+
+    def test_halved_reach_misses_dense_kernel(self, monkeypatch, landau, alt):
+        # negative control: one reach d bounds both the c-grid and the band.  At d / 2 the
+        # dropped psi_k tails miss the dense kernel by 1e-6 at k = 0 and 4e-10 at k = 2, past
+        # the 1e-10 the tests above hold (by k = 5 they fall to 2e-11: d is set for round-off)
+        reach = spectral._reach
+        monkeypatch.setattr(spectral, "_reach", lambda B, k: reach(B, k) / 2)
+        for sys in (landau, alt):
+            for k in range(3):
+                assert dense_miss(sys, k, k) > 1e-10
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_band_follows_unsorted_rows(self, landau, alt, k):
+        # the plan sorts the rows by x for the band and puts them back: x descending,
+        # and the rows of an ascending grid shuffled, are still product grids
+        R = truncation_radius(landau.B)
+        Z, Wt = quad2d_nodes((-R, R, -R, R), 20)
+        perm = np.random.default_rng(1).permutation(20)
+        for sys in (landau, alt):
+            for nodes in (quad2d_nodes((R, -R, -R, R), 20), (Z[perm], Wt[perm])):
+                assert dense_miss(sys, k, k, nodes=nodes) <= 1e-10
+
+    def test_plans_are_kept_per_gauge(self, landau):
+        # same B and nodes, two gauges: each result matches its own dense kernel after
+        # the other gauge has warmed the memo with its plan
+        other = SimpleNamespace(B=1.0, gauge_k=0.2 + 0.1j)
+        assert other.B == landau.B and other.gauge_k != landau.gauge_k
+        for sys in (landau, other, landau, other):
+            for k in (0, 2):
+                assert dense_miss(sys, k, k) <= 1e-10
+
+    def test_plans_are_read_only(self, landau):
+        Z, Wt = plane_nodes(landau, 16)
+        fvals = np.exp(-np.abs(Z - 0.3) ** 2)
+        out = project_on_nodes(landau, 1, fvals, Z, Wt)
+        ref = out.tobytes()
+        out[:] = 7.0
+        assert project_on_nodes(landau, 1, fvals, Z, Wt).tobytes() == ref
+        x, y = Z.real[:, 0], Z.imag[0]
+        c, step = spectral._c_grid(landau.B, 1, x, y)
+        hits = spectral._plan.cache_info().hits
+        key = (landau.B, landau.gauge_k, 1, x.tobytes(), y.tobytes(), c[0], step, c.size, spectral._BLOCK)
+        order, rank, u, fine, blocks = spectral._plan(*key)
+        assert spectral._plan.cache_info().hits == hits + 1  # the plan the calls above used
+        for table in (order, rank, u, fine, *(t for block in blocks for t in block[2:])):
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0
 
     def test_far_plane_matches_dense_kernel(self, landau):
         # B max|z|^2 = 1775, where e^{-B|z|^2 / 2} underflows: the Landau-gauge
@@ -440,19 +490,22 @@ class TestProjector:
             assert_matches_dense_kernel(landau, k, rect)
 
     def test_projection_memory_is_level_independent(self, landau):
-        # every level holds the same few tables of n x 64 columns, none above 64 KiB
+        # every level holds the same few tables of n x 64 columns, none above 64 KiB; each
+        # call runs cold, and what it leaves behind is its plan
         Z, Wt = plane_nodes(landau, 64)
         fvals = np.exp(-np.abs(Z - 0.3) ** 2)
-        peaks = {}
+        kept, peaks = {}, {}
         for k in (0, 3):
+            spectral._plan.cache_clear()
             tracemalloc.start()
             try:
                 project_on_nodes(landau, k, fvals, Z, Wt)
-                peaks[k] = tracemalloc.get_traced_memory()[1]
+                kept[k], peaks[k] = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
         assert peaks[3] < 1e6
         assert max(peaks.values()) <= 1.5 * min(peaks.values())
+        assert max(kept.values()) < 5e5
 
     def test_rejects_nodes_off_a_product_grid(self, landau):
         Z, Wt = plane_nodes(landau, 8)
@@ -496,7 +549,9 @@ class TestProjector:
         P = len(spectral._c_grid(sys.B, k, Z.real[:, 0], Z.imag[0])[0])
         for width in (1, 7, P - 1, P, P + 1):
             monkeypatch.setattr(spectral, "_BLOCK", width)
+            misses = spectral._plan.cache_info().misses
             out = project_on_nodes(sys, k, fvals, Z, Wt)
+            assert spectral._plan.cache_info().misses == misses + 1, width
             assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max(), width
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.5, np.nan)])
@@ -506,9 +561,15 @@ class TestProjector:
             project_on_nodes(landau, 1, np.ones(4), Z, np.ones(4))
 
     def test_rejects_negative_level(self, landau):
-        Z = np.array([0.5, 1.0j])
-        with pytest.raises(ValueError, match="level index must be nonnegative"):
-            project_on_nodes(landau, -1, np.ones(2), Z, np.ones(2))
+        # a level that is not a nonnegative integer is refused cold and after k = 1 is planned
+        Z, Wt = plane_nodes(landau, 8)
+        ones = np.ones(Z.shape)
+        for k in (-1, 1.5, 1.0):
+            spectral._plan.cache_clear()
+            for _ in range(2):
+                with pytest.raises(ValueError, match="level index must be a nonnegative integer"):
+                    project_on_nodes(landau, k, ones, Z, Wt)
+                project_on_nodes(landau, 1, ones, Z, Wt)
 
     def test_reproduces_own_level(self, landau):
         # P_0 fixes the lowest-level state and kills the first excited one
