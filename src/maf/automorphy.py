@@ -126,10 +126,11 @@ class CharacterTable:
 
     @property
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
-        return list(zip(self.closure.elements_upto(len(self.values)), self.values, self.closure.words))
+        n = len(self.values)
+        return list(zip(self.closure.elements_upto(n), self.values, map(self.closure.word, range(n))))
 
     def indices(self, a, b) -> np.ndarray:
-        """The entries of the elements [a, b], arrays of one shape, in one probe of the closure's hash."""
+        """The entries of the elements [a, b], arrays of one shape, in one lookup in the closure."""
         flat_a, flat_b = np.ravel(a), np.ravel(b)
         hits = self.closure.lookup_all(flat_a, flat_b)
         unknown = (hits < 0) | (hits >= len(self.values))
@@ -142,7 +143,7 @@ class CharacterTable:
         return self.values[self.indices(g.a, g.b)]
 
     def word(self, g: GroupElement) -> list[int]:
-        return self.closure.words[self.indices(g.a, g.b)]
+        return self.closure.word(int(self.indices(g.a, g.b)))
 
 
 def mixed_factor_nochi(nu: float, mu: float, rho: Endomorphism, tau: EquivariantMap, a, b, z):
@@ -240,7 +241,6 @@ def rdq_check(
     theta = table.theta
     residuals = 2 * np.abs(np.sin((theta[hit] - theta[:n, None] - theta[:n] - ph).ravel() / 2))
     i, j = divmod(int(np.argmax(residuals)), n)
-    words = closure.words
     return from_residuals(
         "rdq",
         residuals,
@@ -248,7 +248,7 @@ def rdq_check(
         max_word_len=max_word_len,
         convention="chi(gg') = chi(g) chi(g') exp(+i*phase(g,g'))",
         extension_inconsistency=table.inconsistency,
-        worst_pair={"left": words[i], "right": words[j]},
+        worst_pair={"left": closure.word(i), "right": closure.word(j)},
     )
 
 

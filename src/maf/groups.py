@@ -1,12 +1,14 @@
 """The rigid-motion group U(1) x| C: elements, words, discrete subgroups.
 
 An element [a, b] with |a| = 1 acts on the plane by z -> a z + b and
-multiplies like the 2x2 matrices [[a, b], [0, 1]].
+multiplies like the 2x2 matrices [[a, b], [0, 1]].  A discrete subgroup is
+read once into its normal form Lambda x| C_q, where each element is an integer
+triple (j mod q, m, n), so its word closure and membership are exact.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -15,7 +17,10 @@ import numpy as np
 from .reports import element_dicts
 
 UNIT_TOL = 1e-12
-DEDUP_TOL = 1e-10
+NEAR_TOL = 1e-9  # elements closer than this, and not within UNIT_TOL, fail discreteness
+MATCH_TOL = 1e-10  # how far ``lookup_all`` reads a float from its entry
+MAX_ORDER = 1000  # of a rotation
+MAX_COORD = 2**20  # of a generator on the lattice basis
 
 
 @dataclass(frozen=True)
@@ -62,10 +67,6 @@ def distance(g: GroupElement, h: GroupElement) -> float:
     return abs(g.a - h.a) + abs(g.b - h.b)
 
 
-def is_identity(g: GroupElement, tol: float = DEDUP_TOL) -> bool:
-    return abs(g.a - 1.0) + abs(g.b) <= tol
-
-
 def stabilizer_residual(g: GroupElement, x: complex) -> float:
     """|g.x - x|: zero exactly when g stabilizes x."""
     return abs(act(g, x) - x)
@@ -73,15 +74,28 @@ def stabilizer_residual(g: GroupElement, x: complex) -> float:
 
 @dataclass
 class DiscreteSubgroup:
-    """Finitely generated subgroup given by its generators.
+    """Finitely generated discrete subgroup, given by its generators, in normal form
+    Lambda x| C_q: [zeta^j, (1 - zeta^j) c0 + m e1 + n e2] is the triple (j, m, n).
 
-    ``closure`` is its one word closure, at ``DEDUP_TOL``: the discreteness smoke
-    test grows it to length 3; ``find_word``, ``enumerate_words`` and every
-    ``CharacterTable`` grow it on and read a prefix.
+    ``normal_form`` holds q, c0 and the lattice basis; ``closure`` is the one word
+    closure, which ``enumerate_words`` and every ``CharacterTable`` grow and read a prefix
+    of.
+
+    The normal form is found once, from the floats, the one step that uses a tolerance:
+    - q: each a is within UNIT_TOL of a root of unity of order at most MAX_ORDER, else it
+      is a rotation of infinite order; q is the lcm of their orders;
+    - c0: the fixed point of a product of generators whose rotation generates C_q (of the
+      first generator that rotates, when its order is q), 0 when none rotates;
+    - Lambda: spanned by l_i = b_i - (1 - a_i) c0 and zeta l_i.  Translations with q not in
+      {1, 2, 3, 4, 6} break the crystallographic restriction (rank 1 with q > 2 cannot
+      occur, as zeta l_i joins l_i); a generator off the lattice or more than MAX_COORD
+      basis vectors long means incommensurable translations; a translation within
+      NEAR_TOL of another fails discreteness (``_settle``).  Each is a ValueError naming it.
     """
 
     generators: list[GroupElement]
     labels: list[str] = field(default_factory=list)
+    normal_form: NormalForm = field(init=False, repr=False, compare=False)
     closure: WordClosure = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -91,20 +105,126 @@ class DiscreteSubgroup:
             raise ValueError("labels and generators must have equal length")
         if not np.isfinite([[g.a, g.b] for g in self.generators]).all():
             raise ValueError("generators must be finite")
-        self.closure = WordClosure(self)
-        self._discreteness_smoke_test()
-
-    def _discreteness_smoke_test(self, max_len: int = 3):
-        d = _l1(np.array([1, 0], complex), self.closure.grow(max_len).ab)
-        close = d[(1e-12 < d) & (d < 1e-9)]
-        if close.size:
+        turns = [_turns(i, g.a) for i, g in enumerate(self.generators)]
+        q = math.lcm(*(d for _, d in turns))
+        g, r = IDENTITY, 0
+        for gen, (p, d) in zip(self.generators, turns):
+            j = p * (q // d)
+            e = next(e for e in range(q) if math.gcd(r + e * j, q) == math.gcd(r, j, q))
+            for _ in range(e):
+                g = compose(g, gen)
+            r += e * j
+        c0 = g.b / (1 - g.a) if q > 1 else 0j
+        lams = [_settle(g.b - (1 - g.a) * c0, max(1.0, abs(g.b))) for g in self.generators]
+        if any(lams) and q not in (1, 2, 3, 4, 6):
             raise ValueError(
-                f"generator set fails discreteness smoke test: word at distance {close[0]:.2e} from identity"
+                f"rotations of order {q} and translations generate no lattice: "
+                "a lattice admits rotations of order 1, 2, 3, 4 or 6 only"
             )
+        zeta = _turn(1 / q)
+        basis = _reduce([v for lam in lams if lam for v in ((lam, zeta * lam) if q > 2 else (lam,))])
+        e1, e2 = (basis + [1j * basis[0]] if basis else [1, 1j])[:2]
+        self.normal_form = nf = NormalForm(q, c0, (e1, e2), len(basis))
+        # each generator's (j, l) and its inverse's (-j, -zeta^-j l), l on the lattice
+        self._slots = []
+        for i, ((p, d), lam, (x, y)) in enumerate(zip(turns, lams, nf.coords(np.array(lams, complex)).tolist())):
+            m, n = round(x), round(y)
+            if abs(lam - m * e1 - n * e2) > 1e-6 * abs(e1) or max(abs(m), abs(n)) > MAX_COORD:
+                raise ValueError(f"incommensurable translations: generator {i} is on no lattice they span")
+            j = p * (q // d) % q
+            self._slots += [(j, m * e1 + n * e2), (-j % q, -(zeta ** -j) * (m * e1 + n * e2))]
+        self.closure = WordClosure(self)
 
     def symmetric_generators(self) -> list[tuple[int, GroupElement]]:
         """Generators and their inverses, tagged with signed indices (1-based)."""
         return [pair for i, g in enumerate(self.generators, 1) for pair in ((i, g), (-i, inverse(g)))]
+
+    def contains(self, a, b) -> np.ndarray:
+        """Whether each [a[i], b[i]] of two 1-d arrays is within NEAR_TOL max(1, |b[i]|) of an element."""
+        a, b, nf = np.asarray(a, complex), np.asarray(b, complex), self.normal_form
+        j, mn = nf.read(a, b)
+        zj = np.exp(2j * np.pi / nf.q * j)
+        near = _abs(a - zj) + _abs(b - (1 - zj) * nf.c0 - mn[:, 0] * nf.basis[0] - mn[:, 1] * nf.basis[1])
+        return np.isfinite(b) & (near <= NEAR_TOL * np.maximum(1.0, _abs(b)))
+
+
+class NormalForm:
+    """Coordinates on Lambda x| C_q: [zeta^j, (1 - zeta^j) c0 + m e1 + n e2] is (j, m, n).
+
+    zeta = e^{2 pi i / q}, c0 is a centre of rotation by zeta, and ``basis`` (e1, e2) is a
+    reduced basis of the zeta-stable lattice Lambda of rank ``rank``, completed by i e1 at
+    rank 1 and by (1, i) at rank 0, along which no element lies.
+    """
+
+    def __init__(self, q: int, c0: complex, basis: tuple[complex, complex], rank: int):
+        self.q, self.c0, self.basis, self.rank = q, c0, basis, rank
+        # x = Im(conj(v) f1), y = Im(conj(v) f2) for the dual basis f; no element lies
+        # along the completing directions, so their coordinate is 0
+        e1, e2 = basis
+        det = (e1.conjugate() * e2).imag
+        self._dual = np.array([e2 / det * (rank > 0), -e1 / det * (rank > 1)])
+
+    def coords(self, v):
+        """The real (x, y) with v = x e1 + y e2 (0 past the rank), on a last axis, for a
+        complex or an array of them."""
+        return (np.conj(v)[..., None] * self._dual).imag
+
+    def read(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The nearest triple to each [a[i], b[i]] of two 1-d arrays, by rounding one 2x2 solve:
+        j and (m, n) as floats, or (0, 2^62, 2^62), far from any word, where a or b is not finite."""
+        with np.errstate(invalid="ignore", over="ignore"):
+            j = np.rint(np.arctan2(a.imag, a.real) * (self.q / (2 * np.pi))) % self.q
+            mn = np.rint(self.coords(b - (1 - np.exp(2j * np.pi / self.q * j)) * self.c0))
+        ok = np.isfinite(mn).all(-1)
+        return np.where(ok, j, 0), np.where(ok[:, None], mn, 2.0**62)
+
+
+def _turns(i: int, a: complex) -> tuple[int, int]:
+    """(p, d) with a = e^{2 pi i p / d} and d the least order, for generator i."""
+    t = math.atan2(a.imag, a.real) / (2 * math.pi)
+    d = next((d for d in range(1, MAX_ORDER + 1) if abs(d * t - round(d * t)) <= d * NEAR_TOL), None)
+    if d is None:
+        raise ValueError(f"generator {i} is a rotation of infinite order: a = {a} is no root of unity")
+    if (err := abs(a - _turn(round(d * t) / d))) > UNIT_TOL:
+        raise ValueError(f"generators nearly coincide: generator {i} is {err:.2e} off a rotation of finite order")
+    return round(d * t), d
+
+
+def _turn(t: float) -> complex:
+    """e^{2 pi i t}."""
+    return complex(math.cos(2 * math.pi * t), math.sin(2 * math.pi * t))
+
+
+def _settle(v: complex, scale: float) -> complex:
+    """v, or 0 where it is round-off of quantities of size ``scale``; a nonzero v within
+    NEAR_TOL of 0 (relative below size 1) fails discreteness."""
+    if abs(v) <= UNIT_TOL * max(1.0, scale):
+        return 0j
+    if abs(v) <= NEAR_TOL * min(1.0, scale):
+        raise ValueError(f"generators nearly coincide: a translation of length {abs(v):.2e} fails discreteness")
+    return v
+
+
+def _reduce(vectors: list[complex]) -> list[complex]:
+    """A reduced basis, shortest first, of the lattice the vectors span: the longest is
+    reduced by the two shortest while there are three (along a line when those are
+    collinear), then the last two are Gauss-reduced."""
+    vs = sorted(vectors, key=abs)
+    for _ in range(200):
+        if len(vs) < 2:
+            return vs
+        u, v, w = vs[0], vs[1], vs[-1]
+        cross = (u.conjugate() * v).imag
+        if len(vs) > 2 and abs(cross) > UNIT_TOL * abs(u) * abs(v):
+            x, y = (w.conjugate() * v).imag / cross, (u.conjugate() * w).imag / cross
+            vs[-1] = _settle(w - round(x) * u - round(y) * v, abs(w))
+        else:
+            new = _settle(v - round((v / u).real) * u, abs(v))
+            if len(vs) == 2 and abs(new) >= abs(v):
+                return vs
+            vs[1] = new
+        vs = sorted(filter(None, vs), key=abs)
+    raise ValueError("incommensurable translations: their lattice reduction does not end")
 
 
 def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -145,50 +265,44 @@ def inverse_ab(a, b) -> tuple[np.ndarray, np.ndarray]:
 class WordClosure:
     """Words in the generators and their inverses, grown one word length at a time.
 
-    Entry i is the element ``ab[i]`` = [a, b] with signed word ``words[i]``;
-    entry 0 is the identity and ``offsets[L]:offsets[L + 1]`` are the words of
-    length L.  A level composes every entry of the last length with each of
-    ``symmetric_generators()``, source-major and slot-minor; a product within
-    ``tol`` of an entry, or of a new product earlier in the level, is a repeat.
-    ``succ[i, slot]`` is the entry of ``elements[i] * gens[slot]``, or -1 while
-    entry i is not expanded; entry i > 0 was first reached as
-    ``elements[parent[i]] * gens[slot[i]]`` (entry 0 has parent 0, slot 0).
+    Entry i is the element ``ab[i]`` = [a, b]; entry 0 is the identity and
+    ``offsets[L]:offsets[L + 1]`` are the words of length L.  A level composes every entry
+    of the last length with each of ``symmetric_generators()``, source-major and
+    slot-minor, on triples: (j, l)(j', l') = (j + j' mod q, l + zeta^j l').  A product whose
+    triple is an entry, or an earlier product of the level, is a repeat.  ``succ[i, slot]``
+    is the entry of ``elements[i] * gens[slot]``, or -1 while entry i is not expanded;
+    entry i > 0 was first reached as ``elements[parent[i]] * gens[slot[i]]`` (entry 0 has
+    parent 0, slot 0), and its [a, b] is that product in floats, rounding as ``compose``.
 
-    Matches go through a hash of (a, b) floored to cells of side
-    ``max(CELL, 4 tol)``, centred on multiples of the side so that lattice
-    coordinates sit mid-cell.  A product whose box of half-side 2 tol lies in
-    its cell can only match there, so a stable sort of the hashes settles it
-    against the first entry of the cell, confirmed by the distance; the others
-    go through ``lookup``, which probes every cell within 2 tol.  Either way
-    the first-inserted entry within ``tol`` wins.
+    Triple (j, m, n) is the int64 key (m W + n) q + j, W = 2 BOX + 1, one to one while
+    |m|, |n| <= BOX (rank 2 has q <= 6).  Keys are found by binary search in the sorted
+    keys, so the closure keeps O(entries) memory however long its generators are.
     """
 
-    CELL = 1e-6
-    # cell coordinates are clipped to +-LIMIT, inside int64; the box corners of a
-    # coordinate beyond it are clipped to two cells, so its product goes through lookup
-    LIMIT = 2.0**52
-    _CLIP = np.array([[-LIMIT, -LIMIT, 1 - LIMIT], [LIMIT, LIMIT - 1, LIMIT]])[:, :, None, None]
-    _MIX = np.array([0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 1], np.uint64)
+    BOX = 2**29
 
-    def __init__(self, gamma: DiscreteSubgroup, tol: float = DEDUP_TOL):
-        self.tol = tol
+    def __init__(self, gamma: DiscreteSubgroup):
+        self.normal_form = nf = gamma.normal_form
         self.gens = gamma.symmetric_generators()
         # [a, b][ga, gb] = [a ga, a gb + b]: (re a, im a) dotted with each pair is the
         # textbook re(a ga), im(a ga), re(a gb), im(a gb)
         rows = [(g.a.real, -g.a.imag, g.a.imag, g.a.real, g.b.real, -g.b.imag, g.b.imag, g.b.real)
                 for _, g in self.gens]
         self._g = np.array(rows).reshape(-1, 4, 2)
-        cell = max(self.CELL, 4 * tol)
-        self._scale = 1 / cell
-        self._shift = np.array([0.5, 0.5 - 2 * tol / cell, 0.5 + 2 * tol / cell])[:, None, None]
+        # each slot's zeta^k l on the basis, for every k; the key of (k, l) times slot s,
+        # less the key of (k, l)
+        k = np.arange(nf.q)[:, None]
+        steps = np.rint(nf.coords(np.exp(2j * np.pi / nf.q * k) * [lam for _, lam in gamma._slots]))
+        self._reach = np.abs(steps).max(initial=0)
+        self._stride = np.array([(2 * self.BOX + 1) * nf.q, nf.q])
+        self._delta = self._pack((k + [j for j, _ in gamma._slots]) % nf.q - k, steps)
         self.ab = np.array([[1, 0]], complex)
-        self._keys = self._hash(self._cells(self.ab)[0])
-        self.words: list[list[int]] = [[]]
+        self._keys = self._sorted = np.zeros(1, np.int64)
+        self._order = np.zeros(1, int)
         self.offsets = [0, 1]
         self.succ = np.full((1, len(self.gens)), -1)
         self.parent, self.slot = np.zeros(1, int), np.zeros(1, int)
         self._elements: list[GroupElement] = []
-        self._index = None
 
     a = property(lambda self: self.ab[:, 0])
     b = property(lambda self: self.ab[:, 1])
@@ -201,100 +315,66 @@ class WordClosure:
 
     elements = property(lambda self: self.elements_upto(len(self.ab)))
 
-    def _cells(self, ab: np.ndarray) -> np.ndarray:
-        """Cells of the (k, 2) elements ab and of their box corners -+ 2 tol, stacked first."""
-        cells = np.floor(ab.view(float) * self._scale + self._shift)
-        np.minimum(cells, self._CLIP[1], out=cells)
-        return np.maximum(cells, self._CLIP[0], out=cells).astype(np.int64)
+    def word(self, i: int) -> list[int]:
+        """The signed generator indices of entry i, walked back along parent and slot."""
+        word = []
+        while i:
+            word.append(self.gens[self.slot[i]][0])
+            i = self.parent[i]
+        return word[::-1]
 
-    def _hash(self, cells: np.ndarray) -> np.ndarray:
-        return cells.view(np.uint64) @ self._MIX
+    def _pack(self, j, mn) -> np.ndarray:
+        """The int64 keys of triples (j, m, n), from integers or integral floats."""
+        return np.asarray(mn, np.int64) @ self._stride + np.asarray(j, np.int64)
 
-    def _sorted(self) -> tuple:
-        """(sorted keys, entry of each, elements, live mask) of the entries and, while
-        a level grows, of its products."""
-        if self._index is None:
-            order = self._keys.argsort(kind="stable")
-            self._index = self._keys[order], order, self.ab, np.ones(len(order), bool)
-        return self._index
+    def _find(self, keys: np.ndarray) -> np.ndarray:
+        """The entry of each key, -1 for none."""
+        at = np.minimum(self._sorted.searchsorted(keys), len(self._keys) - 1)
+        return np.where(self._sorted[at] == keys, self._order[at], -1)
 
     def lookup_all(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """``lookup`` of every element [a[i], b[i]] of two 1-d arrays, -1 for None.
-
-        One probe of the hash settles each element whose box lies in its cell
-        and whose cell's first entry is within ``tol``; the rest go through ``lookup``.
-        """
-        keys, order, e, live = self._sorted()
-        x = np.stack([np.asarray(a, complex), np.asarray(b, complex)], axis=-1)
-        own, lo_corner, hi_corner = self._cells(x)
-        # the first entry of the cell when it has one, else an entry of
-        # another cell, which is not within tol of a box inside this cell
-        first = order[np.minimum(keys.searchsorted(self._hash(own)), len(keys) - 1)]
-        hit = (lo_corner == hi_corner).all(axis=1) & live[first] & (_l1(x, e[first]) <= self.tol)
-        out = np.where(hit, first, -1)
-        for k in (~hit).nonzero()[0]:
-            found = self.lookup(*x[k])
-            out[k] = -1 if found is None else found
-        return out
-
-    def lookup(self, a: complex, b: complex) -> int | None:
-        """Index of the first entry within ``tol`` of [a, b], or None.
-
-        While a level grows, the labels of its products that are new so far
-        count as entries too.
-        """
-        keys, order, e, live = self._sorted()
-        x = np.array([a, b], complex)
-        _, lo, hi = self._cells(x[None])[:, 0]
-        probe = self._hash(np.array(list(itertools.product(*map(range, lo, hi + 1)))))
-        first, last = keys.searchsorted(probe), keys.searchsorted(probe, "right")
-        near = np.concatenate([order[i:j] for i, j in zip(first, last)])
-        near = near[live[near]]
-        near = near[_l1(x, e[near]) <= self.tol]
-        return int(near.min()) if near.size else None
+        """The entry within MATCH_TOL (``distance``) of each element [a[i], b[i]] of two 1-d
+        arrays, -1 for none: the entry of the nearest triple (``NormalForm.read``), if any."""
+        a, b = np.asarray(a, complex), np.asarray(b, complex)
+        j, mn = self.normal_form.read(a, b)
+        # a triple past BOX + 1 packs as one on it, where no entry is
+        hit = self._find(self._pack(j, np.clip(mn, -self.BOX - 1, self.BOX + 1)))
+        e = self.ab[hit]
+        return np.where((hit >= 0) & (_abs(e[:, 0] - a) + _abs(e[:, 1] - b) <= MATCH_TOL), hit, -1)
 
     def levels(self, max_len: int) -> Iterator[int]:
         """Grow to words of length ``max_len``, yielding the first new entry of each
         level; stop early once a level adds nothing."""
         if max_len < 0:
             raise ValueError("max_len must be nonnegative")
-        ns, tol = len(self.gens), self.tol
+        q, ns = self.normal_form.q, len(self.gens)
         while len(self.offsets) - 2 < max_len and self.offsets[-1] > self.offsets[-2]:
+            if (len(self.offsets) - 1) * self._reach > self.BOX:
+                raise OverflowError("lattice coordinates beyond 2^29 do not pack into int64")
             lo, n = self.offsets[-2:]
-            x = self.ab[lo:].view(float)
-            prod = x[:, None, None, :2] * self._g
+            src = self._keys[lo:]
+            keys = (src[:, None] + self._delta[src % q]).reshape(-1)
+            dst = self._find(keys)
+            fresh = (dst < 0).nonzero()[0]
+            # the first product of each new triple, in the order of the products
+            new, first, back = np.unique(keys[fresh], return_index=True, return_inverse=True)
+            made = fresh[np.sort(first)]
+            dst[fresh] = n + first.argsort().argsort()[back]
+            parent, slot = np.divmod(made, ns)
+            parent += lo
+            x = self.ab[parent].view(float)
+            prod = x[:, None, :2] * self._g[slot]
             c = np.add(prod[..., 0], prod[..., 1], order="C")
-            c[..., 2:] += x[:, None, 2:]
-            c[..., :2] /= np.hypot(c[..., :1], c[..., 1:2])
-            # labels: entry i is i, product k is n + k; the stable sort puts the
-            # lowest label of each cell first
-            e = np.concatenate([self.ab, c.reshape(-1, 4).view(complex)])
-            own, lo_corner, hi_corner = self._cells(e[n:])
-            safe = (lo_corner == hi_corner).all(axis=1)
-            keys = np.concatenate([self._keys, self._hash(own)])
-            order = keys.argsort(kind="stable")
-            sk = keys[order]
-            dst = order[sk.searchsorted(keys[n:])]
-            # an entry, or a safe product first in its cell (hence new), settles
-            # the safe products of its cell within tol of it
-            live = np.ones(len(e), bool)
-            live[n:] = safe
-            fast = safe & live[dst] & (_l1(e[n:], e[dst]) <= tol)
-            live[n:] = fast & (dst == np.arange(n, len(e)))
-            self._index = sk, order, e, live
-            for k in (~fast).nonzero()[0]:
-                hit = self.lookup(*e[n + k])
-                dst[k] = n + k if hit is None else hit
-                live[n + k] = hit is None
-            keep = live.nonzero()[0]
-            self.ab, self._keys = e[keep], keys[keep]
-            parent, slot = np.divmod(keep[n:] - n + lo * ns, ns)
-            self.words += [self.words[p] + [self.gens[k][0]] for p, k in zip(parent.tolist(), slot.tolist())]
+            c[:, 2:] += x[:, 2:]
+            c[:, :2] /= np.hypot(c[:, :1], c[:, 1:2])
+            self.ab = np.concatenate([self.ab, c.view(complex)])
+            self._keys = np.concatenate([self._keys, keys[made]])
+            self._order = self._keys.argsort()
+            self._sorted = self._keys[self._order]
             self.parent, self.slot = np.concatenate([self.parent, parent]), np.concatenate([self.slot, slot])
-            self.succ[lo:] = keep.searchsorted(dst).reshape(n - lo, ns)
-            self.succ = np.concatenate([self.succ, np.full((len(keep) - n, ns), -1)])
-            self.offsets.append(len(keep))
-            self._index = None
+            self.succ[lo:] = dst.reshape(n - lo, ns)
+            self.succ = np.concatenate([self.succ, np.full((len(made), ns), -1)])
+            self.offsets.append(n + len(made))
             yield n
 
     def grow(self, max_len: int) -> "WordClosure":
@@ -311,24 +391,6 @@ def enumerate_words(gamma: DiscreteSubgroup, max_len: int) -> list[GroupElement]
     """All products of at most max_len generators/inverses, deduplicated, shortest first."""
     closure = gamma.closure.grow(max_len)
     return closure.elements_upto(closure.size(max_len))
-
-
-def find_word(
-    gamma: DiscreteSubgroup, target: GroupElement, max_len: int = 6, tol: float = 1e-9
-) -> list[int] | None:
-    """Signed generator indices of the first word within ``tol`` of target, or None.
-
-    Searches ``gamma.closure``, grown on only until the target appears.
-    """
-    if is_identity(target, tol):
-        return []
-    closure, t = gamma.closure, np.array([target.a, target.b])
-    # the levels grown so far, then each new level
-    for lo in itertools.chain([1], closure.levels(max_len)):
-        hit = (_l1(t, closure.ab[lo : closure.size(max_len)]) <= tol).nonzero()[0]
-        if hit.size:
-            return closure.words[lo + hit[0]]
-    return None
 
 
 def random_ab(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

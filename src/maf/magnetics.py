@@ -33,7 +33,7 @@ import numpy as np
 from .automorphy import CharacterTable, PseudoCharacter, mixed_factor
 from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, check_equivariance
 from .fields import Grid, OneForm, ScalarField, jet, line_integral
-from .groups import DiscreteSubgroup, GroupElement, find_word, inverse_ab
+from .groups import DiscreteSubgroup, GroupElement, inverse_ab
 from .reports import CheckReport, element_dicts, from_element_residuals, from_residuals
 
 GAUGE_IM_TOL = 1e-9
@@ -81,9 +81,8 @@ class MagneticSystem:
             raise ValueError(f"(rho, tau) is not equivariant: residual {rep.max_residual:.2e}")
         gens = self.gamma.generators
         images = apply_endo_ab(self.rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))
-        for i, (a, b) in enumerate(zip(*(x.tolist() for x in images))):
-            if find_word(self.gamma, GroupElement(a, b)) is None:
-                raise ValueError(f"rho does not preserve the subgroup: generator {i} escapes")
+        if not (inside := self.gamma.contains(*images)).all():
+            raise ValueError(f"rho does not preserve the subgroup: generator {inside.argmin()} escapes")
         if self.B <= 0:
             raise ValueError(f"derived field B={self.B} must be positive")
 

@@ -43,6 +43,14 @@ from .magnetics import MagneticSystem, phase_pullback, value_and_mixed_laplacian
 from .reports import CheckReport, from_element_residuals
 
 
+def _level(k) -> int:
+    """k as an int: a Landau level, or the degree of its Hermite or Laguerre factor, must be a
+    nonnegative integer."""
+    if not hasattr(k, "__index__") or (k := operator.index(k)) < 0:
+        raise ValueError(f"level index must be a nonnegative integer, got {k!r}")
+    return k
+
+
 def hermite(m, x):
     """Physicists' Hermite polynomial H_m (H_1 = 2x), by recurrence; an array of degrees m
     stacks the values on a leading axis, from one recurrence."""
@@ -72,8 +80,7 @@ def hermite_function(k: int, t):
     which forms no power or factorial, so nothing overflows at any degree.  Where
     e^{-t^2/2} would underflow below the normal range, it is 0 (numpy's exp is slow there).
     """
-    if k < 0:
-        raise ValueError("Hermite degree must be nonnegative")
+    k = _level(k)
     t = np.asarray(t, dtype=float)
     g = np.asarray(-t * t / 2)
     g[g < math.log(np.finfo(float).tiny)] = -np.inf
@@ -88,9 +95,7 @@ def laguerre(k: int, x, alpha=0.0):
 
     ``x`` and ``alpha`` broadcast against each other.
     """
-    if k < 0:
-        raise ValueError("Laguerre degree must be nonnegative")
-    if k == 0:
+    if (k := _level(k)) == 0:
         if np.ndim(x) or np.ndim(alpha):
             return np.ones(np.broadcast_shapes(np.shape(x), np.shape(alpha)))
         return 1.0
@@ -116,9 +121,7 @@ def landau_level(B: float, k: int) -> float:
     """lambda_k = -2B(2k+1)."""
     if B <= 0:
         raise ValueError("field must be positive")
-    if k < 0:
-        raise ValueError("level index must be nonnegative")
-    return -2.0 * B * (2 * k + 1)
+    return -2.0 * B * (2 * _level(k) + 1)
 
 
 @dataclass
@@ -331,8 +334,7 @@ def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarr
     (lattice-cell) grid the same factorization holds with the gauge taken along one
     cell vector; only the axis-aligned grid is implemented.
     """
-    if not hasattr(k, "__index__") or (k := operator.index(k)) < 0:
-        raise ValueError("level index must be a nonnegative integer")
+    k = _level(k)
     Z = np.asarray(Z, dtype=complex)
     if (bad := np.flatnonzero(~np.isfinite(Z))).size:
         raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")

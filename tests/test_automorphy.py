@@ -17,7 +17,7 @@ from maf.automorphy import (
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField
-from maf.groups import DEDUP_TOL, IDENTITY, DiscreteSubgroup, GroupElement, act, compose, inverse
+from maf.groups import IDENTITY, MATCH_TOL, DiscreteSubgroup, GroupElement, act, compose, inverse
 from test_equivariant import apply_endo_oracle
 from test_groups import P2, P3, P4, EdgeClosure
 
@@ -126,7 +126,7 @@ class TestPseudoCharacter:
     def test_p6_table_size_and_words(self):
         table = CharacterTable(PseudoCharacter([1, -1]), P6, P6_NU, 0.0, ID, max_len=8)
         assert len(table.entries) == 712
-        assert table.word(table.closure.elements[100]) == table.closure.words[100]
+        assert table.word(table.closure.elements[100]) == table.closure.word(100)
         with pytest.raises(UnknownGroupElementError):
             table.word(GroupElement(np.exp(2j * np.pi / 3), 1 + 1j))  # 1 + i is off the lattice
 
@@ -142,7 +142,7 @@ class TestPseudoCharacter:
         assert max(len(w) for _, _, w in table.entries) == 8
         assert table.value(GroupElement(1, 8)) == square_chi(8, 0)
         far = GroupElement(1, 10)
-        assert gamma.closure.lookup(far.a, far.b) is not None  # in the closure, past the table
+        assert gamma.closure.lookup_all([far.a], [far.b])[0] >= 0  # in the closure, past the table
         for method in (table.value, table.word):
             with pytest.raises(UnknownGroupElementError):
                 method(far)
@@ -153,8 +153,8 @@ class TestPseudoCharacter:
 
 
 class TestValuesAt:
-    """``indices`` finds the entries of many elements in one probe of the
-    closure's hash, and chi is read there; ``lookup`` takes one element at a time."""
+    """``indices`` finds the entries of many elements in one ``lookup_all`` of the
+    closure, and chi is read there."""
 
     @pytest.fixture(scope="class")
     def table(self):
@@ -162,35 +162,32 @@ class TestValuesAt:
 
     @staticmethod
     def counted_lookups(monkeypatch, closure) -> list:
-        calls, real = [], closure.lookup
-        monkeypatch.setattr(closure, "lookup", lambda *x: calls.append(x) or real(*x))
+        calls, real = [], closure.lookup_all
+        monkeypatch.setattr(closure, "lookup_all", lambda *x: calls.append(x) or real(*x))
         return calls
 
     def test_every_p6_entry(self, table, monkeypatch):
         closure = table.closure
         calls = self.counted_lookups(monkeypatch, closure)
         got = table.indices(closure.a[:712].reshape(8, 89), closure.b[:712].reshape(8, 89))
-        # a box of half-side 2 tol straddles a cell edge with a chance of about 8 tol / CELL
-        assert len(calls) <= 4
+        assert len(calls) == 1
         assert got.shape == (8, 89) and len(table.values) == 712
         assert np.array_equal(got.ravel(), np.arange(712))
         monkeypatch.undo()
-        assert [closure.lookup(g.a, g.b) for g, _, _ in table.entries] == list(range(712))
         want = [table.value(g) for g, _, _ in table.entries]
         assert np.array_equal(table.values[got].ravel(), want)
 
     def test_nudged_within_tol(self, table, monkeypatch):
         rng = np.random.default_rng(0)
-        closure, tol = table.closure, table.closure.tol
+        closure, tol = table.closure, MATCH_TOL
         idx = rng.integers(0, 712, 400)
         # |da| + |db| <= 0.4 tol + 0.55 tol; a stays on the unit circle
         a = closure.a[idx] * np.exp(0.4j * tol * rng.uniform(-1, 1, 400))
         b = closure.b[idx] + 0.55 * tol * np.exp(2j * np.pi * rng.uniform(size=400))
         calls = self.counted_lookups(monkeypatch, closure)
         got = table.indices(a, b)
-        assert len(calls) <= 4
-        monkeypatch.undo()
-        assert got.tolist() == [closure.lookup(x, y) for x, y in zip(a, b)]
+        assert len(calls) == 1
+        assert got.tolist() == idx.tolist()
         assert np.array_equal(table.values[got], table.values[idx])
 
     def test_unknown_elements_raise(self, table):
@@ -199,7 +196,7 @@ class TestValuesAt:
         b[3] += 1 + 1j  # off the lattice
         with pytest.raises(UnknownGroupElementError, match=r"element \[.*\] not among the words of length <= 8"):
             table.indices(a, b)
-        b[3] = closure.b[3] + 3 * closure.tol  # beyond tol
+        b[3] = closure.b[3] + 3 * MATCH_TOL  # beyond tol
         with pytest.raises(UnknownGroupElementError):
             table.indices(a, b)
 
@@ -215,7 +212,7 @@ class TestValuesAt:
 def edge_character_table(chi, gamma, nu, mu, rho, max_len):
     """chi carried edge by edge over the per-edge closure: the loop that the
     level-at-a-time extension replaced, kept as an oracle."""
-    closure = EdgeClosure(gamma, DEDUP_TOL)
+    closure = EdgeClosure(gamma)
     gens = [g for _, g in closure.gens]
     steps = []
     for i, v in enumerate(chi.values_on_generators):
@@ -386,7 +383,7 @@ class TestRdqCheck:
             assert rep.metadata["worst_pair"] == {"left": left, "right": right}
         # the named pair attains the maximum, by the scalar formula
         table = CharacterTable(PseudoCharacter(chi), gamma, nu, 0.0, ID, max_len=2 * length)
-        word_elements = dict(zip(map(tuple, table.closure.words), table.closure.elements))
+        word_elements = {tuple(w): g for g, _, w in table.entries}
         g, gp = (word_elements[tuple(rep.metadata["worst_pair"][side])] for side in ("left", "right"))
         assert abs(self.scalar_residual(nu, 0.0, ID, table, g, gp) - rep.max_residual) <= 1e-13
         assert abs(rep.max_residual - mx) <= 1e-13
@@ -418,7 +415,7 @@ class TestRdqCheck:
         table = CharacterTable(PseudoCharacter(chi), gamma, nu, 0.0, ID, max_len=2 * length)
         rep = rdq_check(nu, 0.0, ID, gamma, PseudoCharacter(chi), max_word_len=length, table=table)
         assert rep.passed and rep.max_residual <= clean
-        k = table.closure.words.index([generator + 1])
+        k = [w for *_, w in table.entries].index([generator + 1])
         table.theta = table.theta.copy()
         table.theta[k] += 1e-9
         rep = rdq_check(nu, 0.0, ID, gamma, PseudoCharacter(chi), max_word_len=length, table=table)

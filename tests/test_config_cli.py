@@ -353,6 +353,21 @@ class TestCli:
         assert "a nonzero additive map needs power 1 if linear, -1 if conjugate" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("c, code", [(7, 0), (3.5, 2)])
+    def test_rho_preserves_the_lattice_exactly(self, capsys, tmp_path, c, code):
+        # z -> c z maps the translations Z[i] into themselves for every integer c, however
+        # long the words of the images; 3.5 maps 1 off the lattice
+        data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+        data["rho"] = {"family": "separated", "rho_tilde": {"kind": "power", "n": 1}, "tau_tilde": {"kind": "linear", "c": [c, 0]}}
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        assert main(["report", "--config", str(p)]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == "config error: system invariant violated: rho does not preserve the subgroup: generator 0 escapes\n"
+        else:
+            assert all(r["pass"] for r in json.loads(captured.out))
+
     @pytest.mark.parametrize("kept, failing", [(0, "equivariance"), (1, "endomorphism_homomorphism")])
     def test_rho_without_its_fixed_point_term_fails(self, capsys, monkeypatch, kept, failing):
         # apply_endo_ab with c b^(n) + kept * beta in place of c b^(n) + (1 - a^n) beta,

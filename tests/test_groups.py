@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import math
 import warnings
@@ -12,8 +13,8 @@ from pathlib import Path
 from maf.config import build_system, load_bundled, load_config
 from maf.equivariant import Endomorphism, apply_endo
 from maf.groups import (
-    DEDUP_TOL,
     IDENTITY,
+    MATCH_TOL,
     DiscreteSubgroup,
     GroupElement,
     WordClosure,
@@ -21,14 +22,13 @@ from maf.groups import (
     compose,
     distance,
     enumerate_words,
-    find_word,
     inverse,
     inverse_ab,
-    is_identity,
     random_ab,
     stabilizer_residual,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
 # the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
 P6 = DiscreteSubgroup([GroupElement(0.5 + 0.8660254037844386j, 0), GroupElement(1, 1)])
@@ -36,6 +36,21 @@ P6 = DiscreteSubgroup([GroupElement(0.5 + 0.8660254037844386j, 0), GroupElement(
 P2 = DiscreteSubgroup([GroupElement(-1, 0), GroupElement(1, 1), GroupElement(1, 1j)])
 P3 = DiscreteSubgroup([GroupElement(np.exp(2j * np.pi / 3), 0), GroupElement(1, 1)])
 P4 = DiscreteSubgroup([GroupElement(1j, 0), GroupElement(1, 1)])
+
+
+
+def words(closure):
+    """The word of every entry of the closure."""
+    return [closure.word(i) for i in range(len(closure.ab))]
+
+
+def word_of(gamma, target, max_len=6):
+    """The shortest word of target, or None past max_len: its entry in the subgroup's
+    closure (``lookup_all``), walked back (``word``)."""
+    closure = gamma.closure.grow(max_len)
+    i = closure.lookup_all([target.a], [target.b])[0]
+    return closure.word(i) if 0 <= i < closure.size(max_len) else None
+
 
 angles = st.floats(0, 2 * np.pi, allow_nan=False)
 coords = st.floats(-5, 5, allow_nan=False)
@@ -82,7 +97,7 @@ class TestCompose:
     def test_inverse_pair(self):
         g = GroupElement(1j, 1)
         h = GroupElement(-1j, 1j)
-        assert is_identity(compose(g, h))
+        assert distance(compose(g, h), IDENTITY) <= MATCH_TOL
 
     @given(elements(), elements(), elements())
     @settings(max_examples=50, deadline=None)
@@ -110,8 +125,8 @@ class TestInverse:
     @given(elements())
     @settings(max_examples=50, deadline=None)
     def test_two_sided(self, g):
-        assert is_identity(compose(g, inverse(g)), 1e-12)
-        assert is_identity(compose(inverse(g), g), 1e-12)
+        assert distance(compose(g, inverse(g)), IDENTITY) <= 1e-12
+        assert distance(compose(inverse(g), g), IDENTITY) <= 1e-12
         assert distance(inverse(inverse(g)), g) < 1e-12
 
 
@@ -163,8 +178,23 @@ class TestStabilizer:
 
 class TestDiscreteSubgroup:
     def test_discreteness_smoke_test(self):
-        with pytest.raises(ValueError, match="discreteness"):
+        with pytest.raises(ValueError, match="generators nearly coincide: .* fails discreteness"):
             DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1 + 1e-10)])
+
+    @pytest.mark.parametrize(
+        "generators, message",
+        [
+            ([GroupElement(np.exp(1j), 0)], "generator 0 is a rotation of infinite order"),
+            ([GroupElement(np.exp(2j * np.pi / 5), 0), GroupElement(1, 1)], "rotations of order 5 and translations generate no lattice"),
+            ([GroupElement(1, 1), GroupElement(1, math.sqrt(2))], "incommensurable translations"),
+            ([GroupElement(1, 1j), GroupElement(1, 1), GroupElement(1, math.pi)], "incommensurable translations"),
+            ([GroupElement(np.exp(2j * np.pi / 3 + 1e-10j), 0)], "generators nearly coincide: generator 0 is .* off a rotation"),
+        ],
+        ids=["irrational_rotation", "c5_and_translation", "one_and_sqrt2", "rank_two_and_pi", "near_c3"],
+    )
+    def test_refuses_generators_with_no_normal_form(self, generators, message):
+        with pytest.raises(ValueError, match=message):
+            DiscreteSubgroup(generators)
 
     @pytest.mark.parametrize(
         "bad", [GroupElement(1, complex(np.nan, 0)), GroupElement(1, np.inf), GroupElement(np.nan, 0)]
@@ -183,18 +213,20 @@ class TestDiscreteSubgroup:
 
 
 class TestFindWord:
+    """The word of an element, read from the closure by ``word_of``."""
+
     def test_finds_lattice_point(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
-        word = find_word(gamma, GroupElement(1, 2 + 1j))
+        word = word_of(gamma, GroupElement(1, 2 + 1j))
         assert word is not None and len(word) == 3
 
     def test_identity_is_empty_word(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1)])
-        assert find_word(gamma, IDENTITY) == []
+        assert word_of(gamma, IDENTITY) == []
 
     def test_unreachable(self):
         gamma = DiscreteSubgroup([GroupElement(1, 1)])
-        assert find_word(gamma, GroupElement(1, 0.5)) is None
+        assert word_of(gamma, GroupElement(1, 0.5)) is None
 
 
 def random_elements(rng, n):
@@ -209,9 +241,9 @@ class TestRandomElements:
         assert gs == random_elements(np.random.default_rng(3), 4)
 
 
-def _bfs_find_word(gamma, target, max_len=6, tol=1e-9, dedup_tol=1e-10):
+def _bfs_find_word(gamma, target, max_len=6, tol=MATCH_TOL, dedup_tol=1e-10):
     """The breadth-first search with a linear-scan dedup, kept as an oracle."""
-    if is_identity(target, tol):
+    if distance(target, IDENTITY) <= tol:
         return []
     frontier, seen = [(IDENTITY, [])], [IDENTITY]
     for _ in range(max_len):
@@ -239,65 +271,35 @@ class TestWordClosure:
 
     def test_shortlex_order_and_words(self):
         closure = WordClosure(SQUARE).grow(3)
-        lengths = [len(w) for w in closure.words]
-        assert lengths == sorted(lengths) and closure.words[:3] == [[], [1], [-1]]
-        for g, word in zip(closure.elements, closure.words):
+        lengths = [len(w) for w in words(closure)]
+        assert lengths == sorted(lengths) and words(closure)[:3] == [[], [1], [-1]]
+        for g, word in zip(closure.elements, words(closure)):
             prod = IDENTITY
             for i in word:
                 gen = SQUARE.generators[abs(i) - 1]
                 prod = compose(prod, gen if i > 0 else inverse(gen))
             assert distance(prod, g) < 1e-12
 
-    @pytest.mark.parametrize("offset", [-5e-10, -1e-10, 0.0, 1e-10, 5e-10])
-    def test_match_across_cell_edge(self, offset):
-        # b sits within 5e-10 of a multiple of half a cell, so whichever way the
-        # cells are laid out, entry and query may fall on two sides of an edge
-        cell = WordClosure.CELL
-        for edge in (3 * cell, 3.5 * cell, 7 + cell / 2):
-            closure = WordClosure(DiscreteSubgroup([GroupElement(1, edge + offset)]), tol=1e-9)
-            closure.grow(1)
-            for query in (edge, edge + offset - 9e-10, edge + offset + 9e-10):
-                assert closure.lookup(1 + 0j, complex(query)) == 1
-            assert closure.lookup(1 + 0j, complex(edge + offset + 2e-9)) is None
-
-    def test_first_inserted_match_wins(self):
-        closure = WordClosure(SQUARE, tol=0.6).grow(1)
-        # with a wide tolerance the identity and a translation by 1 both match 0.5
-        assert closure.lookup(1 + 0j, 0.5 + 0j) == 0
-        assert len(closure.elements) == 5
-        assert closure.lookup_all(np.array([1, 1]), np.array([0.5, 0.9])).tolist() == [0, 1]
-
-    def test_lookup_all_across_a_cell_edge(self):
-        # entries 1 (b = d) and 3 (b = 2d) are both within tol of b = 2.1e-6, which
-        # lies in 2d's cell (side 4 tol, edges at odd multiples of 2 tol): the
-        # first-inserted entry 1 wins, although 3 is first in the query's own cell
-        tol, d = 1e-6, 1.5e-6
-        closure = WordClosure(DiscreteSubgroup([GroupElement(1, d)]), tol).grow(2)
-        assert closure.b[[1, 3]].tolist() == [d, 2 * d]
-        assert closure.lookup(1 + 0j, 2.1e-6 + 0j) == 1
-        assert closure.lookup_all(np.array([1, 1]), np.array([2.1e-6, 2.9e-6])).tolist() == [1, 3]
-
-    @pytest.mark.parametrize("tol", [1e-10, 1e-9, 2.4e-7, 0.3])
-    def test_lookup_all_matches_lookup(self, tol):
-        # entries, queries within and beyond tol of them, and cell edges; at tol
-        # 2.4e-7 and 0.3 nearly every box straddles a cell edge
-        closure = WordClosure(P6, tol).grow(5)
+    @pytest.mark.parametrize("nudge", [1e-10, 1e-9, 2.4e-7, 0.3])
+    def test_lookup_all_matches_lookup(self, nudge):
+        # entries, and queries nudged off them by up to 3 nudge, against a linear scan
+        # for the first entry within MATCH_TOL (a nudge of MATCH_TOL straddles it)
+        closure = WordClosure(P6).grow(5)
         rng = np.random.default_rng(1)
         idx = rng.integers(0, len(closure.ab), 300)
-        scale = tol * np.array([0.0, 0.3, 0.45, 1.5, 3.0])[rng.integers(0, 5, 300)]
+        scale = nudge * np.array([0.0, 0.3, 0.45, 1.5, 3.0])[rng.integers(0, 5, 300)]
         a = closure.a[idx] * np.exp(1j * scale * rng.uniform(-1, 1, 300))
         b = closure.b[idx] + scale * np.exp(2j * np.pi * rng.uniform(size=300))
-        cell = max(WordClosure.CELL, 4 * tol)
-        b[:20] = np.round(b[:20].real / cell) * cell + 0.5 * cell + 1j * b[:20].imag
-        want = [closure.lookup(x, y) for x, y in zip(a.tolist(), b.tolist())]
+        want = [next((i for i, g in enumerate(closure.elements) if distance(g, GroupElement(x, y)) <= MATCH_TOL), None)
+                for x, y in zip(a.tolist(), b.tolist())]
         got = closure.lookup_all(a, b)
         assert got.tolist() == [-1 if w is None else w for w in want]
-        assert (got >= 0).sum() > 100 and (got < 0).sum() > 20
+        assert (got >= 0).sum() > 40 and (got < 0).sum() > 20
 
     def test_successor_table(self):
         closure = WordClosure(P6).grow(4)
         for i, row in enumerate(closure.succ):
-            if len(closure.words[i]) == 4:
+            if i >= closure.offsets[4]:
                 assert row.tolist() == [-1] * 4  # the last layer is not expanded
                 continue
             for (_, g), dst in zip(closure.gens, row):
@@ -311,13 +313,13 @@ class TestWordClosure:
             targets = enumerate_words(gamma, 4)[::3] + extra
             targets += [GroupElement(1, 0.5), GroupElement(1j, 0.25), GroupElement(-1, 7)]
             for t in targets:
-                assert find_word(gamma, t) == _bfs_find_word(gamma, t)
+                assert word_of(gamma, t) == _bfs_find_word(gamma, t)
 
 
 class EdgeClosure:
-    """The closure grown one edge at a time with a per-product cell lookup:
-    the breadth-first loop that the level-at-a-time growth replaced, kept as
-    an oracle."""
+    """The float closure grown one edge at a time, a product within tol of an
+    entry being a repeat (found by a per-product cell lookup): the breadth-first
+    loop that the exact closure must reproduce, kept as an oracle."""
 
     CELL = 1e-6
 
@@ -327,6 +329,7 @@ class EdgeClosure:
         self.elements, self.words, self.succ = [], [], []
         self._cell = max(self.CELL, 4 * tol)
         self._cells = {}
+        self.expanded = 0
         self._insert(IDENTITY, [])
 
     def _keys(self, a, b, r):
@@ -353,8 +356,9 @@ class EdgeClosure:
         return best
 
     def edges(self, max_len):
-        """Yield (source, slot, target, whether the target is new) per edge."""
-        for length in range(max_len):
+        """Yield (source, slot, target, whether the target is new) per edge, from the
+        first word length not yet expanded."""
+        for length in range(self.expanded, max_len):
             for src in [i for i, w in enumerate(self.words) if len(w) == length]:
                 for slot, (idx, g) in enumerate(self.gens):
                     cand = compose(self.elements[src], g)
@@ -364,6 +368,7 @@ class EdgeClosure:
                         dst = self._insert(cand, self.words[src] + [idx])
                     self.succ[src][slot] = dst
                     yield src, slot, dst, new
+            self.expanded = length + 1
 
     def grow(self, max_len):
         for _ in self.edges(max_len):
@@ -381,66 +386,110 @@ class TestLevelGrowth:
     @pytest.mark.parametrize("tol", [1e-10, 1e-9])
     @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", "p6", "p2", "p3", "p4"])
     def test_matches_per_edge_growth(self, name, tol):
+        # the exact closure is the float closure that dedups at either tol, with the
+        # same floats, at word length 8 and, grown on, at 12
         gamma = self.GROUPS.get(name) or _bundled_group(name)
-        length = 6 if name == "p2" else 8
-        closure, oracle = WordClosure(gamma, tol).grow(length), EdgeClosure(gamma, tol).grow(length)
-        # == on complex ignores the sign of zero, which the two products may differ in
-        assert closure.elements == oracle.elements
-        assert closure.words == oracle.words
-        assert closure.succ.tolist() == oracle.succ
+        closure, oracle = WordClosure(gamma), EdgeClosure(gamma, tol)
+        for length in (8, 12):
+            closure.grow(length), oracle.grow(length)
+            # == on complex ignores the sign of zero, which the two products may differ in
+            assert closure.elements == oracle.elements
+            assert words(closure) == oracle.words
+            assert closure.succ.tolist() == oracle.succ
+
+    @pytest.mark.parametrize("name", ["square", "p4", "p6"])
+    def test_level_sizes_match_the_exact_oracle(self, name):
+        spec = importlib.util.spec_from_file_location("oracle", ROOT / "perfbench" / "oracle.py")
+        oracle = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(oracle)
+        gamma = self.GROUPS[name]
+        closure = WordClosure(gamma).grow(12)
+        pairs = [(g.a, g.b) for g in gamma.generators]
+        assert [closure.size(L) for L in range(13)] == [oracle.closure_size(pairs, L) for L in range(13)]
+
+    @pytest.mark.parametrize(
+        "name, q, rank",
+        [("square", 1, 2), ("p2", 2, 2), ("p3", 3, 2), ("p4", 4, 2), ("p6", 6, 2), ("alteration", 6, 0), ("conjugate", 1, 1)],
+    )
+    def test_normal_form(self, name, q, rank):
+        gamma = self.GROUPS.get(name) or _bundled_group(name)
+        nf = gamma.normal_form
+        assert (nf.q, nf.rank) == (q, rank)
+        # every entry reads back as its own triple, and zeta maps the lattice to itself
+        closure = WordClosure(gamma).grow(4)
+        assert closure.lookup_all(closure.a, closure.b).tolist() == list(range(len(closure.ab)))
+        zeta = np.exp(2j * np.pi / q)
+        assert gamma.contains(np.ones(rank), zeta * np.array(nf.basis[:rank])).all()
+        # below rank 2 no element lies along the completing directions
+        assert not gamma.contains(np.ones(2 - rank), np.array(nf.basis[rank:])).any()
+        # nor at a non-finite [a, b]
+        a, b = [1, np.nan, 1, np.inf], [np.inf, 0, complex(np.nan, 1), 0]
+        assert not gamma.contains(a, b).any() and closure.lookup_all(a, b).tolist() == [-1] * 4
 
     @pytest.mark.parametrize("name, size", [("p2", 578), ("p3", 1027), ("p4", 976), ("p6", 1880)])
     def test_sizes_at_length_twelve(self, name, size):
         # the exact counts of perfbench/oracle.py, in Z[i] and Z[omega]
         assert len(WordClosure(self.GROUPS[name]).grow(12).elements) == size
 
-    def test_products_through_lookup_match_per_edge_growth(self):
-        # at tol 0.3 every box of half-side 0.6 straddles a cell edge, so every
-        # product goes through lookup, repeats within a level included
-        closure, oracle = WordClosure(SQUARE, 0.3).grow(4), EdgeClosure(SQUARE, 0.3).grow(4)
-        assert closure.elements == oracle.elements and closure.words == oracle.words
-        assert closure.succ.tolist() == oracle.succ
-
     def test_cell_mates_farther_than_tol_stay_apart(self):
-        # 3e-7 apart: the same 1e-6 cell, but 300 tol away
+        # a lattice of spacing 3e-7, 300 times the float closure's tol
         gamma = DiscreteSubgroup([GroupElement(1, 3e-7)])
-        closure = WordClosure(gamma, tol=1e-9).grow(4)
+        closure = WordClosure(gamma).grow(4)
         assert sorted(round(b.real / 3e-7) for b in closure.b) == list(range(-4, 5))
-        assert closure.words == EdgeClosure(gamma, 1e-9).grow(4).words
+        assert words(closure) == EdgeClosure(gamma, 1e-9).grow(4).words
 
     def test_stops_once_a_level_adds_nothing(self):
         # the alteration group is finite: a rotation of order 6 about a point
         closure = WordClosure(_bundled_group("alteration")).grow(50)
         assert len(closure.offsets) < 10 and closure.offsets[-1] == closure.offsets[-2] == 6
+        assert closure.normal_form.c0 == pytest.approx(0.5 + 0.8660254037844386j)  # its centre
 
     def test_coordinates_beyond_the_cell_range(self):
-        # 1e13 is beyond 2**52 cells of 1e-6: no invalid cast to int64, and the
-        # products out there go through lookup
+        # 1e13 is a lattice vector like 1j: no warning, and the same closure as the floats'
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             gamma = DiscreteSubgroup([GroupElement(1, 1e13), GroupElement(1, 1j)])
             closure = WordClosure(gamma).grow(4)
             oracle = EdgeClosure(gamma).grow(4)
         assert len(closure.elements) == 41
-        assert closure.elements == oracle.elements and closure.words == oracle.words
+        assert closure.elements == oracle.elements and words(closure) == oracle.words
         assert closure.succ.tolist() == oracle.succ
+
+    @pytest.mark.parametrize(
+        "generators, length",
+        [([(1, 1000), (1, 1001j), (1, 1 + 1j)], 6), ([(1j, 0), (1, 1), (1, 40 + 23j)], 6),
+         ([(1, 2**20 * 1j), (1, 1j), (1, 1)], 9)],
+        ids=["wide", "wide-p4", "keys-past-2^53"],
+    )
+    def test_wide_generators_keep_memory_per_entry(self, generators, length):
+        # generators tens to 2^20 basis vectors long: the closure is the float one, every
+        # entry reads back exactly (keys pass 2^53 at 2^20 x 9), and the arrays hold a few
+        # hundred bytes per entry, not a table over their box
+        gamma = DiscreteSubgroup([GroupElement(*g) for g in generators])
+        closure, oracle = WordClosure(gamma).grow(length), EdgeClosure(gamma).grow(length)
+        assert closure.elements == oracle.elements and words(closure) == oracle.words
+        assert closure.succ.tolist() == oracle.succ
+        assert closure.lookup_all(closure.a, closure.b).tolist() == list(range(len(closure.ab)))
+        held = sum(x.nbytes for x in vars(closure).values() if isinstance(x, np.ndarray))
+        assert held <= 300 * len(closure.ab) + 4096
 
     def test_grows_on_from_where_it_stopped(self):
         closure = WordClosure(P6).grow(3).grow(6)
-        assert closure.words == WordClosure(P6).grow(6).words
+        assert words(closure) == words(WordClosure(P6).grow(6))
         assert closure.succ.tolist() == WordClosure(P6).grow(6).succ.tolist()
 
 
-def _fresh_find_word(gamma, target, max_len=6, tol=1e-9):
-    """find_word on a closure of its own, grown from the identity: the search
-    that the one closure per subgroup replaced, kept as an oracle."""
-    if is_identity(target, tol):
+def _fresh_find_word(gamma, target, max_len=6, tol=MATCH_TOL):
+    """The word of target from a closure of its own, grown from the identity and
+    scanned level by level: the search that the one closure per subgroup replaced,
+    kept as an oracle."""
+    if distance(target, IDENTITY) <= tol:
         return []
     closure, t = WordClosure(gamma), np.array([target.a, target.b])
     for lo in closure.levels(max_len):
         hit = [i for i in range(lo, len(closure.ab)) if distance(closure.elements[i], target) <= tol]
         if hit:
-            return closure.words[hit[0]]
+            return closure.word(hit[0])
     return None
 
 
@@ -455,12 +504,12 @@ class TestOneClosurePerSubgroup:
 
     @pytest.fixture
     def closures_made(self, monkeypatch):
-        """The tol of every WordClosure constructed while the test runs."""
+        """The subgroup of every WordClosure constructed while the test runs."""
         made, init = [], WordClosure.__init__
 
-        def counting_init(self, gamma, tol=DEDUP_TOL):
-            made.append(tol)
-            init(self, gamma, tol)
+        def counting_init(self, gamma):
+            made.append(gamma)
+            init(self, gamma)
 
         monkeypatch.setattr(WordClosure, "__init__", counting_init)
         return made
@@ -468,8 +517,8 @@ class TestOneClosurePerSubgroup:
     @pytest.mark.parametrize("name", CONFIGS)
     def test_build_system_grows_one_closure(self, name, closures_made):
         system = build_system(self._load(name))
-        assert closures_made == [DEDUP_TOL]
-        assert len(system.gamma.closure.offsets) >= 5  # the smoke test grew it to length 3
+        assert closures_made == [system.gamma]
+        assert system.gamma.closure.offsets == [0, 1]  # the build grows no level
 
     @pytest.mark.parametrize("name", CONFIGS)
     def test_report_grows_one_closure(self, name, closures_made, capsys):
@@ -478,7 +527,7 @@ class TestOneClosurePerSubgroup:
         config = str(Path(__file__).resolve().parents[1] / name) if name.endswith(".json") else name
         main(["report", "--config", config])
         capsys.readouterr()
-        assert closures_made == [DEDUP_TOL]
+        assert len(closures_made) == 1
 
     def test_second_rdq_grows_no_level(self):
         from maf.automorphy import PseudoCharacter, rdq_check
@@ -505,7 +554,7 @@ class TestOneClosurePerSubgroup:
         far = WordClosure(gamma).grow(5).elements[-1]
         targets = [far, *images, GroupElement(1, 0.5), GroupElement(-1, 7)]
         for t in targets:
-            assert find_word(gamma, t) == _fresh_find_word(gamma, t)
-            assert find_word(gamma, t, max_len=2) == _fresh_find_word(gamma, t, max_len=2)
-        word = find_word(gamma, far)
-        assert len(word) >= 3 and find_word(gamma, far, max_len=len(word) - 1) is None
+            assert word_of(gamma, t) == _fresh_find_word(gamma, t)
+            assert word_of(gamma, t, max_len=2) == _fresh_find_word(gamma, t, max_len=2)
+        word = word_of(gamma, far)
+        assert len(word) >= 3 and word_of(gamma, far, max_len=len(word) - 1) is None

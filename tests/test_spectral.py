@@ -125,6 +125,13 @@ class TestSpecialFunctions:
         x = np.array([0.0, 1.0])
         assert np.allclose(laguerre(1, x), [1.0, 0.0])
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, -1, "1"])
+    def test_degrees_must_be_nonnegative_integers(self, k):
+        for f in (lambda: hermite_function(k, 0.3), lambda: laguerre(k, 0.3)):
+            with pytest.raises(ValueError, match="level index must be a nonnegative integer"):
+                f()
+        assert laguerre(np.int64(2), 2.0) == laguerre(2, 2.0)
+
 
 class TestLandauLevels:
     def test_values(self):
@@ -136,6 +143,12 @@ class TestLandauLevels:
             landau_level(0.0, 0)
         with pytest.raises(ValueError):
             landau_level(1.0, -1)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0])
+    def test_rejects_non_integer_levels(self, k):
+        # lambda_k = -2B(2k + 1) has no level at k = 1.5 (it read -8.0)
+        with pytest.raises(ValueError, match="level index must be a nonnegative integer"):
+            landau_level(1.0, k)
 
     def test_table(self):
         rows = spectrum_table(1.0, 2)
@@ -231,6 +244,11 @@ class TestKernel:
     def test_hermitian(self, alt):
         z, w = 0.4 + 0.9j, -0.3 + 0.2j
         assert abs(kernel(alt, 1, z, w) - kernel(alt, 1, w, z).conjugate()) < 1e-12
+
+    @pytest.mark.parametrize("k", [1.5, -1])
+    def test_rejects_non_integer_levels(self, alt, k):
+        with pytest.raises(ValueError, match="level index must be a nonnegative integer"):
+            kernel(alt, k, 0.4 + 0.9j, -0.3 + 0.2j)
 
     def test_eigen_equation(self, landau, conj, alt):
         for sys in (landau, conj, alt):

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import inspect
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -129,7 +130,7 @@ def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check
 
 def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch):
     # the lift checks read chi, g.0, g^{-1}.0 and rho(g)^{-1}.0 by entry index, so each
-    # traced call probes the word closure's hash once, for all its elements
+    # traced call looks its elements up in the word closure once, all together
     import maf.cli
     import maf.groups
 
@@ -156,3 +157,16 @@ def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch):
         capsys.readouterr()
         n = n_elements(maf.cli.build_system(maf.cli._resolve_config(config)))
         assert per_call == [[n], [n]]
+
+
+def test_word_closure_is_exact_and_has_no_entry_loop():
+    # the closure keys exact (j, m, n) triples: no floored float cells, no hash of them
+    # and no one-element lookup to fall back on; a level is whole-array operations,
+    # and its one loop runs over the levels
+    import maf.groups
+
+    source = inspect.getsource(maf.groups)
+    assert [word for word in ("np.floor", "_hash", "np.uint64", "def lookup(") if word in source] == []
+    levels = ast.parse(textwrap.dedent(inspect.getsource(maf.groups.WordClosure.levels)))
+    loops = [node for node in ast.walk(levels) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
+    assert [type(node) for node in loops] == [ast.While]
