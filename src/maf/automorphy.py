@@ -115,10 +115,12 @@ class CharacterTable:
             rv = apply_endo_ab(rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))[1]
             ph += mu * _im_conj_outer(self.ru[:m], rv)
         self.parent, self.slot = closure.parent[:n], closure.slot[:n]
+        s, t = self.parent[1:], self.slot[1:]  # the edge that made entry i > 0, at i - 1
+        edge_ph, edge_step = ph[s, t], steps[t]  # its terms, gathered once
         self.theta = theta = np.zeros(n)
         for lo, hi in zip(closure.offsets[1 : max_len + 1], closure.offsets[2 : max_len + 2]):
-            s, t = self.parent[lo:hi], self.slot[lo:hi]
-            x = np.remainder(theta[s] + ph[s, t] + steps[t] + np.pi, 2 * np.pi) - np.pi
+            e = slice(lo - 1, hi - 1)
+            x = np.remainder(theta[s[e]] + edge_ph[e] + edge_step[e] + np.pi, 2 * np.pi) - np.pi
             theta[lo:hi] = np.where(x < np.pi, x, -np.pi)  # the remainder may round up to 2 pi
         self.values = np.exp(1j * theta)
         delta = theta[:m, None] + ph + steps - theta[closure.succ[:m]]
@@ -238,8 +240,12 @@ def rdq_check(
     if mu != 0.0:
         ph += mu * _im_conj_outer(table.ru[:n], table.rv[:n])
     # |chi(g_i g_j) - chi(g_i) chi(g_j) e^{i phase}| = 2 |sin(delta / 2)| of the phase mismatch
-    theta = table.theta
-    residuals = 2 * np.abs(np.sin((theta[hit] - theta[:n, None] - theta[:n] - ph).ravel() / 2))
+    # delta = theta_ij - theta_i - theta_j - phase, all formed in place
+    residuals = table.theta[hit] - table.theta[:n, None]
+    residuals -= table.theta[:n]
+    residuals -= ph
+    np.abs(np.sin(np.divide(residuals, 2, out=residuals), out=residuals), out=residuals)
+    residuals *= 2
     i, j = divmod(int(np.argmax(residuals)), n)
     return from_residuals(
         "rdq",

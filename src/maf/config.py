@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
-from importlib import resources
 from typing import Optional
 
 from .automorphy import PseudoCharacter
@@ -37,6 +37,8 @@ class SystemConfig:
     def __post_init__(self):
         if not (math.isfinite(self.fd_step) and self.fd_step > 0):
             raise ConfigError(f"fd_step must be finite and positive, got {self.fd_step!r}")
+        if unknown := sorted(set(self.grid) - Grid.__dataclass_fields__.keys()):
+            raise ConfigError(f"unknown grid key {', '.join(map(repr, unknown))}: a grid has xmin, xmax, nx, ymin, ymax, ny")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SystemConfig":
@@ -76,18 +78,18 @@ def load_config(path: str) -> SystemConfig:
 
 
 def load_bundled(name: str) -> SystemConfig:
-    """Load one of the packaged example systems by stem name."""
-    ref = resources.files("maf") / "configs" / f"{name}.json"
+    """Load one of the packaged example systems, ``configs/<name>.json`` beside this module."""
     try:
-        data = json.loads(ref.read_text())
+        with open(os.path.join(os.path.dirname(__file__), "configs", f"{name}.json"), encoding="utf-8") as fh:
+            data = json.load(fh)
     except FileNotFoundError as e:
         raise ConfigError(f"no bundled config named {name!r}") from e
     return SystemConfig.from_dict(data)
 
 
 def bundled_names() -> list[str]:
-    base = resources.files("maf") / "configs"
-    return sorted(p.name.removesuffix(".json") for p in base.iterdir() if p.name.endswith(".json"))
+    files = os.listdir(os.path.join(os.path.dirname(__file__), "configs"))
+    return sorted(f.removesuffix(".json") for f in files if f.endswith(".json"))
 
 
 def _make_tau(rho: Endomorphism, desc: dict) -> EquivariantMap:

@@ -236,14 +236,12 @@ class Grid:
                 raise ValueError(f"grid {n} must be >= 1, got {getattr(self, n)}")
 
     def points(self) -> np.ndarray:
-        xs = np.linspace(self.xmin, self.xmax, self.nx)
         ys = np.linspace(self.ymin, self.ymax, self.ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        return (X + 1j * Y).ravel()
+        return np.add.outer(np.linspace(self.xmin, self.xmax, self.nx), 1j * ys).ravel()
 
     @classmethod
     def from_dict(cls, d: dict) -> "Grid":
-        return cls(**{k: d[k] for k in ("xmin", "xmax", "nx", "ymin", "ymax", "ny") if k in d})
+        return cls(**d)
 
     def to_dict(self) -> dict:
         return {

@@ -276,7 +276,8 @@ class WordClosure:
 
     Triple (j, m, n) is the int64 key (m W + n) q + j, W = 2 BOX + 1, one to one while
     |m|, |n| <= BOX (rank 2 has q <= 6).  Keys are found by binary search in the sorted
-    keys, so the closure keeps O(entries) memory however long its generators are.
+    keys, so the closure keeps O(entries) memory however long its generators are; a level
+    dedups its new keys by one stable sort and merges them into the sorted keys by another.
     """
 
     BOX = 2**29
@@ -297,8 +298,8 @@ class WordClosure:
         self._stride = np.array([(2 * self.BOX + 1) * nf.q, nf.q])
         self._delta = self._pack((k + [j for j, _ in gamma._slots]) % nf.q - k, steps)
         self.ab = np.array([[1, 0]], complex)
-        self._keys = self._sorted = np.zeros(1, np.int64)
-        self._order = np.zeros(1, int)
+        # the last level's keys; all keys sorted, then a sentinel past them, and their entries
+        self._front, self._sorted, self._order = np.zeros(1, np.int64), np.array([0, 2**63 - 1]), np.array([0, -1])
         self.offsets = [0, 1]
         self.succ = np.full((1, len(self.gens)), -1)
         self.parent, self.slot = np.zeros(1, int), np.zeros(1, int)
@@ -327,18 +328,15 @@ class WordClosure:
         """The int64 keys of triples (j, m, n), from integers or integral floats."""
         return np.asarray(mn, np.int64) @ self._stride + np.asarray(j, np.int64)
 
-    def _find(self, keys: np.ndarray) -> np.ndarray:
-        """The entry of each key, -1 for none."""
-        at = np.minimum(self._sorted.searchsorted(keys), len(self._keys) - 1)
-        return np.where(self._sorted[at] == keys, self._order[at], -1)
-
     def lookup_all(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The entry within MATCH_TOL (``distance``) of each element [a[i], b[i]] of two 1-d
         arrays, -1 for none: the entry of the nearest triple (``NormalForm.read``), if any."""
         a, b = np.asarray(a, complex), np.asarray(b, complex)
         j, mn = self.normal_form.read(a, b)
         # a triple past BOX + 1 packs as one on it, where no entry is
-        hit = self._find(self._pack(j, np.clip(mn, -self.BOX - 1, self.BOX + 1)))
+        keys = self._pack(j, np.clip(mn, -self.BOX - 1, self.BOX + 1))
+        at = self._sorted.searchsorted(keys)
+        hit = np.where(self._sorted[at] == keys, self._order[at], -1)
         e = self.ab[hit]
         return np.where((hit >= 0) & (_abs(e[:, 0] - a) + _abs(e[:, 1] - b) <= MATCH_TOL), hit, -1)
 
@@ -352,29 +350,31 @@ class WordClosure:
             if (len(self.offsets) - 1) * self._reach > self.BOX:
                 raise OverflowError("lattice coordinates beyond 2^29 do not pack into int64")
             lo, n = self.offsets[-2:]
-            src = self._keys[lo:]
-            keys = (src[:, None] + self._delta[src % q]).reshape(-1)
-            dst = self._find(keys)
-            fresh = (dst < 0).nonzero()[0]
-            # the first product of each new triple, in the order of the products
-            new, first, back = np.unique(keys[fresh], return_index=True, return_inverse=True)
-            made = fresh[np.sort(first)]
-            dst[fresh] = n + first.argsort().argsort()[back]
-            parent, slot = np.divmod(made, ns)
-            parent += lo
+            keys = (self._front[:, None] + self._delta[self._front % q]).reshape(-1)
+            at = self._sorted.searchsorted(keys)
+            dst, fresh = self._order[at], (self._sorted[at] != keys).nonzero()[0]
+            # the first product of each new triple: a stable sort keeps equal keys in product order
+            new = keys[fresh]
+            perm = new.argsort(kind="stable")
+            lead = perm[new[perm].searchsorted(new)]
+            first = lead == np.arange(len(fresh))
+            made, self._front = fresh[first], new[first]
+            dst[fresh] = n - 1 + first.cumsum()[lead]
+            parent, slot = np.divmod(made + lo * ns, ns)
             x = self.ab[parent].view(float)
             prod = x[:, None, :2] * self._g[slot]
             c = np.add(prod[..., 0], prod[..., 1], order="C")
             c[:, 2:] += x[:, 2:]
             c[:, :2] /= np.hypot(c[:, :1], c[:, 1:2])
             self.ab = np.concatenate([self.ab, c.view(complex)])
-            self._keys = np.concatenate([self._keys, keys[made]])
-            self._order = self._keys.argsort()
-            self._sorted = self._keys[self._order]
+            # the stable sort takes the sorted keys as one run and merges the new ones into it
+            merged = np.concatenate([self._sorted, self._front])
+            order = merged.argsort(kind="stable")
+            self._sorted, self._order = merged[order], np.concatenate([self._order, np.arange(n, len(self.ab))])[order]
             self.parent, self.slot = np.concatenate([self.parent, parent]), np.concatenate([self.slot, slot])
             self.succ[lo:] = dst.reshape(n - lo, ns)
-            self.succ = np.concatenate([self.succ, np.full((len(made), ns), -1)])
-            self.offsets.append(n + len(made))
+            self.succ = np.concatenate([self.succ, np.zeros((len(made), ns), int) - 1])
+            self.offsets.append(len(self.ab))
             yield n
 
     def grow(self, max_len: int) -> "WordClosure":

@@ -73,6 +73,9 @@ def from_element_residuals(name: str, res, tol: float, gs, key: str = "g", **met
 
 _NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 _quote = json.encoder.encode_basestring_ascii
+# what ``_write`` turns the other types it writes into, the first that fits
+_PLAIN = ((str, str.__str__), (float, float), (dict, dict), ((list, tuple), list),
+          ((np.floating, np.integer), np.generic.item), (complex, lambda z: [z.real, z.imag]))
 
 
 def _write(obj, out: list[str], pad: str) -> None:
@@ -80,34 +83,34 @@ def _write(obj, out: list[str], pad: str) -> None:
     ``json.dumps(..., indent=2, sort_keys=True)`` writes it.  Numpy scalars are
     unwrapped, complex numbers become [re, im], tuples become lists, and
     non-finite floats the strings "nan", "inf" or "-inf"; keys must be str."""
-    if isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, float):
+    t = type(obj)
+    if t is float:
         out.append(float.__repr__(obj) if math.isfinite(obj) else _quote(float.__repr__(obj)))
-    elif isinstance(obj, dict):
+    elif t is str:
+        out.append(_quote(obj))
+    elif t is dict:
         inner, sep = pad + "  ", "{"
         for k in sorted(obj):
             out.append(f"{sep}\n{inner}{_quote(k)}: ")
             _write(obj[k], out, inner)
             sep = ","
         out.append(f"\n{pad}}}" if obj else "{}")
-    elif isinstance(obj, (list, tuple)):
+    elif t is list:
         inner, sep = pad + "  ", "["
         for v in obj:
             out.append(f"{sep}\n{inner}")
             _write(v, out, inner)
             sep = ","
         out.append(f"\n{pad}]" if obj else "[]")
-    elif obj is None or isinstance(obj, bool):
+    elif obj is None or t is bool:
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
         out.append(int.__repr__(obj))
-    elif isinstance(obj, (np.floating, np.integer)):
-        _write(obj.item(), out, pad)
-    elif isinstance(obj, complex):
-        _write([obj.real, obj.imag], out, pad)
     else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        plain = next((f for kind, f in _PLAIN if isinstance(obj, kind)), None)
+        if plain is None:
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        _write(plain(obj), out, pad)
 
 
 def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:

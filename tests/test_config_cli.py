@@ -3,6 +3,7 @@ import math
 import struct
 import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from maf.config import (
     load_config,
 )
 from maf.reports import CheckReport, emit, from_residuals, parse_json
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def old_from_residuals(residuals):
@@ -170,7 +173,10 @@ class TestReports:
 
 class TestConfigs:
     def test_bundled_names(self):
-        assert set(bundled_names()) >= {"landau", "conjugate", "alteration"}
+        # exactly the *.json files packaged under src/maf/configs, each loading by its name
+        packaged = sorted(p.stem for p in (ROOT / "src" / "maf" / "configs").glob("*.json"))
+        assert bundled_names() == packaged and set(packaged) >= {"landau", "conjugate", "alteration"}
+        assert [load_bundled(name).name for name in packaged] == packaged
 
     def test_bundled_systems_build(self):
         for name in ("landau", "conjugate", "alteration"):
@@ -178,8 +184,25 @@ class TestConfigs:
             assert sys_.B > 0
 
     def test_unknown_bundled(self):
-        with pytest.raises(ConfigError):
-            load_bundled("nonexistent")
+        for name in ("nonexistent", "landau.json"):
+            with pytest.raises(ConfigError, match=f"no bundled config named '{name}'"):
+                load_bundled(name)
+
+    def test_unknown_grid_key_is_refused(self, capsys, tmp_path):
+        # a misspelt grid key would leave the checks on the default 41 x 41 grid
+        for name in bundled_names():
+            assert set(load_bundled(name).grid) <= {"xmin", "xmax", "nx", "ymin", "ymax", "ny"}
+        assert set(load_config(str(ROOT / "perfbench" / "p6.json")).grid) == {"xmin", "xmax", "nx", "ymin", "ymax", "ny"}
+        data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
+        data["grid"]["nX"] = 9
+        with pytest.raises(ConfigError, match="unknown grid key 'nX'"):
+            SystemConfig.from_dict(data)
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        for command in ("report", "field"):
+            assert main([command, "--config", str(p)]) == 2
+            captured = capsys.readouterr()
+            assert "unknown grid key 'nX'" in captured.err and captured.out == ""
 
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="missing required"):

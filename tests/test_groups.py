@@ -478,6 +478,37 @@ class TestLevelGrowth:
         assert words(closure) == words(WordClosure(P6).grow(6))
         assert closure.succ.tolist() == WordClosure(P6).grow(6).succ.tolist()
 
+    @pytest.mark.parametrize(
+        "generators",
+        [[(0.5 + 0.8660254037844386j, 0), (1, 1)], [(1, 1), (1, 1j)], [(0.5 + 0.8660254037844386j, 0)], [(1, 0)]],
+        ids=["p6", "square", "C6", "trivial"],
+    )
+    def test_stepwise_growth_is_growth_at_once(self, generators):
+        # grown to 2, 5 and 8 or to 8 at once: the same floats bit for bit, the same edges,
+        # words and lookups, and the same first entry per level; every yield leaves the
+        # closure whole, each entry reading back as itself
+        gamma = DiscreteSubgroup([GroupElement(*g) for g in generators])
+        stepwise, at_once = WordClosure(gamma), WordClosure(gamma)
+        firsts = []
+        for length in (2, 5, 8):
+            for first in stepwise.levels(length):
+                n = stepwise.offsets[-1]
+                assert len(stepwise.ab) == len(stepwise.parent) == len(stepwise.slot) == len(stepwise.succ) == n
+                assert stepwise.lookup_all(stepwise.a, stepwise.b).tolist() == list(range(n))
+                assert (stepwise.succ[stepwise.offsets[-2] :] == -1).all()
+                firsts.append(first)
+        assert firsts == list(at_once.levels(8))
+        assert stepwise.ab.tobytes() == at_once.ab.tobytes()
+        for attr in ("parent", "slot", "succ"):
+            assert np.array_equal(getattr(stepwise, attr), getattr(at_once, attr)), attr
+        assert stepwise.offsets == at_once.offsets
+        n = len(at_once.ab)
+        assert [stepwise.word(i) for i in range(n)] == [at_once.word(i) for i in range(n)]
+        assert stepwise.lookup_all(at_once.a, at_once.b).tolist() == list(range(n))
+        assert at_once.lookup_all(stepwise.a, stepwise.b).tolist() == list(range(n))
+        with pytest.raises(ValueError, match="max_len must be nonnegative"):
+            next(stepwise.levels(-1))
+
 
 def _fresh_find_word(gamma, target, max_len=6, tol=MATCH_TOL):
     """The word of target from a closure of its own, grown from the identity and
