@@ -51,7 +51,6 @@ from .magnetics import (
 from .reports import CheckReport, emit, from_residuals
 from .spectral import (
     SpectralBasis,
-    WeightedInnerProduct,
     hermite,
     hermite_function,
     kernel,

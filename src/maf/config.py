@@ -57,6 +57,8 @@ class SystemConfig:
                 highdim=d.get("highdim"),
                 name=d.get("name", ""),
             )
+        except ConfigError:
+            raise
         except KeyError as e:
             raise ConfigError(f"missing required config key: {e.args[0]}") from e
         except (TypeError, ValueError) as e:

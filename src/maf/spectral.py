@@ -37,8 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .automorphy import j_factor
-from .equivariant import EquivariantMap
-from .fields import ScalarField, quad2d_nodes
+from .fields import ScalarField
 from .magnetics import MagneticSystem, phase_pullback, value_and_mixed_laplacian
 from .reports import CheckReport, from_element_residuals
 
@@ -285,19 +284,26 @@ def _c_grid(B: float, k: int, x: np.ndarray, y: np.ndarray):
 
 
 @functools.lru_cache(maxsize=16)  # plans kept, the least recently used dropped first
-def _plan(B: float, gauge_k: complex, k: int, xb: bytes, yb: bytes, c0: float, step: float, P: int, width: int):
+def _plan(B: float, gauge_k: complex, k: int, xb: bytes, yb: bytes, width: int):
     """The read-only tables of ``project_on_nodes`` that do not depend on f, on the nodes x_i + i y_j.
 
-    (order, rank, u, fine, blocks): the row order of ascending x and its inverse, the phase
-    u = e^{-i(phi(z) + B y (x - 2 c[P // 2]))}, e^{2iBy step r} for r < width, and per block of
-    ``width`` c-columns (i0, i1, psi, turn): the sorted rows within d = ``_reach(B, k)`` of some c
-    in the block, psi_k(sqrt(2B)(x - c)) on them, 0 where |x - c| > d so that every block width
-    sums the same terms, and the block's coarse row of e^{2iByc}.
+    (order, rank, ubar, phase, fine, blocks): the row order of ascending x and its inverse
+    (``slice(None)`` both when x ascends already), the conjugate of the phase
+    u = e^{-i(phi(z) + B y (x - 2 c[P // 2]))} on the c-grid c of ``_c_grid``, the output phase
+    (B/pi) sqrt(2B) step u, e^{2iBy step r} for r < width, and per block of ``width`` c-columns
+    (i0, i1, psi, turn): the sorted rows within d = ``_reach(B, k)`` of some c in the block,
+    psi_k(sqrt(2B)(x - c)) on them, 0 where |x - c| > d so that every block width sums the same
+    terms, and the block's coarse row of e^{2iByc}.
     """
     x, y = np.frombuffer(xb), np.frombuffer(yb)
-    order = np.argsort(x, kind="stable")
-    xs, rank = x[order], np.argsort(order)
-    c, m0, d = c0 + step * np.arange(P), P // 2, _reach(B, k)
+    c, step = _c_grid(B, k, x, y)
+    if np.all(x[:-1] <= x[1:]):
+        order = rank = slice(None)
+    else:
+        order = np.argsort(x, kind="stable")
+        rank = np.argsort(order)
+    xs, P, d = x[order], c.size, _reach(B, k)
+    m0 = P // 2
     u = np.exp(-1j * (2 * (gauge_k * (x[:, None] + 1j * y)).real + B * y * (x[:, None] - 2 * c[m0])))
     # With c = c[m0] + step j, e^{2iB y c[m0]} joins the phase and the rest is e^{i a j},
     # a = 2B step y.  Split a = hi + lo with hi * j exact: e^{i a j} = e^{i hi j} (1 + i lo j)
@@ -313,9 +319,21 @@ def _plan(B: float, gauge_k: complex, k: int, xb: bytes, yb: bytes, c0: float, s
         i0, i1 = np.searchsorted(xs, cb[0] - d), np.searchsorted(xs, cb[-1] + d, "right")
         dx = xs[i0:i1, None] - cb
         blocks.append((i0, i1, np.where(np.abs(dx) <= d, hermite_function(k, math.sqrt(2 * B) * dx), 0), turns(m - m0)))
-    for table in (order, rank, u, fine, *(t for block in blocks for t in block[2:])):
+    tables = (u.conjugate(), (B / np.pi) * math.sqrt(2 * B) * step * u, fine)
+    for table in (*tables, *(t for block in blocks for t in block[2:])):
         table.setflags(write=False)
-    return order, rank, u, fine, tuple(blocks)
+    return order, rank, *tables, tuple(blocks)
+
+
+def _refuse_nodes(Z: np.ndarray, fvals, Wt):
+    """Raise the first fault of nodes that ``project_on_nodes`` refused: a node that is not
+    finite, values off the nodes' shape, else nodes off a product grid."""
+    if (bad := np.flatnonzero(~np.isfinite(Z))).size:
+        raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
+    for name, values in (("fvals", fvals), ("Wt", Wt)):
+        if np.shape(values) != Z.shape:
+            raise ValueError(f"{name} has shape {np.shape(values)}, the nodes Z have shape {Z.shape}")
+    raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
 
 
 def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarray, Wt: np.ndarray) -> np.ndarray:
@@ -324,59 +342,33 @@ def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarr
     ``fvals`` are f's values on the node array Z with weights Wt, all of one shape;
     the result has that shape too, enabling iterated projections without re-sampling.
     Z must be an axis-aligned product grid as ``quad2d_nodes`` makes it: x_i along
-    axis 0, y_j along axis 1.  With the phase e^{-i(phi(z) + B x y)} and the c-grid of
-    ``_c_grid``, the quadrature sum of K_k(z, w) f(w) Wt(w) is taken over blocks of 64
-    c-columns, each on the band of rows x within d of its columns.  All but f is a plan
-    (``_plan``), built once per B, gauge, level, nodes, c-grid and block width; the last
-    16 are kept.  Per block, two real-by-complex products (psi_k is real), small enough
-    on 64^2 nodes that OpenBLAS keeps them on one thread.  Banded O(n^2 P) time, about
-    40% of the full sum on the truncated plane, the same for every level.  On an affine
-    (lattice-cell) grid the same factorization holds with the gauge taken along one
-    cell vector; only the axis-aligned grid is implemented.
+    axis 0, y_j along axis 1; one comparison of Z with x_i + i y_j accepts it, and only
+    nodes it refuses go through the checks that name the fault.  With the phase
+    e^{-i(phi(z) + B x y)} and the c-grid of ``_c_grid``, the quadrature sum of
+    K_k(z, w) f(w) Wt(w) is taken over blocks of 64 c-columns, each on the band of rows
+    x within d of its columns.  All but f is a plan (``_plan``), built with its c-grid
+    once per B, gauge, level, nodes and block width; the last 16 are kept.  Per block,
+    two real-by-complex products (psi_k is real) and one ``vecdot`` between them, small
+    enough on 64^2 nodes that OpenBLAS keeps the products on one thread.  Banded
+    O(n^2 P) time, about 40% of the full sum on the truncated plane, the same for every
+    level.  On an affine (lattice-cell) grid the same factorization holds with the gauge
+    taken along one cell vector; only the axis-aligned grid is implemented.
     """
     k = _level(k)
     Z = np.asarray(Z, dtype=complex)
-    if (bad := np.flatnonzero(~np.isfinite(Z))).size:
-        raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
-    for name, values in (("fvals", fvals), ("Wt", Wt)):
-        if np.shape(values) != Z.shape:
-            raise ValueError(f"{name} has shape {np.shape(values)}, the nodes Z have shape {Z.shape}")
-    if Z.ndim != 2 or np.any(Z.real != Z.real[:, :1]) or np.any(Z.imag != Z.imag[:1]):
-        raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
-    B, x, y = float(sys.B), Z.real[:, 0], Z.imag[0]
-    c, step = _c_grid(B, k, x, y)
-    order, rank, u, fine, blocks = _plan(B, sys.gauge_k, k, x.tobytes(), y.tobytes(), c[0], step, c.size, _BLOCK)
-    G = (u.conjugate() * fvals * Wt)[order].view(float)
+    if not (Z.ndim == 2 and np.shape(fvals) == Z.shape and np.shape(Wt) == Z.shape):
+        _refuse_nodes(Z, fvals, Wt)
+    x, y = Z.real[:, 0], Z.imag[0]
+    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.array_equal(Z, x[:, None] + 1j * y)):
+        _refuse_nodes(Z, fvals, Wt)
+    order, rank, ubar, phase, fine, blocks = _plan(float(sys.B), sys.gauge_k, k, x.tobytes(), y.tobytes(), _BLOCK)
+    G = (ubar * fvals * Wt)[order].view(float)
     out = np.zeros((x.size, 2 * y.size))
     for i0, i1, psi, turn in blocks:
         e = fine[: psi.shape[1]] * turn
-        at = np.einsum("cj,cj->c", (psi.T @ G[i0:i1]).view(complex), e.conj())
-        out[i0:i1] += psi @ (at[:, None] * e).view(float)
-    return (B / np.pi) * math.sqrt(2 * B) * step * u * out.view(complex)[rank]
-
-
-@dataclass
-class WeightedInnerProduct:
-    """<f, g> = int f conj(g) e^{-nu|z|^2 - mu(|E tau|^2 - |Ebar tau|^2)} dx dy.
-
-    E = z d/dz and Ebar = zbar d/dzbar, so the weight exponent collapses to
-    -B |z|^2 for any pair with constant field B.
-    """
-
-    nu: float
-    mu: float
-    tau: EquivariantMap
-    domain: tuple[float, float, float, float]
-
-    def weight(self, z):
-        expo = -self.nu * np.abs(z) ** 2 - self.mu * (
-            np.abs(z * self.tau.p) ** 2 - np.abs(np.conjugate(z) * self.tau.q) ** 2
-        )
-        return np.exp(expo)
-
-    def __call__(self, f, g, n_quad: int = 64) -> complex:
-        Z, Wt = quad2d_nodes(self.domain, n_quad)
-        return complex(np.sum(f(Z) * np.conjugate(g(Z)) * self.weight(Z) * Wt))
+        e *= np.vecdot(e, (psi.T @ G[i0:i1]).view(complex))[:, None]
+        out[i0:i1] += psi @ e.view(float)
+    return phase * out.view(complex)[rank]
 
 
 def kernel_invariance_residual(

@@ -203,6 +203,7 @@ class TestConfigs:
             assert main([command, "--config", str(p)]) == 2
             captured = capsys.readouterr()
             assert "unknown grid key 'nX'" in captured.err and captured.out == ""
+            assert "malformed config value" not in captured.err
 
     def test_missing_key(self):
         with pytest.raises(ConfigError, match="missing required"):
@@ -501,7 +502,8 @@ class TestCli:
         p.write_text(json.dumps(data))
         for command in COMMANDS:
             assert main([command, "--config", str(p)]) == 2, command
-            assert "fd_step must be finite and positive" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "fd_step must be finite and positive" in err and "malformed config value" not in err
 
     def test_fixed_invariance_element(self, capsys):
         assert main(["invariance", "--config", "conjugate", "--g", "0,1,1,0"]) == 0

@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 from contextlib import redirect_stdout
+from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -15,11 +16,11 @@ from maf import spectral
 from maf.automorphy import functional_equation_residual
 from maf.cli import main
 from maf.config import build_system, load_bundled, load_config
+from maf.equivariant import EquivariantMap
 from maf.fields import Grid, ScalarField, jet, quad2d_nodes
 from maf.groups import GroupElement, random_ab
 from maf.spectral import (
     SpectralBasis,
-    WeightedInnerProduct,
     hermite,
     hermite_function,
     kernel,
@@ -362,6 +363,15 @@ def nodes(landau):
     return quad2d_nodes((-R, R, -R, R), 48)
 
 
+@pytest.fixture
+def fresh_plans():
+    """An empty plan memo, emptied again after the test: a plan is keyed by its inputs,
+    not by the ``_c_grid`` or ``_reach`` a test swaps in."""
+    spectral._plan.cache_clear()
+    yield
+    spectral._plan.cache_clear()
+
+
 def plane_nodes(sys, n):
     """n x n Gauss-Legendre nodes of the plane truncated at tail 1e-8."""
     R = truncation_radius(sys.B)
@@ -435,7 +445,7 @@ class TestProjector:
         for k in range(6):
             assert_matches_dense_kernel(sys, k, (-3.0, 5.0, -1.0, 2.0))
 
-    def test_coarser_c_grid_misses_dense_kernel(self, monkeypatch, landau, alt):
+    def test_coarser_c_grid_misses_dense_kernel(self, monkeypatch, fresh_plans, landau, alt):
         # negative control: a c-grid step 1.3x coarser aliases e^{2iBc(y - y')}
         c_grid = spectral._c_grid
 
@@ -450,7 +460,7 @@ class TestProjector:
                 assert dense_miss(sys, k, k) > 1e-2
                 assert spectral._plan.cache_info().misses == misses + 1  # no plan of the finer grid
 
-    def test_halved_reach_misses_dense_kernel(self, monkeypatch, landau, alt):
+    def test_halved_reach_misses_dense_kernel(self, monkeypatch, fresh_plans, landau, alt):
         # negative control: one reach d bounds both the c-grid and the band.  At d / 2 the
         # dropped psi_k tails miss the dense kernel by 1e-6 at k = 0 and 4e-10 at k = 2, past
         # the 1e-10 the tests above hold (by k = 5 they fall to 2e-11: d is set for round-off)
@@ -480,20 +490,27 @@ class TestProjector:
             for k in (0, 2):
                 assert dense_miss(sys, k, k) <= 1e-10
 
-    def test_plans_are_read_only(self, landau):
+    def test_plans_are_read_only(self, monkeypatch, landau):
         Z, Wt = plane_nodes(landau, 16)
         fvals = np.exp(-np.abs(Z - 0.3) ** 2)
         out = project_on_nodes(landau, 1, fvals, Z, Wt)
         ref = out.tobytes()
         out[:] = 7.0
+        # the second call is one memo hit: the c-grid is part of the plan, not of its key
+        c_grid_calls = []
+        c_grid = spectral._c_grid
+        monkeypatch.setattr(spectral, "_c_grid", lambda *args: c_grid_calls.append(args) or c_grid(*args))
+        info = spectral._plan.cache_info()
         assert project_on_nodes(landau, 1, fvals, Z, Wt).tobytes() == ref
+        after = spectral._plan.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses) and not c_grid_calls
         x, y = Z.real[:, 0], Z.imag[0]
-        c, step = spectral._c_grid(landau.B, 1, x, y)
-        hits = spectral._plan.cache_info().hits
-        key = (landau.B, landau.gauge_k, 1, x.tobytes(), y.tobytes(), c[0], step, c.size, spectral._BLOCK)
-        order, rank, u, fine, blocks = spectral._plan(*key)
-        assert spectral._plan.cache_info().hits == hits + 1  # the plan the calls above used
-        for table in (order, rank, u, fine, *(t for block in blocks for t in block[2:])):
+        order, rank, ubar, phase, fine, blocks = spectral._plan(
+            landau.B, landau.gauge_k, 1, x.tobytes(), y.tobytes(), spectral._BLOCK
+        )
+        assert spectral._plan.cache_info().hits == after.hits + 1  # the plan the calls above used
+        assert order == rank == slice(None)  # quad2d_nodes gives ascending x: no gathers
+        for table in (ubar, phase, fine, *(t for block in blocks for t in block[2:])):
             with pytest.raises(ValueError, match="read-only"):
                 table[...] = 0
 
@@ -578,6 +595,32 @@ class TestProjector:
         with pytest.raises(ValueError, match="node 2 is not finite"):
             project_on_nodes(landau, 1, np.ones(4), Z, np.ones(4))
 
+    @pytest.mark.parametrize("at", [(0, 0), (0, 5), (7, 0), (9, 11), (15, 15)])
+    def test_refused_grid_nodes_name_their_fault(self, landau, at):
+        # a grid that fails the one comparison with x_i + i y_j goes through the checks
+        # that name the fault, in their order: a node that is not finite, then the
+        # shapes of the values, then the product grid
+        Z, Wt = plane_nodes(landau, 16)
+        ones = np.ones(Z.shape)
+        flat = np.ravel_multi_index(at, Z.shape)
+        for bad in (np.nan, complex(Z[at].real, np.inf)):
+            nan = Z.copy()
+            nan[at] = bad
+            with pytest.raises(ValueError, match=f"node {flat} is not finite"):
+                project_on_nodes(landau, 1, ones, nan, Wt)
+            with pytest.raises(ValueError, match=f"node {flat} is not finite"):
+                project_on_nodes(landau, 1, np.ones(3), nan, Wt)
+        x, y = Z[at].real, Z[at].imag
+        for moved in (complex(np.nextafter(x, np.inf), y), complex(x, np.nextafter(y, -np.inf))):  # one ulp
+            off = Z.copy()
+            off[at] = moved
+            with pytest.raises(ValueError, match="not a product grid"):
+                project_on_nodes(landau, 1, ones, off, Wt)
+            with pytest.raises(ValueError, match=re.escape("fvals has shape (16, 15)")):
+                project_on_nodes(landau, 1, ones[:, 1:], off, Wt)
+        with pytest.raises(ValueError, match=re.escape("fvals has shape (16, 1), the nodes Z have shape (16, 16)")):
+            project_on_nodes(landau, 1, ones[:, :1], Z, Wt)
+
     def test_rejects_negative_level(self, landau):
         # a level that is not a nonnegative integer is refused cold and after k = 1 is planned
         Z, Wt = plane_nodes(landau, 8)
@@ -601,6 +644,30 @@ class TestProjector:
         f0, f1 = psi0(Z), psi1(Z)
         assert np.abs(project_on_nodes(landau, 0, f0, Z, Wt) - f0)[inner].max() < 1e-4
         assert np.abs(project_on_nodes(landau, 0, f1, Z, Wt))[inner].max() < 1e-6
+
+
+@dataclass
+class WeightedInnerProduct:
+    """<f, g> = int f conj(g) e^{-nu|z|^2 - mu(|E tau|^2 - |Ebar tau|^2)} dx dy.
+
+    E = z d/dz and Ebar = zbar d/dzbar, so the weight exponent collapses to
+    -B |z|^2 for any pair with constant field B.
+    """
+
+    nu: float
+    mu: float
+    tau: EquivariantMap
+    domain: tuple[float, float, float, float]
+
+    def weight(self, z):
+        expo = -self.nu * np.abs(z) ** 2 - self.mu * (
+            np.abs(z * self.tau.p) ** 2 - np.abs(np.conjugate(z) * self.tau.q) ** 2
+        )
+        return np.exp(expo)
+
+    def __call__(self, f, g, n_quad: int = 64) -> complex:
+        Z, Wt = quad2d_nodes(self.domain, n_quad)
+        return complex(np.sum(f(Z) * np.conjugate(g(Z)) * self.weight(Z) * Wt))
 
 
 class TestWeightedInnerProduct:
