@@ -287,22 +287,17 @@ def _c_grid(B: float, k: int, x: np.ndarray, y: np.ndarray):
 def _plan(B: float, gauge_k: complex, k: int, xb: bytes, yb: bytes, width: int):
     """The read-only tables of ``project_on_nodes`` that do not depend on f, on the nodes x_i + i y_j.
 
-    (order, rank, ubar, phase, fine, blocks): the row order of ascending x and its inverse
-    (``slice(None)`` both when x ascends already), the conjugate of the phase
-    u = e^{-i(phi(z) + B y (x - 2 c[P // 2]))} on the c-grid c of ``_c_grid``, the output phase
-    (B/pi) sqrt(2B) step u, e^{2iBy step r} for r < width, and per block of ``width`` c-columns
+    (order, rank, u, step, fine, blocks): the row order of ascending x and its inverse, the
+    phase u = e^{-i(phi(z) + B y (x - 2 c[P // 2]))} on the c-grid c of ``_c_grid`` and its
+    step, e^{2iBy step r} for r < width, and per block of ``width`` c-columns
     (i0, i1, psi, turn): the sorted rows within d = ``_reach(B, k)`` of some c in the block,
     psi_k(sqrt(2B)(x - c)) on them, 0 where |x - c| > d so that every block width sums the same
     terms, and the block's coarse row of e^{2iByc}.
     """
     x, y = np.frombuffer(xb), np.frombuffer(yb)
     c, step = _c_grid(B, k, x, y)
-    if np.all(x[:-1] <= x[1:]):
-        order = rank = slice(None)
-    else:
-        order = np.argsort(x, kind="stable")
-        rank = np.argsort(order)
-    xs, P, d = x[order], c.size, _reach(B, k)
+    order = np.argsort(x, kind="stable")
+    xs, rank, P, d = x[order], np.argsort(order), c.size, _reach(B, k)
     m0 = P // 2
     u = np.exp(-1j * (2 * (gauge_k * (x[:, None] + 1j * y)).real + B * y * (x[:, None] - 2 * c[m0])))
     # With c = c[m0] + step j, e^{2iB y c[m0]} joins the phase and the rest is e^{i a j},
@@ -319,21 +314,9 @@ def _plan(B: float, gauge_k: complex, k: int, xb: bytes, yb: bytes, width: int):
         i0, i1 = np.searchsorted(xs, cb[0] - d), np.searchsorted(xs, cb[-1] + d, "right")
         dx = xs[i0:i1, None] - cb
         blocks.append((i0, i1, np.where(np.abs(dx) <= d, hermite_function(k, math.sqrt(2 * B) * dx), 0), turns(m - m0)))
-    tables = (u.conjugate(), (B / np.pi) * math.sqrt(2 * B) * step * u, fine)
-    for table in (*tables, *(t for block in blocks for t in block[2:])):
+    for table in (order, rank, u, fine, *(t for block in blocks for t in block[2:])):
         table.setflags(write=False)
-    return order, rank, *tables, tuple(blocks)
-
-
-def _refuse_nodes(Z: np.ndarray, fvals, Wt):
-    """Raise the first fault of nodes that ``project_on_nodes`` refused: a node that is not
-    finite, values off the nodes' shape, else nodes off a product grid."""
-    if (bad := np.flatnonzero(~np.isfinite(Z))).size:
-        raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
-    for name, values in (("fvals", fvals), ("Wt", Wt)):
-        if np.shape(values) != Z.shape:
-            raise ValueError(f"{name} has shape {np.shape(values)}, the nodes Z have shape {Z.shape}")
-    raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
+    return order, rank, u, step, fine, tuple(blocks)
 
 
 def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarray, Wt: np.ndarray) -> np.ndarray:
@@ -356,19 +339,28 @@ def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarr
     """
     k = _level(k)
     Z = np.asarray(Z, dtype=complex)
-    if not (Z.ndim == 2 and np.shape(fvals) == Z.shape and np.shape(Wt) == Z.shape):
-        _refuse_nodes(Z, fvals, Wt)
-    x, y = Z.real[:, 0], Z.imag[0]
-    if not (np.isfinite(x).all() and np.isfinite(y).all() and np.array_equal(Z, x[:, None] + 1j * y)):
-        _refuse_nodes(Z, fvals, Wt)
-    order, rank, ubar, phase, fine, blocks = _plan(float(sys.B), sys.gauge_k, k, x.tobytes(), y.tobytes(), _BLOCK)
-    G = (ubar * fvals * Wt)[order].view(float)
+    if not (
+        Z.ndim == 2
+        and np.shape(fvals) == Z.shape == np.shape(Wt)
+        and np.isfinite(x := Z.real[:, 0]).all()
+        and np.isfinite(y := Z.imag[0]).all()
+        and np.array_equal(Z, x[:, None] + 1j * y)
+    ):
+        if (bad := np.flatnonzero(~np.isfinite(Z))).size:
+            raise ValueError(f"node {bad[0]} is not finite: {Z.flat[bad[0]]}")
+        for name, values in (("fvals", fvals), ("Wt", Wt)):
+            if np.shape(values) != Z.shape:
+                raise ValueError(f"{name} has shape {np.shape(values)}, the nodes Z have shape {Z.shape}")
+        raise ValueError("nodes are not a product grid with x constant along axis 1 and y along axis 0")
+    B = float(sys.B)
+    order, rank, u, step, fine, blocks = _plan(B, sys.gauge_k, k, x.tobytes(), y.tobytes(), _BLOCK)
+    G = (u.conjugate() * fvals * Wt)[order].view(float)
     out = np.zeros((x.size, 2 * y.size))
     for i0, i1, psi, turn in blocks:
         e = fine[: psi.shape[1]] * turn
         e *= np.vecdot(e, (psi.T @ G[i0:i1]).view(complex))[:, None]
         out[i0:i1] += psi @ e.view(float)
-    return phase * out.view(complex)[rank]
+    return (B / np.pi) * math.sqrt(2 * B) * step * u * out.view(complex)[rank]
 
 
 def kernel_invariance_residual(

@@ -505,14 +505,19 @@ class TestProjector:
         after = spectral._plan.cache_info()
         assert (after.hits, after.misses) == (info.hits + 1, info.misses) and not c_grid_calls
         x, y = Z.real[:, 0], Z.imag[0]
-        order, rank, ubar, phase, fine, blocks = spectral._plan(
-            landau.B, landau.gauge_k, 1, x.tobytes(), y.tobytes(), spectral._BLOCK
-        )
+        plan = spectral._plan(landau.B, landau.gauge_k, 1, x.tobytes(), y.tobytes(), spectral._BLOCK)
         assert spectral._plan.cache_info().hits == after.hits + 1  # the plan the calls above used
-        assert order == rank == slice(None)  # quad2d_nodes gives ascending x: no gathers
-        for table in (ubar, phase, fine, *(t for block in blocks for t in block[2:])):
-            with pytest.raises(ValueError, match="read-only"):
-                table[...] = 0
+        # x descending: the row order and its inverse are real permutations, read-only too
+        R = truncation_radius(landau.B)
+        Zd, Wd = quad2d_nodes((R, -R, -R, R), 16)
+        project_on_nodes(landau, 1, np.exp(-np.abs(Zd - 0.3) ** 2), Zd, Wd)
+        xd, yd = Zd.real[:, 0], Zd.imag[0]
+        plan_d = spectral._plan(landau.B, landau.gauge_k, 1, xd.tobytes(), yd.tobytes(), spectral._BLOCK)
+        assert list(plan_d[0]) == list(range(15, -1, -1)) and list(plan_d[1]) == list(range(15, -1, -1))
+        for order, rank, u, step, fine, blocks in (plan, plan_d):
+            for table in (order, rank, u, fine, *(t for block in blocks for t in block[2:])):
+                with pytest.raises(ValueError, match="read-only"):
+                    table[...] = 0
 
     def test_far_plane_matches_dense_kernel(self, landau):
         # B max|z|^2 = 1775, where e^{-B|z|^2 / 2} underflows: the Landau-gauge
