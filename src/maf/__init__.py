@@ -21,7 +21,7 @@ from .equivariant import (
     tau_from_beta,
     xi_rho,
 )
-from .fields import Grid, OneForm, ScalarField, TwoForm, exterior_derivative, line_integral, quad2d, wirtinger
+from .fields import Grid, OneForm, ScalarField, line_integral, quad2d
 from .groups import (
     IDENTITY,
     DiscreteSubgroup,

@@ -24,7 +24,7 @@ from .reports import CheckReport, emit, from_residuals
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3  # a computation broke down (e.g. a non-finite derivative)
+EXIT_NUMERIC = 3  # a computation broke down (a complex gauge integral, a strip field that vanishes)
 
 
 def _join_signed_pairs(argv: list[str]) -> list[str]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
@@ -28,15 +27,12 @@ class SystemConfig:
     gamma: dict
     chi: dict
     grid: dict = field(default_factory=dict)
-    fd_step: float = 1e-4
     seed: int = 0
     rdq: Optional[dict] = None
     highdim: Optional[dict] = None
     name: str = ""
 
     def __post_init__(self):
-        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
-            raise ConfigError(f"fd_step must be finite and positive, got {self.fd_step!r}")
         if unknown := sorted(set(self.grid) - Grid.__dataclass_fields__.keys()):
             raise ConfigError(f"unknown grid key {', '.join(map(repr, unknown))}: a grid has xmin, xmax, nx, ymin, ymax, ny")
 
@@ -51,7 +47,6 @@ class SystemConfig:
                 gamma=d["gamma"],
                 chi=d["chi"],
                 grid=d.get("grid", {}),
-                fd_step=float(d.get("fd_step", 1e-4)),
                 seed=int(d.get("seed", 0)),
                 rdq=d.get("rdq"),
                 highdim=d.get("highdim"),
@@ -111,15 +106,7 @@ def build_system(cfg: SystemConfig) -> MagneticSystem:
         gens = [GroupElement.from_dict(g) for g in cfg.gamma["generators"]]
         gamma = DiscreteSubgroup(gens, cfg.gamma.get("labels", []))
         chi = PseudoCharacter.from_dict(cfg.chi)
-        return MagneticSystem(
-            nu=cfg.nu,
-            mu=cfg.mu,
-            rho=rho,
-            tau=tau,
-            gamma=gamma,
-            chi=chi,
-            fd_step=cfg.fd_step,
-        )
+        return MagneticSystem(nu=cfg.nu, mu=cfg.mu, rho=rho, tau=tau, gamma=gamma, chi=chi)
     except ConfigError:
         raise
     except (KeyError, TypeError) as e:

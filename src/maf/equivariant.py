@@ -161,6 +161,21 @@ def tau_from_beta(rho: Endomorphism, beta: complex) -> EquivariantMap:
     return EquivariantMap(p, q, beta)
 
 
+def equivariance_defects(rho: Endomorphism, tau: EquivariantMap) -> dict[str, complex]:
+    """The coefficients of b, bbar and 1 in tau(g.z) - rho(g).tau(z), g = [a, b], by the
+    coefficient of tau each constrains: p - c [n = 1], q - c [n = -1] and, over 1 - a^n, r - beta.
+
+    Those of z and zbar, p (a - a^n) and q (abar - a^n), vanish with the first two, so the
+    pair is equivariant iff all three vanish; the last always does when n = 0.
+    """
+    n = rho.n
+    return {
+        "p": tau.p - (rho.c if n == 1 else 0),
+        "q": tau.q - (rho.c if n == -1 else 0),
+        "r": tau.r - rho.beta if n else 0j,
+    }
+
+
 def check_equivariance(
     rho: Endomorphism,
     tau: EquivariantMap,

@@ -1,11 +1,10 @@
-"""Scalar fields on C with Wirtinger derivatives, 1-/2-forms, and quadrature.
+"""Scalar fields on C with exact jets, 1-forms, and quadrature.
 
 Conventions: d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2, and the
-area pairing dz ^ dzbar = -2i dx ^ dy.  Finite differences use 5-point
-central stencils with a default step of 1e-4; an FD jet (value, Wirtinger
-derivatives, Laplacian) is one evaluation of the field on all 9 points of
-the stencils.  Every function here takes an ndarray of points and broadcasts
-over it; a scalar point is numpy's 0-d case.
+area pairing dz ^ dzbar = -2i dx ^ dy.  A field is differentiated in one way
+only: its jet (value, Wirtinger derivatives, flat Laplacian) is exact, from
+the field itself.  Every function here takes an ndarray of points and
+broadcasts over it; a scalar point is numpy's 0-d case.
 """
 
 from __future__ import annotations
@@ -15,74 +14,31 @@ from typing import Callable, Optional
 
 import numpy as np
 
-DEFAULT_FD_STEP = 1e-4
-
 ComplexFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
 class ScalarField:
-    """A complex-valued function of z with optional analytic derivatives.
+    """A complex-valued function of z, with its exact jet when it has one.
 
-    ``d_z``/``d_zbar`` are the Wirtinger derivatives; ``lap`` is the flat
-    Laplacian 4 d2/(dz dzbar).  Missing derivatives fall back to finite
-    differences with step ``fd_step``.
-
-    Each callable takes an ndarray of points and returns the values at every
-    point, broadcasting elementwise; it may return a scalar instead when the
-    function is constant.  A scalar point works too, as a 0-d array.  ``jet_fn``,
-    when given, returns all four at once, as ``jet`` does, for a field whose
-    parts share their work.
+    ``func`` gives the values; ``jet``, when given, gives (f, df/dz, df/dzbar, flat
+    Laplacian 4 d2/(dz dzbar)) at once.  Each callable takes an ndarray of points and
+    broadcasts elementwise; it may return a scalar instead when the function is constant.
+    A field without a jet, such as a coefficient of a 1-form, can only be evaluated.
     """
 
     func: ComplexFn
-    d_z: Optional[ComplexFn] = None
-    d_zbar: Optional[ComplexFn] = None
-    lap: Optional[ComplexFn] = None
-    fd_step: float = DEFAULT_FD_STEP
-    jet_fn: Optional[Callable[[np.ndarray], tuple]] = None
+    jet: Optional[Callable[[np.ndarray], tuple]] = None
 
     def __call__(self, z):
         return self.func(z)
 
 
-def _stencil(f: ScalarField, z):
-    """f on the stencils around z from one call of ``f.func``: the arms, (2, 4, *z.shape),
-    at steps 2h, h, -h, -2h along x then y; and f at z itself."""
-    z = np.asarray(z)
-    s = (np.array([[2, 1], [2j, 1j]]) * f.fd_step).reshape((2, 2) + (1,) * z.ndim)
-    arms = np.concatenate([z + s, z - s[:, ::-1]], axis=1)
-    fv = np.broadcast_to(f.func(np.concatenate([arms.reshape((8,) + z.shape), z[None]])), (9,) + z.shape)
-    return fv[:8].reshape(arms.shape), fv[8]
-
-
 def jet(f: ScalarField, z):
-    """(f, df/dz, df/dzbar, flat Laplacian) at the points z; one stencil call supplies what f lacks."""
-    if f.jet_fn is not None:
-        return f.jet_fn(z)
-    exact = f.d_z is not None and f.d_zbar is not None
-    if exact and f.lap is not None:
-        return f.func(z), f.d_z(z), f.d_zbar(z), f.lap(z)
-    arms, fz = _stencil(f, z)
-    if exact:
-        d_z, d_zbar = f.d_z(z), f.d_zbar(z)
-    else:
-        fx, fy = (-arms[:, 0] + 8 * arms[:, 1] - 8 * arms[:, 2] + arms[:, 3]) / (12 * f.fd_step)
-        finite = np.isfinite(fx) & np.isfinite(fy)
-        if not np.all(finite):
-            zs, finite = np.broadcast_arrays(z, finite)
-            raise ArithmeticError(f"non-finite derivative at z={zs[~finite][0]}")
-        d_z, d_zbar = 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-    if f.lap is not None:
-        return fz, d_z, d_zbar, f.lap(z)
-    h = f.fd_step
-    fxx, fyy = (-arms[:, 0] + 16 * arms[:, 1] - 30 * fz + 16 * arms[:, 2] - arms[:, 3]) / (12 * h * h)
-    return fz, d_z, d_zbar, fxx + fyy
-
-
-def wirtinger(f: ScalarField, z):
-    """(df/dz, df/dzbar) at the points z, analytic when available."""
-    return (f.d_z(z), f.d_zbar(z)) if f.d_z is not None and f.d_zbar is not None else jet(f, z)[1:3]
+    """(f, df/dz, df/dzbar, flat Laplacian) at the points z, from f's exact jet."""
+    if f.jet is None:
+        raise TypeError("the field has no jet: it can only be evaluated")
+    return f.jet(z)
 
 
 @dataclass
@@ -91,24 +47,6 @@ class OneForm:
 
     coeff_dz: ScalarField
     coeff_dzbar: ScalarField
-
-
-@dataclass
-class TwoForm:
-    """coeff * dz ^ dzbar."""
-
-    coeff: ScalarField
-
-
-def exterior_derivative(omega: OneForm) -> TwoForm:
-    """d(omega), coefficient of dz ^ dzbar."""
-
-    def coeff(z):
-        dzb_z, _ = wirtinger(omega.coeff_dzbar, z)
-        _, dz_zb = wirtinger(omega.coeff_dz, z)
-        return dzb_z - dz_zb
-
-    return TwoForm(ScalarField(coeff, fd_step=omega.coeff_dz.fd_step))
 
 
 _GL_ORDER = 16
@@ -181,17 +119,14 @@ def _poly_dzbar(p: Poly2) -> Poly2:
     return out
 
 
-def polyexp_field(coeffs: Poly2, alpha: float = 0.0, fd_step: float = DEFAULT_FD_STEP) -> ScalarField:
-    """P(z, zbar) * exp(-alpha |z|^2) with exact Wirtinger derivatives."""
+def polyexp_field(coeffs: Poly2, alpha: float = 0.0) -> ScalarField:
+    """P(z, zbar) * exp(-alpha |z|^2) with its exact jet."""
     p = dict(coeffs)
 
     def gauss(z):
         return np.exp(-alpha * (z * z.conjugate()).real)
 
     # d/dz (P e^{-a z zbar}) = (P_z - a zbar P) e^{-a z zbar}, and symmetrically.
-    p_z = _poly_dz(p)
-    p_zb = _poly_dzbar(p)
-
     def dz_poly(q: Poly2) -> Poly2:
         out = dict(_poly_dz(q))
         for (i, j), c in q.items():
@@ -206,17 +141,13 @@ def polyexp_field(coeffs: Poly2, alpha: float = 0.0, fd_step: float = DEFAULT_FD
             out[key] = out.get(key, 0) - alpha * c
         return out
 
-    q_z = dz_poly(p)
-    q_zb = dzbar_poly(p)
-    q_lap = dz_poly(dzbar_poly(p))
+    q_z, q_zb, q_lap = dz_poly(p), dzbar_poly(p), dz_poly(dzbar_poly(p))
 
-    return ScalarField(
-        func=lambda z: _poly_eval(p, z) * gauss(z),
-        d_z=lambda z: _poly_eval(q_z, z) * gauss(z),
-        d_zbar=lambda z: _poly_eval(q_zb, z) * gauss(z),
-        lap=lambda z: 4 * _poly_eval(q_lap, z) * gauss(z),
-        fd_step=fd_step,
-    )
+    def jet_fn(z):  # the Gaussian once for all four parts
+        g = gauss(z)
+        return _poly_eval(p, z) * g, _poly_eval(q_z, z) * g, _poly_eval(q_zb, z) * g, 4 * _poly_eval(q_lap, z) * g
+
+    return ScalarField(lambda z: _poly_eval(p, z) * gauss(z), jet_fn)
 
 
 @dataclass

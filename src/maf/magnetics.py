@@ -31,28 +31,27 @@ from functools import cached_property
 import numpy as np
 
 from .automorphy import CharacterTable, PseudoCharacter, mixed_factor
-from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, check_equivariance
+from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, equivariance_defects
 from .fields import Grid, OneForm, ScalarField, jet, line_integral
 from .groups import DiscreteSubgroup, GroupElement, inverse_ab
 from .reports import CheckReport, element_dicts, from_element_residuals, from_residuals
 
 GAUGE_IM_TOL = 1e-9
 WORD_LEN = 8  # word length of the chi extension behind chi_table
-CHECK_TOL = 1e-9  # equivariance tolerance a system must meet to be built
+CHECK_TOL = 1e-9  # largest equivariance defect a system may have to be built
 INVARIANCE_TOL = 1e-11  # exact T_g
 
 
 def phase_pullback(f: ScalarField, ks: complex, a=1.0, b=0.0, c=1.0) -> ScalarField:
-    """c e^{2i Re(ks z)} f(a z + b): f pulled back by [a, b] times a linear phase, its derivatives
-    by ``_phase_rule`` from f's jet (exact where f's are)."""
+    """c e^{2i Re(ks z)} f(a z + b): f pulled back by [a, b] times a linear phase, its jet by
+    ``_phase_rule`` from f's."""
     phase = lambda z: c * np.exp(2j * (ks * z).real)
 
     def whole(z):  # the jet from one jet of f
         F, p = jet(f, a * z + b), phase(z)
         return (p * F[0], *(p * d for d in _phase_rule(ks, a, *F)))
 
-    part = lambda i: lambda z: whole(z)[i]
-    return ScalarField(lambda z: phase(z) * f(a * z + b), part(1), part(2), part(3), f.fd_step, whole)
+    return ScalarField(lambda z: phase(z) * f(a * z + b), whole)
 
 
 def _phase_rule(ks: complex, a, F, F_z, F_zb, lap):
@@ -73,12 +72,11 @@ class MagneticSystem:
     tau: EquivariantMap
     gamma: DiscreteSubgroup
     chi: PseudoCharacter
-    fd_step: float = 1e-4
 
     def __post_init__(self):
-        rep = check_equivariance(self.rho, self.tau, tol=CHECK_TOL)
-        if not rep.passed:
-            raise ValueError(f"(rho, tau) is not equivariant: residual {rep.max_residual:.2e}")
+        for name, defect in equivariance_defects(self.rho, self.tau).items():
+            if abs(defect) > CHECK_TOL:
+                raise ValueError(f"(rho, tau) is not equivariant: tau's {name} is off by {abs(defect):.2e}")
         gens = self.gamma.generators
         images = apply_endo_ab(self.rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))
         if not (inside := self.gamma.contains(*images)).all():
@@ -145,8 +143,8 @@ def field_constancy(sys: MagneticSystem, grid: Grid, tol: float = 1e-8) -> Check
 def potential(sys: MagneticSystem) -> OneForm:
     """theta = -(Sbar/2) dz + (S/2) dzbar."""
     return OneForm(
-        coeff_dz=ScalarField(lambda z: -S_field(sys, z).conjugate() / 2, fd_step=sys.fd_step),
-        coeff_dzbar=ScalarField(lambda z: S_field(sys, z) / 2, fd_step=sys.fd_step),
+        coeff_dz=ScalarField(lambda z: -S_field(sys, z).conjugate() / 2),
+        coeff_dzbar=ScalarField(lambda z: S_field(sys, z) / 2),
     )
 
 
@@ -174,8 +172,8 @@ def apply_landau(B: float, f: ScalarField, z):
 def representation(sys: MagneticSystem, a, b, f: ScalarField) -> ScalarField:
     """[T_g f](z) = conj(J0(g, z)) f(g.z) for g = [a, b], J0 the character-free factor; exact.
 
-    T_g f = c e^{-2i Re(K z)} (f o g) (``_conj_j0``, ``phase_pullback``) has every derivative
-    that f has.  a and b broadcast against the points (e.g. (G, 1) columns); any element will do.
+    T_g f = c e^{-2i Re(K z)} (f o g) (``_conj_j0``, ``phase_pullback``) carries a jet when
+    f does.  a and b broadcast against the points (e.g. (G, 1) columns); any element will do.
     """
     K, c = _conj_j0(sys, a, b)
     return phase_pullback(f, -K, a, b, c)
@@ -215,8 +213,8 @@ def _dphi(sys: MagneticSystem) -> OneForm:
         return -0.5j * (B * z.conjugate() - S_field(sys, z).conjugate())
 
     return OneForm(
-        coeff_dz=ScalarField(phi_z, fd_step=sys.fd_step),
-        coeff_dzbar=ScalarField(lambda z: phi_z(z).conjugate(), fd_step=sys.fd_step),
+        coeff_dz=ScalarField(phi_z),
+        coeff_dzbar=ScalarField(lambda z: phi_z(z).conjugate()),
     )
 
 

@@ -166,7 +166,7 @@ def strip_eigenfunction(basis: SpectralBasis, sys: MagneticSystem, m, n: int) ->
         lap = 4 * e * ((P * Q - B / 2) * h + 1j * c * (P - Q) * h1 + c * c * h2)
         return e * h, e * (P * h - 1j * c * h1), e * (Q * h + 1j * c * h1), lap
 
-    return ScalarField(lambda z: E(z) * hermite(m, t(z)), fd_step=sys.fd_step, jet_fn=jet_fn)
+    return ScalarField(lambda z: E(z) * hermite(m, t(z)), jet_fn)
 
 
 def rayleigh_quotient(sys: MagneticSystem, f: ScalarField, points) -> complex | np.ndarray:
@@ -228,7 +228,7 @@ def kernel_field(sys: MagneticSystem, k: int, w: complex, laguerre_scale=1.0) ->
         g2 = e * ((B / 2) ** 2 * L - B * sb * L1 + sb**2 * L2)
         return e * L, d.conjugate() * g1, d * g1, 4 * (g1 + rho * g2)
 
-    G = ScalarField(lambda d: g_jet(d)[0], fd_step=sys.fd_step, jet_fn=g_jet)
+    G = ScalarField(lambda d: g_jet(d)[0], g_jet)
     ks, c = -sys.gauge_k - 0.5j * B * np.conj(w), (B / np.pi) * np.exp(1j * _phi(sys, w))
     return phase_pullback(G, ks, 1.0, -w, c)
 

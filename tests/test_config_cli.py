@@ -435,15 +435,17 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["report", "highdim"])
     def test_fd_step_changes_no_output(self, capsys, tmp_path, command):
-        # no command differentiates numerically, so the step changes no byte of the output
+        # a config that still carries "fd_step" (perfbench/p6.json does) loads, and its value,
+        # which no command reads, changes no byte of the output
         assert main([command, "--config", "landau"]) == 0
         want = capsys.readouterr().out
         data = json.loads((resources.files("maf") / "configs" / "landau.json").read_text())
-        data["fd_step"] = 3e-3
-        p = tmp_path / "sys.json"
-        p.write_text(json.dumps(data))
-        assert main([command, "--config", str(p)]) == 0
-        assert capsys.readouterr().out == want
+        for step in (3e-3, -1.0):
+            data["fd_step"] = step
+            p = tmp_path / "sys.json"
+            p.write_text(json.dumps(data))
+            assert main([command, "--config", str(p)]) == 0
+            assert capsys.readouterr().out == want
 
     @pytest.mark.parametrize("step", ["nan", "1e-2"])
     def test_fd_step_env_is_not_read(self, capsys, monkeypatch, step):
@@ -491,19 +493,6 @@ class TestCli:
             argv = shlex.split(line)[1:]
             assert main(argv) == 0, line
             capsys.readouterr()
-
-    @pytest.mark.parametrize("step", [float("nan"), float("inf"), 0.0, -1.0])
-    def test_bad_fd_step_file_is_config_error(self, capsys, tmp_path, step):
-        from importlib import resources
-
-        data = json.loads((resources.files("maf") / "configs" / "conjugate.json").read_text())
-        data["fd_step"] = step
-        p = tmp_path / "sys.json"
-        p.write_text(json.dumps(data))
-        for command in COMMANDS:
-            assert main([command, "--config", str(p)]) == 2, command
-            err = capsys.readouterr().err
-            assert "fd_step must be finite and positive" in err and "malformed config value" not in err
 
     def test_fixed_invariance_element(self, capsys):
         assert main(["invariance", "--config", "conjugate", "--g", "0,1,1,0"]) == 0

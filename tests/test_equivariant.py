@@ -11,11 +11,13 @@ from maf.equivariant import (
     apply_endo,
     apply_endo_ab,
     check_equivariance,
+    equivariance_defects,
     homomorphism_report,
     tau_from_beta,
     xi_rho,
 )
 from maf.groups import GroupElement, act, compose, distance, inverse
+from maf.magnetics import CHECK_TOL
 from maf.reports import from_residuals
 from test_groups import random_elements
 
@@ -313,6 +315,17 @@ class TestNormalFormProperties:
         assert homomorphism_report_oracle(rho).passed
         assert check_equivariance(rho, tau_from_beta(rho, rho.beta)).passed
         assert same_fixed_point(xi_rho(rho), xi_rho_oracle(rho))
+
+    @given(valid_triples(), st.sampled_from("pqr"), st.sampled_from([0.0, 1e-6, 1e-6j, 0.5]))
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_exact_verdict_equals_sampled(self, rho, name, nudge):
+        # the build decides equivariance from the normal forms; the sampled check agrees,
+        # on the canonical tau and on each coefficient of it nudged
+        tau = tau_from_beta(rho, rho.beta)
+        setattr(tau, name, getattr(tau, name) + nudge)
+        exact = all(abs(d) <= CHECK_TOL for d in equivariance_defects(rho, tau).values())
+        assert exact == check_equivariance(rho, tau, tol=CHECK_TOL).passed
+        assert exact == (nudge == 0 or (name == "r" and rho.n == 0))
 
     @given(st.sampled_from([-3, -2, 0, 2, 3]), points.filter(lambda c: abs(c) > 0.1), points)
     @settings(max_examples=40, deadline=None, derandomize=True)

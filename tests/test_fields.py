@@ -1,91 +1,64 @@
 import numpy as np
 import pytest
+from oracles import exterior_derivative, oracle_jet, oracle_laplacian, oracle_wirtinger
 
 from maf.fields import (
     Grid,
     OneForm,
     ScalarField,
-    exterior_derivative,
     jet,
     line_integral,
     polyexp_field,
     quad2d,
-    wirtinger,
 )
 
 
 class TestWirtinger:
+    """The oracle's Wirtinger derivatives and Laplacian of value-only functions."""
+
     def test_holomorphic_identity(self):
-        f = ScalarField(lambda z: z)
-        dz, dzb = wirtinger(f, 0.7 - 0.2j)
+        dz, dzb = oracle_wirtinger(lambda z: z, 0.7 - 0.2j)
         assert abs(dz - 1) < 1e-9 and abs(dzb) < 1e-9
 
     def test_antiholomorphic(self):
-        f = ScalarField(lambda z: z.conjugate())
-        dz, dzb = wirtinger(f, 1 + 1j)
+        dz, dzb = oracle_wirtinger(lambda z: z.conjugate(), 1 + 1j)
         assert abs(dz) < 1e-9 and abs(dzb - 1) < 1e-9
 
     def test_modulus_squared(self):
-        f = ScalarField(lambda z: abs(z) ** 2)
-        dz, dzb = wirtinger(f, 1 + 1j)
+        dz, dzb = oracle_wirtinger(lambda z: abs(z) ** 2, 1 + 1j)
         assert abs(dz - (1 - 1j)) < 1e-8
         assert abs(dzb - (1 + 1j)) < 1e-8
 
     def test_analytic_fast_path(self):
-        f = ScalarField(lambda z: z**2, d_z=lambda z: 2 * z, d_zbar=lambda z: 0.0)
-        assert wirtinger(f, 3 + 1j) == (6 + 2j, 0.0)
+        # a field's derivatives are its jet's, taken as they are
+        f = ScalarField(lambda z: z**2, lambda z: (z**2, 2 * z, 0.0, 0.0))
+        assert jet(f, 3 + 1j)[1:3] == (6 + 2j, 0.0)
+
+    def test_value_only_field_has_no_jet(self):
+        f = ScalarField(lambda z: abs(z) ** 2)
+        assert f(2.0) == 4.0
+        with pytest.raises(TypeError, match="no jet"):
+            jet(f, 0.5 + 2j)
 
     def test_fd_order(self):
         # halving the step shrinks the error roughly 16x for a 5-point stencil
         errs = []
         for h in (1e-2, 5e-3):
-            f = ScalarField(lambda z: np.exp(z + 0.5 * z.conjugate() ** 2), fd_step=h)
-            dz, _ = wirtinger(f, 0.3 + 0.4j)
+            dz, _ = oracle_wirtinger(lambda z: np.exp(z + 0.5 * z.conjugate() ** 2), 0.3 + 0.4j, h)
             exact = np.exp(0.3 + 0.4j + 0.5 * (0.3 - 0.4j) ** 2)
             errs.append(abs(dz - exact))
         if errs[1] > 1e-14:  # above roundoff floor
             assert errs[0] / errs[1] > 4
 
     def test_array_matches_points(self):
-        f = ScalarField(lambda z: np.exp(z) * z.conjugate() ** 2)
+        f = lambda z: np.exp(z) * z.conjugate() ** 2
         zs = np.array([0.3 + 0.4j, -1.0 + 0.2j, 0.7 - 0.9j])
-        dz, dzb = wirtinger(f, zs)
+        dz, dzb = oracle_wirtinger(f, zs)
         for i, z in enumerate(zs):
-            assert (dz[i], dzb[i]) == pytest.approx(wirtinger(f, z), rel=1e-12)
-
-    def test_nonfinite_names_first_bad_point(self):
-        f = ScalarField(lambda z: np.where(abs(z - 0.5) < 0.1, np.nan, z))
-        with pytest.raises(ArithmeticError, match=r"non-finite derivative at z=\(0\.5\+0j\)"):
-            wirtinger(f, np.array([0.0, 0.5, 0.55, 2.0], dtype=complex))
+            assert (dz[i], dzb[i]) == pytest.approx(oracle_wirtinger(f, z), rel=1e-12)
 
     def test_laplacian(self):
-        f = ScalarField(lambda z: abs(z) ** 2)
-        assert abs(jet(f, 0.5 + 2j)[3] - 4) < 1e-6
-
-
-def oracle_wirtinger(f, z):
-    """The per-call 5-point stencil: 8 calls of f, one per shifted point."""
-    h = f.fd_step
-    fn = f.func
-    fx = (-fn(z + 2 * h) + 8 * fn(z + h) - 8 * fn(z - h) + fn(z - 2 * h)) / (12 * h)
-    ih = 1j * h
-    fy = (-fn(z + 2 * ih) + 8 * fn(z + ih) - 8 * fn(z - ih) + fn(z - 2 * ih)) / (12 * h)
-    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-
-def oracle_laplacian(f, z):
-    """The per-call 5-point stencil for f_xx + f_yy: 9 calls of f."""
-    h = f.fd_step
-    fn = f.func
-    fz = fn(z)
-    fxx = (
-        -fn(z + 2 * h) + 16 * fn(z + h) - 30 * fz + 16 * fn(z - h) - fn(z - 2 * h)
-    ) / (12 * h * h)
-    ih = 1j * h
-    fyy = (
-        -fn(z + 2 * ih) + 16 * fn(z + ih) - 30 * fz + 16 * fn(z - ih) - fn(z - 2 * ih)
-    ) / (12 * h * h)
-    return fxx + fyy
+        assert abs(oracle_laplacian(lambda z: abs(z) ** 2, 0.5 + 2j) - 4) < 1e-6
 
 
 def same_bits(got, want) -> bool:
@@ -95,17 +68,42 @@ def same_bits(got, want) -> bool:
     return got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
+def _polyexp_jet(z):
+    e, zb = np.exp(z), np.conj(z)
+    return e * zb**2, e * zb**2, 2 * e * zb, 8 * e * zb
+
+
+def _gaussian_phase_jet(z):
+    # f = e^{-0.7 z zbar + 0.15 (z - zbar)}, so f_z = P f and f_zbar = Q f with dbar P = -0.7
+    f = np.exp(-0.7 * abs(z) ** 2 + 1j * (0.3 * z).imag)
+    P, Q = 0.15 - 0.7 * np.conj(z), -0.15 - 0.7 * z
+    return f, P * f, Q * f, 4 * (P * Q - 0.7) * f
+
+
+def _exp_jet(z):
+    f = np.exp(z - 0.3 * np.conj(z))
+    return f, f, -0.3 * f, -1.2 * f
+
+
+# value-only functions and their closed-form jets
 STENCIL_FIELDS = {
-    "polyexp": lambda z: np.exp(z) * z.conjugate() ** 2,
-    "modulus": lambda z: abs(z) ** 2,
-    "gaussian_phase": lambda z: np.exp(-0.7 * abs(z) ** 2 + 1j * (0.3 * z).imag),
-    "exp": lambda z: np.exp(z - 0.3 * z.conjugate()),
-    "constant": lambda z: 2.5 - 1j,
+    "polyexp": (lambda z: np.exp(z) * z.conjugate() ** 2, _polyexp_jet),
+    "modulus": (lambda z: abs(z) ** 2, lambda z: (abs(z) ** 2, np.conj(z), z, 4.0)),
+    "gaussian_phase": (lambda z: np.exp(-0.7 * abs(z) ** 2 + 1j * (0.3 * z).imag), _gaussian_phase_jet),
+    "exp": (lambda z: np.exp(z - 0.3 * z.conjugate()), _exp_jet),
+    "constant": (lambda z: 2.5 - 1j, lambda z: (2.5 - 1j, 0.0, 0.0, 0.0)),
 }
 STENCIL_POINTS = {
     "array": np.array([0.3 + 0.4j, -1.0 + 0.2j, 0.7 - 0.9j, 0.0, -0.0 - 2.0j]),
     "grid": Grid(-2.0, 2.0, 9, -2.0, 2.0, 9).points().reshape(9, 9),
 }
+
+
+def stencil_tols(f, z, h):
+    """Truncation h^4 plus round-off eps/h (derivatives) and eps/h^2 (Laplacian), 30x, per max |f|."""
+    scale = 30 * np.max(np.abs(f(np.asarray(z))))
+    eps = np.finfo(float).eps
+    return scale * (eps / h + h**4), scale * (eps / h + h**4), scale * (eps / h**2 + h**4)
 
 
 def counted(fn, calls):
@@ -117,66 +115,58 @@ def counted(fn, calls):
 
 
 class TestStencil:
-    """One evaluation of the field per jet, equal to the per-call stencil bit for bit."""
+    """The per-call stencil, the one finite-difference oracle, against closed-form jets."""
 
     @pytest.mark.parametrize("pts", STENCIL_POINTS)
     @pytest.mark.parametrize("name", STENCIL_FIELDS)
     @pytest.mark.parametrize("h", [1e-4, 3e-3])
     def test_matches_per_call_stencil(self, name, pts, h):
-        calls = []
-        f = ScalarField(counted(STENCIL_FIELDS[name], calls), fd_step=h)
-        z = STENCIL_POINTS[pts]
-        want_dz, want_dzb = oracle_wirtinger(f, z)
-        want_lap = oracle_laplacian(f, z)
-        calls.clear()
-        val, dz, dzb, lap = jet(f, z)
-        assert calls == [(9, *z.shape)]
-        assert same_bits(val, f(z))
-        assert same_bits(dz, want_dz) and same_bits(dzb, want_dzb)
-        assert same_bits(lap, want_lap)
-        dz, dzb = wirtinger(f, z)
-        assert same_bits(dz, want_dz) and same_bits(dzb, want_dzb)
+        func, exact = STENCIL_FIELDS[name]
+        f, z = ScalarField(func, exact), STENCIL_POINTS[pts]
+        val, *parts = jet(f, z)
+        want_val, *want = oracle_jet(func, z, h)
+        assert same_bits(val, want_val)
+        for got, w, tol in zip(parts, want, stencil_tols(func, z, h), strict=True):
+            assert np.max(np.abs(got - w)) <= tol
 
     @pytest.mark.parametrize("name", STENCIL_FIELDS)
     @pytest.mark.parametrize("h", [1e-4, 3e-3])
     def test_zero_d_point(self, name, h):
-        calls = []
-        f = ScalarField(counted(STENCIL_FIELDS[name], calls), fd_step=h)
+        func, exact = STENCIL_FIELDS[name]
+        f = ScalarField(func, exact)
         eps = np.finfo(float).eps
         for z in map(np.asarray, (0.3 + 0.4j, -1.1 + 0.25j, 0.7 - 0.9j)):
-            calls.clear()
             got = jet(f, z)
-            assert calls == [(9,)] and all(np.shape(v) == () for v in got)
-            _, dz, dzb, lap = got
-            # the stencil arithmetic of the one-point array, to the bit
-            want = (*oracle_wirtinger(f, z.reshape(1)), oracle_laplacian(f, z.reshape(1)))
-            assert all(same_bits(np.reshape(g, 1), w) for g, w in zip((dz, dzb, lap), want))
-            assert all(same_bits(np.reshape(g, 1), w) for g, w in zip(wirtinger(f, z), want))
-            # the per-call stencil on the 0-d point evaluates f on numpy scalars,
-            # whose abs and complex products may round the last bit otherwise
-            # (exp agrees); 4 ulp of f through the weights 1.5/h and 10.7/h^2
-            scale = 4 * eps * np.max(np.abs(f(z + 2 * h * np.array([1, -1, 1j, -1j, 0]))))
-            want0 = (*oracle_wirtinger(f, z), oracle_laplacian(f, z))
-            for g, w, tol in zip((dz, dzb, lap), want0, (1.5 / h, 1.5 / h, 10.7 / h**2)):
-                assert abs(g - w) <= tol * scale
+            assert all(np.shape(v) == () for v in got)
+            want = oracle_jet(func, z, h)
+            for g, w, tol in zip(got[1:], want[1:], stencil_tols(func, z, h)):
+                assert np.shape(w) == () and abs(g - w) <= tol
+            # the oracle on the 0-d point evaluates f on numpy scalars, whose abs and complex
+            # products may round the last bit otherwise than on the one-point array (exp
+            # agrees); 4 ulp of f through the weights 1.5/h and 10.7/h^2
+            scale = 4 * eps * np.max(np.abs(func(z + 2 * h * np.array([1, -1, 1j, -1j, 0]))))
+            one = oracle_jet(func, z.reshape(1), h)
+            for g, w, tol in zip(want[1:], one[1:], (1.5 / h, 1.5 / h, 10.7 / h**2)):
+                assert abs(g - np.ravel(w)[0]) <= tol * scale
                 if name in ("exp", "constant"):
-                    assert same_bits(g, w)
+                    assert same_bits(np.reshape(g, 1), w)
 
     def test_analytic_parts_come_from_the_field(self):
+        # one call of the field's jet gives all four parts, its value part the field's value
         exact = polyexp_field({(1, 1): 1.0, (0, 2): 0.5j}, alpha=0.4)
         z = STENCIL_POINTS["array"]
         calls = []
-        func = counted(exact.func, calls)
-        assert all(same_bits(a, b) for a, b in zip(jet(exact, z), (exact(z), *wirtinger(exact, z), exact.lap(z))))
-        # derivatives exact, Laplacian by FD: still one stencil evaluation
-        f = ScalarField(func, exact.d_z, exact.d_zbar)
-        val, dz, dzb, lap = jet(f, z)
-        assert calls == [(9, *z.shape)]
-        assert same_bits(dz, exact.d_z(z)) and same_bits(dzb, exact.d_zbar(z))
-        assert same_bits(lap, oracle_laplacian(f, z)) and same_bits(val, exact(z))
+        f = ScalarField(counted(exact.func, calls), counted(exact.jet, calls))
+        val, *parts = jet(f, z)
+        assert calls == [z.shape]
+        assert same_bits(val, exact(z))
+        for got, want in zip(parts, exact.jet(z)[1:], strict=True):
+            assert same_bits(got, want)
 
 
 class TestExteriorDerivative:
+    """The oracle's d of a 1-form."""
+
     def test_exact_form_closes(self):
         # d(df) = 0 for f = z zbar
         omega = OneForm(
@@ -267,13 +257,12 @@ class TestQuad2d:
 class TestPolyexpField:
     def test_derivatives_match_fd(self):
         f = polyexp_field({(2, 1): 1.5, (0, 0): 1j}, alpha=0.5)
-        g = ScalarField(f.func)  # finite-difference twin
-        for z in (0.3 + 0.4j, -1.1 + 0.9j, 2.0 - 0.5j):
-            dz_a, dzb_a = f.d_z(z), f.d_zbar(z)
-            dz_n, dzb_n = wirtinger(g, z)
-            assert abs(dz_a - dz_n) < 1e-6
-            assert abs(dzb_a - dzb_n) < 1e-6
-            assert abs(f.lap(z) - jet(g, z)[3]) < 1e-4
+        for z in (0.3 + 0.4j, -1.1 + 0.9j, 2.0 - 0.5j, np.array([0.3 + 0.4j, -1.1 + 0.9j])):
+            (val, dz_a, dzb_a, lap_a), (_, dz_n, dzb_n, lap_n) = jet(f, z), oracle_jet(f, z)
+            assert same_bits(val, f(z))
+            assert np.max(abs(dz_a - dz_n)) < 1e-6
+            assert np.max(abs(dzb_a - dzb_n)) < 1e-6
+            assert np.max(abs(lap_a - lap_n)) < 1e-4
 
     def test_gaussian_value(self):
         f = polyexp_field({(0, 0): 1.0}, alpha=0.5)

@@ -2,11 +2,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import exterior_derivative, fd_field, oracle_jet, oracle_wirtinger
 
 from maf import magnetics
 from maf.automorphy import mixed_factor_nochi
 from maf.config import build_system, load_bundled, load_config
-from maf.fields import Grid, ScalarField, exterior_derivative, jet, polyexp_field
+from maf.fields import Grid, ScalarField, jet, polyexp_field
 from maf.groups import IDENTITY, GroupElement, act, random_ab
 from maf.magnetics import (
     S_field,
@@ -26,6 +27,7 @@ from maf.magnetics import (
     phase_pullback,
     potential,
     representation,
+    value_and_mixed_laplacian,
     w_transform,
 )
 
@@ -66,9 +68,24 @@ def probe(B, extra=None):
     return polyexp_field(coeffs, alpha=B / 2)
 
 
+def covariant_laplacian(sys, f, z, h=1e-3):
+    """The mixed Laplacian of an affine tau from its definition, 2 (D Dbar + Dbar D) f with
+    D = d - Sbar/2, Dbar = dbar + S/2 and S = nu z + mu (tau dbar(tau bar) - tau bar dbar(tau)),
+    every derivative, tau's included, by the stencil: the oracle of ``_mixed``."""
+
+    def S(w):
+        dbar_taubar = oracle_wirtinger(lambda u: np.conj(sys.tau(u)), w, h)[1]
+        dbar_tau = oracle_wirtinger(sys.tau, w, h)[1]
+        return sys.nu * w + sys.mu * (sys.tau(w) * dbar_taubar - np.conj(sys.tau(w)) * dbar_tau)
+
+    d = lambda g: lambda w: oracle_wirtinger(g, w, h)[0] - np.conj(S(w)) / 2 * g(w)
+    dbar = lambda g: lambda w: oracle_wirtinger(g, w, h)[1] + S(w) / 2 * g(w)
+    return 2 * (d(dbar(f))(z) + dbar(d(f))(z))
+
+
 class TestLinearPhaseMultiply:
     def test_value(self):
-        f = ScalarField(lambda z: 1.0, d_z=lambda z: 0.0, d_zbar=lambda z: 0.0, lap=lambda z: 0.0)
+        f = ScalarField(lambda z: 1.0, lambda z: (1.0, 0.0, 0.0, 0.0))
         g = phase_pullback(f, 0.5j)
         z = 1 + 2j
         assert abs(g(z) - np.exp(2j * (0.5j * z).real)) < 1e-14
@@ -77,14 +94,11 @@ class TestLinearPhaseMultiply:
         k = 0.3 - 0.1j
         f = polyexp_field({(1, 0): 1.0}, alpha=0.5)
         g = phase_pullback(f, k)
-        h = ScalarField(g.func)  # finite-difference twin
-        from maf.fields import jet, wirtinger
-
         for z in (0.4 + 0.2j, -0.7 + 1.1j):
-            dz_n, dzb_n = wirtinger(h, z)
-            assert abs(g.d_z(z) - dz_n) < 1e-6
-            assert abs(g.d_zbar(z) - dzb_n) < 1e-6
-            assert abs(g.lap(z) - jet(h, z)[3]) < 1e-4
+            (_, dz, dzb, lap), (_, dz_n, dzb_n, lap_n) = jet(g, z), oracle_jet(g, z)
+            assert abs(dz - dz_n) < 1e-6
+            assert abs(dzb - dzb_n) < 1e-6
+            assert abs(lap - lap_n) < 1e-4
 
     def test_inverse_sign(self):
         f = polyexp_field({(0, 0): 1.0}, alpha=0.5)
@@ -145,7 +159,7 @@ class TestLandauOperator:
 
     def test_constant_function(self):
         B = 2.0
-        one = ScalarField(lambda z: 1.0, d_z=lambda z: 0.0, d_zbar=lambda z: 0.0, lap=lambda z: 0.0)
+        one = ScalarField(lambda z: 1.0, lambda z: (1.0, 0.0, 0.0, 0.0))
         z = 1 + 0.5j
         assert abs(apply_landau(B, one, z) + B**2 * abs(z) ** 2) < 1e-12
 
@@ -154,26 +168,40 @@ class TestLandauOperator:
         for z in (0.3 + 0.3j, -0.8 - 0.2j):
             assert abs(apply_mixed_laplacian(landau, f, z) - apply_landau(landau.nu, f, z)) < 1e-10
 
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", "p6"])
+    def test_mixed_laplacian_is_the_covariant_one(self, name):
+        # value_and_mixed_laplacian on the exact jets of f, T_g f and W f, against the
+        # operator's definition on their values
+        sys = config_system(name)
+        pts = SMALL.points()
+        f = probe(sys.B, extra={(2, 0): 0.4})
+        g = ORACLE_ELEMENTS[0]
+        for field in (f, representation(sys, g.a, g.b, f), w_transform(sys, f)):
+            val, lap = value_and_mixed_laplacian(sys, field, pts)
+            assert np.max(np.abs(val - field(pts))) <= 1e-15
+            assert np.max(np.abs(lap - covariant_laplacian(sys, field, pts))) <= 1e-7 * np.max(np.abs(lap))
+
     @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration"])
     def test_one_field_evaluation_per_operator(self, name):
-        # an FD-only field is sampled once on its stencil, not once per shifted point
+        # each operator takes one jet of its field on all the points, and agrees with the
+        # operator on the field's finite-difference twin
         sys = build_system(load_bundled(name))
         exact = probe(sys.B)
         calls = []
 
-        def func(z):
+        def exact_jet(z):
             calls.append(np.shape(z))
-            return exact(z)
+            return exact.jet(z)
 
-        f = ScalarField(func, fd_step=1e-3)
+        f, twin = ScalarField(exact.func, exact_jet), fd_field(exact.func, 1e-3)
         pts = SMALL.points()
         mixed = apply_mixed_laplacian(sys, f, pts)
-        assert calls == [(9, *pts.shape)]
-        assert np.max(np.abs(mixed - apply_mixed_laplacian(sys, exact, pts))) < 1e-5
+        assert calls == [pts.shape]
+        assert np.max(np.abs(mixed - apply_mixed_laplacian(sys, twin, pts))) < 1e-5
         calls.clear()
         landau_val = apply_landau(sys.B, f, pts)
-        assert calls == [(9, *pts.shape)]
-        assert np.max(np.abs(landau_val - apply_landau(sys.B, exact, pts))) < 1e-5
+        assert calls == [pts.shape]
+        assert np.max(np.abs(landau_val - apply_landau(sys.B, twin, pts))) < 1e-5
 
 
 def fd_representation(sys, g, f):
@@ -183,7 +211,7 @@ def fd_representation(sys, g, f):
     def func(z):
         return mixed_factor_nochi(sys.nu, sys.mu, sys.rho, sys.tau, g.a, g.b, z).conjugate() * f(act(g, z))
 
-    return ScalarField(func, fd_step=f.fd_step)
+    return fd_field(func)
 
 
 ORACLE_ELEMENTS = [GroupElement(np.exp(0.9j), 0.5 - 0.5j), GroupElement(-1j, -1.2 + 0.3j), IDENTITY]
@@ -387,6 +415,36 @@ class TestSystemValidation:
                 conj.gamma, conj.chi,
             )
 
+    @pytest.mark.parametrize("config", ["landau", "conjugate", "alteration", "p6"])
+    @pytest.mark.parametrize("name", ["p", "q", "r"])
+    def test_nudged_coefficient_is_refused_by_name(self, capsys, tmp_path, config, name):
+        # tau's coefficient off by 1e-6: the build names it, and every command that builds the
+        # planar system exits 2 (highdim builds none)
+        import json
+
+        from maf.cli import COMMANDS, main
+
+        path = P6_CONFIG if config == "p6" else Path(magnetics.__file__).parent / "configs" / f"{config}.json"
+        data = json.loads(path.read_text())
+        tau = config_system(config).tau
+        coeffs = {c: complex(getattr(tau, c)) + (1e-6 if c == name else 0) for c in "pqr"}
+        data["tau"] = {"kind": "affine", **{c: [v.real, v.imag] for c, v in coeffs.items()}}
+        p = tmp_path / "sys.json"
+        p.write_text(json.dumps(data))
+        for command in sorted(set(COMMANDS) - {"highdim"}):
+            assert main([command, "--config", str(p)]) == 2, command
+            err = capsys.readouterr().err
+            assert "not equivariant" in err and f"tau's {name} is off by 1.00e-06" in err
+
+    @pytest.mark.parametrize("config", ["landau", "conjugate", "alteration", "p6"])
+    def test_build_draws_no_random_sample(self, monkeypatch, config):
+        # equivariance is decided from the normal forms, so building a system draws nothing
+        def no_rng(*args, **kwargs):
+            raise AssertionError("the build drew a random sample")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        assert config_system(config).B > 0
+
     def test_rejects_escaping_subgroup(self, conj):
         from maf.groups import DiscreteSubgroup
         from maf.magnetics import MagneticSystem
@@ -413,7 +471,7 @@ def scalar_intertwining(sys, f, grid, B):
 
 
 def scalar_invariance(sys, g, f, grid):
-    lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z), fd_step=sys.fd_step)
+    lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z))
     t_lap = representation(sys, g.a, g.b, lap_f)
     t_f = representation(sys, g.a, g.b, f)
     return [abs(t_lap(z) - apply_mixed_laplacian(sys, t_f, z)) for z in grid.points()]

@@ -68,21 +68,30 @@ def test_trace_counters_bind_by_name(target):
     ids=["landau", "conjugate", "alteration", "p6"],
 )
 def test_report_takes_no_stencil(capsys, monkeypatch, config):
-    # every check has exact derivatives, so maf report takes no finite difference
-    import numpy as np
-
+    # maf report differentiates, and every field it differentiates carries its exact jet
     import maf.cli
-    import maf.fields
+    import maf.magnetics
 
-    calls = []
-    real = maf.fields._stencil
-    monkeypatch.setattr(maf.fields, "_stencil", lambda *a: calls.append(a) or real(*a))
+    fields = []
+    real = maf.magnetics.jet
+    monkeypatch.setattr(maf.magnetics, "jet", lambda f, z: fields.append(f) or real(f, z))
     assert maf.cli.main(["report", "--config", config]) == 0
     capsys.readouterr()
-    assert calls == []
-    # a field without derivatives goes through the stencil, so the spy does see it
-    maf.fields.jet(maf.fields.ScalarField(lambda z: z * np.conj(z)), np.array([0.3 + 0.1j]))
-    assert len(calls) == 1
+    assert fields and all(f.jet is not None for f in fields)
+
+
+def test_src_defines_no_stencil_and_reads_no_fd_step():
+    # a field is differentiated by its exact jet only; the finite-difference stencil is the
+    # tests' oracle (tests/oracles.py), and no module or bundled config takes a step
+    import maf
+
+    package = Path(maf.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        source = path.read_text()
+        names = [n.name for n in ast.walk(ast.parse(source)) if isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+        assert [n for n in names if "stencil" in n.lower() or "wirtinger" in n.lower()] == [], path.name
+        assert "fd_step" not in source and "FD_STEP" not in source, path.name
+    assert [p.name for p in sorted(package.glob("configs/*.json")) if "fd_step" in p.read_text()] == []
 
 
 # each group check's traced entry points, and how many elements its one call takes
