@@ -25,6 +25,8 @@ from .fields import Grid, ScalarField
 from .groups import DiscreteSubgroup, GroupElement, _cmul, act, compose, inverse, inverse_ab
 from .reports import CheckReport, from_residuals
 
+TABLES_KEPT = 8  # character tables kept per word closure by ``character_table``
+
 
 class UnknownGroupElementError(ValueError):
     """Raised when an element is not reachable in the subgroup's word closure."""
@@ -78,9 +80,10 @@ class CharacterTable:
     edge w -> w g that made each entry (from ``parent`` by generator ``slot``),
     one word length at a time, reduced to [-pi, pi); ``values`` is e^{i theta}.
     Every other edge out of the shorter words reaches an entry, and the largest
-    mismatch of the two chi values there is ``inconsistency``.  ``u``, ``ru``
-    and ``rv`` hold g^{-1}.0, rho(g^{-1}).0 and rho(g).0 for every entry g (the
-    last two only when mu != 0); g.0 is ``closure.b``.
+    mismatch of the two chi values there is ``inconsistency``.  ``u``, ``ru`` and ``rv``
+    hold g^{-1}.0, rho(g^{-1}).0 and rho(g).0 for every entry g (the last two only when
+    mu != 0); g.0 is ``closure.b``.  Every array is read-only, as ``character_table``
+    shares one table per input; the constructor builds a new one.
     """
 
     def __init__(
@@ -125,6 +128,8 @@ class CharacterTable:
         self.values = np.exp(1j * theta)
         delta = theta[:m, None] + ph + steps - theta[closure.succ[:m]]
         self.inconsistency = float(2 * np.abs(np.sin(delta / 2)).max(initial=0.0))
+        for name in ("theta", "values", "u", "ru", "rv", "parent", "slot"):
+            getattr(self, name, theta).setflags(write=False)  # no ru, rv when mu == 0
 
     @property
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
@@ -146,6 +151,18 @@ class CharacterTable:
 
     def word(self, g: GroupElement) -> list[int]:
         return self.closure.word(int(self.indices(g.a, g.b)))
+
+
+def character_table(chi: PseudoCharacter, gamma: DiscreteSubgroup, nu: float, mu: float, rho: Endomorphism,
+                    max_len: int = 8) -> CharacterTable:
+    """The read-only ``CharacterTable`` of these arguments, kept in ``gamma.closure.tables`` per exact bits
+    of chi on the generators, nu, mu, rho's (n, c, beta) and ``max_len``, least recently used out first."""
+    key = (np.array([*chi.values_on_generators, nu, mu, rho.c, rho.beta], complex).tobytes(), rho.n, max_len)
+    tables = gamma.closure.tables
+    tables[key] = table = tables.pop(key, None) or CharacterTable(chi, gamma, nu, mu, rho, max_len)
+    if len(tables) > TABLES_KEPT:
+        del tables[next(iter(tables))]
+    return table
 
 
 def mixed_factor_nochi(nu: float, mu: float, rho: Endomorphism, tau: EquivariantMap, a, b, z):
@@ -218,23 +235,25 @@ def rdq_check(
 
     Checked over all pairs of words up to ``max_word_len`` as one array
     sweep; the report names the first worst-offending pair (row-major, left
-    word outer) by signed generator indices.  A ``table`` of this chi, nu, mu
-    and rho grown to at least 2 ``max_word_len`` is used instead of a new one.
-    Either way the words are a prefix of ``gamma.closure``, shared by every check.
+    word outer) by signed generator indices.  A ``table`` of this chi, nu, mu and rho grown
+    to at least 2 ``max_word_len`` is used instead of the one ``character_table`` keeps.
+    Either way the words are a prefix of ``gamma.closure``, which keeps their products.
     """
     if table is None:
-        table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
+        table = character_table(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
     elif table.max_len < 2 * max_word_len:
         raise ValueError(f"character table grown to {table.max_len}, rdq needs {2 * max_word_len}")
     closure = table.closure
     # entries are in BFS order, so the words up to max_word_len are a prefix
     n = closure.size(max_word_len)
-    # the entry of g_i g_j: g_j = g_p gens[s] for the entry p and slot s that made
-    # it, so column j steps along the closure's edges from column p
-    succ, hit = closure.succ, np.empty((n, n), int)
-    hit[:, 0] = np.arange(n)
-    for lo, hi in zip(closure.offsets[1:], closure.offsets[2 : max_word_len + 2]):
-        hit[:, lo:hi] = succ[hit[:, table.parent[lo:hi]], table.slot[lo:hi]]
+    if (hit := closure.products.get(max_word_len)) is None:
+        # the entry of g_i g_j, kept on the closure: g_j = g_p gens[s] for the entry p and
+        # slot s that made it, so column j steps along the closure's edges from column p
+        hit = np.arange(n)[:, None].repeat(n, 1)  # column 0, g_i e = g_i, is kept
+        for lo, hi in zip(closure.offsets[1:], closure.offsets[2 : max_word_len + 2]):
+            hit[:, lo:hi] = closure.succ[hit[:, table.parent[lo:hi]], table.slot[lo:hi]]
+        hit.setflags(write=False)
+        closure.products[max_word_len] = hit
     # phase(g_i, g_j) = nu Im(u_i conj v_j) + mu Im(ru_i conj rv_j), u = g^{-1}.0, v = g.0
     ph = nu * _im_conj_outer(table.u[:n], closure.b[:n])
     if mu != 0.0:

@@ -85,8 +85,7 @@ def _rdq(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     rdq = cfg.rdq or {}
     nu = float(rdq.get("nu", cfg.nu)) if rdq else cfg.nu
     chi = PseudoCharacter.from_dict(rdq) if "values_on_generators" in rdq else sys_.chi
-    table = sys_.chi_table if (nu, chi) == (sys_.nu, sys_.chi) else None
-    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10), table=table)]
+    return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10))]
 
 
 def _field(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:

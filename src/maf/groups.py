@@ -8,6 +8,7 @@ triple (j mod q, m, n), so its word closure and membership are exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -77,9 +78,9 @@ class DiscreteSubgroup:
     """Finitely generated discrete subgroup, given by its generators, in normal form
     Lambda x| C_q: [zeta^j, (1 - zeta^j) c0 + m e1 + n e2] is the triple (j, m, n).
 
-    ``normal_form`` holds q, c0 and the lattice basis; ``closure`` is the one word
-    closure, which ``enumerate_words`` and every ``CharacterTable`` grow and read a prefix
-    of.
+    ``normal_form`` holds q, c0 and the lattice basis; ``closure`` is the one word closure, which
+    ``enumerate_words`` and every ``CharacterTable`` grow and read a prefix of.  Subgroups with
+    bit-equal generators share both (``_read``, a memo of 16): grow a closure from one thread at a time.
 
     The normal form is found once, from the floats, the one step that uses a tolerance:
     - q: each a is within UNIT_TOL of a root of unity of order at most MAX_ORDER, else it
@@ -103,37 +104,13 @@ class DiscreteSubgroup:
             self.labels = [f"g{i}" for i in range(len(self.generators))]
         if len(self.labels) != len(self.generators):
             raise ValueError("labels and generators must have equal length")
-        if not np.isfinite([[g.a, g.b] for g in self.generators]).all():
+        ab = np.array([[g.a, g.b] for g in self.generators], complex)
+        if not np.isfinite(ab).all():
             raise ValueError("generators must be finite")
-        turns = [_turns(i, g.a) for i, g in enumerate(self.generators)]
-        q = math.lcm(*(d for _, d in turns))
-        g, r = IDENTITY, 0
-        for gen, (p, d) in zip(self.generators, turns):
-            j = p * (q // d)
-            e = next(e for e in range(q) if math.gcd(r + e * j, q) == math.gcd(r, j, q))
-            for _ in range(e):
-                g = compose(g, gen)
-            r += e * j
-        c0 = g.b / (1 - g.a) if q > 1 else 0j
-        lams = [_settle(g.b - (1 - g.a) * c0, max(1.0, abs(g.b))) for g in self.generators]
-        if any(lams) and q not in (1, 2, 3, 4, 6):
-            raise ValueError(
-                f"rotations of order {q} and translations generate no lattice: "
-                "a lattice admits rotations of order 1, 2, 3, 4 or 6 only"
-            )
-        zeta = _turn(1 / q)
-        basis = _reduce([v for lam in lams if lam for v in ((lam, zeta * lam) if q > 2 else (lam,))])
-        e1, e2 = (basis + [1j * basis[0]] if basis else [1, 1j])[:2]
-        self.normal_form = nf = NormalForm(q, c0, (e1, e2), len(basis))
-        # each generator's (j, l) and its inverse's (-j, -zeta^-j l), l on the lattice
-        self._slots = []
-        for i, ((p, d), lam, (x, y)) in enumerate(zip(turns, lams, nf.coords(np.array(lams, complex)).tolist())):
-            m, n = round(x), round(y)
-            if abs(lam - m * e1 - n * e2) > 1e-6 * abs(e1) or max(abs(m), abs(n)) > MAX_COORD:
-                raise ValueError(f"incommensurable translations: generator {i} is on no lattice they span")
-            j = p * (q // d) % q
-            self._slots += [(j, m * e1 + n * e2), (-j % q, -(zeta ** -j) * (m * e1 + n * e2))]
-        self.closure = WordClosure(self)
+        self.normal_form, self._slots, shared = _read(ab.tobytes())
+        if not shared:  # the first subgroup of these generators makes the closure they all share
+            shared.append(WordClosure(self))
+        self.closure = shared[0]
 
     def symmetric_generators(self) -> list[tuple[int, GroupElement]]:
         """Generators and their inverses, tagged with signed indices (1-based)."""
@@ -177,6 +154,40 @@ class NormalForm:
             mn = np.rint(self.coords(b - (1 - np.exp(2j * np.pi / self.q * j)) * self.c0))
         ok = np.isfinite(mn).all(-1)
         return np.where(ok, j, 0), np.where(ok[:, None], mn, 2.0**62)
+
+
+@functools.lru_cache(maxsize=16)  # subgroups kept, the least recently used dropped first
+def _read(key: bytes) -> tuple[NormalForm, tuple, list]:
+    """The normal form and slots of the generators whose [a, b] have the bytes ``key``, exact bits
+    that tell 1 ulp or the sign of a zero apart, and a list for the closure their first subgroup makes."""
+    gens = [GroupElement(a, b) for a, b in np.frombuffer(key, complex).reshape(-1, 2).tolist()]
+    turns = [_turns(i, g.a) for i, g in enumerate(gens)]
+    q = math.lcm(*(d for _, d in turns))
+    g, r = IDENTITY, 0
+    for gen, (p, d) in zip(gens, turns):
+        j = p * (q // d)
+        e = next(e for e in range(q) if math.gcd(r + e * j, q) == math.gcd(r, j, q))
+        for _ in range(e):
+            g = compose(g, gen)
+        r += e * j
+    c0 = g.b / (1 - g.a) if q > 1 else 0j
+    lams = [_settle(g.b - (1 - g.a) * c0, max(1.0, abs(g.b))) for g in gens]
+    if any(lams) and q not in (1, 2, 3, 4, 6):
+        raise ValueError(f"rotations of order {q} and translations generate no lattice: "
+                         "a lattice admits rotations of order 1, 2, 3, 4 or 6 only")
+    zeta = _turn(1 / q)
+    basis = _reduce([v for lam in lams if lam for v in ((lam, zeta * lam) if q > 2 else (lam,))])
+    e1, e2 = (basis + [1j * basis[0]] if basis else [1, 1j])[:2]
+    nf = NormalForm(q, c0, (e1, e2), len(basis))
+    # each generator's (j, l) and its inverse's (-j, -zeta^-j l), l on the lattice
+    slots = []
+    for i, ((p, d), lam, (x, y)) in enumerate(zip(turns, lams, nf.coords(np.array(lams, complex)).tolist())):
+        m, n = round(x), round(y)
+        if abs(lam - m * e1 - n * e2) > 1e-6 * abs(e1) or max(abs(m), abs(n)) > MAX_COORD:
+            raise ValueError(f"incommensurable translations: generator {i} is on no lattice they span")
+        j = p * (q // d) % q
+        slots += [(j, m * e1 + n * e2), (-j % q, -(zeta ** -j) * (m * e1 + n * e2))]
+    return nf, tuple(slots), []
 
 
 def _turns(i: int, a: complex) -> tuple[int, int]:
@@ -304,6 +315,7 @@ class WordClosure:
         self.succ = np.full((1, len(self.gens)), -1)
         self.parent, self.slot = np.zeros(1, int), np.zeros(1, int)
         self._elements: list[GroupElement] = []
+        self.tables, self.products = {}, {}  # character tables and rdq's product index, kept by ``automorphy``
 
     a = property(lambda self: self.ab[:, 0])
     b = property(lambda self: self.ab[:, 1])

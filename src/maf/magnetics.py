@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .automorphy import CharacterTable, PseudoCharacter, mixed_factor
+from .automorphy import CharacterTable, PseudoCharacter, character_table, mixed_factor
 from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, equivariance_defects
 from .fields import Grid, OneForm, ScalarField, jet, line_integral
 from .groups import DiscreteSubgroup, GroupElement, inverse_ab
@@ -99,7 +99,7 @@ class MagneticSystem:
 
     @cached_property
     def chi_table(self) -> CharacterTable:
-        return CharacterTable(self.chi, self.gamma, self.nu, self.mu, self.rho, WORD_LEN)
+        return character_table(self.chi, self.gamma, self.nu, self.mu, self.rho, WORD_LEN)
 
     # -- pointwise fields ----------------------------------------------------
 

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from maf import automorphy, groups
 from maf.automorphy import (
     CharacterTable,
     PseudoCharacter,
     UnknownGroupElementError,
+    character_table,
     cocycle_defect,
     defect_phase_residuals,
     functional_equation_residual,
@@ -17,9 +19,9 @@ from maf.automorphy import (
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField
-from maf.groups import IDENTITY, MATCH_TOL, DiscreteSubgroup, GroupElement, act, compose, inverse
+from maf.groups import IDENTITY, MATCH_TOL, DiscreteSubgroup, GroupElement, act, compose, compose_ab, inverse
 from test_equivariant import apply_endo_oracle
-from test_groups import P2, P3, P4, EdgeClosure
+from test_groups import P2, P3, P4, EdgeClosure, _ulp_after
 
 SQUARE = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
 # the p6 group of perfbench/p6.json: rotation by pi/3 and a unit translation
@@ -130,9 +132,9 @@ class TestPseudoCharacter:
         with pytest.raises(UnknownGroupElementError):
             table.word(GroupElement(np.exp(2j * np.pi / 3), 1 + 1j))  # 1 + i is off the lattice
 
-    def test_refuses_words_past_its_length(self):
-        # rdq at length 6 grows the shared closure to 12; a table at 8 still
-        # reads only the words of length <= 8
+    def test_refuses_words_past_its_length(self, fresh_groups):
+        # rdq at length 6 grows the closure, on a cleared memo, to 12; a table at 8
+        # still reads only the words of length <= 8
         gamma = DiscreteSubgroup(SQUARE.generators)
         chi = PseudoCharacter([1, 1])
         rdq_check(np.pi, 0.0, ID, gamma, chi, max_word_len=6)
@@ -158,7 +160,11 @@ class TestValuesAt:
 
     @pytest.fixture(scope="class")
     def table(self):
-        return CharacterTable(PseudoCharacter([1, -1]), DiscreteSubgroup(P6.generators), P6_NU, 0.0, ID, max_len=8)
+        # on a closure of its own, dropped from the memo after the class: ``counted_lookups``
+        # leaves the real lookup_all on the instance it patched, where a class patch misses it
+        groups._read.cache_clear()
+        yield CharacterTable(PseudoCharacter([1, -1]), DiscreteSubgroup(P6.generators), P6_NU, 0.0, ID, max_len=8)
+        groups._read.cache_clear()
 
     @staticmethod
     def counted_lookups(monkeypatch, closure) -> list:
@@ -200,7 +206,7 @@ class TestValuesAt:
         with pytest.raises(UnknownGroupElementError):
             table.indices(a, b)
 
-    def test_words_past_the_table_raise(self):
+    def test_words_past_the_table_raise(self, fresh_groups):
         gamma = DiscreteSubgroup(SQUARE.generators)
         table = CharacterTable(PseudoCharacter([1, 1]), gamma, np.pi, 0.0, ID, max_len=4)
         gamma.closure.grow(6)
@@ -259,15 +265,21 @@ class TestLevelExtension:
         assert abs(table.inconsistency - inconsistency) <= 2e-14
 
     @pytest.mark.parametrize("name", ["conjugate", "alteration", "p6", "p4_conjugated"])
-    def test_table_on_grown_closure_matches_fresh_subgroup(self, name):
+    def test_table_on_grown_closure_matches_fresh_subgroup(self, name, fresh_groups):
+        # the bit-for-bit case for sharing one closure: a table on a closure grown past it
+        # is the table on a closure grown only to it
         if name in self.CASES:
             chi, gamma, nu, mu, rho = self.CASES[name]
         else:
             s = build_system(load_bundled(name))
             chi, gamma, nu, mu, rho = s.chi, s.gamma, s.nu, s.mu, s.rho
-        grown, fresh = (DiscreteSubgroup(gamma.generators) for _ in range(2))
+        grown = DiscreteSubgroup(gamma.generators)
         grown.closure.grow(12)
-        tables = [CharacterTable(chi, g, nu, mu, rho, max_len=6) for g in (grown, fresh)]
+        grown_table = CharacterTable(chi, grown, nu, mu, rho, max_len=6)
+        groups._read.cache_clear()  # so that the fresh subgroup makes its own closure
+        fresh = DiscreteSubgroup(gamma.generators)
+        assert fresh.closure is not grown.closure
+        tables = [grown_table, CharacterTable(chi, fresh, nu, mu, rho, max_len=6)]
         assert len(grown.closure.offsets) > len(fresh.closure.offsets) or name == "alteration"
         for attr in ("theta", "values", "parent", "slot", "u", *(("ru", "rv") if mu else ())):
             a, b = (getattr(t, attr) for t in tables)
@@ -480,3 +492,90 @@ class TestFunctionalEquation:
             s.gamma.generators[0], Grid(nx=5, ny=5),
         )
         assert rep.max_residual > 0.1
+
+
+class TestTableMemo:
+    """``character_table`` keeps one table per exact input on the closure it indexes."""
+
+    SQ = (SQUARE.generators, PseudoCharacter([1, 1]))  # made into a fresh subgroup by each test
+
+    def test_equal_inputs_share_one_read_only_table(self, fresh_groups):
+        gens, chi = self.SQ
+        gamma, rho = DiscreteSubgroup(gens), Endomorphism(-1, 1, 0.3)
+        table = character_table(chi, gamma, np.pi, 0.5, rho, 6)
+        assert character_table(PseudoCharacter([1, 1]), DiscreteSubgroup(gens), np.pi, 0.5, rho, 6) is table
+        assert CharacterTable(chi, gamma, np.pi, 0.5, rho, 6) is not table  # the constructor builds anew
+        for name in ("theta", "values", "u", "ru", "rv", "parent", "slot"):
+            with pytest.raises(ValueError):
+                getattr(table, name)[0] = 0
+
+    # each one ulp, or the sign of a zero, from BASE
+    BASE = dict(chi=PseudoCharacter([1, 1j]), nu=np.pi, mu=0.5, rho=Endomorphism(1, 1, 0.25), max_len=4)
+    NEAR = {
+        "nu": dict(nu=_ulp_after(np.pi)),
+        "mu": dict(mu=_ulp_after(0.5)),
+        "chi": dict(chi=PseudoCharacter([1, complex(_ulp_after(0.0), 1)])),
+        "chi_minus_zero": dict(chi=PseudoCharacter([1, complex(-0.0, 1)])),
+        "rho_c": dict(rho=Endomorphism(1, _ulp_after(1.0), 0.25)),
+        "rho_beta": dict(rho=Endomorphism(1, 1, _ulp_after(0.25))),
+        "rho_n": dict(rho=Endomorphism(-1, 1, 0.25)),
+        "max_len": dict(max_len=5),
+    }
+
+    @pytest.mark.parametrize("change", NEAR)
+    def test_near_equal_inputs_get_distinct_tables(self, fresh_groups, change):
+        gamma = DiscreteSubgroup(self.SQ[0])
+        table = character_table(gamma=gamma, **self.BASE)
+        assert character_table(gamma=gamma, **self.BASE) is table
+        assert character_table(gamma=gamma, **{**self.BASE, **self.NEAR[change]}) is not table
+        assert len(gamma.closure.tables) == 2
+
+    def test_table_dict_stays_at_its_bound(self, fresh_groups):
+        gens, chi = self.SQ
+        gamma = DiscreteSubgroup(gens)
+        first = character_table(chi, gamma, 0.5, 0.0, ID, 4)
+        for nu in np.linspace(1.0, 2.0, 100):
+            character_table(chi, gamma, nu, 0.0, ID, 4)
+            assert len(gamma.closure.tables) <= automorphy.TABLES_KEPT
+        assert len(gamma.closure.tables) == automorphy.TABLES_KEPT
+        assert character_table(chi, gamma, 0.5, 0.0, ID, 4) is not first  # evicted, built again
+
+    def test_least_recently_used_table_goes_first(self, fresh_groups):
+        gens, chi = self.SQ
+        gamma = DiscreteSubgroup(gens)
+        made = [character_table(chi, gamma, nu, 0.0, ID, 4) for nu in range(automorphy.TABLES_KEPT)]
+        assert character_table(chi, gamma, 0, 0.0, ID, 4) is made[0]  # now the most recent
+        character_table(chi, gamma, 100.0, 0.0, ID, 4)
+        assert character_table(chi, gamma, 0, 0.0, ID, 4) is made[0]
+        assert character_table(chi, gamma, 1, 0.0, ID, 4) is not made[1]
+
+    @pytest.mark.parametrize("order", [(np.pi, 1.0), (1.0, np.pi)])
+    def test_negative_control_on_one_closure(self, fresh_groups, order):
+        # the two fluxes share the closure and its product index, and keep their own tables
+        gens, chi = self.SQ
+        gamma = DiscreteSubgroup(gens)
+        reps = {nu: rdq_check(nu, 0.0, ID, gamma, chi, max_word_len=6) for nu in order}
+        assert reps[np.pi].passed and reps[np.pi].max_residual <= 1e-10
+        assert not reps[1.0].passed and reps[1.0].max_residual >= 0.1
+
+    def test_patched_phase_makes_rdq_fail(self, fresh_groups, monkeypatch):
+        gens, chi = self.SQ
+        assert rdq_check(np.pi, 0.0, ID, DiscreteSubgroup(gens), chi, max_word_len=4).passed
+        groups._read.cache_clear()  # the table above would otherwise be served again
+        monkeypatch.setattr(automorphy, "phase", lambda *args: phase(*args) + 0.5)
+        rep = rdq_check(np.pi, 0.0, ID, DiscreteSubgroup(gens), chi, max_word_len=4)
+        assert not rep.passed and rep.max_residual >= 0.1
+
+    def test_product_index_is_kept_read_only_and_right(self, fresh_groups):
+        gamma = DiscreteSubgroup(P6.generators)
+        rdq_check(P6_NU, 0.0, ID, gamma, PseudoCharacter([1, -1]), max_word_len=3)
+        hit = gamma.closure.products[3]
+        rdq_check(1.0, 0.0, ID, gamma, PseudoCharacter([1, 1]), max_word_len=3)
+        assert list(gamma.closure.products) == [3] and gamma.closure.products[3] is hit  # one per word length
+        with pytest.raises(ValueError):
+            hit[0, 0] = 1
+        # every entry is the entry of the product in the closure
+        a, b = (x[: len(hit)] for x in (gamma.closure.a, gamma.closure.b))
+        pa, pb = (x.ravel() for x in np.broadcast_arrays(*compose_ab(a[:, None], b[:, None], a, b)))
+        assert np.array_equal(gamma.closure.lookup_all(pa, pb), hit.ravel())
+

@@ -393,7 +393,7 @@ class TestCli:
             assert all(r["pass"] for r in json.loads(captured.out))
 
     @pytest.mark.parametrize("kept, failing", [(0, "equivariance"), (1, "endomorphism_homomorphism")])
-    def test_rho_without_its_fixed_point_term_fails(self, capsys, monkeypatch, kept, failing):
+    def test_rho_without_its_fixed_point_term_fails(self, capsys, monkeypatch, fresh_groups, kept, failing):
         # apply_endo_ab with c b^(n) + kept * beta in place of c b^(n) + (1 - a^n) beta,
         # swapped in once the system is built.  kept = 0 gives the endomorphism
         # (n, c, 0), whose fixed point is 0 and no longer tau's beta; kept = 1 is
@@ -540,6 +540,27 @@ ENTRIES = {
 }
 
 
+class TestMemoisedCommands:
+    """What a process keeps between commands (closures, character tables, product
+    indices) changes no byte a command prints."""
+
+    @pytest.mark.parametrize("config", ["landau", "conjugate", "alteration", "perfbench/p6.json"])
+    def test_warm_and_cold_give_the_same_bytes(self, capsys, fresh_groups, config):
+        import maf.groups
+
+        config = str(ROOT / config) if config.endswith(".json") else config
+
+        def run(command, seed):
+            code = main([command, "--config", config, "--seed", str(seed)])
+            return (code, *capsys.readouterr())
+
+        for seed in range(5):
+            for command in ("report", "highdim"):
+                maf.groups._read.cache_clear()
+                cold = run(command, seed)
+                assert run(command, seed) == cold, (command, seed)
+
+
 class TestCatalogue:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_one_system_per_command(self, capsys, monkeypatch, command):
@@ -568,7 +589,7 @@ class TestCatalogue:
             ("alteration", None, 1),
         ],
     )
-    def test_one_character_table_per_system(self, capsys, monkeypatch, tmp_path, name, rdq, tables):
+    def test_one_character_table_per_system(self, capsys, monkeypatch, tmp_path, fresh_groups, name, rdq, tables):
         import maf.automorphy
 
         data = json.loads(resources.files("maf").joinpath("configs", f"{name}.json").read_text())
@@ -587,6 +608,9 @@ class TestCatalogue:
 
         monkeypatch.setattr(maf.automorphy.CharacterTable, "__init__", spy)
         main(["report", "--config", str(path)])
+        capsys.readouterr()
+        assert len(built) == tables
+        main(["report", "--config", str(path)])  # the same report again builds none
         capsys.readouterr()
         assert len(built) == tables
 

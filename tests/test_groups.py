@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from pathlib import Path
 
+from maf import groups
 from maf.config import build_system, load_bundled, load_config
 from maf.equivariant import Endomorphism, apply_endo
 from maf.groups import (
@@ -546,19 +547,25 @@ class TestOneClosurePerSubgroup:
         return made
 
     @pytest.mark.parametrize("name", CONFIGS)
-    def test_build_system_grows_one_closure(self, name, closures_made):
+    def test_build_system_grows_one_closure(self, name, fresh_groups, closures_made):
         system = build_system(self._load(name))
         assert closures_made == [system.gamma]
         assert system.gamma.closure.offsets == [0, 1]  # the build grows no level
+        # a second identical build shares the closure the first made
+        assert build_system(self._load(name)).gamma.closure is system.gamma.closure
+        assert closures_made == [system.gamma]
 
     @pytest.mark.parametrize("name", CONFIGS)
-    def test_report_grows_one_closure(self, name, closures_made, capsys):
+    def test_report_grows_one_closure(self, name, fresh_groups, closures_made, capsys):
         from maf.cli import main
 
         config = str(Path(__file__).resolve().parents[1] / name) if name.endswith(".json") else name
         main(["report", "--config", config])
         capsys.readouterr()
         assert len(closures_made) == 1
+        main(["report", "--config", config])
+        capsys.readouterr()
+        assert len(closures_made) == 1  # the second report constructs none
 
     def test_second_rdq_grows_no_level(self):
         from maf.automorphy import PseudoCharacter, rdq_check
@@ -570,15 +577,16 @@ class TestOneClosurePerSubgroup:
         assert gamma.closure.ab is ab and gamma.closure.offsets == offsets
 
     @pytest.mark.parametrize("name", ["p6", "p2", "p3", "p4", *CONFIGS[:3]])
-    def test_find_word_matches_fresh_closure(self, name):
+    def test_find_word_matches_fresh_closure(self, name, fresh_groups):
         if name in TestLevelGrowth.GROUPS:
             gamma = TestLevelGrowth.GROUPS[name]
             rho = Endomorphism(1, 1)
         else:
             system = build_system(load_bundled(name))
             gamma, rho = system.gamma, system.rho
-        # a fresh subgroup, so that its closure is grown by this test only
+        # a fresh subgroup on a cleared memo, so that its closure is grown by this test only
         gamma = DiscreteSubgroup(gamma.generators, gamma.labels)
+        assert gamma.closure.offsets == [0, 1]
         images = [apply_endo(rho, g) for g in gamma.generators]
         # a long word first grows the closure on; shorter and unreachable targets
         # then search the grown levels, also with max_len below them
@@ -589,3 +597,48 @@ class TestOneClosurePerSubgroup:
             assert word_of(gamma, t, max_len=2) == _fresh_find_word(gamma, t, max_len=2)
         word = word_of(gamma, far)
         assert len(word) >= 3 and word_of(gamma, far, max_len=len(word) - 1) is None
+
+
+def _ulp_after(x: float) -> float:
+    """The next float above x."""
+    return math.nextafter(x, math.inf)
+
+
+class TestClosureMemo:
+    """Subgroups read their normal form and closure from a memo of 16, keyed on the exact
+    bits of their generators' [a, b]."""
+
+    def test_equal_generators_share_one_closure(self, fresh_groups):
+        gamma = DiscreteSubgroup(P6.generators, ["r", "t"])
+        twin = DiscreteSubgroup([GroupElement(g.a, g.b) for g in P6.generators])
+        assert twin.closure is gamma.closure and twin.normal_form is gamma.normal_form
+        assert twin.labels == ["g0", "g1"]  # labels are the subgroup's own
+
+    @pytest.mark.parametrize(
+        "near",
+        [
+            [GroupElement(1, _ulp_after(1.0)), GroupElement(1, 1j)],  # 1 ulp along b
+            [GroupElement(1, 1), GroupElement(1, complex(-0.0, 1))],  # -0.0 for 0.0 in b
+            [GroupElement(complex(1, -0.0), 1), GroupElement(1, 1j)],  # -0.0 for 0.0 in a
+        ],
+    )
+    def test_near_equal_generators_share_nothing(self, fresh_groups, near):
+        square = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
+        other = DiscreteSubgroup(near)
+        assert other.closure is not square.closure
+        assert groups._read.cache_info().currsize == 2
+
+    def test_seventeenth_subgroup_evicts_the_least_recently_used(self, fresh_groups):
+        made = [DiscreteSubgroup([GroupElement(1, k + 1)]) for k in range(16)]
+        assert groups._read.cache_info().currsize == 16
+        assert DiscreteSubgroup(made[0].generators).closure is made[0].closure  # now the most recent
+        DiscreteSubgroup([GroupElement(1, 17)])
+        assert groups._read.cache_info().currsize == 16
+        assert DiscreteSubgroup(made[0].generators).closure is made[0].closure
+        assert DiscreteSubgroup(made[1].generators).closure is not made[1].closure  # evicted
+
+    def test_a_refused_subgroup_is_not_kept(self, fresh_groups):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="infinite order"):
+                DiscreteSubgroup([GroupElement(np.exp(1j), 0)])
+        assert groups._read.cache_info().currsize == 0

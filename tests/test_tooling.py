@@ -137,7 +137,7 @@ def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check
                 assert isinstance(seen[0]["grid"], maf.cli.Grid)
 
 
-def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch):
+def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch, fresh_groups):
     # the lift checks read chi, g.0, g^{-1}.0 and rho(g)^{-1}.0 by entry index, so each
     # traced call looks its elements up in the word closure once, all together
     import maf.cli
