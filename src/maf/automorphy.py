@@ -22,7 +22,7 @@ import numpy as np
 
 from .equivariant import Endomorphism, EquivariantMap, apply_endo, apply_endo_ab
 from .fields import Grid, ScalarField
-from .groups import DiscreteSubgroup, GroupElement, _cmul, act, compose, inverse, inverse_ab
+from .groups import DiscreteSubgroup, GroupElement, _cmul, act, inverse, inverse_ab
 from .reports import CheckReport, from_residuals
 
 TABLES_KEPT = 8  # character tables kept per word closure by ``character_table``
@@ -181,39 +181,6 @@ def mixed_factor(
 ):
     """chi(gamma) j^nu(gamma, z) j^mu(rho(gamma), tau(z))."""
     return table.value(gamma_elem) * mixed_factor_nochi(nu, mu, rho, tau, gamma_elem.a, gamma_elem.b, z)
-
-
-def cocycle_defect(
-    nu: float,
-    mu: float,
-    rho: Endomorphism,
-    tau: EquivariantMap,
-    g: GroupElement,
-    gp: GroupElement,
-    z,
-):
-    """J0(g g', z) / (J0(g, g'.z) J0(g', z)) for the character-free factor J0.
-
-    A z-independent unit complex; equals exp(-i phase(g, g')).
-    """
-    J0 = lambda h, x: mixed_factor_nochi(nu, mu, rho, tau, h.a, h.b, x)
-    return J0(compose(g, gp), z) / (J0(g, act(gp, z)) * J0(gp, z))
-
-
-def defect_phase_residuals(
-    nu: float,
-    mu: float,
-    rho: Endomorphism,
-    tau: EquivariantMap,
-    g: GroupElement,
-    gp: GroupElement,
-    grid: Grid,
-) -> tuple[float, float]:
-    """(z-spread of the defect, deviation of the defect from exp(-i phase))."""
-    vals = cocycle_defect(nu, mu, rho, tau, g, gp, grid.points())
-    spread = float(np.abs(vals - vals[0]).max())
-    target = np.exp(-1j * phase(nu, mu, rho, g, gp))
-    return spread, float(np.abs(vals - target).max())
 
 
 def _im_conj_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:

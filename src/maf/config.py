@@ -84,11 +84,6 @@ def load_bundled(name: str) -> SystemConfig:
     return SystemConfig.from_dict(data)
 
 
-def bundled_names() -> list[str]:
-    files = os.listdir(os.path.join(os.path.dirname(__file__), "configs"))
-    return sorted(f.removesuffix(".json") for f in files if f.endswith(".json"))
-
-
 def _make_tau(rho: Endomorphism, desc: dict) -> EquivariantMap:
     kind = desc.get("kind")
     if kind == "from_beta":

@@ -9,6 +9,7 @@ broadcasts over it; a scalar point is numpy's 0-d case.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -49,8 +50,10 @@ class OneForm:
     coeff_dzbar: ScalarField
 
 
-_GL_ORDER = 16
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(_GL_ORDER)
+@functools.cache
+def _gauss_legendre_16():
+    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], made on first use."""
+    return np.polynomial.legendre.leggauss(16)
 
 
 def line_integral(omega: OneForm, path: list, n_sub: int = 1):
@@ -62,9 +65,10 @@ def line_integral(omega: OneForm, path: list, n_sub: int = 1):
     """
     if n_sub < 1:
         raise ValueError("n_sub must be >= 1")
+    nodes, weights = _gauss_legendre_16()
     # the segments on a leading axis, the nodes of each on a trailing one
-    s = (np.arange(n_sub)[:, None] + (_GL_NODES + 1) / 2).ravel()
-    w = np.tile(_GL_WEIGHTS / 2, n_sub)
+    s = (np.arange(n_sub)[:, None] + (nodes + 1) / 2).ravel()
+    w = np.tile(weights / 2, n_sub)
     v = np.stack(np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in path)))
     dz_seg = np.expand_dims((v[1:] - v[:-1]) / n_sub, -1)
     z = np.expand_dims(v[:-1], -1) + s * dz_seg

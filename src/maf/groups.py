@@ -64,15 +64,6 @@ def act(g: GroupElement, z: complex) -> complex:
     return g.a * z + g.b
 
 
-def distance(g: GroupElement, h: GroupElement) -> float:
-    return abs(g.a - h.a) + abs(g.b - h.b)
-
-
-def stabilizer_residual(g: GroupElement, x: complex) -> float:
-    """|g.x - x|: zero exactly when g stabilizes x."""
-    return abs(act(g, x) - x)
-
-
 @dataclass
 class DiscreteSubgroup:
     """Finitely generated discrete subgroup, given by its generators, in normal form
@@ -239,7 +230,7 @@ def _reduce(vectors: list[complex]) -> list[complex]:
 
 
 def _l1(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``distance`` from x to y, elements as [a, b] on the last axis, rounding as it does."""
+    """|a_x - a_y| + |b_x - b_y|, elements as [a, b] on the last axis, rounding as scalar abs does."""
     h = _abs(y - x)
     return h[..., 0] + h[..., 1]
 
@@ -341,7 +332,7 @@ class WordClosure:
         return np.asarray(mn, np.int64) @ self._stride + np.asarray(j, np.int64)
 
     def lookup_all(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """The entry within MATCH_TOL (``distance``) of each element [a[i], b[i]] of two 1-d
+        """The entry within MATCH_TOL (``_l1``) of each element [a[i], b[i]] of two 1-d
         arrays, -1 for none: the entry of the nearest triple (``NormalForm.read``), if any."""
         a, b = np.asarray(a, complex), np.asarray(b, complex)
         j, mn = self.normal_form.read(a, b)

@@ -78,18 +78,6 @@ def _determinants(p: np.ndarray, q: np.ndarray, i, j) -> tuple:
     return A, B, C, D
 
 
-def determinant_coeffs(tau: EquivariantMapN, ell: int, i: int, j: int, k: int) -> dict:
-    """The five 2x2 determinants of the componentwise criterion for component ``ell``.
-
-    Indices are 0-based; i < j required for the antisymmetric quantities.
-    """
-    if not i < j:
-        raise ValueError("need i < j")
-    p, q = tau.U[ell], tau.V[ell]
-    A, B, C, D = _determinants(p, q, i, j)
-    return {"A": A, "B": B, "C": C, "D": D, "F": abs(q[k]) ** 2 - abs(p[k]) ** 2}
-
-
 def two_form(tau: EquivariantMapN, nu: float, mu: float) -> np.ndarray:
     """The antisymmetric (2n, 2n) coefficient matrix M of d theta.
 

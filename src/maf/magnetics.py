@@ -30,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .automorphy import CharacterTable, PseudoCharacter, character_table, mixed_factor
+from .automorphy import CharacterTable, PseudoCharacter, character_table
 from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, equivariance_defects
 from .fields import Grid, OneForm, ScalarField, jet, line_integral
-from .groups import DiscreteSubgroup, GroupElement, inverse_ab
+from .groups import DiscreteSubgroup, inverse_ab
 from .reports import CheckReport, element_dicts, from_element_residuals, from_residuals
 
 GAUGE_IM_TOL = 1e-9
@@ -106,9 +106,6 @@ class MagneticSystem:
     def phi(self, z):
         """The gauge at the points z, in closed form; ``gauge_phi`` is its line-integral oracle."""
         return 2 * (self.gauge_k * z).real
-
-    def factor(self, gamma_elem: GroupElement, z):
-        return mixed_factor(self.nu, self.mu, self.rho, self.tau, self.chi_table, gamma_elem, z)
 
 
 def S_field(sys: MagneticSystem, z):

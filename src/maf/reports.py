@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import math
@@ -71,7 +70,6 @@ def from_element_residuals(name: str, res, tol: float, gs, key: str = "g", **met
     return [from_residuals(name, r, tol, **{key: g}, **metadata) for r, g in zip(res, element_dicts(gs))]
 
 
-_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
 _quote = json.encoder.encode_basestring_ascii
 # what ``_write`` turns the other types it writes into, the first that fits
 _PLAIN = ((str, str.__str__), (float, float), (dict, dict), ((list, tuple), list),
@@ -123,6 +121,8 @@ def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:
         _write([r.to_dict() for r in reports], chunks, "")
         text = "".join(chunks)
     elif fmt == "csv":
+        import csv  # here, so that building and JSON reports do not load it
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["name", "max_residual", "mean_residual", "tol", "pass"])
@@ -137,16 +137,3 @@ def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:
             with open(out, "w") as fh:
                 fh.write(text)
     return text
-
-
-def parse_json(text: str) -> list[CheckReport]:
-    """Inverse of ``emit(..., fmt='json')``.
-
-    The strings "nan", "inf" and "-inf" in residuals and tolerances become floats again.
-    """
-
-    def num(v):
-        return _NONFINITE.get(v, v) if isinstance(v, str) else v
-
-    keys = ("max_residual", "mean_residual", "tol")
-    return [CheckReport(d["name"], *(num(d[k]) for k in keys), d.get("metadata", {})) for d in json.loads(text)]

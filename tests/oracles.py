@@ -1,14 +1,21 @@
-"""The finite-difference oracle that every exact jet in ``maf`` is compared with.
+"""Oracles that the tests compare ``maf`` with, and that ``maf`` itself never runs.
 
-It is the per-call 5-point central stencil: each shifted point is its own call of
-the field, so the oracle shares no code with the jets it checks.  The 1-form
-exterior derivative, which exists to take finite differences, is built on it.
-A field here is any callable of an ndarray of points (a ``ScalarField`` is one).
+The finite-difference oracle, which every exact jet is compared with, is the per-call
+5-point central stencil: each shifted point is its own call of the field, so the
+oracle shares no code with the jets it checks.  The 1-form exterior derivative, which
+exists to take finite differences, is built on it.  A field here is any callable of an
+ndarray of points (a ``ScalarField`` is one).  The group-side oracles work one scalar
+element at a time: the distance of two elements, and the cocycle defect of the
+character-free factor, sampled on a grid.
 """
 
 from dataclasses import dataclass
 
-from maf.fields import OneForm, ScalarField
+import numpy as np
+
+from maf.automorphy import mixed_factor_nochi, phase
+from maf.fields import Grid, OneForm, ScalarField
+from maf.groups import GroupElement, act, compose
 
 FD_STEP = 1e-4
 
@@ -55,3 +62,24 @@ def exterior_derivative(omega: OneForm, h=FD_STEP) -> TwoForm:
         return oracle_wirtinger(omega.coeff_dzbar, z, h)[0] - oracle_wirtinger(omega.coeff_dz, z, h)[1]
 
     return TwoForm(ScalarField(coeff))
+
+
+def distance(g: GroupElement, h: GroupElement) -> float:
+    return abs(g.a - h.a) + abs(g.b - h.b)
+
+
+def cocycle_defect(nu, mu, rho, tau, g: GroupElement, gp: GroupElement, z):
+    """J0(g g', z) / (J0(g, g'.z) J0(g', z)) for the character-free factor J0.
+
+    A z-independent unit complex; equals exp(-i phase(g, g')).
+    """
+    J0 = lambda h, x: mixed_factor_nochi(nu, mu, rho, tau, h.a, h.b, x)
+    return J0(compose(g, gp), z) / (J0(g, act(gp, z)) * J0(gp, z))
+
+
+def defect_phase_residuals(nu, mu, rho, tau, g: GroupElement, gp: GroupElement, grid: Grid) -> tuple[float, float]:
+    """(z-spread of the defect, deviation of the defect from exp(-i phase))."""
+    vals = cocycle_defect(nu, mu, rho, tau, g, gp, grid.points())
+    spread = float(np.abs(vals - vals[0]).max())
+    target = np.exp(-1j * phase(nu, mu, rho, g, gp))
+    return spread, float(np.abs(vals - target).max())

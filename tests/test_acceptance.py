@@ -7,7 +7,7 @@ doubles as a verification report for the three bundled systems.
 import numpy as np
 import pytest
 
-from maf.automorphy import PseudoCharacter, defect_phase_residuals, rdq_check
+from maf.automorphy import PseudoCharacter, rdq_check
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, polyexp_field, quad2d_nodes
@@ -37,6 +37,7 @@ from maf.spectral import (
     strip_eigenfunction,
     truncation_radius,
 )
+from oracles import defect_phase_residuals
 from test_highdim import _two_form_matrix, potential_n_coeffs
 
 NAMES = ("landau", "conjugate", "alteration")

@@ -11,17 +11,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maf.cli import COMMANDS, main
-from maf.config import (
-    ConfigError,
-    SystemConfig,
-    build_system,
-    bundled_names,
-    load_bundled,
-    load_config,
-)
-from maf.reports import CheckReport, emit, from_residuals, parse_json
+from maf.config import ConfigError, SystemConfig, build_system, load_bundled, load_config
+from maf.reports import CheckReport, emit, from_residuals
 
 ROOT = Path(__file__).resolve().parents[1]
+_NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
+
+
+def parse_json(text: str) -> list[CheckReport]:
+    """Inverse of ``emit(..., fmt='json')``: "nan", "inf" and "-inf" in residuals and
+    tolerances become floats again."""
+
+    def num(v):
+        return _NONFINITE.get(v, v) if isinstance(v, str) else v
+
+    keys = ("max_residual", "mean_residual", "tol")
+    return [CheckReport(d["name"], *(num(d[k]) for k in keys), d.get("metadata", {})) for d in json.loads(text)]
+
+
+def bundled_names() -> list[str]:
+    """The packaged example systems, ``configs/*.json`` beside ``maf.config``."""
+    files = resources.files("maf").joinpath("configs").iterdir()
+    return sorted(f.name.removesuffix(".json") for f in files if f.name.endswith(".json"))
 
 
 def old_from_residuals(residuals):

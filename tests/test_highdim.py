@@ -9,18 +9,23 @@ import pytest
 
 from maf.cli import main
 from maf.config import ConfigError
-from maf.highdim import (
-    EquivariantMapN,
-    _determinants,
-    constant_field_test,
-    determinant_coeffs,
-    equivariance_defect,
-    two_form,
-)
+from maf.highdim import EquivariantMapN, _determinants, constant_field_test, equivariance_defect, two_form
 from maf.reports import CheckReport, from_residuals
 
 C = np.sqrt(0.5)
 ROT45 = np.array([[C, -C], [C, C]], dtype=complex)
+
+
+def determinant_coeffs(tau: EquivariantMapN, ell: int, i: int, j: int, k: int) -> dict:
+    """The five 2x2 determinants of the componentwise criterion for component ``ell``.
+
+    Indices are 0-based; i < j required for the antisymmetric quantities.
+    """
+    if not i < j:
+        raise ValueError("need i < j")
+    p, q = tau.U[ell], tau.V[ell]
+    A, B, C, D = _determinants(p, q, i, j)
+    return {"A": A, "B": B, "C": C, "D": D, "F": abs(q[k]) ** 2 - abs(p[k]) ** 2}
 
 
 def rot45_map():
