@@ -12,12 +12,12 @@ _EXPORTS = {
                   "mixed_factor_nochi phase rdq_check",
     "config": "ConfigError SystemConfig build_system load_bundled load_config",
     "equivariant": "Endomorphism EquivariantMap apply_endo apply_endo_ab check_equivariance tau_from_beta xi_rho",
-    "fields": "Grid OneForm ScalarField line_integral quad2d",
+    "fields": "Grid ScalarField",
     "groups": "IDENTITY DiscreteSubgroup GroupElement act compose enumerate_words inverse",
     "highdim": "EquivariantMapN constant_field_test two_form",
-    "magnetics": "MagneticSystem apply_landau apply_mixed_laplacian chi_tau field_constancy gauge_phi "
-                 "intertwining_residual invariance_residual lifting_residual magnetic_field potential "
-                 "representation w_transform",
+    "magnetics": "MagneticSystem apply_landau apply_mixed_laplacian chi_tau field_constancy "
+                 "intertwining_residual invariance_residual lifting_residual magnetic_field representation "
+                 "w_transform",
     "reports": "CheckReport emit from_residuals",
     "spectral": "SpectralBasis hermite hermite_function kernel laguerre landau_level strip_eigenfunction",
 }

@@ -24,7 +24,7 @@ from .reports import CheckReport, emit, from_residuals
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
-EXIT_NUMERIC = 3  # a computation broke down (a complex gauge integral, a strip field that vanishes)
+EXIT_NUMERIC = 3  # a computation broke down (a strip field that vanishes)
 
 
 def _join_signed_pairs(argv: list[str]) -> list[str]:
@@ -89,11 +89,11 @@ def _rdq(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
 
 
 def _field(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
-    return [magnetics.field_constancy(sys_, cfg.make_grid(), tol=_tol(args, 1e-8))]
+    return [magnetics.field_constancy(sys_, cfg.make_grid(), tol=_tol(args, magnetics.COEFFICIENT_TOL))]
 
 
 def _gauge(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
-    rep = magnetics.gauge_check(sys_, seed=cfg.seed, tol=_tol(args, 1e-8))
+    rep = magnetics.gauge_check(sys_, tol=_tol(args, magnetics.COEFFICIENT_TOL))
     if args.z is not None:
         z = _parse_complex(args.z)
         rep.metadata["z"] = [z.real, z.imag]

@@ -1,4 +1,4 @@
-"""Scalar fields on C with exact jets, 1-forms, and quadrature.
+"""Scalar fields on C with exact jets, and quadrature nodes.
 
 Conventions: d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2, and the
 area pairing dz ^ dzbar = -2i dx ^ dy.  A field is differentiated in one way
@@ -9,7 +9,6 @@ broadcasts over it; a scalar point is numpy's 0-d case.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -25,7 +24,7 @@ class ScalarField:
     ``func`` gives the values; ``jet``, when given, gives (f, df/dz, df/dzbar, flat
     Laplacian 4 d2/(dz dzbar)) at once.  Each callable takes an ndarray of points and
     broadcasts elementwise; it may return a scalar instead when the function is constant.
-    A field without a jet, such as a coefficient of a 1-form, can only be evaluated.
+    A field without a jet can only be evaluated.
     """
 
     func: ComplexFn
@@ -40,46 +39,6 @@ def jet(f: ScalarField, z):
     if f.jet is None:
         raise TypeError("the field has no jet: it can only be evaluated")
     return f.jet(z)
-
-
-@dataclass
-class OneForm:
-    """w = coeff_dz dz + coeff_dzbar dzbar."""
-
-    coeff_dz: ScalarField
-    coeff_dzbar: ScalarField
-
-
-@functools.cache
-def _gauss_legendre_16():
-    """The 16-point Gauss-Legendre nodes and weights on [-1, 1], made on first use."""
-    return np.polynomial.legendre.leggauss(16)
-
-
-def line_integral(omega: OneForm, path: list, n_sub: int = 1):
-    """Integral of omega along the polyline, composite Gauss-Legendre per segment.
-
-    The vertices may be arrays that broadcast together: the result then holds,
-    point by point, the integral along the polyline through the vertices'
-    entries.  Each coefficient is evaluated once, on every node of every segment.
-    """
-    if n_sub < 1:
-        raise ValueError("n_sub must be >= 1")
-    nodes, weights = _gauss_legendre_16()
-    # the segments on a leading axis, the nodes of each on a trailing one
-    s = (np.arange(n_sub)[:, None] + (nodes + 1) / 2).ravel()
-    w = np.tile(weights / 2, n_sub)
-    v = np.stack(np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in path)))
-    dz_seg = np.expand_dims((v[1:] - v[:-1]) / n_sub, -1)
-    z = np.expand_dims(v[:-1], -1) + s * dz_seg
-    val = omega.coeff_dz(z) * dz_seg + omega.coeff_dzbar(z) * dz_seg.conjugate()
-    return np.sum(w * val, axis=-1).sum(axis=0)
-
-
-def quad2d(f, rect: tuple[float, float, float, float], n: int) -> complex:
-    """Tensor Gauss-Legendre integral of f over [xmin,xmax]x[ymin,ymax] (dx dy)."""
-    Z, W = quad2d_nodes(rect, n)
-    return complex(np.sum(W * f(Z)))
 
 
 def quad2d_nodes(rect: tuple[float, float, float, float], n: int):

@@ -4,7 +4,8 @@ The finite-difference oracle, which every exact jet is compared with, is the per
 5-point central stencil: each shifted point is its own call of the field, so the
 oracle shares no code with the jets it checks.  The 1-form exterior derivative, which
 exists to take finite differences, is built on it.  A field here is any callable of an
-ndarray of points (a ``ScalarField`` is one).  The group-side oracles work one scalar
+ndarray of points (a ``ScalarField`` is one).  The gauge oracle integrates dphi, written
+from S and B, along an L-path one node at a time.  The group-side oracles work one scalar
 element at a time: the distance of two elements, and the cocycle defect of the
 character-free factor, sampled on a grid.
 """
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from maf.automorphy import mixed_factor_nochi, phase
-from maf.fields import Grid, OneForm, ScalarField
+from maf.fields import Grid, ScalarField
 from maf.groups import GroupElement, act, compose
+from maf.magnetics import S_field
 
 FD_STEP = 1e-4
 
@@ -55,13 +57,29 @@ class TwoForm:
     coeff: ScalarField
 
 
-def exterior_derivative(omega: OneForm, h=FD_STEP) -> TwoForm:
-    """d(omega), the coefficient of dz ^ dzbar, by the stencil."""
+def exterior_derivative(coeff_dz, coeff_dzbar, h=FD_STEP) -> TwoForm:
+    """d(coeff_dz dz + coeff_dzbar dzbar), the coefficient of dz ^ dzbar, by the stencil."""
 
     def coeff(z):
-        return oracle_wirtinger(omega.coeff_dzbar, z, h)[0] - oracle_wirtinger(omega.coeff_dz, z, h)[1]
+        return oracle_wirtinger(coeff_dzbar, z, h)[0] - oracle_wirtinger(coeff_dz, z, h)[1]
 
     return TwoForm(ScalarField(coeff))
+
+
+def gauge_phi(sys, z, x_first=True) -> float:
+    """phi(z) as the integral of dphi = 2 Re(phi_z dz), phi_z = -i (B zbar - conj S) / 2, from 0
+    along the L-path with its real leg first (or its imaginary leg), 16-point Gauss-Legendre
+    per leg, node by node: exact up to round-off, as S is affine."""
+    z = complex(z)
+    corner = complex(z.real, 0.0) if x_first else complex(0.0, z.imag)
+    nodes, weights = np.polynomial.legendre.leggauss(16)
+    total = 0.0
+    for z0, z1 in ((0j, corner), (corner, z)):
+        for t, w in zip(nodes, weights):
+            p = z0 + (t + 1) / 2 * (z1 - z0)
+            phi_z = -0.5j * (sys.B * p.conjugate() - np.conj(S_field(sys, p)))
+            total += w * (phi_z * (z1 - z0)).real  # w / 2 per node, times the 2 of 2 Re
+    return total
 
 
 def distance(g: GroupElement, h: GroupElement) -> float:

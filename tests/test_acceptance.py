@@ -19,7 +19,6 @@ from maf.magnetics import (
     apply_mixed_laplacian,
     field_constancy,
     gauge_check,
-    gauge_phi,
     intertwining_residual,
     invariance_residual,
     lifting_residual,
@@ -37,7 +36,7 @@ from maf.spectral import (
     strip_eigenfunction,
     truncation_radius,
 )
-from oracles import defect_phase_residuals
+from oracles import defect_phase_residuals, gauge_phi
 from test_highdim import _two_form_matrix, potential_n_coeffs
 
 NAMES = ("landau", "conjugate", "alteration")
@@ -78,19 +77,23 @@ def _ab(elements):
 
 
 def test_criterion_1_field_constancy(systems):
+    # S's z-coefficient is the field: S(z) - S(0) = B z on the report grid, to round-off
     ok = True
     grid = Grid(-2, 2, 41, -2, 2, 41)
     for name, sys_ in systems.items():
-        rep = field_constancy(sys_, grid, tol=1e-8)
-        ok &= rep.passed and abs(rep.metadata["B"] - EXPECTED_B[name]) < 1e-8
+        rep = field_constancy(sys_, grid, tol=1e-12)
+        ok &= rep.name == "field_coefficient" and rep.passed and rep.metadata["B"] == EXPECTED_B[name]
     assert _verdict("1", ok)
 
 
 def test_criterion_2_gauge_wellposed(systems):
+    # S's constant term is 2i conj(gauge_k), and phi = 2 Re(gauge_k z) is the line integral of dphi
     ok = True
     for sys_ in systems.values():
-        rep = gauge_check(sys_, n_points=20, tol=1e-8)
-        ok &= rep.passed and rep.metadata["max_im"] <= 1e-9
+        rep = gauge_check(sys_, tol=1e-12)
+        ok &= rep.name == "gauge_coefficient" and rep.passed
+        for z in CENTRAL:
+            ok &= all(abs(gauge_phi(sys_, z, x_first) - sys_.phi(z)) <= 1e-12 for x_first in (True, False))
     assert _verdict("2", ok)
 
 

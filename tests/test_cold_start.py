@@ -75,16 +75,15 @@ def test_readme_quick_start_cold():
 
 def test_field_csv_cold():
     out = fresh("-m", "maf.cli", "field", "--config", "landau", "--format", "csv")
-    assert out == b"name,max_residual,mean_residual,tol,pass\r\nfield_constancy,0.0,0.0,1e-08,True\r\n\n"
+    assert out == b"name,max_residual,mean_residual,tol,pass\r\nfield_coefficient,0.0,0.0,1e-12,True\r\n\n"
 
 
-def test_line_integral_cold():
-    # the 16-point Gauss-Legendre table is made on the first call, the same bits as before
+def test_gauge_draws_and_integrates_nothing_cold():
+    # the gauge is decided from S's coefficients: no random draw, no Gauss-Legendre table
     code = (
-        "import numpy as np\n"
-        "from maf.fields import OneForm, ScalarField, line_integral\n"
-        "w = OneForm(ScalarField(lambda z: z * z), ScalarField(lambda z: np.exp(z.conjugate())))\n"
-        "v = line_integral(w, [0, 1 + 2j, -1 + 0.5j], n_sub=3)\n"
-        "print(v.real.hex(), v.imag.hex())\n"
+        "import sys\n"
+        "from maf.cli import main\n"
+        "main(['gauge', '--config', 'alteration'])\n"
+        "print(*(m for m in ('numpy.random', 'numpy.polynomial') if m in sys.modules))\n"
     )
-    assert fresh("-c", code).decode().split() == ["-0x1.855ec8140a118p-1", "0x1.20bac95ac50f0p-2"]
+    assert fresh("-c", code).decode().splitlines()[-1] == ""

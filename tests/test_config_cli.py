@@ -336,7 +336,8 @@ class TestCli:
     def test_gauge_value_metadata(self, capsys):
         assert main(["gauge", "--config", "alteration", "--z", "1,1"]) == 0
         data = json.loads(capsys.readouterr().out)
-        assert "phi" in data[0]["metadata"]
+        assert data[0]["metadata"]["phi"] == 2 * (-0.21650635094610965 - 0.125)  # 2 Re(gauge_k (1 + i))
+        assert data[0]["metadata"]["gauge_k"] == [-0.21650635094610965, 0.125]
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "rep.json"
@@ -517,8 +518,8 @@ class TestCli:
     def test_report_takes_the_point_and_element_options(self, capsys):
         assert main(["report", "--config", "alteration", "--z", "1,1", "--g", "0,1,1,0"]) == 0
         data = {d["name"]: d for d in json.loads(capsys.readouterr().out)}
-        assert data["gauge_wellposed"]["metadata"]["z"] == [1.0, 1.0]
-        assert "phi" in data["gauge_wellposed"]["metadata"]
+        assert data["gauge_coefficient"]["metadata"]["z"] == [1.0, 1.0]
+        assert "phi" in data["gauge_coefficient"]["metadata"]
         assert data["invariance"]["metadata"]["g"] == {"a": [0.0, 1.0], "b": [1.0, 0.0]}
 
     def test_spectrum_listing(self, capsys):
@@ -541,8 +542,8 @@ class TestCli:
 REPORT_ONLY = {"endomorphism_homomorphism", "intertwining"}
 ENTRIES = {
     "check-equivariance": {"equivariance"},
-    "field": {"field_constancy"},
-    "gauge": {"gauge_wellposed"},
+    "field": {"field_coefficient"},
+    "gauge": {"gauge_coefficient"},
     "invariance": {"invariance"},
     "lift": {"chi_tau_hat_spread", "lifting"},
     "spectrum": {"spectrum_rayleigh"},

@@ -2,15 +2,7 @@ import numpy as np
 import pytest
 from oracles import exterior_derivative, oracle_jet, oracle_laplacian, oracle_wirtinger
 
-from maf.fields import (
-    Grid,
-    OneForm,
-    ScalarField,
-    jet,
-    line_integral,
-    polyexp_field,
-    quad2d,
-)
+from maf.fields import Grid, ScalarField, jet, polyexp_field, quad2d_nodes
 
 
 class TestWirtinger:
@@ -169,89 +161,44 @@ class TestExteriorDerivative:
 
     def test_exact_form_closes(self):
         # d(df) = 0 for f = z zbar
-        omega = OneForm(
-            ScalarField(lambda z: z.conjugate()),  # df/dz
-            ScalarField(lambda z: z),
-        )
-        two = exterior_derivative(omega)
+        two = exterior_derivative(lambda z: z.conjugate(), lambda z: z)  # (df/dz, df/dzbar)
         assert abs(two.coeff(0.3 + 0.9j)) < 1e-8
 
     def test_landau_gauge(self):
         nu = 1.7
-        omega = OneForm(
-            ScalarField(lambda z: -nu * z.conjugate() / 2),
-            ScalarField(lambda z: nu * z / 2),
-        )
-        assert abs(exterior_derivative(omega).coeff(1 - 2j) - nu) < 1e-7
+        two = exterior_derivative(lambda z: -nu * z.conjugate() / 2, lambda z: nu * z / 2)
+        assert abs(two.coeff(1 - 2j) - nu) < 1e-7
 
     def test_conjugate_potential(self):
         # S = (nu - mu) z for the conjugation map
         nu, mu = 2.0, 1.0
-        omega = OneForm(
-            ScalarField(lambda z: -(nu - mu) * z.conjugate() / 2),
-            ScalarField(lambda z: (nu - mu) * z / 2),
-        )
-        assert abs(exterior_derivative(omega).coeff(0.4j) - (nu - mu)) < 1e-7
-
-
-class TestLineIntegral:
-    def test_zero_form(self):
-        omega = OneForm(ScalarField(lambda z: 0.0), ScalarField(lambda z: 0.0))
-        assert line_integral(omega, [0, 1 + 1j, 2]) == 0
-
-    def test_dz_exact(self):
-        omega = OneForm(ScalarField(lambda z: 1.0), ScalarField(lambda z: 0.0))
-        assert abs(line_integral(omega, [0, 1 + 1j]) - (1 + 1j)) < 1e-12
-
-    def test_stokes_loop(self):
-        # loop integral of the Landau gauge equals the dz^dzbar flux times
-        # the area factor: dz^dzbar = -2i dx^dy
-        nu = 1.3
-        omega = OneForm(
-            ScalarField(lambda z: -nu * z.conjugate() / 2),
-            ScalarField(lambda z: nu * z / 2),
-        )
-        square = [0, 1, 1 + 1j, 1j, 0]
-        loop = line_integral(omega, square)
-        flux = quad2d(ScalarField(lambda z: nu), (0, 1, 0, 1), 8)  # coefficient * dx dy
-        assert abs(loop - (-2j) * flux) < 1e-6
-
-    def test_subdivision_and_array_endpoints(self):
-        # z zbar^2 dz + zbar dzbar along 0 -> z: polynomial, so Gauss-Legendre is exact
-        omega = OneForm(ScalarField(lambda z: z * z.conjugate() ** 2), ScalarField(lambda z: z.conjugate()))
-        ends = np.array([1 + 1j, -0.5 + 2j, 0.3 - 0.7j])
-        one = line_integral(omega, [0.0, ends])
-        assert one.shape == ends.shape
-        assert np.allclose(line_integral(omega, [0.0, ends], n_sub=3), one, rtol=0, atol=1e-13)
-        for i, z in enumerate(ends):
-            assert abs(line_integral(omega, [0.0, z]) - one[i]) < 1e-13
-
-    def test_rejects_bad_subdivision(self):
-        omega = OneForm(ScalarField(lambda z: 1.0), ScalarField(lambda z: 0.0))
-        with pytest.raises(ValueError):
-            line_integral(omega, [0, 1], n_sub=0)
+        two = exterior_derivative(lambda z: -(nu - mu) * z.conjugate() / 2, lambda z: (nu - mu) * z / 2)
+        assert abs(two.coeff(0.4j) - (nu - mu)) < 1e-7
 
 
 class TestQuad2d:
+    """The tensor Gauss-Legendre integral over a rectangle (dx dy) is np.sum(W * f(Z)) on its nodes."""
+
     def test_constant(self):
-        assert abs(quad2d(ScalarField(lambda z: 1.0), (0, 1, 0, 1), 4) - 1) < 1e-12
+        Z, W = quad2d_nodes((0, 1, 0, 1), 4)
+        assert abs(np.sum(W * np.ones_like(Z)) - 1) < 1e-12
 
     def test_gaussian(self):
-        val = quad2d(ScalarField(lambda z: np.exp(-abs(z) ** 2)), (-6, 6, -6, 6), 80)
-        assert abs(val - np.pi) < 1e-10
+        Z, W = quad2d_nodes((-6, 6, -6, 6), 80)
+        assert abs(np.sum(W * np.exp(-abs(Z) ** 2)) - np.pi) < 1e-10
 
     def test_odd_symmetry(self):
-        assert abs(quad2d(ScalarField(lambda z: z), (-1, 1, -1, 1), 10)) < 1e-12
+        Z, W = quad2d_nodes((-1, 1, -1, 1), 10)
+        assert abs(np.sum(W * Z)) < 1e-12
 
     def test_convergence(self):
-        f = ScalarField(lambda z: np.exp(-abs(z) ** 2))
-        e20 = abs(quad2d(f, (-6, 6, -6, 6), 20) - np.pi)
-        e40 = abs(quad2d(f, (-6, 6, -6, 6), 40) - np.pi)
+        e20, e40 = (abs(np.sum(W * np.exp(-abs(Z) ** 2)) - np.pi)
+                    for Z, W in (quad2d_nodes((-6, 6, -6, 6), n) for n in (20, 40)))
         assert e40 < e20 / 10
 
     def test_rejects_tiny_n(self):
         with pytest.raises(ValueError):
-            quad2d(ScalarField(lambda z: 1.0), (0, 1, 0, 1), 1)
+            quad2d_nodes((0, 1, 0, 1), 1)
 
 
 class TestPolyexpField:

@@ -14,7 +14,14 @@ kernel got exact jets (3e-9 to 5e-9 at tol 1e-4 → 1.8e-16 to 3.0e-16 at tol
 1e-12, and 1.4e-8 to 1.9e-8 → 6.9e-17 to 7.2e-17 at scale 1); and the
 ``rdq`` ``worst_pair`` of every file, re-recorded once when chi came to be
 carried as phases: on these passing entries every pair's residual is
-round-off (at most 3.5e-15), so which pair is worst is round-off's choice.
+round-off (at most 3.5e-15), so which pair is worst is round-off's choice;
+and the ``field`` and ``gauge`` entries, re-recorded once when both came to
+be decided from S's coefficients: ``field_constancy`` (B's spread, 0.0 at tol
+1e-8) became ``field_coefficient`` (|S(z) - S(0) - B z|, 0.0 on landau and
+conjugate and 6.3e-16 on alteration, at tol 1e-12), and ``gauge_wellposed``
+(sampled line integrals, 0.0 to 1.1e-15 at tol 1e-8, with ``max_im``,
+``n_points`` and ``seed``) became ``gauge_coefficient`` (|S(0) - 2i
+conj(gauge_k)|, 0.0 at tol 1e-12, with ``gauge_k``).
 ``X.json`` is ``maf report --config X``, ``highdim_X.json`` is
 ``maf highdim --config X``.
 

@@ -2,14 +2,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import exterior_derivative, fd_field, oracle_jet, oracle_wirtinger
+from oracles import exterior_derivative, fd_field, gauge_phi, oracle_jet, oracle_wirtinger
 
 from maf import magnetics
-from maf.automorphy import mixed_factor_nochi
+from maf.automorphy import PseudoCharacter, mixed_factor_nochi
 from maf.config import build_system, load_bundled, load_config
+from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField, jet, polyexp_field
 from maf.groups import IDENTITY, GroupElement, act, random_ab
 from maf.magnetics import (
+    MagneticSystem,
     S_field,
     apply_landau,
     apply_mixed_laplacian,
@@ -17,15 +19,11 @@ from maf.magnetics import (
     chi_tau_hat_spread,
     field_constancy,
     gauge_check,
-    gauge_loop_residuals,
-    gauge_path_residuals,
-    gauge_phi,
     intertwining_residual,
     invariance_residual,
     lifting_residual,
     magnetic_field,
     phase_pullback,
-    potential,
     representation,
     value_and_mixed_laplacian,
     w_transform,
@@ -40,8 +38,18 @@ def ab(elements):
     return [g.a for g in elements], [g.b for g in elements]
 
 
+def conjugate_beta(beta=0.3 + 0.4j):
+    """The conjugate system with its fixed point moved to beta: rho([a, b]) = [abar, bbar +
+    (1 - abar) beta] and tau(z) = zbar + beta, so gauge_k = -i beta / 2 is not 0."""
+    conj = build_system(load_bundled("conjugate"))
+    rho = Endomorphism(-1, 1, beta, "complex_conjugate")
+    return MagneticSystem(conj.nu, conj.mu, rho, tau_from_beta(rho, beta), conj.gamma, conj.chi)
+
+
 def config_system(name):
-    """A bundled system by name, or the p6 system of the benchmark."""
+    """A bundled system by name, the p6 system of the benchmark, or ``conjugate_beta``."""
+    if name == "conjugate_beta":
+        return conjugate_beta()
     return build_system(load_config(str(P6_CONFIG)) if name == "p6" else load_bundled(name))
 
 
@@ -145,9 +153,10 @@ class TestMagneticField:
 class TestPotential:
     def test_exterior_derivative_is_field(self, conj, alt):
         for sys in (conj, alt):
-            theta = potential(sys)
+            # theta = -(Sbar/2) dz + (S/2) dzbar
+            theta = exterior_derivative(lambda z: -np.conj(S_field(sys, z)) / 2, lambda z: S_field(sys, z) / 2)
             for z in (0.2 + 0.5j, -1 + 0.3j):
-                assert abs(exterior_derivative(theta).coeff(z) - sys.B) < 1e-5
+                assert abs(theta.coeff(z) - sys.B) < 1e-5
 
 
 class TestLandauOperator:
@@ -298,25 +307,81 @@ class TestGauge:
 
     def test_line_integral_matches_closed_form(self, alt):
         for z in (1 + 1j, -0.7 + 0.2j):
-            assert abs(gauge_phi(alt, z) - alt.phi(z)) < 1e-8
-            assert abs(gauge_phi(alt, z, "y_first") - alt.phi(z)) < 1e-8
+            assert abs(gauge_phi(alt, z) - alt.phi(z)) < 1e-12
+            assert abs(gauge_phi(alt, z, x_first=False) - alt.phi(z)) < 1e-12
 
     def test_path_independence(self, conj, alt):
+        # the two L-paths enclose a rectangle, whose loop integral of dphi vanishes iff S's curl is B
         for sys in (conj, alt):
-            mism, ims = gauge_path_residuals(sys, [0.5 + 0.5j, -1 + 2j, 2 - 0.3j])
-            assert max(mism) < 1e-9
-            assert max(ims) < 1e-9
-
-    def test_loops_close(self, alt):
-        assert max(gauge_loop_residuals(alt, seed=3)) < 1e-8
+            for z in (0.5 + 0.5j, -1 + 2j, 2 - 0.3j):
+                assert abs(gauge_phi(sys, z) - gauge_phi(sys, z, x_first=False)) < 1e-12
 
     def test_report(self, landau, conj, alt):
         for sys in (landau, conj, alt):
-            assert gauge_check(sys).passed
+            rep = gauge_check(sys)
+            assert rep.passed and rep.name == "gauge_coefficient"
+            assert rep.metadata["gauge_k"] == [sys.gauge_k.real, sys.gauge_k.imag]
 
-    def test_bad_path_choice(self, alt):
-        with pytest.raises(ValueError):
-            gauge_phi(alt, 1.0, path_choice="diagonal")
+
+class TestConjugateBeta:
+    """A second system with a nonzero gauge: the conjugate pair with fixed point beta != 0."""
+
+    @pytest.fixture(scope="class")
+    def sys(self):
+        return conjugate_beta()
+
+    def test_gauge_is_not_zero(self, sys):
+        assert sys.B == 1.0
+        assert abs(sys.gauge_k + 0.5j * (0.3 + 0.4j)) < 1e-15
+
+    def test_both_entries_pass(self, sys):
+        assert field_constancy(sys, REPORT_GRID).passed
+        assert gauge_check(sys).passed
+
+    def test_oracle_along_both_paths(self, sys):
+        pts = LIFT_GRID.points()
+        for x_first in (True, False):
+            oracle = np.array([gauge_phi(sys, z, x_first) for z in pts])
+            assert np.max(np.abs(oracle - sys.phi(pts))) <= 1e-12
+        assert np.max(np.abs(sys.phi(pts))) > 0.5
+
+
+def _scaled_gauge_k(monkeypatch):
+    real = MagneticSystem.__dict__["gauge_k"].func  # a property outranks each system's cached value
+    monkeypatch.setattr(MagneticSystem, "gauge_k", property(lambda s: real(s) * (1 + 1e-3) + 1e-3))
+
+
+def _shifted_S(shift):
+    def mutate(monkeypatch):
+        real = magnetics.S_field
+        monkeypatch.setattr(magnetics, "S_field", lambda sys, z: real(sys, z) + shift(z))
+
+    return mutate
+
+
+def _scaled_field(monkeypatch):
+    real = magnetics.magnetic_field
+    monkeypatch.setattr(magnetics, "magnetic_field", lambda sys, z: real(sys, z) * (1 + 1e-3))
+
+
+# (mutation, the entry it must fail); the other coefficient entry must still pass
+MUTATIONS = {
+    "gauge_k_scaled": (_scaled_gauge_k, "gauge_coefficient"),
+    "S_plus_constant": (_shifted_S(lambda z: 1e-3), "gauge_coefficient"),
+    "S_plus_z": (_shifted_S(lambda z: 1e-3 * z), "field_coefficient"),
+    "field_scaled": (_scaled_field, "field_coefficient"),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_coefficient_mutations(monkeypatch, mutation):
+    mutate, entry = MUTATIONS[mutation]
+    systems = {name: config_system(name) for name in ("landau", "conjugate", "alteration", "p6", "conjugate_beta")}
+    mutate(monkeypatch)
+    for name, sys in systems.items():
+        reps = {rep.name: rep for rep in (field_constancy(sys, Grid()), gauge_check(sys))}
+        assert reps.pop(entry).max_residual > 1e3 * magnetics.COEFFICIENT_TOL, name
+        assert all(rep.passed for rep in reps.values()), name
 
 
 class TestWTransform:
@@ -490,21 +555,6 @@ def scalar_lifting(sys, g, grid, drop=None):
     return res
 
 
-def scalar_gauge_phi(sys, z):
-    """Gauss-Legendre node by node along 0 -> Re z -> z."""
-    from maf.magnetics import _dphi
-
-    form = _dphi(sys)
-    nodes, weights = np.polynomial.legendre.leggauss(16)
-    total = 0.0 + 0.0j
-    path = [0.0, complex(z.real, 0.0), complex(z)]
-    for z0, z1 in zip(path[:-1], path[1:]):
-        for t, w in zip(nodes, weights):
-            p = z0 + (t + 1) / 2 * (z1 - z0)
-            total += w / 2 * (form.coeff_dz(p) * (z1 - z0) + form.coeff_dzbar(p) * (z1 - z0).conjugate())
-    return total.real
-
-
 def assert_report_matches(rep, res):
     """The array sweep's report equals the scalar loop's within 1e-2 * tol."""
     assert abs(rep.max_residual - max(res)) <= 1e-2 * rep.tol
@@ -576,20 +626,15 @@ class TestArraySweepsMatchScalarLoops:
 
     @pytest.mark.parametrize("name", SYSTEMS)
     def test_gauge_phi(self, name):
+        # the closed form on the grid's array against the line integral, point by point
         sys = build_system(load_bundled(name))
         pts = LIFT_GRID.points()
-        phi = gauge_phi(sys, pts)
-        assert phi.shape == pts.shape
-        oracle = np.array([scalar_gauge_phi(sys, z) for z in pts])
-        assert np.max(np.abs(phi - oracle)) <= 1e-2 * 1e-8  # gauge_check's tol
-        assert np.max(np.abs(phi - sys.phi(pts))) <= 1e-8  # the closed form
+        oracle = np.array([gauge_phi(sys, z) for z in pts])
+        assert np.max(np.abs(sys.phi(pts) - oracle)) <= 1e-12
 
     def test_custom_family_system(self):
         # a hand-built normal form, rho([a, b]) = [a, 2b], runs through the same array sweeps
-        from maf.automorphy import PseudoCharacter
-        from maf.equivariant import Endomorphism, tau_from_beta
         from maf.groups import DiscreteSubgroup
-        from maf.magnetics import MagneticSystem
 
         rho = Endomorphism(1, 2, 0)
         square = DiscreteSubgroup([GroupElement(1, 1), GroupElement(1, 1j)])
