@@ -10,6 +10,8 @@ broadcasts over it; a scalar point is numpy's 0-d case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,24 +63,26 @@ def quad2d_nodes(rect: tuple[float, float, float, float], n: int):
 Poly2 = dict[tuple[int, int], complex]  # (i, j) -> coefficient of z^i zbar^j
 
 
-def _poly_eval(p: Poly2, z):
-    zb = z.conjugate()
-    return sum(c * z**i * zb**j for (i, j), c in p.items())
+def _poly_evals(ps: list[Poly2], z) -> list:
+    """sum c z^i zbar^j for each P of ps, from one table of powers: z^n is z^(n-1) z (zbar^n
+    likewise), and a power 0 is no factor."""
+    degs = [max((ij[m] for p in ps for ij in p), default=0) for m in (0, 1)]
+    zs, zbs = (list(accumulate([w] * n, np.multiply)) for w, n in zip((z, z.conjugate()), degs))
+    times = lambda c, ws, n: c * ws[n - 1] if n else c
+    return [sum(times(times(c, zs, i), zbs, j) for (i, j), c in p.items()) for p in ps]
 
 
-def _poly_dz(p: Poly2) -> Poly2:
+def _poly_d(p: Poly2, m: int, alpha: float) -> Poly2:
+    """Q with d(P e^{-alpha z zbar}) = Q e^{-alpha z zbar}, d = d/dz (m = 0) or d/dzbar (m = 1):
+    Q = P_z - alpha zbar P, or P_zbar - alpha z P."""
     out: Poly2 = {}
     for (i, j), c in p.items():
-        if i > 0:
-            out[(i - 1, j)] = out.get((i - 1, j), 0) + i * c
-    return out
-
-
-def _poly_dzbar(p: Poly2) -> Poly2:
-    out: Poly2 = {}
+        if n := (i, j)[m]:
+            key = (i - 1 + m, j - m)
+            out[key] = out.get(key, 0) + n * c
     for (i, j), c in p.items():
-        if j > 0:
-            out[(i, j - 1)] = out.get((i, j - 1), 0) + j * c
+        key = (i + m, j + 1 - m)
+        out[key] = out.get(key, 0) - alpha * c
     return out
 
 
@@ -89,28 +93,13 @@ def polyexp_field(coeffs: Poly2, alpha: float = 0.0) -> ScalarField:
     def gauss(z):
         return np.exp(-alpha * (z * z.conjugate()).real)
 
-    # d/dz (P e^{-a z zbar}) = (P_z - a zbar P) e^{-a z zbar}, and symmetrically.
-    def dz_poly(q: Poly2) -> Poly2:
-        out = dict(_poly_dz(q))
-        for (i, j), c in q.items():
-            key = (i, j + 1)
-            out[key] = out.get(key, 0) - alpha * c
-        return out
+    q_z, q_zb, q_lap = _poly_d(p, 0, alpha), _poly_d(p, 1, alpha), _poly_d(_poly_d(p, 1, alpha), 0, alpha)
 
-    def dzbar_poly(q: Poly2) -> Poly2:
-        out = dict(_poly_dzbar(q))
-        for (i, j), c in q.items():
-            key = (i + 1, j)
-            out[key] = out.get(key, 0) - alpha * c
-        return out
+    def jet_fn(z):  # the Gaussian and the powers once for all four parts
+        g, (v, v_z, v_zb, v_lap) = gauss(z), _poly_evals([p, q_z, q_zb, q_lap], z)
+        return v * g, v_z * g, v_zb * g, 4 * v_lap * g
 
-    q_z, q_zb, q_lap = dz_poly(p), dzbar_poly(p), dz_poly(dzbar_poly(p))
-
-    def jet_fn(z):  # the Gaussian once for all four parts
-        g = gauss(z)
-        return _poly_eval(p, z) * g, _poly_eval(q_z, z) * g, _poly_eval(q_zb, z) * g, 4 * _poly_eval(q_lap, z) * g
-
-    return ScalarField(lambda z: _poly_eval(p, z) * gauss(z), jet_fn)
+    return ScalarField(lambda z: _poly_evals([p], z)[0] * gauss(z), jet_fn)
 
 
 @dataclass
@@ -130,8 +119,8 @@ class Grid:
                 raise ValueError(f"grid {n} must be >= 1, got {getattr(self, n)}")
 
     def points(self) -> np.ndarray:
-        ys = np.linspace(self.ymin, self.ymax, self.ny)
-        return np.add.outer(np.linspace(self.xmin, self.xmax, self.nx), 1j * ys).ravel()
+        """The nx * ny points x + iy, x-major, read-only and shared by every equal grid."""
+        return _grid_points(self.xmin, self.xmax, self.nx, self.ymin, self.ymax, self.ny)
 
     @classmethod
     def from_dict(cls, d: dict) -> "Grid":
@@ -142,3 +131,10 @@ class Grid:
             "xmin": self.xmin, "xmax": self.xmax, "nx": self.nx,
             "ymin": self.ymin, "ymax": self.ymax, "ny": self.ny,
         }
+
+
+@lru_cache(maxsize=16, typed=True)
+def _grid_points(xmin, xmax, nx, ymin, ymax, ny) -> np.ndarray:
+    pts = np.add.outer(np.linspace(xmin, xmax, nx), 1j * np.linspace(ymin, ymax, ny)).ravel()
+    pts.flags.writeable = False
+    return pts

@@ -9,6 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+_SUM_BOUND = 1e300  # n residuals each at most _SUM_BOUND / n sum to no more than that, far from overflow
+
 
 @dataclass
 class CheckReport:
@@ -52,6 +54,8 @@ def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
     arr = np.asarray(residuals, dtype=float).ravel()
     if not arr.size:
         return CheckReport(name, 0.0, 0.0, tol, metadata)
+    if (worst := arr.max()) <= _SUM_BOUND / arr.size:  # finite, and no partial sum can overflow
+        return CheckReport(name, float(worst), float(np.cumsum(arr)[-1]) / arr.size, tol, metadata)
     finite = np.isfinite(arr)
     worst = arr.max() if finite.all() else arr[np.argmin(finite)]
     with np.errstate(over="ignore"):
@@ -66,8 +70,13 @@ def element_dicts(gs) -> list[dict]:
 
 
 def from_element_residuals(name: str, res, tol: float, gs, key: str = "g", **metadata) -> list[CheckReport]:
-    """``from_residuals`` of each row of res, with its element of gs = (a, b) under ``key``."""
-    return [from_residuals(name, r, tol, **{key: g}, **metadata) for r, g in zip(res, element_dicts(gs))]
+    """``from_residuals`` of each row of the (G, N) array res, with its element of gs = (a, b) under
+    ``key``; the maxima and sums of all rows in one call each, unless a row takes its slow path."""
+    rows, elements = np.asarray(res, dtype=float), element_dicts(gs)
+    if rows.size and ((worst := rows.max(axis=1)) <= _SUM_BOUND / rows.shape[1]).all():
+        means = (np.cumsum(rows, axis=1)[:, -1] / rows.shape[1]).tolist()
+        return [CheckReport(name, w, m, tol, {key: g, **metadata}) for w, m, g in zip(worst.tolist(), means, elements)]
+    return [from_residuals(name, r, tol, **{key: g}, **metadata) for r, g in zip(rows, elements)]
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from maf.cli import COMMANDS, main
 from maf.config import ConfigError, SystemConfig, build_system, load_bundled, load_config
-from maf.reports import CheckReport, emit, from_residuals
+from maf.reports import CheckReport, element_dicts, emit, from_element_residuals, from_residuals
 
 ROOT = Path(__file__).resolve().parents[1]
 _NONFINITE = {"nan": math.nan, "inf": math.inf, "-inf": -math.inf}
@@ -65,6 +65,31 @@ def jsonable(obj):
 
 def _bits(x: float) -> bytes:
     return struct.pack("<d", x)
+
+
+def per_row_summary(residuals):
+    """(max, mean) by the general path of from_residuals: the first non-finite residual in
+    row-major order, else the largest; the left-to-right cumsum under errstate, over n."""
+    arr = np.asarray(residuals, dtype=float).ravel()
+    if not arr.size:
+        return 0.0, 0.0
+    finite = np.isfinite(arr)
+    worst = arr.max() if finite.all() else arr[np.argmin(finite)]
+    with np.errstate(over="ignore"):
+        total = np.cumsum(arr)[-1]
+    return float(worst), float(total) / arr.size
+
+
+def summary_cases():
+    """(G, N) residual arrays: random ones over many scales, a NaN, an inf, NaN and inf in
+    either order, two 1e308 entries whose sum overflows, and empty ones."""
+    rng = np.random.default_rng(3)
+    cases = [rng.exponential(10.0 ** rng.integers(-16, 5), (g, n)) for g, n in [(1, 1), (3, 81), (5, 121), (2, 7)]]
+    for bad in ([math.nan], [math.inf], [math.inf, math.nan], [math.nan, math.inf], [1e308, 1e308]):
+        arr = rng.random((3, 9))
+        arr[1, 2 : 2 + len(bad)] = bad
+        cases.append(arr)
+    return cases + [np.zeros((3, 0)), np.zeros((0, 4))]
 
 
 def _residuals(vals, n, seed, inserts):
@@ -142,6 +167,21 @@ class TestReports:
         rep = from_residuals("x", [1e-12, float("nan"), 1e-13], 1e-8)
         assert math.isnan(rep.max_residual)
         assert not rep.passed
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("case", range(len(summary_cases())))
+    def test_summaries_match_the_per_row_path(self, case):
+        arr = summary_cases()[case]
+        gs = (np.exp(1j * np.arange(len(arr))), np.arange(len(arr)) * (0.5 - 1j))
+        rows = [per_row_summary(r) for r in arr]
+        reps = from_element_residuals("x", arr, 1e-8, gs, "gamma", k=2)
+        assert len(reps) == len(arr)
+        for rep, (worst, mean), g in zip(reps, rows, element_dicts(gs)):
+            assert (_bits(rep.max_residual), _bits(rep.mean_residual)) == (_bits(worst), _bits(mean))
+            assert rep.metadata == {"gamma": g, "k": 2}
+        for r, (worst, mean) in zip([arr, *arr], [per_row_summary(arr), *rows]):
+            rep = from_residuals("x", r, 1e-8)
+            assert (_bits(rep.max_residual), _bits(rep.mean_residual)) == (_bits(worst), _bits(mean))
 
     def test_from_residuals_inf_fails(self):
         rep = from_residuals("x", [1e-12, float("inf")], float("inf"))
@@ -280,6 +320,11 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["field", "--config", "nonexistent"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    def test_field_passes_on_a_far_grid(self, capsys):
+        # the absolute defect there is ~1e-12 of round-off, growing like |z|; divided by |z| it passes
+        assert main(["field", "--config", "alteration", "--grid=-1e4,1e4,41,-1e4,1e4,41"]) == 0
+        assert json.loads(capsys.readouterr().out)[0]["pass"]
 
     def test_bad_grid_spec(self, capsys):
         assert main(["field", "--config", "landau", "--grid", "0,1,5"]) == 2

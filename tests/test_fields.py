@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import exterior_derivative, oracle_jet, oracle_laplacian, oracle_wirtinger
 
-from maf.fields import Grid, ScalarField, jet, polyexp_field, quad2d_nodes
+from maf.fields import Grid, ScalarField, _poly_evals, jet, polyexp_field, quad2d_nodes
 
 
 class TestWirtinger:
@@ -215,11 +215,45 @@ class TestPolyexpField:
         f = polyexp_field({(0, 0): 1.0}, alpha=0.5)
         assert abs(f(1 + 1j) - np.exp(-1.0)) < 1e-14
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_poly_evals_match_the_power_form(self, seed):
+        # powers built by products round apart from numpy's integer powers above z^2, by a few ulps
+        rng = np.random.default_rng(seed)
+        z = 2.5 * (rng.standard_normal(40) + 1j * rng.standard_normal(40))
+        for point in (z, z[0], complex(z[1])):
+            p = {(i, j): complex(*rng.standard_normal(2)) for i in range(5) for j in range(5 - i) if rng.random() < 0.6}
+            want = sum(c * point**i * np.conj(point) ** j for (i, j), c in p.items())
+            scale = sum(abs(c) * np.abs(point) ** (i + j) for (i, j), c in p.items())
+            assert np.all(np.abs(_poly_evals([p], point)[0] - want) <= 16 * np.finfo(float).eps * scale)
+
+    def test_poly_evals_share_one_table_of_powers(self):
+        z = np.array([0.5 - 1j, 2.0 + 0.25j])
+        ps = [{}, {(0, 0): 1.5 - 2j}, {(1, 0): 2.0, (0, 1): 1j}, {(3, 0): 1.0}, {(1, 2): -0.5}]
+        got = _poly_evals(ps, z)
+        assert got[:2] == [0, 1.5 - 2j]
+        assert same_bits(got[2], 2.0 * z + 1j * np.conj(z))
+        assert same_bits(got[3], 1.0 * (z * z * z))
+        assert same_bits(got[4], -0.5 * z * (np.conj(z) * np.conj(z)))
+        assert all(same_bits(g, _poly_evals([p], z)[0]) for g, p in zip(got, ps))
+
 
 class TestGrid:
     def test_points_count(self):
         g = Grid(nx=5, ny=3)
         assert g.points().size == 15
+
+    def test_points_are_one_read_only_array_per_grid(self):
+        g = Grid(-1.5, 2.5, 7, -3.0, 1.0, 5)
+        pts = g.points()
+        want = np.add.outer(np.linspace(-1.5, 2.5, 7), 1j * np.linspace(-3.0, 1.0, 5)).ravel()
+        assert same_bits(pts, want)
+        assert Grid(-1.5, 2.5, 7, -3.0, 1.0, 5).points() is pts
+        assert not pts.flags.writeable
+        with pytest.raises(ValueError):
+            pts[0] = 0.0
+        g.nx = 9  # the memo is keyed on the grid's numbers, not on the object
+        assert g.points().size == 45
+        assert same_bits(g.points(), np.add.outer(np.linspace(-1.5, 2.5, 9), 1j * np.linspace(-3.0, 1.0, 5)).ravel())
 
     def test_dict_roundtrip(self):
         g = Grid(-1, 1, 11, -2, 2, 21)

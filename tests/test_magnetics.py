@@ -384,6 +384,17 @@ def test_coefficient_mutations(monkeypatch, mutation):
         assert all(rep.passed for rep in reps.values()), name
 
 
+@pytest.mark.parametrize("mutation", ["S_plus_z", "field_scaled"])
+def test_field_coefficient_on_a_far_grid(monkeypatch, mutation):
+    # the defect is taken over max(1, |z|): a correct system passes at |z| ~ 1e4 and a wrong one still fails
+    far = Grid(-1e4, 1e4, 41, -1e4, 1e4, 41)
+    systems = {name: config_system(name) for name in ("landau", "conjugate", "alteration", "p6", "conjugate_beta")}
+    assert all(field_constancy(sys, far).passed for sys in systems.values())
+    MUTATIONS[mutation][0](monkeypatch)
+    for name, sys in systems.items():
+        assert field_constancy(sys, far).max_residual > 1e3 * magnetics.COEFFICIENT_TOL, name
+
+
 class TestWTransform:
     def test_roundtrip(self, alt):
         f = probe(alt.B)
@@ -402,6 +413,16 @@ class TestWTransform:
             f = probe(sys.B)
             rep = intertwining_residual(sys, f, SMALL)
             assert rep.passed, rep.max_residual
+
+    def test_one_jet_of_the_probe(self, landau, conj, alt):
+        # both sides of the identity, and the negative control, read one jet of f per call
+        for sys in (landau, conj, alt):
+            inner, calls = probe(sys.B), []
+            f = ScalarField(inner.func, lambda z: calls.append(np.shape(z)) or inner.jet(z))
+            assert intertwining_residual(sys, f, SMALL).passed
+            bad = intertwining_residual(sys, f, SMALL, B_override=sys.B + 0.1)
+            assert not bad.passed and bad.max_residual > 0.01
+            assert calls == [(SMALL.nx * SMALL.ny,)] * 2
 
     def test_wrong_field_fails(self, alt):
         f = probe(alt.B)
