@@ -22,7 +22,7 @@ import numpy as np
 
 from .equivariant import Endomorphism, EquivariantMap, apply_endo, apply_endo_ab
 from .fields import Grid, ScalarField
-from .groups import DiscreteSubgroup, GroupElement, _cmul, act, inverse, inverse_ab
+from .groups import DiscreteSubgroup, GroupElement, _cmul, act, inverse, inverse_ab, inverse_b
 from .reports import CheckReport, from_residuals
 
 TABLES_KEPT = 8  # character tables kept per word closure by ``character_table``
@@ -34,7 +34,7 @@ class UnknownGroupElementError(ValueError):
 
 def j_factor(alpha: float, a, b, z):
     """exp(-i alpha Im(z * conj(g^{-1}.0))) for g = [a, b]; a and b broadcast against z."""
-    w = inverse_ab(a, b)[1]
+    w = inverse_b(a, b)
     return np.exp(-1j * alpha * (z * np.conj(w)).imag)
 
 

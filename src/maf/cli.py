@@ -123,9 +123,9 @@ def _intertwining(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckRe
 def _lift(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     grid = _coarse(cfg.make_grid(), 11)
     tol = _tol(args, 1e-8)
-    gs = tuple(zip(*((g.a, g.b) for g in sys_.gamma.generators)))
-    spreads = magnetics.chi_tau_hat_spread(sys_, gs, grid, tol=tol)
-    return [rep for pair in zip(spreads, magnetics.lifting_residual(sys_, gs, grid, tol=tol)) for rep in pair]
+    idx = sys_.chi_table.closure.succ[0, ::2]  # the generators' entries: e times each generator's slot
+    spreads = magnetics.chi_tau_hat_spread(sys_, idx, grid, tol=tol)
+    return [rep for pair in zip(spreads, magnetics.lifting_residual(sys_, idx, grid, tol=tol)) for rep in pair]
 
 
 def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
@@ -148,14 +148,14 @@ def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     verdict = spectral.select_laguerre_scale(sys_, k=max(k, 1))
     scale = verdict["scale"]
     rng = np.random.default_rng(cfg.seed)
-    zs = rng.normal(size=8) + 1j * rng.normal(size=8)
-    ws = rng.normal(size=8) + 1j * rng.normal(size=8)
-    herm = np.abs(spectral.kernel(sys_, k, zs, ws, scale) - np.conjugate(spectral.kernel(sys_, k, ws, zs, scale)))
+    zw = np.stack([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in "zw"])  # 8 pairs (z, w)
+    K = spectral.kernel(sys_, k, zw, zw[::-1], scale)  # at (z, w) and (w, z), stacked
+    herm = np.abs(K[0] - np.conjugate(K[1]))
     diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j, scale) - sys_.B / np.pi)
     # the eigen-equation at the chosen scale counts too, so a failing verdict fails the entry
     res = [*herm, diag, verdict["residuals"][str(scale)]]
     rep = from_residuals("kernel_structure", res, _tol(args, 1e-12), laguerre_scale_verdict=verdict, k=k)
-    pairs, gs, tol = np.column_stack([zs, ws]), random_ab(rng, 5), _tol(args, 1e-8)
+    pairs, gs, tol = zw.T, random_ab(rng, 5), _tol(args, 1e-8)
     reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, pairs, tol=tol, laguerre_scale=scale)]
     if args.z is not None and args.w is not None:
         val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w), scale)
@@ -214,14 +214,16 @@ def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
         ],
     }
     n, tol = int(block.get("n", 2)), _tol(args, 1e-12)
+    if n < 1:
+        raise ConfigError(f"highdim block: n must be an integer ≥ 1, got {block['n']!r}")
     try:
-        return [
-            constant_field_test(EquivariantMapN.from_dict(case["tau"], n), cfg.nu, cfg.mu, tol,
-                                f"highdim_{case.get('name', case['tau']['kind'])}")
-            for case in block["cases"]
-        ]
+        if not (cases := block["cases"]):
+            raise ConfigError("highdim block needs at least one case")
+        taus = [EquivariantMapN.from_dict(case["tau"], n) for case in cases]
+        names = [f"highdim_{case.get('name', case['tau']['kind'])}" for case in cases]
     except KeyError as e:  # a case without "tau", a linear map without "U", no "cases" list
         raise ConfigError(f"highdim block is missing key {e.args[0]!r}") from e
+    return constant_field_test(taus, cfg.nu, cfg.mu, tol, names)
 
 
 @functools.cache

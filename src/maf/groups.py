@@ -256,12 +256,18 @@ def compose_ab(ga, gb, ha, hb) -> tuple[np.ndarray, np.ndarray]:
     return _unit(_cmul(ga, ha)), _cmul(ga, hb) + gb
 
 
-def inverse_ab(a, b) -> tuple[np.ndarray, np.ndarray]:
-    """``inverse`` on arrays, rounding as it does; every |a| must be 1, as in ``GroupElement``."""
+def inverse_b(a, b) -> np.ndarray:
+    """g^{-1}.0 for g = [a, b], the b of ``inverse_ab``; every |a| must be 1, as in ``GroupElement``."""
     abar = np.conj(a)
     if not abs(_abs(abar) - 1.0).max() <= UNIT_TOL:  # NaN fails too
         raise ValueError(f"rotation part must be unimodular, got |a| in {np.unique(_abs(abar))}")
-    return _unit(abar), _cmul(-abar, b)
+    return _cmul(-abar, b)
+
+
+def inverse_ab(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``inverse`` on arrays, rounding as it does; its b is ``inverse_b``."""
+    w = inverse_b(a, b)
+    return _unit(np.conj(a)), w
 
 
 class WordClosure:

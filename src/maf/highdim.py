@@ -16,6 +16,7 @@ vanish exactly when each component of tau involves one coordinate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -78,62 +79,64 @@ def _determinants(p: np.ndarray, q: np.ndarray, i, j) -> tuple:
     return A, B, C, D
 
 
-def two_form(tau: EquivariantMapN, nu: float, mu: float) -> np.ndarray:
+def two_form(tau, nu: float, mu: float) -> np.ndarray:
     """The antisymmetric (2n, 2n) coefficient matrix M of d theta.
 
     Basis order (dz_1..dz_n, dzbar_1..dzbar_n); M[a, b] (a < b) is the
     coefficient of basis_a ^ basis_b.  With d tau_l = alpha_l . basis and
     d tau bar_l = beta_l . basis, d theta = sum_ab X[a, b] basis_a ^ basis_b
     for X = -nu E - mu sum_l beta_l alpha_l^T, E[n + l, l] = 1, and M = X - X^T.
+    tau's blocks U and V may stack maps of one n on leading axes, which M keeps.
     """
-    n = tau.n
-    alpha = np.hstack([tau.U, tau.V])  # rows alpha_l
-    beta = np.hstack([tau.V.conj(), tau.U.conj()])  # rows beta_l
-    X = -mu * (beta.T @ alpha)
-    X[n:, :n] -= nu * np.eye(n)
-    return X - X.T
+    n = tau.U.shape[-1]
+    alpha = np.concatenate([tau.U, tau.V], axis=-1)  # rows alpha_l
+    beta = np.concatenate([tau.V.conj(), tau.U.conj()], axis=-1)  # rows beta_l
+    X = -mu * (beta.swapaxes(-1, -2) @ alpha)
+    X[..., n:, :n] -= nu * np.eye(n)
+    return X - X.swapaxes(-1, -2)
 
 
-def equivariance_defect(tau: EquivariantMapN) -> float:
-    """max |W* W - I| for tau's nonzero Jacobian block W.
+def equivariance_defect(tau) -> float | np.ndarray:
+    """max |W* W - I| for tau's nonzero Jacobian block W = U + V, per map of a stack.
 
     tau(g.z) = rho(g).tau(z) holds for every g = (A, b) of U(n) |x C^n and
     the kind's rho (``RHO``) exactly when W is unitary: for the linear kind
     the difference is U A (U* U - I) z, and as the unitary A span all
     matrices it vanishes for all g and z only when U* U = I (or U = 0).
     """
-    W = tau.V if tau.kind == "conjugate" else tau.U
-    return float(np.abs(W.conj().T @ W - np.eye(tau.n)).max())
+    W = tau.U + tau.V  # the other block is 0
+    return np.abs(W.conj().swapaxes(-1, -2) @ W - np.eye(W.shape[-1])).max(axis=(-2, -1))
 
 
 def constant_field_test(
-    tau: EquivariantMapN, nu: float, mu: float, tol: float = 1e-12, name: str = "highdim"
-) -> CheckReport:
-    """tau's equivariance defect under its declared rho, with d theta and the
-    per-component determinants in the metadata.
+    taus: list[EquivariantMapN], nu: float, mu: float, tol: float = 1e-12, names: list[str] | None = None
+) -> list[CheckReport]:
+    """Each map's equivariance defect under its declared rho, with d theta and the
+    per-component determinants in the metadata: one report per map, all from one stack.
 
-    d theta is constant by construction.  ``coordinate_decoupling`` holds the
-    largest |A| and |B| over components and index pairs i < j, and F[l, k] =
+    The maps share one n.  d theta is constant by construction.  ``coordinate_decoupling``
+    holds the largest |A| and |B| over components and index pairs i < j, and F[l, k] =
     |V[l, k]|^2 - |U[l, k]|^2; with V = 0, B_ij = -conj(U[l, j]) U[l, i], so
     the block reads ``decoupled`` only when each component involves one
     coordinate (the 45 degree rotation is not).
     """
-    n = tau.n
+    n, names = taus[0].n, names or ["highdim"] * len(taus)
+    stack = SimpleNamespace(U=np.stack([t.U for t in taus]), V=np.stack([t.V for t in taus]))  # (C, n, n)
     i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))  # the pairs i < j
-    A, B, _, _ = _determinants(tau.U, tau.V, i, j)
-    max_A, max_B = (float(np.abs(x).max(initial=0.0)) for x in (A, B))
-    F = np.abs(tau.V) ** 2 - np.abs(tau.U) ** 2
-    defect = equivariance_defect(tau)
-    return CheckReport(name, defect, defect, tol, {
+    A, B, _, _ = _determinants(stack.U, stack.V, i, j)
+    max_A, max_B = (np.abs(x).max(axis=(-2, -1), initial=0.0).tolist() for x in (A, B))
+    F = (np.abs(stack.V) ** 2 - np.abs(stack.U) ** 2).tolist()
+    columns = zip(taus, names, two_form(stack, nu, mu).tolist(), equivariance_defect(stack).tolist(), max_A, max_B, F)
+    return [CheckReport(name, defect, defect, tol, {
         "rho": RHO[tau.kind],
-        "two_form": [[[v.real, v.imag] for v in row] for row in two_form(tau, nu, mu).tolist()],
+        "two_form": [[[v.real, v.imag] for v in row] for row in M],
         "coordinate_decoupling": {
-            "max_A": max_A,
-            "max_B": max_B,
-            "F_values": {f"{l},{k}": v for l, row in enumerate(F.tolist()) for k, v in enumerate(row)},
-            "decoupled": max_A <= tol and max_B <= tol,
+            "max_A": a,
+            "max_B": b,
+            "F_values": {f"{l},{k}": v for l, row in enumerate(f) for k, v in enumerate(row)},
+            "decoupled": a <= tol and b <= tol,
         },
         "nu": nu,
         "mu": mu,
         "n": n,
-    })
+    }) for tau, name, M, defect, a, b, f in columns]

@@ -20,7 +20,8 @@ S(z) = B z + 2i conj(k) exactly, k = ``gauge_k``: phi is always 2 Re(k z).
 ``field_constancy`` and ``gauge_check`` decide those two coefficients of S.
 
 A group check takes its elements gs = (a, b), 1-d arrays, in one call and sweeps them
-(axis 0) by the grid points (axis 1), one report per element.
+(axis 0) by the grid points (axis 1), one report per element; the lift checks take the
+elements' chi table entries idx instead.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from .automorphy import CharacterTable, PseudoCharacter, character_table
 from .equivariant import Endomorphism, EquivariantMap, apply_endo_ab, equivariance_defects
 from .fields import Grid, ScalarField, jet
-from .groups import DiscreteSubgroup, inverse_ab
+from .groups import DiscreteSubgroup, inverse_b
 from .reports import CheckReport, element_dicts, from_element_residuals, from_residuals
 
 WORD_LEN = 8  # word length of the chi extension behind chi_table
@@ -168,7 +169,7 @@ def representation(sys: MagneticSystem, a, b, f: ScalarField) -> ScalarField:
 def _conj_j0(sys: MagneticSystem, a, b):
     """(K, c) with conj J0(g, z) = c e^{-2i Re(K z)} for g = [a, b]: K = i nu wbar/2 +
     i mu (p w2bar - qbar w2)/2 and c = e^{i mu Im(r w2bar)}, w = g^{-1}.0, w2 = rho(g)^{-1}.0."""
-    w, w2 = inverse_ab(a, b)[1], inverse_ab(*apply_endo_ab(sys.rho, a, b))[1]
+    w, w2 = inverse_b(a, b), inverse_b(*apply_endo_ab(sys.rho, a, b))
     p, q, r = sys.tau.p, sys.tau.q, sys.tau.r
     K = 1j * sys.nu * np.conj(w) / 2 + 1j * sys.mu * (p * np.conj(w2) - np.conj(q) * w2) / 2
     return K, np.exp(1j * sys.mu * (r * np.conj(w2)).imag)
@@ -251,23 +252,23 @@ def _lifted_factor(sys: MagneticSystem, idx, z):
     return np.exp(1j * arg), np.exp(-1j * sys.B * im_zu)
 
 
-def chi_tau_hat_spread(sys: MagneticSystem, gs, grid: Grid, tol: float = 1e-8) -> list[CheckReport]:
+def chi_tau_hat_spread(sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8) -> list[CheckReport]:
     """z-independence of chi_tau_hat = e^{i(phi(g.z) - phi(z))} J(g, z) / j^B(g, z) over the grid
-    (max deviation from its mean), per element of gs."""
-    vals = np.divide(*_lifted_factor(sys, sys.chi_table.indices(*gs), grid.points()))
+    (max deviation from its mean), per chi table entry of idx (``CharacterTable.indices`` of elements)."""
+    vals = np.divide(*_lifted_factor(sys, idx, grid.points()))
     center = vals.mean(axis=1)
     res = np.abs(vals - center[:, None])
     return [
         from_residuals("chi_tau_hat_spread", r, tol, gamma=g, value=[m.real, m.imag], grid=grid.to_dict())
-        for r, m, g in zip(res, center.tolist(), element_dicts(gs))
+        for r, m, g in zip(res, center.tolist(), element_dicts(sys.chi_table.closure.ab[idx].T))
     ]
 
 
 def lifting_residual(
-    sys: MagneticSystem, gs, grid: Grid, tol: float = 1e-8, drop: str | None = None
+    sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, drop: str | None = None
 ) -> list[CheckReport]:
-    """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per element of gs."""
-    idx = sys.chi_table.indices(*gs)
+    """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per chi table entry of idx."""
     lhs, jb = _lifted_factor(sys, idx, grid.points())
     res = np.abs(lhs - _chi_tau(sys, idx, drop)[:, None] * jb)
+    gs = sys.chi_table.closure.ab[idx].T  # the entries' a and b
     return from_element_residuals("lifting", res, tol, gs, "gamma", dropped=drop, grid=grid.to_dict())

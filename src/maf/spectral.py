@@ -374,9 +374,9 @@ def kernel_invariance_residual(
     z, w = np.asarray(pairs, dtype=complex).reshape(-1, 2).T
     gz, gw = a * z + b, a * w + b
     d_gauge = sys.phi(gz) - sys.phi(gw) - (sys.phi(z) - sys.phi(w))
+    K = kernel(sys, k, np.vstack([z, gz]), np.vstack([w, gw]), laguerre_scale)  # (z, w) stacked on (gz, gw)
     # e^{iB Im<z-w, g^{-1}.0>} = conj j^B(g, z - w)
-    rhs = np.exp(1j * d_gauge) * np.conj(j_factor(sys.B, a, b, z - w)) * kernel(sys, k, gz, gw, laguerre_scale)
-    res = np.abs(kernel(sys, k, z, w, laguerre_scale) - rhs)
+    res = np.abs(K[0] - np.exp(1j * d_gauge) * np.conj(j_factor(sys.B, a, b, z - w)) * K[1:])
     return from_element_residuals("kernel_invariance", res, tol, gs, k=k, n_pairs=res.shape[1])
 
 

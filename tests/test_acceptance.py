@@ -135,12 +135,12 @@ def test_criterion_5_lifting(systems):
     ok = True
     grid = Grid(-2, 2, 11, -2, 2, 11)
     for sys_ in systems.values():
-        gs = _ab(sys_.gamma.generators)
-        ok &= all(r.passed for r in chi_tau_hat_spread(sys_, gs, grid, tol=1e-8))
-        ok &= all(r.passed for r in lifting_residual(sys_, gs, grid, tol=1e-8))
+        idx = sys_.chi_table.indices(*_ab(sys_.gamma.generators))
+        ok &= all(r.passed for r in chi_tau_hat_spread(sys_, idx, grid, tol=1e-8))
+        ok &= all(r.passed for r in lifting_residual(sys_, idx, grid, tol=1e-8))
     for drop in ("phase_at_orbit", "inner"):
         alt = systems["alteration"]
-        (rep,) = lifting_residual(alt, _ab(alt.gamma.generators[:1]), grid, drop=drop)
+        (rep,) = lifting_residual(alt, alt.chi_table.indices(*_ab(alt.gamma.generators[:1])), grid, drop=drop)
         ok &= rep.max_residual >= 1e-3
     assert _verdict("5", ok)
 
@@ -226,7 +226,7 @@ def test_criterion_9_highdim_verdicts():
         "conjugate": EquivariantMapN("conjugate", 2),
         "rotation45": EquivariantMapN("linear", 2, U=np.array([[c, -c], [c, c]], dtype=complex)),
     }
-    reps = {name: constant_field_test(tau, 1.0, 0.5) for name, tau in maps.items()}
+    reps = dict(zip(maps, constant_field_test(list(maps.values()), 1.0, 0.5)))
     pts = np.random.default_rng(0).normal(size=(6, 2, 2)) @ np.array([1, 1j])
     ok = True
     for name, tau in maps.items():

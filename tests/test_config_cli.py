@@ -519,6 +519,8 @@ class TestCli:
             ({"n": 2, "cases": [{"name": "notau"}]}, "'tau'"),
             ({"n": 2, "cases": [{"tau": {"kind": "linear"}}]}, "'U'"),
             ({"n": 2}, "'cases'"),
+            ({"n": 2, "cases": []}, "needs at least one case"),
+            ({"n": 0, "cases": [{"tau": {"kind": "identity"}}]}, "n must be an integer ≥ 1, got 0"),
         ],
     )
     def test_incomplete_highdim_block_is_config_error(self, capsys, tmp_path, block, key):

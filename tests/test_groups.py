@@ -24,6 +24,7 @@ from maf.groups import (
     enumerate_words,
     inverse,
     inverse_ab,
+    inverse_b,
     random_ab,
 )
 from oracles import distance
@@ -74,6 +75,15 @@ class TestGroupElement:
         for bad in (1.1, 1 + 1e-9, np.nan):
             with pytest.raises(ValueError, match="unimodular"):
                 inverse_ab(np.array([1.0, bad]), np.zeros(2))
+
+    def test_array_inverse_origin_rounds_as_inverse(self):
+        # g^{-1}.0 alone, as j_factor and T_g take it: the b of the scalar inverse, bit for bit
+        a, b = random_ab(np.random.default_rng(8), 200)
+        want = np.array([inverse(g).b for g in map(GroupElement, a, b)])
+        assert inverse_b(a, b).tobytes() == inverse_ab(a, b)[1].tobytes() == want.tobytes()
+        for bad in (1.1, 1 + 1e-9, np.nan):
+            with pytest.raises(ValueError, match="unimodular"):
+                inverse_b(np.array([1.0, bad]), np.zeros(2))
 
     def test_serialization_roundtrip(self):
         g = GroupElement(1j, 2 + 3j)

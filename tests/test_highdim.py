@@ -422,7 +422,7 @@ def test_equivariance_defect_matches_sampled_oracle(name, n):
     tau = make(n)
     sampled = equivariance_check_n(tau, rho, U=tau.U)
     assert sampled.passed and sampled.max_residual < 1e-12
-    rep = constant_field_test(tau, 1.0, 0.5)
+    (rep,) = constant_field_test([tau], 1.0, 0.5)
     assert rep.metadata["rho"] == rho and rep.passed and rep.max_residual < 1e-12
     assert rep.max_residual == equivariance_defect(tau)
     if name != "unitary":
@@ -434,7 +434,7 @@ def test_non_unitary_defect_matches_sampled_oracle(scale):
     # U = s Q: the defect is |s^2 - 1|; the sampled residual is max |s (1 - s^2) Q A z| over its samples
     Q = random_unitary(2, np.random.default_rng(7))
     tau = EquivariantMapN("linear", 2, U=scale * Q)
-    rep = constant_field_test(tau, 1.0, 0.5)
+    (rep,) = constant_field_test([tau], 1.0, 0.5)
     assert abs(rep.max_residual - abs(scale**2 - 1)) < 1e-12 and not rep.passed
     sampled = equivariance_check_n(tau, "unitary_conj", U=tau.U)
     assert not sampled.passed
@@ -457,34 +457,34 @@ def test_unknown_rho_in_the_sampled_oracle():
 
 class TestConstantFieldTest:
     def test_identity(self):
-        rep = constant_field_test(EquivariantMapN("identity", 2), 1.0, 0.5)
+        (rep,) = constant_field_test([EquivariantMapN("identity", 2)], 1.0, 0.5)
         block = rep.metadata["coordinate_decoupling"]
         assert rep.passed and rep.tol == 1e-12 and rep.max_residual == 0.0
         assert block["decoupled"] and block["max_A"] == block["max_B"] == 0.0
         assert block["F_values"] == {"0,0": -1.0, "0,1": 0.0, "1,0": 0.0, "1,1": -1.0}
 
     def test_conjugate(self):
-        rep = constant_field_test(EquivariantMapN("conjugate", 2), 2.0, 1.0)
+        (rep,) = constant_field_test([EquivariantMapN("conjugate", 2)], 2.0, 1.0)
         block = rep.metadata["coordinate_decoupling"]
         assert rep.passed and block["decoupled"]
         assert block["F_values"] == {"0,0": 1.0, "0,1": 0.0, "1,0": 0.0, "1,1": 1.0}
 
     def test_rotation_is_equivariant_but_not_decoupled(self):
-        rep = constant_field_test(rot45_map(), 1.0, 0.5)
+        (rep,) = constant_field_test([rot45_map()], 1.0, 0.5)
         block = rep.metadata["coordinate_decoupling"]
         assert rep.passed and rep.max_residual < 1e-15
         assert not block["decoupled"] and abs(block["max_B"] - 0.5) < 1e-15 and block["max_A"] == 0.0
         assert all(abs(v + 0.5) < 1e-15 for v in block["F_values"].values())
 
     def test_metadata(self):
-        rep = constant_field_test(rot45_map(), 1.0, 0.5, tol=1e-9, name="highdim_x")
+        (rep,) = constant_field_test([rot45_map()], 1.0, 0.5, tol=1e-9, names=["highdim_x"])
         assert rep.name == "highdim_x" and rep.tol == 1e-9
         meta = rep.metadata
         assert (meta["nu"], meta["mu"], meta["n"], meta["rho"]) == (1.0, 0.5, 2, "unitary_conj")
         assert np.array_equal(_matrix(meta["two_form"]), two_form(rot45_map(), 1.0, 0.5))
 
     def test_json_safe(self):
-        json.dumps(constant_field_test(rot45_map(), 1.0, 0.5).to_dict())  # no numpy scalars may leak through
+        json.dumps(constant_field_test([rot45_map()], 1.0, 0.5)[0].to_dict())  # no numpy scalars may leak through
 
 
 def test_unknown_map_kind():
@@ -522,6 +522,56 @@ def test_cli_polynomial_case_is_config_error(capsys, tmp_path):
     assert captured.err.startswith(
         "config error: unknown map kind 'polynomial'; supported kinds: identity, conjugate, linear"
     )
+
+
+def _per_map_report_parts(tau, nu, mu):
+    """The metadata and defect of one map, by the per-map formulas: the largest |A| and |B| over
+    the pairs i < j, F, d theta from (U, V) by hstack, and max |W* W - I| for the kind's block W."""
+    n = tau.n
+    i, j = np.nonzero(np.less.outer(np.arange(n), np.arange(n)))
+    A, B, _, _ = _determinants(tau.U, tau.V, i, j)
+    alpha, beta = np.hstack([tau.U, tau.V]), np.hstack([tau.V.conj(), tau.U.conj()])
+    X = -mu * (beta.T @ alpha)
+    X[n:, :n] -= nu * np.eye(n)
+    W = tau.V if tau.kind == "conjugate" else tau.U
+    defect = float(np.abs(W.conj().T @ W - np.eye(n)).max())
+    return np.abs(A).max(initial=0.0), np.abs(B).max(initial=0.0), np.abs(tau.V) ** 2 - np.abs(tau.U) ** 2, X - X.T, defect
+
+
+MIXED_BLOCK = [
+    {"name": "identity", "tau": {"kind": "identity"}},
+    {"name": "conjugate", "tau": {"kind": "conjugate"}},
+    {"name": "rotation45", "tau": {"kind": "linear", "U": [[[C, 0.0], [-C, 0.0]], [[C, 0.0], [C, 0.0]]]}},
+    {"name": "double", "tau": {"kind": "linear", "U": [[[2.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [2.0, 0.0]]]}},
+]
+
+
+@pytest.mark.parametrize("nu, mu", [(1.0, 0.5), (2.0, -1.5)])
+def test_batch_equals_per_map_results(nu, mu):
+    # one call stacks the block's maps; each report is bit for bit the one the per-map
+    # formulas give, and the per-map library calls agree with them
+    maps = [EquivariantMapN.from_dict(case["tau"], 2) for case in MIXED_BLOCK]
+    reps = constant_field_test(maps, nu, mu, names=[case["name"] for case in MIXED_BLOCK])
+    assert [r.name for r in reps] == [case["name"] for case in MIXED_BLOCK]
+    for tau, rep in zip(maps, reps, strict=True):
+        max_A, max_B, F, M, defect = _per_map_report_parts(tau, nu, mu)
+        block = rep.metadata["coordinate_decoupling"]
+        assert (block["max_A"], block["max_B"]) == (max_A, max_B)
+        assert np.array_equal(np.array(list(block["F_values"].values())), F.ravel())
+        assert np.array_equal(_matrix(rep.metadata["two_form"]), M)
+        assert np.array_equal(two_form(tau, nu, mu), M)
+        assert rep.max_residual == rep.mean_residual == defect == equivariance_defect(tau)
+    assert [r.passed for r in reps] == [True, True, True, False] and reps[3].max_residual == 3.0
+
+
+def test_cli_mixed_block_fails_on_its_non_unitary_case(capsys, tmp_path):
+    path = _highdim_config(tmp_path, MIXED_BLOCK)
+    assert main(["highdim", "--config", path]) == 1
+    out = json.loads(capsys.readouterr().out)
+    maps = [EquivariantMapN.from_dict(case["tau"], 2) for case in MIXED_BLOCK]
+    names = [f"highdim_{case['name']}" for case in MIXED_BLOCK]
+    assert out == json.loads(json.dumps([r.to_dict() for r in constant_field_test(maps, 1.0, 0.0, 1e-12, names)]))
+    assert [r["pass"] for r in out] == [True, True, True, False] and out[3]["max_residual"] == 3.0
 
 
 def test_no_stencil_and_no_loops():

@@ -38,6 +38,11 @@ def ab(elements):
     return [g.a for g in elements], [g.b for g in elements]
 
 
+def entries(sys, elements):
+    """The elements' chi table entries, which the lift checks take."""
+    return sys.chi_table.indices(*ab(elements))
+
+
 def conjugate_beta(beta=0.3 + 0.4j):
     """The conjugate system with its fixed point moved to beta: rho([a, b]) = [abar, bbar +
     (1 - abar) beta] and tau(z) = zbar + beta, so gauge_k = -i beta / 2 is not 0."""
@@ -434,7 +439,7 @@ class TestWTransform:
 class TestLifting:
     def test_quotient_is_constant(self, landau, conj, alt):
         for sys in (landau, conj, alt):
-            reps = chi_tau_hat_spread(sys, ab(sys.gamma.generators), SMALL)
+            reps = chi_tau_hat_spread(sys, entries(sys, sys.gamma.generators), SMALL)
             assert len(reps) == len(sys.gamma.generators) and all(r.passed for r in reps)
 
     def test_identity_lifts_to_one(self, conj):
@@ -445,16 +450,28 @@ class TestLifting:
 
     def test_residual_vanishes(self, landau, conj, alt):
         for sys in (landau, conj, alt):
-            reps = lifting_residual(sys, ab(sys.gamma.generators), SMALL)
+            reps = lifting_residual(sys, entries(sys, sys.gamma.generators), SMALL)
             assert len(reps) == len(sys.gamma.generators) and all(r.passed for r in reps)
 
     def test_drop_controls_fail(self, alt):
         # removing either correction sub-factor breaks the identity
         g = alt.gamma.generators[0]
         for drop in ("phase_at_orbit", "inner"):
-            (rep,) = lifting_residual(alt, ab([g]), SMALL, drop=drop)
+            (rep,) = lifting_residual(alt, entries(alt, [g]), SMALL, drop=drop)
             assert not rep.passed
             assert rep.max_residual > 0.1
+
+    @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", "p6"])
+    def test_runner_entries_are_the_generators(self, name):
+        # the lift runner passes succ[0, ::2], the entries of e times each generator's slot: the
+        # generators' own entries, whose closure a and b are the generators' bits
+        sys = config_system(name)
+        closure = sys.chi_table.closure
+        idx = closure.succ[0, ::2]
+        assert np.array_equal(idx, entries(sys, sys.gamma.generators))
+        gens = sys.gamma.generators
+        assert closure.ab[idx].tobytes() == np.array([[g.a, g.b] for g in gens]).tobytes()
+        assert [r.metadata["gamma"] for r in lifting_residual(sys, idx, LIFT_GRID)] == [g.to_dict() for g in gens]
 
     @pytest.mark.parametrize("name", ["landau", "p6"])
     def test_nudged_chi_fails_its_own_entry_only(self, name, monkeypatch):
@@ -467,7 +484,7 @@ class TestLifting:
             return real(sys_, idx, drop) * np.array([1, np.exp(1e-3j)])
 
         monkeypatch.setattr(magnetics, "_chi_tau", nudged)
-        first, second = lifting_residual(sys, ab(sys.gamma.generators), LIFT_GRID)
+        first, second = lifting_residual(sys, entries(sys, sys.gamma.generators), LIFT_GRID)
         assert first.passed and first.max_residual < 1e-14
         assert not second.passed and second.max_residual > 1e-4
         assert second.metadata["gamma"] == sys.gamma.generators[1].to_dict()
@@ -485,9 +502,8 @@ class TestElementArrays:
             invariance_residual(alt, gs, f, SMALL)
         with pytest.raises(ValueError, match="unimodular"):
             kernel_invariance_residual(alt, 0, gs, [(0.1, 0.2j)])
-        for check in (chi_tau_hat_spread, lifting_residual):  # also not in the subgroup
-            with pytest.raises(ValueError):
-                check(alt, gs, SMALL)
+        with pytest.raises(ValueError):  # also not in the subgroup, so it has no chi table entry
+            alt.chi_table.indices(*gs)
 
 
 class TestSystemValidation:
@@ -610,14 +626,14 @@ class TestArraySweepsMatchScalarLoops:
     def test_lifting(self, name):
         sys = build_system(load_bundled(name))
         elements = sys.gamma.generators
-        for g, rep in zip(elements, lifting_residual(sys, ab(elements), LIFT_GRID), strict=True):
+        for g, rep in zip(elements, lifting_residual(sys, entries(sys, elements), LIFT_GRID), strict=True):
             assert rep.passed and rep.metadata["gamma"] == g.to_dict()
             assert_report_matches(rep, scalar_lifting(sys, g, LIFT_GRID))
 
     def test_lifting_drop_controls(self, alt):
         g = alt.gamma.generators[0]
         for drop in ("phase_at_orbit", "inner"):
-            (rep,) = lifting_residual(alt, ab([g]), LIFT_GRID, drop=drop)
+            (rep,) = lifting_residual(alt, entries(alt, [g]), LIFT_GRID, drop=drop)
             assert not rep.passed and rep.max_residual > 0.1
             assert_report_matches(rep, scalar_lifting(alt, g, LIFT_GRID, drop=drop))
 
@@ -628,15 +644,15 @@ class TestArraySweepsMatchScalarLoops:
         f = polyexp_field({(0, 0): 1.0}, sys.B / 2)
         rng_elements = list(map(GroupElement, *random_ab(np.random.default_rng(5), 3)))
         cases = [
-            (lambda gs: invariance_residual(sys, gs, f, REPORT_GRID), rng_elements),
-            (lambda gs: chi_tau_hat_spread(sys, gs, LIFT_GRID), sys.gamma.generators),
-            (lambda gs: lifting_residual(sys, gs, LIFT_GRID), sys.gamma.generators),
+            (lambda els: invariance_residual(sys, ab(els), f, REPORT_GRID), rng_elements),
+            (lambda els: chi_tau_hat_spread(sys, entries(sys, els), LIFT_GRID), sys.gamma.generators),
+            (lambda els: lifting_residual(sys, entries(sys, els), LIFT_GRID), sys.gamma.generators),
         ]
         for check, elements in cases:
-            batch = check(ab(elements))
+            batch = check(elements)
             assert len(batch) == len(elements)
             for rep, g in zip(batch, elements):
-                (one,) = check(ab([g]))
+                (one,) = check([g])
                 assert rep.name == one.name and rep.tol == one.tol
                 assert abs(rep.max_residual - one.max_residual) <= 1e-15
                 assert abs(rep.mean_residual - one.mean_residual) <= 1e-15
@@ -666,4 +682,4 @@ class TestArraySweepsMatchScalarLoops:
         assert intertwining_residual(sys, f, REPORT_GRID).passed
         gs = ab(square.generators)
         assert all(r.passed for r in invariance_residual(sys, gs, f, REPORT_GRID))
-        assert all(r.passed for r in lifting_residual(sys, gs, LIFT_GRID))
+        assert all(r.passed for r in lifting_residual(sys, entries(sys, square.generators), LIFT_GRID))

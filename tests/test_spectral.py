@@ -247,6 +247,29 @@ class TestKernel:
         z, w = 0.4 + 0.9j, -0.3 + 0.2j
         assert abs(kernel(alt, 1, z, w) - kernel(alt, 1, w, z).conjugate()) < 1e-12
 
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_stacked_calls_equal_separate_and_scalar_calls(self, any_sys, k):
+        # the kernel entries stack (z, w) on (w, z), and (z, w) on (gz, gw), in one call each:
+        # every value is bit for bit the one a separate call, or a one-point call, gives.  A
+        # call on scalars may round a product differently from numpy's array loop (1 ulp on
+        # alteration, whose gauge is not 0), so it is held to 2 eps.
+        rng = np.random.default_rng(k)
+        zw = np.stack([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in "zw"])
+        a, b = (np.reshape(x, (-1, 1)) for x in random_ab(rng, 5))
+        gzw = a * zw[:, None] + b  # (2, 5, 8): gz and gw
+        for scale in (1.0, 2.0):
+            herm = kernel(any_sys, k, zw, zw[::-1], scale)
+            inv = kernel(any_sys, k, np.vstack([zw[0], gzw[0]]), np.vstack([zw[1], gzw[1]]), scale)
+            assert np.array_equal(herm[0], kernel(any_sys, k, zw[0], zw[1], scale))
+            assert np.array_equal(herm[1], kernel(any_sys, k, zw[1], zw[0], scale))
+            assert np.array_equal(inv[0], herm[0])
+            assert np.array_equal(inv[1:], kernel(any_sys, k, gzw[0], gzw[1], scale))
+            for stacked, z, w in ((herm, zw, zw[::-1]), (inv[1:], gzw[0], gzw[1])):
+                one_point = np.vectorize(lambda x, y: kernel(any_sys, k, [x], [y], scale)[0], otypes=[complex])
+                assert np.array_equal(stacked, one_point(z, w))
+                scalar = np.vectorize(lambda x, y: kernel(any_sys, k, x, y, scale), otypes=[complex])(z, w)
+                assert np.all(np.abs(scalar - stacked) <= 2 * np.finfo(float).eps * np.abs(stacked))
+
     @pytest.mark.parametrize("k", [1.5, -1])
     def test_rejects_non_integer_levels(self, alt, k):
         with pytest.raises(ValueError, match="level index must be a nonnegative integer"):

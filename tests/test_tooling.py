@@ -3,9 +3,11 @@
 import ast
 import importlib
 import inspect
+import json
 import textwrap
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -94,14 +96,20 @@ def test_src_defines_no_stencil_and_reads_no_fd_step():
     assert [p.name for p in sorted(package.glob("configs/*.json")) if "fd_step" in p.read_text()] == []
 
 
-# each group check's traced entry points, and how many elements its one call takes
+def _taken_as_gs(arguments):
+    return len(arguments["gs"][0])
+
+
+# each group check's traced entry points, how many elements its one call takes, and how many a
+# call's arguments hold: elements gs = (a, b), or the lift's chi table entries idx
 RUNNER_ENTRY_POINTS = {
-    "invariance": ([("maf.magnetics", "invariance_residual")], lambda sys_: 3),
+    "invariance": ([("maf.magnetics", "invariance_residual")], lambda sys_: 3, _taken_as_gs),
     "lift": (
         [("maf.magnetics", "chi_tau_hat_spread"), ("maf.magnetics", "lifting_residual")],
         lambda sys_: len(sys_.gamma.generators),
+        lambda arguments: len(arguments["idx"]),
     ),
-    "kernel": ([("maf.spectral", "kernel_invariance_residual")], lambda sys_: 5),
+    "kernel": ([("maf.spectral", "kernel_invariance_residual")], lambda sys_: 5, _taken_as_gs),
 }
 
 
@@ -110,7 +118,7 @@ def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check
     # one call takes all the report's elements; the benchmark counts its points by ``grid``
     import maf.cli
 
-    entry_points, n_elements = RUNNER_ENTRY_POINTS[check]
+    entry_points, n_elements, taken = RUNNER_ENTRY_POINTS[check]
     traced = {(m, a) for m, a, _ in _tracing_literal("TARGETS")}
     per_point = set(_tracing_literal("PER_POINT"))
     calls = {}
@@ -132,14 +140,15 @@ def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check
         assert sorted(calls) == sorted(attr for _, attr in entry_points)
         for attr, seen in calls.items():
             assert len(seen) == 1
-            assert len(seen[0]["gs"][0]) == n_elements(sys_)
+            assert taken(seen[0]) == n_elements(sys_)
             if attr in per_point:
                 assert isinstance(seen[0]["grid"], maf.cli.Grid)
 
 
-def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch, fresh_groups):
-    # the lift checks read chi, g.0, g^{-1}.0 and rho(g)^{-1}.0 by entry index, so each
-    # traced call looks its elements up in the word closure once, all together
+def test_lift_reads_its_entries_without_a_probe(capsys, monkeypatch, fresh_groups):
+    # the runner passes the generators' chi table entries, and the lift checks read chi, g.0,
+    # g^{-1}.0 and rho(g)^{-1}.0 by entry index, so nothing in the command looks an element up
+    # in the word closure
     import maf.cli
     import maf.groups
 
@@ -148,7 +157,7 @@ def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch, fresh_grou
     monkeypatch.setattr(
         maf.groups.WordClosure, "lookup_all", lambda self, a, b: probes.append(len(a)) or real_lookup_all(self, a, b)
     )
-    entry_points, n_elements = RUNNER_ENTRY_POINTS["lift"]
+    entry_points, _, _ = RUNNER_ENTRY_POINTS["lift"]
     for module_name, attr in entry_points:
         module = importlib.import_module(module_name)
 
@@ -164,8 +173,38 @@ def test_lift_resolves_its_elements_in_one_probe(capsys, monkeypatch, fresh_grou
         per_call.clear()
         assert maf.cli.main(["lift", "--config", config]) == 0
         capsys.readouterr()
-        n = n_elements(maf.cli.build_system(maf.cli._resolve_config(config)))
-        assert per_call == [[n], [n]]
+        assert per_call == [[], []] and probes == []
+
+
+@pytest.mark.parametrize("k", [0, 2])
+def test_kernel_makes_three_kernel_calls(capsys, monkeypatch, k):
+    # the Hermitian pairs (z, w) and (w, z) in one stacked call, kernel_invariance's (z, w)
+    # and (gz, gw) in another, and the level-0 diagonal in its own
+    import maf.cli
+    import maf.spectral
+
+    shapes = []
+    real = maf.spectral.kernel
+    monkeypatch.setattr(maf.spectral, "kernel", lambda sys_, k, z, *a: shapes.append(np.shape(z)) or real(sys_, k, z, *a))
+    for config in ("landau", "conjugate", "alteration", str(TRACING.parent / "p6.json")):
+        shapes.clear()
+        assert maf.cli.main(["kernel", "--config", config, "--k", str(k)]) == 0
+        capsys.readouterr()
+        assert shapes == [(2, 8), (), (6, 8)]
+
+
+def test_highdim_makes_one_constant_field_test_call(capsys, monkeypatch):
+    # every case of the block in one call, on one stack of maps
+    import maf.cli
+
+    calls = []
+    real = maf.cli.constant_field_test
+    monkeypatch.setattr(maf.cli, "constant_field_test", lambda taus, *a: calls.append(len(taus)) or real(taus, *a))
+    for config in ("landau", "conjugate", "alteration"):
+        calls.clear()
+        assert maf.cli.main(["highdim", "--config", config]) == 0
+        assert len(json.loads(capsys.readouterr().out)) == 3
+        assert calls == [3]
 
 
 def test_word_closure_is_exact_and_has_no_entry_loop():
