@@ -145,20 +145,18 @@ def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport
 
 def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     k = args.k if args.k is not None else 0
-    verdict = spectral.select_laguerre_scale(sys_, k=max(k, 1))
-    scale = verdict["scale"]
+    # the eigen-equation at level max(k, 1), where L_k is not constant, so a wrong Laguerre argument fails
+    eigen = spectral.select_laguerre_scale(sys_, k=max(k, 1))
     rng = np.random.default_rng(cfg.seed)
     zw = np.stack([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in "zw"])  # 8 pairs (z, w)
-    K = spectral.kernel(sys_, k, zw, zw[::-1], scale)  # at (z, w) and (w, z), stacked
+    K = spectral.kernel(sys_, k, zw, zw[::-1])  # at (z, w) and (w, z), stacked
     herm = np.abs(K[0] - np.conjugate(K[1]))
-    diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j, scale) - sys_.B / np.pi)
-    # the eigen-equation at the chosen scale counts too, so a failing verdict fails the entry
-    res = [*herm, diag, verdict["residuals"][str(scale)]]
-    rep = from_residuals("kernel_structure", res, _tol(args, 1e-12), laguerre_scale_verdict=verdict, k=k)
+    diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j) - sys_.B / np.pi)
+    rep = from_residuals("kernel_structure", [*herm, diag, eigen], _tol(args, 1e-12), eigen_residual=eigen, k=k)
     pairs, gs, tol = zw.T, random_ab(rng, 5), _tol(args, 1e-8)
-    reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, pairs, tol=tol, laguerre_scale=scale)]
+    reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, pairs, tol=tol)]
     if args.z is not None and args.w is not None:
-        val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w), scale)
+        val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w))
         rep.metadata["value"] = [val.real, val.imag]
     return reps
 
@@ -213,11 +211,13 @@ def _highdim(cfg: SystemConfig, args) -> list[CheckReport]:
             },
         ],
     }
-    n, tol = int(block.get("n", 2)), _tol(args, 1e-12)
-    if n < 1:
-        raise ConfigError(f"highdim block: n must be an integer ≥ 1, got {block['n']!r}")
+    n, tol = block.get("n", 2), _tol(args, 1e-12)
+    if type(n) is not int or n < 1:  # a float, a string or a bool is refused, not truncated
+        raise ConfigError(f"highdim block: n must be an integer ≥ 1, got {n!r}")
     try:
-        if not (cases := block["cases"]):
+        if not isinstance(cases := block["cases"], list) or not all(isinstance(c, dict) for c in cases):
+            raise ConfigError(f"highdim block: 'cases' must be a list of objects, got {cases!r}")
+        if not cases:
             raise ConfigError("highdim block needs at least one case")
         taus = [EquivariantMapN.from_dict(case["tau"], n) for case in cases]
         names = [f"highdim_{case.get('name', case['tau']['kind'])}" for case in cases]

@@ -55,9 +55,14 @@ class EquivariantMapN:
 
     @classmethod
     def from_dict(cls, d: dict, n: int) -> "EquivariantMapN":
-        if d["kind"] == "linear":
+        if not isinstance(d, dict):
+            raise ConfigError(f"'tau' must be an object, got {d!r}")
+        if d["kind"] != "linear":
+            return cls(d["kind"], n)
+        try:
             return cls("linear", n, U=np.array([[complex(*e) for e in row] for row in d["U"]]))
-        return cls(d["kind"], n)
+        except TypeError as e:  # an entry that is not a [re, im] pair
+            raise ConfigError(f"linear map's 'U' must be rows of [re, im] pairs, got {d['U']!r}") from e
 
     def __call__(self, z: np.ndarray) -> np.ndarray:
         """tau at the points z, the n coordinates on the last axis."""

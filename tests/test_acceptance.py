@@ -182,22 +182,18 @@ def test_criterion_8_kernel(systems):
     ok = True
     rng = np.random.default_rng(11)
     for sys_ in systems.values():
-        verdict = select_laguerre_scale(sys_)
-        scale = verdict["scale"]
-        print(f"  laguerre scale verdict for B={sys_.B}: {verdict}")
-        ok &= verdict["pass"]
+        eigen = select_laguerre_scale(sys_)
+        print(f"  kernel eigen-equation residual for B={sys_.B}: {eigen:.2e}")
+        ok &= eigen <= 1e-12
         zs = rng.normal(size=8) + 1j * rng.normal(size=8)
         ws = rng.normal(size=8) + 1j * rng.normal(size=8)
-        ok &= all(
-            abs(kernel(sys_, 1, z, w, scale) - kernel(sys_, 1, w, z, scale).conjugate()) <= 1e-12
-            for z, w in zip(zs, ws)
-        )
-        ok &= abs(kernel(sys_, 0, 0.2 - 0.4j, 0.2 - 0.4j, scale) - sys_.B / np.pi) <= 1e-12
+        ok &= all(abs(kernel(sys_, 1, z, w) - kernel(sys_, 1, w, z).conjugate()) <= 1e-12 for z, w in zip(zs, ws))
+        ok &= abs(kernel(sys_, 0, 0.2 - 0.4j, 0.2 - 0.4j) - sys_.B / np.pi) <= 1e-12
         for k in (0, 1, 2):
-            ok &= kernel_eigen_residual(sys_, k, 0.1 + 0.05j, CENTRAL, scale) <= 1e-12
+            ok &= kernel_eigen_residual(sys_, k, 0.1 + 0.05j, CENTRAL) <= 1e-12
         pairs = list(zip(zs, ws))
         gs = _ab(_random_elements(rng, 10))
-        ok &= all(r.passed for r in kernel_invariance_residual(sys_, 1, gs, pairs, tol=1e-8, laguerre_scale=scale))
+        ok &= all(r.passed for r in kernel_invariance_residual(sys_, 1, gs, pairs, tol=1e-8))
 
     # projector algebra on the truncated plane, judged away from the cutoff
     sys_ = systems["landau"]

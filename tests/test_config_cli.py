@@ -521,6 +521,12 @@ class TestCli:
             ({"n": 2}, "'cases'"),
             ({"n": 2, "cases": []}, "needs at least one case"),
             ({"n": 0, "cases": [{"tau": {"kind": "identity"}}]}, "n must be an integer ≥ 1, got 0"),
+            ({"n": 2.5, "cases": [{"tau": {"kind": "identity"}}]}, "n must be an integer ≥ 1, got 2.5"),
+            ({"n": "x", "cases": [{"tau": {"kind": "identity"}}]}, "n must be an integer ≥ 1, got 'x'"),
+            ({"n": 2, "cases": {"a": 1}}, "'cases' must be a list of objects"),
+            ({"n": 2, "cases": ["identity"]}, "'cases' must be a list of objects"),
+            ({"n": 2, "cases": [{"tau": "identity"}]}, "'tau' must be an object"),
+            ({"n": 2, "cases": [{"tau": {"kind": "linear", "U": [[1, 0], [0, 1]]}}]}, "'U' must be rows of [re, im] pairs"),
         ],
     )
     def test_incomplete_highdim_block_is_config_error(self, capsys, tmp_path, block, key):

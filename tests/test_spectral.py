@@ -71,6 +71,24 @@ def _fd_relative_gap(f: ScalarField, z) -> float:
     return max(float(np.abs(e - d).max() / np.abs(e).max()) for e, d in zip(exact, fd))
 
 
+def _double_laguerre_argument(monkeypatch):
+    """L_k(2B rho) in K_k's radial formula, its chain rule unchanged: ``_radial`` is the one
+    caller of ``_laguerre_jet``."""
+    real = spectral._laguerre_jet
+    monkeypatch.setattr(spectral, "_laguerre_jet", lambda k, x: real(k, 2 * x))
+
+
+def _flip_laguerre_derivative(monkeypatch):
+    """L_k' = +L_{k-1}^(1) in place of -L_{k-1}^(1)."""
+    real = spectral._laguerre_jet
+
+    def mutated(k, x):
+        L, L1, L2 = real(k, x)
+        return L, -L1, L2
+
+    monkeypatch.setattr(spectral, "_laguerre_jet", mutated)
+
+
 def _run(argv) -> tuple[int, list[dict]]:
     buf = io.StringIO()
     with redirect_stdout(buf):
@@ -257,18 +275,17 @@ class TestKernel:
         zw = np.stack([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in "zw"])
         a, b = (np.reshape(x, (-1, 1)) for x in random_ab(rng, 5))
         gzw = a * zw[:, None] + b  # (2, 5, 8): gz and gw
-        for scale in (1.0, 2.0):
-            herm = kernel(any_sys, k, zw, zw[::-1], scale)
-            inv = kernel(any_sys, k, np.vstack([zw[0], gzw[0]]), np.vstack([zw[1], gzw[1]]), scale)
-            assert np.array_equal(herm[0], kernel(any_sys, k, zw[0], zw[1], scale))
-            assert np.array_equal(herm[1], kernel(any_sys, k, zw[1], zw[0], scale))
-            assert np.array_equal(inv[0], herm[0])
-            assert np.array_equal(inv[1:], kernel(any_sys, k, gzw[0], gzw[1], scale))
-            for stacked, z, w in ((herm, zw, zw[::-1]), (inv[1:], gzw[0], gzw[1])):
-                one_point = np.vectorize(lambda x, y: kernel(any_sys, k, [x], [y], scale)[0], otypes=[complex])
-                assert np.array_equal(stacked, one_point(z, w))
-                scalar = np.vectorize(lambda x, y: kernel(any_sys, k, x, y, scale), otypes=[complex])(z, w)
-                assert np.all(np.abs(scalar - stacked) <= 2 * np.finfo(float).eps * np.abs(stacked))
+        herm = kernel(any_sys, k, zw, zw[::-1])
+        inv = kernel(any_sys, k, np.vstack([zw[0], gzw[0]]), np.vstack([zw[1], gzw[1]]))
+        assert np.array_equal(herm[0], kernel(any_sys, k, zw[0], zw[1]))
+        assert np.array_equal(herm[1], kernel(any_sys, k, zw[1], zw[0]))
+        assert np.array_equal(inv[0], herm[0])
+        assert np.array_equal(inv[1:], kernel(any_sys, k, gzw[0], gzw[1]))
+        for stacked, z, w in ((herm, zw, zw[::-1]), (inv[1:], gzw[0], gzw[1])):
+            one_point = np.vectorize(lambda x, y: kernel(any_sys, k, [x], [y])[0], otypes=[complex])
+            assert np.array_equal(stacked, one_point(z, w))
+            scalar = np.vectorize(lambda x, y: kernel(any_sys, k, x, y), otypes=[complex])(z, w)
+            assert np.all(np.abs(scalar - stacked) <= 2 * np.finfo(float).eps * np.abs(stacked))
 
     @pytest.mark.parametrize("k", [1.5, -1])
     def test_rejects_non_integer_levels(self, alt, k):
@@ -280,69 +297,60 @@ class TestKernel:
             for k in range(6):
                 assert kernel_eigen_residual(sys, k, 0.1 + 0.05j, CENTRAL) < 1e-12
 
-    def test_scale_adjudication(self, alt):
-        verdict = select_laguerre_scale(alt)
-        assert verdict["scale"] == 1.0
-        assert verdict["pass"]
-        assert float(verdict["residuals"]["2.0"]) > 1e-2
+    def test_scale_adjudication(self, monkeypatch, alt):
+        # the eigen-equation holds for L_k(B rho) and fails by far for L_k(2B rho)
+        assert select_laguerre_scale(alt) <= 1e-14
+        _double_laguerre_argument(monkeypatch)
+        assert select_laguerre_scale(alt) > 1e-2
 
-    @pytest.mark.parametrize("scale", [1.0, 2.0])
-    def test_jet_matches_finite_differences(self, any_sys, scale):
+    @pytest.mark.parametrize("factor", [1.0, 2.0])
+    def test_jet_matches_finite_differences(self, monkeypatch, any_sys, factor):
+        # factor 2 doubles the Laguerre argument of the one radial formula: kernel and
+        # kernel_field move together, and the jet, whose chain rule keeps factor 1, leaves the
+        # finite differences of its values at every level k >= 1
+        if factor != 1.0:
+            _double_laguerre_argument(monkeypatch)
         z, w = np.array(CENTRAL), 0.1 + 0.05j
         for k in range(6):
-            f = kernel_field(any_sys, k, w, scale)
-            assert _fd_relative_gap(f, z) <= 1e-6
-            want = kernel(any_sys, k, z, w, scale)
+            f = kernel_field(any_sys, k, w)
+            want = kernel(any_sys, k, z, w)
             assert np.abs(f(z) - want).max() <= 1e-14 * np.abs(want).max()
+            gap = _fd_relative_gap(f, z)
+            assert gap <= 1e-6 if factor == 1.0 or k == 0 else gap > 1e-2
 
-    def test_stacked_scales_equal_one_scale_calls(self, any_sys):
-        z, w, scales = np.array(CENTRAL), -0.3 + 0.4j, (1.0, 2.0, 0.5)
-        for k in (0, 1, 3):
-            stacked = jet(kernel_field(any_sys, k, w, scales), z)
-            for i, s in enumerate(scales):
-                for part, want in zip(stacked, jet(kernel_field(any_sys, k, w, s), z)):
-                    assert np.abs(part[i] - want).max() <= 1e-15 * np.abs(want).max()
-            res = kernel_eigen_residual(any_sys, k, w, z, scales)
-            want = [kernel_eigen_residual(any_sys, k, w, z, s) for s in scales]
-            assert res.shape == (3,) and np.abs(res - want).max() <= 1e-15 * max(want)
-
-    def test_verdict_on_every_system(self, any_sys):
-        # scale 1 holds to round-off at every level; scale 2 fails by far
+    def test_verdict_on_every_system(self, monkeypatch, any_sys):
+        # the one formula holds to round-off at every level; a doubled argument fails by far
         for k in range(1, 6):
-            verdict = select_laguerre_scale(any_sys, k=k)
-            assert verdict["scale"] == 1.0 and verdict["pass"]
-            assert verdict["residuals"]["1.0"] <= 1e-14 and verdict["residuals"]["2.0"] >= 0.1
+            assert select_laguerre_scale(any_sys, k=k) <= 1e-14
+        _double_laguerre_argument(monkeypatch)
+        for k in range(1, 6):
+            assert select_laguerre_scale(any_sys, k=k) >= 0.1
 
     def test_wrong_laguerre_derivative_fails_the_verdict(self, monkeypatch, any_sys):
-        # L_k' = +L_{k-1}^(1) in place of -L_{k-1}^(1)
-        real = spectral._laguerre_jet
-
-        def mutated(k, x):
-            L, L1, L2 = real(k, x)
-            return L, -L1, L2
-
-        monkeypatch.setattr(spectral, "_laguerre_jet", mutated)
-        verdict = select_laguerre_scale(any_sys)
-        assert not verdict["pass"] and verdict["residuals"]["1.0"] > 1e-3
+        _flip_laguerre_derivative(monkeypatch)
+        assert select_laguerre_scale(any_sys) > 1e-3
 
     def test_wrong_laguerre_derivative_fails_the_report(self, monkeypatch, capsys):
-        # the verdict's residual at the chosen scale is one of kernel_structure's residuals
-        real = spectral._laguerre_jet
-
-        def mutated(k, x):
-            L, L1, L2 = real(k, x)
-            return L, -L1, L2
-
+        # the eigen-equation residual is one of kernel_structure's residuals
         assert main(["report", "--config", "landau"]) == 0
         capsys.readouterr()
-        monkeypatch.setattr(spectral, "_laguerre_jet", mutated)
+        _flip_laguerre_derivative(monkeypatch)
         assert main(["report", "--config", "landau"]) == 1
         reports = {r["name"]: r for r in json.loads(capsys.readouterr().out)}
         entry = reports["kernel_structure"]
-        verdict = entry["metadata"]["laguerre_scale_verdict"]
-        assert not entry["pass"] and not verdict["pass"]
-        assert entry["max_residual"] == min(verdict["residuals"].values()) > 1e-3
+        assert not entry["pass"]
+        assert entry["max_residual"] == entry["metadata"]["eigen_residual"] > 1e-3
         assert [name for name, r in reports.items() if not r["pass"]] == ["kernel_structure"]
+
+    @pytest.mark.parametrize("name", SYSTEMS, ids=SYSTEM_IDS)
+    def test_doubled_laguerre_argument_fails_the_report(self, monkeypatch, name):
+        # negative control: L_k(2B rho) in the one radial formula fails kernel_structure at
+        # every --k, by its eigen-equation residual at level max(k, 1), and nothing else
+        _double_laguerre_argument(monkeypatch)
+        for k in (0, 1, 2):
+            code, reports = _run(["report", "--config", name, "--k", str(k)])
+            failed = {r["name"]: r["max_residual"] for r in reports if not r["pass"]}
+            assert code == 1 and list(failed) == ["kernel_structure"] and failed["kernel_structure"] >= 0.1, k
 
     def test_invariance(self, conj, alt):
         from maf.groups import GroupElement

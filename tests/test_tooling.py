@@ -96,6 +96,16 @@ def test_src_defines_no_stencil_and_reads_no_fd_step():
     assert [p.name for p in sorted(package.glob("configs/*.json")) if "fd_step" in p.read_text()] == []
 
 
+def test_src_takes_no_laguerre_scale():
+    # K_k has one Laguerre argument, B |z - w|^2: no function takes a scale for it.  The
+    # parameters (ast.arg nodes) are read, not the text, since the name select_laguerre_scale stays
+    import maf
+
+    for path in sorted(Path(maf.__file__).parent.glob("*.py")):
+        params = [n.arg for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.arg)]
+        assert "laguerre_scale" not in params, path.name
+
+
 def _taken_as_gs(arguments):
     return len(arguments["gs"][0])
 
