@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import copy
 import functools
 import math
 import os
@@ -13,7 +14,7 @@ import numpy as np
 
 from . import magnetics, spectral
 from .automorphy import PseudoCharacter, rdq_check
-from .config import ConfigError, SystemConfig, build_system, load_bundled, load_config
+from .config import ConfigError, SystemConfig, build_system, parse_config, read_bundled, read_config
 from .equivariant import check_equivariance, homomorphism_report
 from .fields import Grid, polyexp_field
 from .groups import GroupElement, random_ab
@@ -51,10 +52,19 @@ def _parse_grid(s: str) -> dict:
     return {k: int(v) if k in ("nx", "ny") else float(v) for k, v in zip(keys, vals)}
 
 
-def _resolve_config(path: str) -> SystemConfig:
-    if os.path.exists(path):
-        return load_config(path)
-    return load_bundled(path)
+# config text -> [its SystemConfig, its MagneticSystem once built], for the 16 most recently used
+# configs, the least recently used first
+_MEMO: dict[str, list] = {}
+
+
+def _memo_entry(path: str) -> list:
+    """The memo entry of the config at ``path`` (a file, else a bundled name), read again on
+    every call so that an edited file is parsed again; a config that fails is not kept."""
+    text = read_config(path) if os.path.exists(path) else read_bundled(path)
+    _MEMO[text] = entry = _MEMO.pop(text, None) or [parse_config(text, path), None]
+    if len(_MEMO) > 16:
+        del _MEMO[next(iter(_MEMO))]
+    return entry
 
 
 def _probe_field(sys_: MagneticSystem):
@@ -124,8 +134,10 @@ def _lift(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     grid = _coarse(cfg.make_grid(), 11)
     tol = _tol(args, 1e-8)
     idx = sys_.chi_table.closure.succ[0, ::2]  # the generators' entries: e times each generator's slot
-    spreads = magnetics.chi_tau_hat_spread(sys_, idx, grid, tol=tol)
-    return [rep for pair in zip(spreads, magnetics.lifting_residual(sys_, idx, grid, tol=tol)) for rep in pair]
+    factor = magnetics._lifted_factor(sys_, idx, grid.points())  # what both checks read
+    spreads = magnetics.chi_tau_hat_spread(sys_, idx, grid, tol=tol, factor=factor)
+    lifts = magnetics.lifting_residual(sys_, idx, grid, tol=tol, factor=factor)
+    return [rep for pair in zip(spreads, lifts) for rep in pair]
 
 
 def _spectrum(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
@@ -149,12 +161,15 @@ def _kernel(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     eigen = spectral.select_laguerre_scale(sys_, k=max(k, 1))
     rng = np.random.default_rng(cfg.seed)
     zw = np.stack([rng.normal(size=8) + 1j * rng.normal(size=8) for _ in "zw"])  # 8 pairs (z, w)
-    K = spectral.kernel(sys_, k, zw, zw[::-1])  # at (z, w) and (w, z), stacked
-    herm = np.abs(K[0] - np.conjugate(K[1]))
-    diag = abs(spectral.kernel(sys_, 0, 0.3 + 0.1j, 0.3 + 0.1j) - sys_.B / np.pi)
+    gs, tol = random_ab(rng, 5), _tol(args, 1e-8)
+    Z, W = spectral.covariance_rows(gs, zw.T)
+    # one call: kernel_invariance's rows, (w, z) for the Hermitian pairs, and the diagonal (L_k(0) = 1)
+    d = np.full(8, 0.3 + 0.1j)
+    K = spectral.kernel(sys_, k, np.vstack([Z, zw[1], d]), np.vstack([W, zw[0], d]))
+    herm = np.abs(K[0] - np.conjugate(K[-2]))
+    diag = abs(K[-1, 0] - sys_.B / np.pi)
     rep = from_residuals("kernel_structure", [*herm, diag, eigen], _tol(args, 1e-12), eigen_residual=eigen, k=k)
-    pairs, gs, tol = zw.T, random_ab(rng, 5), _tol(args, 1e-8)
-    reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, pairs, tol=tol)]
+    reps = [rep, *spectral.kernel_invariance_residual(sys_, k, gs, zw.T, tol=tol, K=K[:-2])]
     if args.z is not None and args.w is not None:
         val = spectral.kernel(sys_, k, _parse_complex(args.z), _parse_complex(args.w))
         rep.metadata["value"] = [val.real, val.imag]
@@ -252,7 +267,8 @@ def main(argv: list[str] | None = None) -> int:
         if v is not None and not (math.isfinite(v) and v >= 0):
             build_parser().error(f"argument --{opt}: must be finite and >= 0, got {v}")
     try:
-        cfg = _resolve_config(args.config)
+        entry = _memo_entry(args.config)
+        cfg = copy.copy(entry[0])  # --seed and --grid change this command's copy only
         if args.seed is not None:
             cfg.seed = args.seed
         if args.grid is not None:
@@ -260,7 +276,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "highdim":
             reports = _highdim(cfg, args)
         else:
-            sys_ = build_system(cfg)
+            sys_ = entry[1] = entry[1] or build_system(cfg)
             reports = [rep for name in COMMANDS[args.command] for rep in CHECKS[name](sys_, cfg, args)]
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -63,25 +63,40 @@ class SystemConfig:
         return Grid.from_dict(self.grid)
 
 
-def load_config(path: str) -> SystemConfig:
+def read_config(path: str) -> str:
+    """The text of the config file at ``path``."""
     try:
         with open(path) as fh:
-            data = json.load(fh)
+            return fh.read()
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
+
+
+def read_bundled(name: str) -> str:
+    """The text of one of the packaged example systems, ``configs/<name>.json`` beside this module."""
+    try:
+        with open(os.path.join(os.path.dirname(__file__), "configs", f"{name}.json"), encoding="utf-8") as fh:
+            return fh.read()
+    except FileNotFoundError as e:
+        raise ConfigError(f"no bundled config named {name!r}") from e
+
+
+def parse_config(text: str, source: str) -> SystemConfig:
+    """The SystemConfig of a config's text; ``source`` names it in the diagnostic."""
+    try:
+        data = json.loads(text)
     except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        raise ConfigError(f"config {source} is not valid JSON: {e}") from e
     return SystemConfig.from_dict(data)
+
+
+def load_config(path: str) -> SystemConfig:
+    return parse_config(read_config(path), path)
 
 
 def load_bundled(name: str) -> SystemConfig:
-    """Load one of the packaged example systems, ``configs/<name>.json`` beside this module."""
-    try:
-        with open(os.path.join(os.path.dirname(__file__), "configs", f"{name}.json"), encoding="utf-8") as fh:
-            data = json.load(fh)
-    except FileNotFoundError as e:
-        raise ConfigError(f"no bundled config named {name!r}") from e
-    return SystemConfig.from_dict(data)
+    """Load one of the packaged example systems by name."""
+    return parse_config(read_bundled(name), name)
 
 
 def _make_tau(rho: Endomorphism, desc: dict) -> EquivariantMap:

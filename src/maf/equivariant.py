@@ -115,9 +115,9 @@ def homomorphism_report(
     """Residual of rho(gh) = rho(g) rho(h) over random pairs."""
     rng = np.random.default_rng(seed)
     g, h = random_ab(rng, n_pairs), random_ab(rng, n_pairs)
-    lhs = apply_endo_ab(rho, *compose_ab(*g, *h))
-    rhs = compose_ab(*apply_endo_ab(rho, *g), *apply_endo_ab(rho, *h))
-    res = _l1(np.stack(lhs, -1), np.stack(rhs, -1))
+    # rho at gh, g and h in one sweep, one row each
+    ra, rb = (x.reshape(3, -1) for x in apply_endo_ab(rho, *map(np.concatenate, zip(compose_ab(*g, *h), g, h))))
+    res = _l1(np.stack([ra[0], rb[0]], -1), np.stack(compose_ab(ra[1], rb[1], ra[2], rb[2]), -1))
     return from_residuals("endomorphism_homomorphism", res, tol, family=rho.family, n_pairs=n_pairs)
 
 
@@ -190,7 +190,8 @@ def check_equivariance(
     # deterministic probes catch rotation-only failures at the origin
     a, b, zs = np.append(a, [1j, -1.0]), np.append(b, [0.0, 0.0]), np.append(zs, [0.0, 0.0])
     ra, rb = apply_endo_ab(rho, a, b)
-    res = _abs(_tau_at(tau, _cmul(a, zs) + b) - (_cmul(ra, _tau_at(tau, zs)) + rb))
+    tau_gz, tau_z = _tau_at(tau, np.concatenate([_cmul(a, zs) + b, zs])).reshape(2, -1)  # one sweep
+    res = _abs(tau_gz - (_cmul(ra, tau_z) + rb))
     return from_residuals(
         "equivariance", res, tol, family=rho.family, n_samples=len(zs), seed=seed
     )

@@ -252,10 +252,11 @@ def _lifted_factor(sys: MagneticSystem, idx, z):
     return np.exp(1j * arg), np.exp(-1j * sys.B * im_zu)
 
 
-def chi_tau_hat_spread(sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8) -> list[CheckReport]:
+def chi_tau_hat_spread(sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, factor=None) -> list[CheckReport]:
     """z-independence of chi_tau_hat = e^{i(phi(g.z) - phi(z))} J(g, z) / j^B(g, z) over the grid
-    (max deviation from its mean), per chi table entry of idx (``CharacterTable.indices`` of elements)."""
-    vals = np.divide(*_lifted_factor(sys, idx, grid.points()))
+    (max deviation from its mean), per chi table entry of idx (``CharacterTable.indices`` of elements).
+    factor, if given, is ``_lifted_factor`` on the grid's points, evaluated already."""
+    vals = np.divide(*(factor or _lifted_factor(sys, idx, grid.points())))
     center = vals.mean(axis=1)
     res = np.abs(vals - center[:, None])
     return [
@@ -265,10 +266,11 @@ def chi_tau_hat_spread(sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8) 
 
 
 def lifting_residual(
-    sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, drop: str | None = None
+    sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, drop: str | None = None, factor=None
 ) -> list[CheckReport]:
-    """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per chi table entry of idx."""
-    lhs, jb = _lifted_factor(sys, idx, grid.points())
+    """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per chi table entry of idx;
+    factor as in ``chi_tau_hat_spread``."""
+    lhs, jb = factor or _lifted_factor(sys, idx, grid.points())
     res = np.abs(lhs - _chi_tau(sys, idx, drop)[:, None] * jb)
     gs = sys.chi_table.closure.ab[idx].T  # the entries' a and b
     return from_element_residuals("lifting", res, tol, gs, "gamma", dropped=drop, grid=grid.to_dict())

@@ -22,6 +22,9 @@ class CheckReport:
     tol: float
     metadata: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        self.max_residual, self.mean_residual, self.tol = map(float, (self.max_residual, self.mean_residual, self.tol))
+
     @property
     def passed(self) -> bool:
         return math.isfinite(self.max_residual) and self.max_residual <= self.tol
@@ -85,6 +88,15 @@ _PLAIN = ((str, str.__str__), (float, float), (dict, dict), ((list, tuple), list
           ((np.floating, np.integer), np.generic.item), (complex, lambda z: [z.real, z.imag]))
 
 
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else _quote(float.__repr__(x))
+
+
+# one report as ``_write`` writes its dict at indentation "  ", the metadata's text left to fill
+_REPORT = ('{{\n    "max_residual": {},\n    "mean_residual": {},\n    "metadata": {},'
+           '\n    "name": {},\n    "pass": {},\n    "tol": {}\n  }}')
+
+
 def _write(obj, out: list[str], pad: str) -> None:
     """Append obj to ``out`` as JSON at indentation ``pad``, byte for byte as
     ``json.dumps(..., indent=2, sort_keys=True)`` writes it.  Numpy scalars are
@@ -126,9 +138,13 @@ def emit(reports: list[CheckReport], fmt: str = "json", out=None) -> str:
     JSON stays valid when a value is non-finite (see ``_write``).
     """
     if fmt == "json":
-        chunks: list[str] = []
-        _write([r.to_dict() for r in reports], chunks, "")
-        text = "".join(chunks)
+        items = []
+        for r in reports:
+            meta: list[str] = []
+            _write(r.metadata, meta, "    ")
+            items.append(_REPORT.format(_float(r.max_residual), _float(r.mean_residual), "".join(meta),
+                                        _quote(r.name), "true" if r.passed else "false", _float(r.tol)))
+        text = "[\n  " + ",\n  ".join(items) + "\n]" if items else "[]"
     elif fmt == "csv":
         import csv  # here, so that building and JSON reports do not load it
 

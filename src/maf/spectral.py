@@ -343,18 +343,25 @@ def project_on_nodes(sys: MagneticSystem, k: int, fvals: np.ndarray, Z: np.ndarr
     return (B / np.pi) * math.sqrt(2 * B) * step * u * out.view(complex)[rank]
 
 
-def kernel_invariance_residual(sys: MagneticSystem, k: int, gs, pairs, tol: float = 1e-8) -> list[CheckReport]:
+def covariance_rows(gs, pairs):
+    """(z, w) stacked on (gz, gw), g over gs = (a, b): where ``kernel_invariance_residual`` reads K."""
+    a, b = (np.reshape(x, (-1, 1)) for x in gs)
+    z, w = np.asarray(pairs, dtype=complex).reshape(-1, 2).T
+    return np.vstack([z, a * z + b]), np.vstack([w, a * w + b])
+
+
+def kernel_invariance_residual(sys: MagneticSystem, k: int, gs, pairs, tol: float = 1e-8, K=None) -> list[CheckReport]:
     """Residual of the covariance K(z,w) = e^{i d_gauge} e^{iB Im<z-w, g^{-1}.0>} K(gz, gw),
 
     with d_gauge = (phi(gz) - phi(gw)) - (phi(z) - phi(w)), one report per element of gs = (a, b).
+    K, if given, is K_k at ``covariance_rows(gs, pairs)``, evaluated already.
     """
-    a, b = (np.reshape(x, (-1, 1)) for x in gs)
-    z, w = np.asarray(pairs, dtype=complex).reshape(-1, 2).T
-    gz, gw = a * z + b, a * w + b
-    d_gauge = sys.phi(gz) - sys.phi(gw) - (sys.phi(z) - sys.phi(w))
-    K = kernel(sys, k, np.vstack([z, gz]), np.vstack([w, gw]))  # (z, w) stacked on (gz, gw)
+    Z, W = covariance_rows(gs, pairs)
+    d_gauge = sys.phi(Z[1:]) - sys.phi(W[1:]) - (sys.phi(Z[0]) - sys.phi(W[0]))
+    K = kernel(sys, k, Z, W) if K is None else K
     # e^{iB Im<z-w, g^{-1}.0>} = conj j^B(g, z - w)
-    res = np.abs(K[0] - np.exp(1j * d_gauge) * np.conj(j_factor(sys.B, a, b, z - w)) * K[1:])
+    a, b = (np.reshape(x, (-1, 1)) for x in gs)
+    res = np.abs(K[0] - np.exp(1j * d_gauge) * np.conj(j_factor(sys.B, a, b, Z[0] - W[0])) * K[1:])
     return from_element_residuals("kernel_invariance", res, tol, gs, k=k, n_pairs=res.shape[1])
 
 

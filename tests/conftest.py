@@ -15,3 +15,18 @@ def fresh_groups():
     groups._read.cache_clear()
     yield
     groups._read.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_cli():
+    """An empty CLI memo of configs and their systems for every test, emptied again after it.
+
+    A command reuses the system built for a config's text, so without the clear a test
+    that patches or counts what a build runs would see the build of an earlier test, and
+    a system built under one test's patch would serve the next.
+    """
+    from maf import cli
+
+    cli._MEMO.clear()
+    yield
+    cli._MEMO.clear()

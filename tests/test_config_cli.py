@@ -29,6 +29,12 @@ def parse_json(text: str) -> list[CheckReport]:
     return [CheckReport(d["name"], *(num(d[k]) for k in keys), d.get("metadata", {})) for d in json.loads(text)]
 
 
+def landau_text(**changes) -> str:
+    """The bundled landau config as JSON text, with ``changes`` to its top-level keys."""
+    data = json.loads(resources.files("maf").joinpath("configs", "landau.json").read_text())
+    return json.dumps({**data, **changes})
+
+
 def bundled_names() -> list[str]:
     """The packaged example systems, ``configs/*.json`` beside ``maf.config``."""
     files = resources.files("maf").joinpath("configs").iterdir()
@@ -607,23 +613,105 @@ ENTRIES = {
 
 class TestMemoisedCommands:
     """What a process keeps between commands (closures, character tables, product
-    indices) changes no byte a command prints."""
+    indices, and each config with its built system) changes no byte a command prints."""
 
     @pytest.mark.parametrize("config", ["landau", "conjugate", "alteration", "perfbench/p6.json"])
     def test_warm_and_cold_give_the_same_bytes(self, capsys, fresh_groups, config):
+        import maf.cli
         import maf.groups
 
         config = str(ROOT / config) if config.endswith(".json") else config
 
-        def run(command, seed):
-            code = main([command, "--config", config, "--seed", str(seed)])
+        def run(command, seed, k):
+            code = main([command, "--config", config, "--seed", str(seed), "--k", str(k)])
             return (code, *capsys.readouterr())
 
         for seed in range(5):
-            for command in ("report", "highdim"):
-                maf.groups._read.cache_clear()
-                cold = run(command, seed)
-                assert run(command, seed) == cold, (command, seed)
+            for k in range(4):
+                for command in COMMANDS:
+                    maf.groups._read.cache_clear()
+                    maf.cli._MEMO.clear()
+                    cold = run(command, seed, k)
+                    assert run(command, seed, k) == cold, (command, seed, k)
+
+    @staticmethod
+    def _write(path, **changes):
+        path.write_text(landau_text(**changes))
+        return str(path)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        """The name of the config of every ``build_system`` call the CLI makes."""
+        import maf.cli
+
+        made, real = [], maf.cli.build_system
+        monkeypatch.setattr(maf.cli, "build_system", lambda cfg: made.append(cfg.name) or real(cfg))
+        return made
+
+    def test_an_edited_config_is_read_again(self, capsys, tmp_path, builds):
+        def seed_and_nu(path):
+            assert main(["invariance", "--config", path]) == 0
+            meta = json.loads(capsys.readouterr().out)[0]["metadata"]
+            assert main(["highdim", "--config", path]) == 0
+            return meta["seed"], json.loads(capsys.readouterr().out)[0]["metadata"]["nu"]
+
+        path = self._write(tmp_path / "cfg.json", seed=1)
+        assert seed_and_nu(path) == (1, 1.0)
+        self._write(tmp_path / "cfg.json", seed=2, nu=2.0)
+        assert seed_and_nu(path) == (2, 2.0)
+        assert builds == ["landau", "landau"]
+
+    def test_seed_and_grid_do_not_reach_the_next_command(self, capsys):
+        def run(*options):
+            assert main(["report", "--config", "landau", *options]) == 0
+            return capsys.readouterr().out
+
+        first = run()
+        assert run("--seed", "7", "--grid", "-1,1,5,-1,1,5") != first
+        assert run() == first
+
+    @pytest.mark.parametrize(
+        "text, message, built",
+        [
+            ("{", "config PATH is not valid JSON: Expecting property name enclosed in double quotes", []),
+            (json.dumps({"nu": 1.0}), "missing required config key: mu", []),
+            # parses, then fails to build, and is built again each time
+            (landau_text(tau={"kind": "nope"}), "unknown tau descriptor kind 'nope'", ["landau"] * 3),
+        ],
+        ids=["json", "key", "build"],
+    )
+    def test_a_failing_config_fails_alike_every_time(self, capsys, tmp_path, builds, text, message, built):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        for _ in range(3):
+            assert main(["report", "--config", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("config error: " + message.replace("PATH", str(path)))
+        assert builds == built
+
+    def test_second_command_builds_nothing(self, capsys, builds):
+        for command in ("report", "kernel", "highdim", "lift"):
+            assert main([command, "--config", "landau"]) == 0
+        capsys.readouterr()
+        assert builds == ["landau"]
+
+    def test_seventeenth_config_evicts_the_least_recently_used(self, capsys, tmp_path, builds):
+        paths = [self._write(tmp_path / f"cfg{i}.json", seed=i) for i in range(17)]
+
+        def run(i):
+            assert main(["check-equivariance", "--config", paths[i]]) == 0
+
+        for i in range(16):
+            run(i)
+        run(0)  # now the most recently used: 1 is the oldest
+        run(16)
+        assert len(builds) == 17
+        run(0)
+        run(16)
+        assert len(builds) == 17
+        run(1)
+        capsys.readouterr()
+        assert len(builds) == 18
 
 
 class TestCatalogue:
@@ -640,6 +728,8 @@ class TestCatalogue:
 
         monkeypatch.setattr(maf.cli, "build_system", spy)
         assert main([command, "--config", "landau"]) == 0
+        assert calls == ([] if command == "highdim" else ["landau"])  # on an empty memo
+        assert main([command, "--config", "landau"]) == 0  # a repeat builds none
         capsys.readouterr()
         assert calls == ([] if command == "highdim" else ["landau"])
 

@@ -26,7 +26,12 @@ conj(gauge_k)|, 0.0 at tol 1e-12, with ``gauge_k``); and the
 chosen scale, its pass and the residuals at scales 1 and 2), re-recorded once
 as ``eigen_residual`` when the kernel came to have one Laguerre argument: the
 float eigen-equation residual of that kernel at level max(k, 1), 7.2e-17 to
-2.2e-16.  Nothing else in those entries was re-recorded.
+2.2e-16; and that entry's ``max_residual`` and ``mean_residual`` on landau,
+conjugate and alteration, re-recorded once because they still held the
+summaries of before the eigen residual joined the entry (max 1.9e-17 and
+2.2e-17 beside an ``eigen_residual`` of 7.2e-17 and 9.0e-17), so that the
+files record what ``maf report`` prints.  Nothing else in those entries was
+re-recorded.
 ``X.json`` is ``maf report --config X``, ``highdim_X.json`` is
 ``maf highdim --config X``.  ``p6.json`` is ``maf report --config
 perfbench/p6.json``, recorded from the array path as it stood just before the
@@ -119,6 +124,14 @@ def test_report_matches_golden(name):
 def test_highdim_matches_golden(name):
     want = json.loads((GOLDEN / f"highdim_{name}.json").read_text())
     assert compare_reports(_run_json("highdim", name), want) == []
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.json")), ids=lambda p: p.stem)
+def test_golden_max_residual_bounds_the_eigen_residual(path):
+    # kernel_structure's max_residual is the maximum over its residuals, the eigen residual among them
+    for rep in json.loads(path.read_text()):
+        if "eigen_residual" in rep["metadata"]:
+            assert rep["max_residual"] >= rep["metadata"]["eigen_residual"], rep["name"]
 
 
 def test_comparison_catches_changes():

@@ -127,6 +127,7 @@ RUNNER_ENTRY_POINTS = {
 def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check):
     # one call takes all the report's elements; the benchmark counts its points by ``grid``
     import maf.cli
+    import maf.config
 
     entry_points, n_elements, taken = RUNNER_ENTRY_POINTS[check]
     traced = {(m, a) for m, a, _ in _tracing_literal("TARGETS")}
@@ -146,7 +147,7 @@ def test_group_checks_make_one_traced_call_per_report(capsys, monkeypatch, check
         calls.clear()
         assert maf.cli.main(["report", "--config", config]) == 0
         capsys.readouterr()
-        sys_ = maf.cli.build_system(maf.cli._resolve_config(config))
+        sys_ = maf.cli.build_system(maf.config.load_bundled(config))
         assert sorted(calls) == sorted(attr for _, attr in entry_points)
         for attr, seen in calls.items():
             assert len(seen) == 1
@@ -187,20 +188,25 @@ def test_lift_reads_its_entries_without_a_probe(capsys, monkeypatch, fresh_group
 
 
 @pytest.mark.parametrize("k", [0, 2])
-def test_kernel_makes_three_kernel_calls(capsys, monkeypatch, k):
-    # the Hermitian pairs (z, w) and (w, z) in one stacked call, kernel_invariance's (z, w)
-    # and (gz, gw) in another, and the level-0 diagonal in its own
+def test_kernel_makes_one_kernel_call(capsys, monkeypatch, k):
+    # kernel_invariance's (z, w) and (gz, gw) rows, the Hermitian pairs' (w, z) and a row of the
+    # level-k diagonal in one stacked call, in the kernel command and in a report; and one
+    # lifted factor in a report, which both lift checks read
     import maf.cli
+    import maf.magnetics
     import maf.spectral
 
-    shapes = []
-    real = maf.spectral.kernel
+    shapes, factors = [], []
+    real, real_factor = maf.spectral.kernel, maf.magnetics._lifted_factor
     monkeypatch.setattr(maf.spectral, "kernel", lambda sys_, k, z, *a: shapes.append(np.shape(z)) or real(sys_, k, z, *a))
+    monkeypatch.setattr(maf.magnetics, "_lifted_factor", lambda *a: factors.append(a) or real_factor(*a))
     for config in ("landau", "conjugate", "alteration", str(TRACING.parent / "p6.json")):
-        shapes.clear()
-        assert maf.cli.main(["kernel", "--config", config, "--k", str(k)]) == 0
-        capsys.readouterr()
-        assert shapes == [(2, 8), (), (6, 8)]
+        for command in ("kernel", "report"):
+            shapes.clear(), factors.clear()
+            assert maf.cli.main([command, "--config", config, "--k", str(k)]) == 0
+            capsys.readouterr()
+            assert shapes == [(8, 8)]
+            assert len(factors) == (command == "report")
 
 
 def test_highdim_makes_one_constant_field_test_call(capsys, monkeypatch):
