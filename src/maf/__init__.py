@@ -8,16 +8,14 @@ only what building a system runs.
 import importlib
 
 _EXPORTS = {
-    "automorphy": "CharacterTable PseudoCharacter UnknownGroupElementError j_factor mixed_factor "
-                  "mixed_factor_nochi phase rdq_check",
+    "automorphy": "CharacterTable PseudoCharacter UnknownGroupElementError j_factor rdq_check",
     "config": "ConfigError SystemConfig build_system load_bundled load_config",
-    "equivariant": "Endomorphism EquivariantMap apply_endo apply_endo_ab check_equivariance tau_from_beta xi_rho",
+    "equivariant": "Endomorphism EquivariantMap apply_endo_ab check_equivariance tau_from_beta",
     "fields": "Grid ScalarField",
-    "groups": "IDENTITY DiscreteSubgroup GroupElement act compose enumerate_words inverse",
+    "groups": "IDENTITY DiscreteSubgroup GroupElement compose enumerate_words inverse",
     "highdim": "EquivariantMapN constant_field_test two_form",
-    "magnetics": "MagneticSystem apply_landau apply_mixed_laplacian chi_tau field_constancy "
-                 "intertwining_residual invariance_residual lifting_residual magnetic_field representation "
-                 "w_transform",
+    "magnetics": "MagneticSystem chi_tau field_constancy intertwining_residual invariance_residual "
+                 "lifting_residual magnetic_field representation",
     "reports": "CheckReport emit from_residuals",
     "spectral": "SpectralBasis hermite hermite_function kernel laguerre landau_level strip_eigenfunction",
 }

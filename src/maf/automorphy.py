@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equivariant import Endomorphism, EquivariantMap, apply_endo, apply_endo_ab
-from .fields import Grid, ScalarField
-from .groups import DiscreteSubgroup, GroupElement, _cmul, act, inverse, inverse_ab, inverse_b
+from .equivariant import Endomorphism, apply_endo_ab
+from .groups import DiscreteSubgroup, GroupElement, _cmul, inverse_ab, inverse_b
 from .reports import CheckReport, from_residuals
 
 TABLES_KEPT = 8  # character tables kept per word closure by ``character_table``
@@ -38,18 +37,6 @@ def j_factor(alpha: float, a, b, z):
     return np.exp(-1j * alpha * (z * np.conj(w)).imag)
 
 
-def phase(nu: float, mu: float, rho: Endomorphism, g: GroupElement, gp: GroupElement) -> float:
-    """Im(nu <g^{-1}.0, g'.0> + mu <rho(g^{-1}).0, rho(g').0>)."""
-    u = act(inverse(g), 0.0)
-    v = act(gp, 0.0)
-    val = nu * (u * v.conjugate()).imag
-    if mu != 0.0:
-        ru = act(apply_endo(rho, inverse(g)), 0.0)
-        rv = act(apply_endo(rho, gp), 0.0)
-        val += mu * (ru * rv.conjugate()).imag
-    return float(val)
-
-
 @dataclass
 class PseudoCharacter:
     """Unit-circle values on the generators of a discrete subgroup."""
@@ -59,16 +46,13 @@ class PseudoCharacter:
     def __post_init__(self):
         vals = [complex(v) for v in self.values_on_generators]
         for v in vals:
-            if abs(abs(v) - 1.0) > 1e-12:
+            if not abs(abs(v) - 1.0) <= 1e-12:  # NaN fails too
                 raise ValueError(f"pseudo-character value {v} is not unimodular")
         self.values_on_generators = vals
 
     @classmethod
     def from_dict(cls, d: dict) -> "PseudoCharacter":
         return cls([complex(*v) for v in d["values_on_generators"]])
-
-    def to_dict(self) -> dict:
-        return {"values_on_generators": [[v.real, v.imag] for v in self.values_on_generators]}
 
 
 class CharacterTable:
@@ -99,24 +83,22 @@ class CharacterTable:
             raise ValueError("chi must supply one value per generator")
         self.max_len = max_len
         self.closure = closure = gamma.closure.grow(max_len)
-        gens = [g for _, g in closure.gens]
-        # chi(e) = 1 forces theta(g^{-1}) = -theta(g) - phase(g, g^{-1})
-        steps = [[t, -t - phase(nu, mu, rho, g, ginv)]
-                 for t, g, ginv in zip(np.angle(chi.values_on_generators), gens[::2], gens[1::2])]
-        steps = np.array(steps).reshape(-1)
+        # chi(e) = 1 forces theta(g^{-1}) = -theta(g) - phase(g, g^{-1}), and phase(g, g^{-1})
+        # is 0: it is the imaginary part of real products <g^{-1}.0, g^{-1}.0>
+        arg = np.angle(np.array(chi.values_on_generators, complex))
+        steps = np.stack([arg, -arg], -1).reshape(-1)  # per slot
         # the table's entries, and the expanded ones among them (all, once a finite group closes)
         n, m = closure.size(max_len), closure.size(max_len - 1)
         a, b = closure.a[:n], closure.b[:n]
         # phase(w, g) = nu Im(u_w conj v_g) + mu Im(ru_w conj rv_g), u = w^{-1}.0, v = g.0,
         # on the edges out of the expanded entries
         self.u = _cmul(-a.conj(), b)
-        ph = nu * _im_conj_outer(self.u[:m], np.array([act(g, 0.0) for g in gens]))
+        ph = nu * _im_conj_outer(self.u[:m], closure.slot_ab[:, 1])
         if mu != 0.0:
             # rho(g).0 is the b of rho(g)
             self.ru = apply_endo_ab(rho, *inverse_ab(a, b))[1]
             self.rv = apply_endo_ab(rho, a, b)[1]
-            rv = apply_endo_ab(rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))[1]
-            ph += mu * _im_conj_outer(self.ru[:m], rv)
+            ph += mu * _im_conj_outer(self.ru[:m], apply_endo_ab(rho, *closure.slot_ab.T)[1])
         self.parent, self.slot = closure.parent[:n], closure.slot[:n]
         s, t = self.parent[1:], self.slot[1:]  # the edge that made entry i > 0, at i - 1
         edge_ph, edge_step = ph[s, t], steps[t]  # its terms, gathered once
@@ -124,7 +106,7 @@ class CharacterTable:
         for lo, hi in zip(closure.offsets[1 : max_len + 1], closure.offsets[2 : max_len + 2]):
             e = slice(lo - 1, hi - 1)
             x = np.remainder(theta[s[e]] + edge_ph[e] + edge_step[e] + np.pi, 2 * np.pi) - np.pi
-            theta[lo:hi] = np.where(x < np.pi, x, -np.pi)  # the remainder may round up to 2 pi
+            theta[lo:hi] = np.where(x >= np.pi, -np.pi, x)  # the remainder may round up to 2 pi; a NaN stays NaN
         self.values = np.exp(1j * theta)
         delta = theta[:m, None] + ph + steps - theta[closure.succ[:m]]
         self.inconsistency = float(2 * np.abs(np.sin(delta / 2)).max(initial=0.0))
@@ -133,8 +115,9 @@ class CharacterTable:
 
     @property
     def entries(self) -> list[tuple[GroupElement, complex, list[int]]]:
-        n = len(self.values)
-        return list(zip(self.closure.elements_upto(n), self.values, map(self.closure.word, range(n))))
+        closure, n = self.closure, len(self.values)
+        elements = map(GroupElement, closure.a[:n].tolist(), closure.b[:n].tolist())
+        return list(zip(elements, self.values, map(closure.word, range(n))))
 
     def indices(self, a, b) -> np.ndarray:
         """The entries of the elements [a, b], arrays of one shape, in one lookup in the closure."""
@@ -145,12 +128,6 @@ class CharacterTable:
             x, y = flat_a[unknown.argmax()].item(), flat_b[unknown.argmax()].item()
             raise UnknownGroupElementError(f"element [{x}, {y}] not among the words of length <= {self.max_len}")
         return hits.reshape(np.shape(a))
-
-    def value(self, g: GroupElement) -> complex:
-        return self.values[self.indices(g.a, g.b)]
-
-    def word(self, g: GroupElement) -> list[int]:
-        return self.closure.word(int(self.indices(g.a, g.b)))
 
 
 def character_table(chi: PseudoCharacter, gamma: DiscreteSubgroup, nu: float, mu: float, rho: Endomorphism,
@@ -163,24 +140,6 @@ def character_table(chi: PseudoCharacter, gamma: DiscreteSubgroup, nu: float, mu
     if len(tables) > TABLES_KEPT:
         del tables[next(iter(tables))]
     return table
-
-
-def mixed_factor_nochi(nu: float, mu: float, rho: Endomorphism, tau: EquivariantMap, a, b, z):
-    """j^nu(g, z) j^mu(rho(g), tau(z)) for g = [a, b] — the character-free part, defined for all g."""
-    return j_factor(nu, a, b, z) * j_factor(mu, *apply_endo_ab(rho, a, b), tau(z))
-
-
-def mixed_factor(
-    nu: float,
-    mu: float,
-    rho: Endomorphism,
-    tau: EquivariantMap,
-    table: CharacterTable,
-    gamma_elem: GroupElement,
-    z,
-):
-    """chi(gamma) j^nu(gamma, z) j^mu(rho(gamma), tau(z))."""
-    return table.value(gamma_elem) * mixed_factor_nochi(nu, mu, rho, tau, gamma_elem.a, gamma_elem.b, z)
 
 
 def _im_conj_outer(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -196,25 +155,21 @@ def rdq_check(
     chi: PseudoCharacter,
     max_word_len: int = 4,
     tol: float = 1e-10,
-    table: CharacterTable | None = None,
 ) -> CheckReport:
     """Quantization condition: chi(g g') = chi(g) chi(g') exp(+i phase(g, g')).
 
     Checked over all pairs of words up to ``max_word_len`` as one array
     sweep; the report names the first worst-offending pair (row-major, left
-    word outer) by signed generator indices.  A ``table`` of this chi, nu, mu and rho grown
-    to at least 2 ``max_word_len`` is used instead of the one ``character_table`` keeps.
-    Either way the words are a prefix of ``gamma.closure``, which keeps their products.
+    word outer) by signed generator indices.  chi is read from the table that
+    ``character_table`` keeps, grown to 2 ``max_word_len``; the words are a prefix of
+    ``gamma.closure``, which keeps their products.
     """
-    if table is None:
-        table = character_table(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
-    elif table.max_len < 2 * max_word_len:
-        raise ValueError(f"character table grown to {table.max_len}, rdq needs {2 * max_word_len}")
+    table = character_table(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
     closure = table.closure
     # entries are in BFS order, so the words up to max_word_len are a prefix
     n = closure.size(max_word_len)
     if (hit := closure.products.get(max_word_len)) is None:
-        # the entry of g_i g_j, kept on the closure: g_j = g_p gens[s] for the entry p and
+        # the entry of g_i g_j, kept on the closure: g_j is entry p times slot s for the entry p and
         # slot s that made it, so column j steps along the closure's edges from column p
         hit = np.arange(n)[:, None].repeat(n, 1)  # column 0, g_i e = g_i, is kept
         for lo, hi in zip(closure.offsets[1:], closure.offsets[2 : max_word_len + 2]):
@@ -243,22 +198,3 @@ def rdq_check(
         worst_pair={"left": closure.word(i), "right": closure.word(j)},
     )
 
-
-def functional_equation_residual(
-    F: ScalarField,
-    nu: float,
-    mu: float,
-    rho: Endomorphism,
-    tau: EquivariantMap,
-    table: CharacterTable,
-    gamma_elem: GroupElement,
-    grid: Grid,
-    tol: float = 1e-8,
-) -> CheckReport:
-    """Residual of F(gamma.z) = J(gamma, z) F(z) over the grid."""
-    pts = grid.points()
-    J = mixed_factor(nu, mu, rho, tau, table, gamma_elem, pts)
-    res = np.abs(F(act(gamma_elem, pts)) - J * F(pts))
-    return from_residuals(
-        "functional_equation", res, tol, gamma=gamma_elem.to_dict(), grid=grid.to_dict()
-    )

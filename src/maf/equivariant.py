@@ -8,8 +8,8 @@ equivariant tau is the affine ``EquivariantMap(p, q, r)``.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -103,12 +103,6 @@ def apply_endo_ab(rho: Endomorphism, a: np.ndarray, b: np.ndarray) -> tuple[np.n
     return an, _cmul(rho.c, bn) + _cmul(1 - an, rho.beta)
 
 
-def apply_endo(rho: Endomorphism, g: GroupElement) -> GroupElement:
-    """Evaluate rho(g)."""
-    (a,), (b,) = apply_endo_ab(rho, np.array([g.a]), np.array([g.b]))
-    return GroupElement(a, b)
-
-
 def homomorphism_report(
     rho: Endomorphism, n_pairs: int = 128, seed: int = 0, tol: float = HOM_TOL
 ) -> CheckReport:
@@ -119,14 +113,6 @@ def homomorphism_report(
     ra, rb = (x.reshape(3, -1) for x in apply_endo_ab(rho, *map(np.concatenate, zip(compose_ab(*g, *h), g, h))))
     res = _l1(np.stack([ra[0], rb[0]], -1), np.stack(compose_ab(ra[1], rb[1], ra[2], rb[2]), -1))
     return from_residuals("endomorphism_homomorphism", res, tol, family=rho.family, n_pairs=n_pairs)
-
-
-def xi_rho(rho: Endomorphism) -> Optional[complex]:
-    """The common fixed point beta of the rotation image rho([a, 0]) = [a^n, (1 - a^n) beta].
-
-    None when n = 0: the image is then trivial and fixes the whole plane.
-    """
-    return rho.beta if rho.n else None
 
 
 @dataclass
@@ -143,6 +129,9 @@ class EquivariantMap:
 
     def __post_init__(self):
         self.p, self.q, self.r = complex(self.p), complex(self.q), complex(self.r)
+        for name in "pqr":
+            if not cmath.isfinite(getattr(self, name)):
+                raise ValueError(f"tau's {name} must be finite, got {getattr(self, name)}")
 
     def __call__(self, z):
         return self.p * z + self.q * z.conjugate() + self.r
@@ -151,11 +140,11 @@ class EquivariantMap:
 def tau_from_beta(rho: Endomorphism, beta: complex) -> EquivariantMap:
     """The canonical compatible map z -> rho([1,z]).beta = c z^(n) + beta.
 
-    Requires beta to be fixed by every rho([a,0]); otherwise the map is not
-    equivariant.
+    Requires beta to be fixed by every rho([a,0]) = [a^n, (1 - a^n) rho.beta], that is
+    beta = rho.beta unless n = 0 (the image is then trivial and fixes the whole plane);
+    otherwise the map is not equivariant.
     """
-    fixed = xi_rho(rho)
-    if fixed is not None and abs(beta - fixed) > FIXED_POINT_TOL:
+    if rho.n and not abs(beta - rho.beta) <= FIXED_POINT_TOL:  # NaN fails too
         raise ValueError(f"beta={beta} is not a common fixed point of the rotation image")
     p, q = (rho.c, 0) if rho.n == 1 else (0, rho.c)  # c = 0 unless n = -1
     return EquivariantMap(p, q, beta)

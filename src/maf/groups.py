@@ -8,6 +8,7 @@ triple (j mod q, m, n), so its word closure and membership are exact.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass, field
@@ -32,10 +33,13 @@ class GroupElement:
     b: complex
 
     def __post_init__(self):
-        if abs(abs(self.a) - 1.0) > UNIT_TOL:
-            raise ValueError(f"rotation part must be unimodular, got |a|={abs(self.a)!r}")
         object.__setattr__(self, "a", complex(self.a))
         object.__setattr__(self, "b", complex(self.b))
+        for name, part in (("rotation", self.a), ("translation", self.b)):
+            if not cmath.isfinite(part):
+                raise ValueError(f"{name} part must be finite, got {part!r}")
+        if abs(abs(self.a) - 1.0) > UNIT_TOL:
+            raise ValueError(f"rotation part must be unimodular, got |a|={abs(self.a)!r}")
 
     def to_dict(self) -> dict:
         return element_dicts(([self.a], [self.b]))[0]
@@ -58,10 +62,6 @@ def compose(g: GroupElement, h: GroupElement) -> GroupElement:
 def inverse(g: GroupElement) -> GroupElement:
     abar = g.a.conjugate()
     return GroupElement(abar / abs(abar), -abar * g.b)
-
-
-def act(g: GroupElement, z: complex) -> complex:
-    return g.a * z + g.b
 
 
 @dataclass
@@ -96,16 +96,10 @@ class DiscreteSubgroup:
         if len(self.labels) != len(self.generators):
             raise ValueError("labels and generators must have equal length")
         ab = np.array([[g.a, g.b] for g in self.generators], complex)
-        if not np.isfinite(ab).all():
-            raise ValueError("generators must be finite")
         self.normal_form, self._slots, shared = _read(ab.tobytes())
         if not shared:  # the first subgroup of these generators makes the closure they all share
             shared.append(WordClosure(self))
         self.closure = shared[0]
-
-    def symmetric_generators(self) -> list[tuple[int, GroupElement]]:
-        """Generators and their inverses, tagged with signed indices (1-based)."""
-        return [pair for i, g in enumerate(self.generators, 1) for pair in ((i, g), (-i, inverse(g)))]
 
     def contains(self, a, b) -> np.ndarray:
         """Whether each [a[i], b[i]] of two 1-d arrays is within NEAR_TOL max(1, |b[i]|) of an element."""
@@ -275,12 +269,14 @@ class WordClosure:
 
     Entry i is the element ``ab[i]`` = [a, b]; entry 0 is the identity and
     ``offsets[L]:offsets[L + 1]`` are the words of length L.  A level composes every entry
-    of the last length with each of ``symmetric_generators()``, source-major and
-    slot-minor, on triples: (j, l)(j', l') = (j + j' mod q, l + zeta^j l').  A product whose
-    triple is an entry, or an earlier product of the level, is a repeat.  ``succ[i, slot]``
-    is the entry of ``elements[i] * gens[slot]``, or -1 while entry i is not expanded;
-    entry i > 0 was first reached as ``elements[parent[i]] * gens[slot[i]]`` (entry 0 has
-    parent 0, slot 0), and its [a, b] is that product in floats, rounding as ``compose``.
+    of the last length with each slot, source-major and slot-minor, on triples:
+    (j, l)(j', l') = (j + j' mod q, l + zeta^j l').  Slots 2i and 2i + 1 are generator i
+    and its inverse (``inverse``), ``slot_ab`` their [a, b] and ``signed`` their indices
+    i + 1 and -(i + 1).  A product whose triple is an entry, or an earlier product of the
+    level, is a repeat.  ``succ[i, s]`` is the entry of entry i times slot s, or -1 while
+    entry i is not expanded; entry i > 0 was first reached as entry ``parent[i]`` times slot
+    ``slot[i]`` (entry 0 has parent 0, slot 0), and its [a, b] is that product in floats,
+    rounding as ``compose``.
 
     Triple (j, m, n) is the int64 key (m W + n) q + j, W = 2 BOX + 1, one to one while
     |m|, |n| <= BOX (rank 2 has q <= 6).  Keys are found by binary search in the sorted
@@ -292,12 +288,14 @@ class WordClosure:
 
     def __init__(self, gamma: DiscreteSubgroup):
         self.normal_form = nf = gamma.normal_form
-        self.gens = gamma.symmetric_generators()
+        gens = [x for g in gamma.generators for x in (g, inverse(g))]
+        self.slot_ab = np.array([[g.a, g.b] for g in gens], complex).reshape(-1, 2)
+        self.signed = [s for i in range(1, len(gamma.generators) + 1) for s in (i, -i)]
         # [a, b][ga, gb] = [a ga, a gb + b]: (re a, im a) dotted with each pair is the
         # textbook re(a ga), im(a ga), re(a gb), im(a gb)
-        rows = [(g.a.real, -g.a.imag, g.a.imag, g.a.real, g.b.real, -g.b.imag, g.b.imag, g.b.real)
-                for _, g in self.gens]
-        self._g = np.array(rows).reshape(-1, 4, 2)
+        ga, gb = self.slot_ab.T
+        rows = [ga.real, -ga.imag, ga.imag, ga.real, gb.real, -gb.imag, gb.imag, gb.real]
+        self._g = np.stack(rows, -1).reshape(-1, 4, 2)
         # each slot's zeta^k l on the basis, for every k; the key of (k, l) times slot s,
         # less the key of (k, l)
         k = np.arange(nf.q)[:, None]
@@ -309,27 +307,18 @@ class WordClosure:
         # the last level's keys; all keys sorted, then a sentinel past them, and their entries
         self._front, self._sorted, self._order = np.zeros(1, np.int64), np.array([0, 2**63 - 1]), np.array([0, -1])
         self.offsets = [0, 1]
-        self.succ = np.full((1, len(self.gens)), -1)
+        self.succ = np.full((1, len(self.signed)), -1)
         self.parent, self.slot = np.zeros(1, int), np.zeros(1, int)
-        self._elements: list[GroupElement] = []
         self.tables, self.products = {}, {}  # character tables and rdq's product index, kept by ``automorphy``
 
     a = property(lambda self: self.ab[:, 0])
     b = property(lambda self: self.ab[:, 1])
 
-    def elements_upto(self, n: int) -> list[GroupElement]:
-        """The first n entries as elements, converted once and kept."""
-        done = len(self._elements)
-        self._elements += map(GroupElement, self.a[done:n].tolist(), self.b[done:n].tolist())
-        return self._elements[:n]
-
-    elements = property(lambda self: self.elements_upto(len(self.ab)))
-
     def word(self, i: int) -> list[int]:
         """The signed generator indices of entry i, walked back along parent and slot."""
         word = []
         while i:
-            word.append(self.gens[self.slot[i]][0])
+            word.append(self.signed[self.slot[i]])
             i = self.parent[i]
         return word[::-1]
 
@@ -354,7 +343,7 @@ class WordClosure:
         level; stop early once a level adds nothing."""
         if max_len < 0:
             raise ValueError("max_len must be nonnegative")
-        q, ns = self.normal_form.q, len(self.gens)
+        q, ns = self.normal_form.q, len(self.signed)
         while len(self.offsets) - 2 < max_len and self.offsets[-1] > self.offsets[-2]:
             if (len(self.offsets) - 1) * self._reach > self.BOX:
                 raise OverflowError("lattice coordinates beyond 2^29 do not pack into int64")
@@ -399,7 +388,8 @@ class WordClosure:
 def enumerate_words(gamma: DiscreteSubgroup, max_len: int) -> list[GroupElement]:
     """All products of at most max_len generators/inverses, deduplicated, shortest first."""
     closure = gamma.closure.grow(max_len)
-    return closure.elements_upto(closure.size(max_len))
+    n = closure.size(max_len)
+    return list(map(GroupElement, closure.a[:n].tolist(), closure.b[:n].tolist()))
 
 
 def random_ab(rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:

@@ -26,6 +26,7 @@ elements' chi table entries idx instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,14 +76,17 @@ class MagneticSystem:
     chi: PseudoCharacter
 
     def __post_init__(self):
+        for name in ("nu", "mu"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name, defect in equivariance_defects(self.rho, self.tau).items():
-            if abs(defect) > CHECK_TOL:
+            if not abs(defect) <= CHECK_TOL:  # NaN fails too
                 raise ValueError(f"(rho, tau) is not equivariant: tau's {name} is off by {abs(defect):.2e}")
         gens = self.gamma.generators
         images = apply_endo_ab(self.rho, np.array([g.a for g in gens]), np.array([g.b for g in gens]))
         if not (inside := self.gamma.contains(*images)).all():
             raise ValueError(f"rho does not preserve the subgroup: generator {inside.argmin()} escapes")
-        if self.B <= 0:
+        if not self.B > 0:
             raise ValueError(f"derived field B={self.B} must be positive")
 
     # -- derived scalars -----------------------------------------------------
@@ -135,11 +139,6 @@ def field_constancy(sys: MagneticSystem, grid: Grid, tol: float = COEFFICIENT_TO
     return from_residuals("field_coefficient", res, tol, B=sys.B, grid=grid.to_dict())
 
 
-def apply_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
-    """4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f (its mu-term vanishes for affine tau)."""
-    return value_and_mixed_laplacian(sys, f, z)[1]
-
-
 def value_and_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
     """(f, its mixed Laplacian) at the points z, from one jet of f."""
     F = jet(f, z)
@@ -147,13 +146,10 @@ def value_and_mixed_laplacian(sys: MagneticSystem, f: ScalarField, z):
 
 
 def _mixed(S, fz, f_z, f_zb, lap):
-    """The mixed Laplacian from S and the jet (f, df, dbar_f, flat Laplacian) at the same points."""
+    """The mixed Laplacian 4 dd_bar f + 2(S df - Sbar dbar_f) - |S|^2 f (its mu-term vanishes for
+    affine tau) from S and the jet (f, df, dbar_f, flat Laplacian) at the same points; with S = B z
+    it is the Landau Hamiltonian of field B."""
     return lap + 2 * (S * f_z - S.conjugate() * f_zb) - abs(S) ** 2 * fz
-
-
-def apply_landau(B: float, f: ScalarField, z):
-    """Landau Hamiltonian 4 dd_bar + 2B(z d - zbar dbar) - B^2 |z|^2: the mixed Laplacian with S = B z."""
-    return _mixed(B * np.asarray(z), *jet(f, z))
 
 
 def representation(sys: MagneticSystem, a, b, f: ScalarField) -> ScalarField:
@@ -199,44 +195,28 @@ def gauge_check(sys: MagneticSystem, tol: float = COEFFICIENT_TOL) -> CheckRepor
     return from_residuals("gauge_coefficient", [res], tol, gauge_k=[k.real, k.imag])
 
 
-def w_transform(sys: MagneticSystem, f: ScalarField, sign: float = 1.0) -> ScalarField:
-    """[W f](z) = e^{i phi(z)} f(z); sign=-1 gives the inverse transform."""
-    return phase_pullback(f, sign * sys.gauge_k)
-
-
 def intertwining_residual(
-    sys: MagneticSystem, f: ScalarField, grid: Grid, tol: float = 1e-5, B_override: float | None = None
+    sys: MagneticSystem, f: ScalarField, grid: Grid, tol: float = 1e-5
 ) -> CheckReport:
     """Residual of Delta_mixed f = e^{-i phi} Delta_B (e^{i phi} f) on the grid.
 
-    Both sides come from one jet of f: W f's (``w_transform``) by ``_phased_jet``.
-    ``B_override`` perturbs the Landau field for negative controls.
+    Both sides come from one jet of f: that of W f = e^{i phi} f by ``_phased_jet``.
     """
-    B = sys.B if B_override is None else B_override
     z, k = grid.points(), sys.gauge_k
     F = jet(f, z)
-    rhs = np.exp(-1j * sys.phi(z)) * _mixed(B * z, *_phased_jet(np.exp(2j * (k * z).real), k, 1.0, F))
+    rhs = np.exp(-1j * sys.phi(z)) * _mixed(sys.B * z, *_phased_jet(np.exp(2j * (k * z).real), k, 1.0, F))
     res = np.abs(_mixed(S_field(sys, z), *F) - rhs)
-    return from_residuals("intertwining", res, tol, B=B, grid=grid.to_dict())
+    return from_residuals("intertwining", res, tol, B=sys.B, grid=grid.to_dict())
 
 
 # -- lifting -----------------------------------------------------------------
 
-def chi_tau(sys: MagneticSystem, gs, drop: str | None = None) -> np.ndarray:
+def chi_tau(sys: MagneticSystem, idx) -> np.ndarray:
     """Corrected character chi_tau(g) = chi(g) e^{i phi(g.0)} e^{-i mu Im<tau(0), rho(g)^{-1}.0>},
-    per element of gs.
-
-    ``drop`` removes one correction sub-factor ("phase_at_orbit" or "inner")
-    for negative-control testing.
-    """
-    return _chi_tau(sys, sys.chi_table.indices(*gs), drop)
-
-
-def _chi_tau(sys: MagneticSystem, idx, drop: str | None = None) -> np.ndarray:
-    """``chi_tau`` at the chi table's entries idx."""
+    per chi table entry of idx."""
     t = sys.chi_table
-    arg = t.theta[idx] + (0.0 if drop == "phase_at_orbit" else sys.phi(t.closure.b[idx]))
-    if drop != "inner" and sys.mu != 0.0:
+    arg = t.theta[idx] + sys.phi(t.closure.b[idx])
+    if sys.mu != 0.0:
         arg = arg - sys.mu * (sys.tau.r * np.conj(t.ru[idx])).imag  # tau(0) = r, ru = rho(g)^{-1}.0
     return np.exp(1j * arg)
 
@@ -266,11 +246,11 @@ def chi_tau_hat_spread(sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, 
 
 
 def lifting_residual(
-    sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, drop: str | None = None, factor=None
+    sys: MagneticSystem, idx, grid: Grid, tol: float = 1e-8, factor=None
 ) -> list[CheckReport]:
     """Residual of e^{i(phi(g.z)-phi(z))} J(g, z) = chi_tau(g) j^B(g, z), per chi table entry of idx;
     factor as in ``chi_tau_hat_spread``."""
     lhs, jb = factor or _lifted_factor(sys, idx, grid.points())
-    res = np.abs(lhs - _chi_tau(sys, idx, drop)[:, None] * jb)
+    res = np.abs(lhs - chi_tau(sys, idx)[:, None] * jb)
     gs = sys.chi_table.closure.ab[idx].T  # the entries' a and b
-    return from_element_residuals("lifting", res, tol, gs, "gamma", dropped=drop, grid=grid.to_dict())
+    return from_element_residuals("lifting", res, tol, gs, "gamma", grid=grid.to_dict())

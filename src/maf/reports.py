@@ -39,13 +39,6 @@ class CheckReport:
             "metadata": self.metadata,
         }
 
-    def __str__(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return (
-            f"{self.name}: max={self.max_residual:.3e} "
-            f"mean={self.mean_residual:.3e} tol={self.tol:.1e} {status}"
-        )
-
 
 def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
     """Build a report from an array (of any shape) or sequence of nonnegative residuals.

@@ -6,18 +6,24 @@ oracle shares no code with the jets it checks.  The 1-form exterior derivative, 
 exists to take finite differences, is built on it.  A field here is any callable of an
 ndarray of points (a ``ScalarField`` is one).  The gauge oracle integrates dphi, written
 from S and B, along an L-path one node at a time.  The group-side oracles work one scalar
-element at a time: the distance of two elements, and the cocycle defect of the
-character-free factor, sampled on a grid.
+element at a time: the action, rho, the phase and chi of one element, the distance of two
+elements, the (character-free) mixed factor and its cocycle defect, sampled on a grid,
+and the functional equation it states.  The operator oracles are the Landau Hamiltonian
+and the gauge transform W, and the negative controls patch a wrong field or a chi_tau
+without one of its correction factors into a system.
 """
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from maf.automorphy import mixed_factor_nochi, phase
-from maf.fields import Grid, ScalarField
-from maf.groups import GroupElement, act, compose
-from maf.magnetics import S_field
+from maf.automorphy import j_factor
+from maf.equivariant import apply_endo_ab
+from maf.fields import Grid, ScalarField, jet
+from maf.groups import GroupElement, compose, inverse
+from maf.magnetics import S_field, phase_pullback
+from maf.reports import from_residuals
 
 FD_STEP = 1e-4
 
@@ -82,8 +88,96 @@ def gauge_phi(sys, z, x_first=True) -> float:
     return total
 
 
+def act(g: GroupElement, z):
+    """g.z = a z + b."""
+    return g.a * z + g.b
+
+
+def symmetric_generators(gamma) -> list[tuple[int, GroupElement]]:
+    """The generators and their inverses, tagged with signed indices (1-based)."""
+    return [pair for i, g in enumerate(gamma.generators, 1) for pair in ((i, g), (-i, inverse(g)))]
+
+
+def apply_endo(rho, g: GroupElement) -> GroupElement:
+    """rho(g) for one element, by the array path on one-element arrays."""
+    (a,), (b,) = apply_endo_ab(rho, np.array([g.a]), np.array([g.b]))
+    return GroupElement(a, b)
+
+
+def phase(nu, mu, rho, g: GroupElement, gp: GroupElement) -> float:
+    """Im(nu <g^{-1}.0, g'.0> + mu <rho(g^{-1}).0, rho(g').0>)."""
+    u = act(inverse(g), 0.0)
+    v = act(gp, 0.0)
+    val = nu * (u * v.conjugate()).imag
+    if mu != 0.0:
+        ru = act(apply_endo(rho, inverse(g)), 0.0)
+        rv = act(apply_endo(rho, gp), 0.0)
+        val += mu * (ru * rv.conjugate()).imag
+    return float(val)
+
+
+def chi_value(table, g: GroupElement) -> complex:
+    """chi(g) from a character table, one element looked up at a time."""
+    return table.values[table.indices(g.a, g.b)]
+
+
+def table_word(table, g: GroupElement) -> list[int]:
+    """The signed generator indices of g's entry in a character table."""
+    return table.closure.word(int(table.indices(g.a, g.b)))
+
+
 def distance(g: GroupElement, h: GroupElement) -> float:
     return abs(g.a - h.a) + abs(g.b - h.b)
+
+
+def mixed_factor_nochi(nu, mu, rho, tau, a, b, z):
+    """j^nu(g, z) j^mu(rho(g), tau(z)) for g = [a, b] — the character-free part, defined for all g."""
+    return j_factor(nu, a, b, z) * j_factor(mu, *apply_endo_ab(rho, a, b), tau(z))
+
+
+def mixed_factor(nu, mu, rho, tau, table, g: GroupElement, z):
+    """chi(g) j^nu(g, z) j^mu(rho(g), tau(z))."""
+    return chi_value(table, g) * mixed_factor_nochi(nu, mu, rho, tau, g.a, g.b, z)
+
+
+def functional_equation_residual(F, nu, mu, rho, tau, table, g: GroupElement, grid: Grid, tol=1e-8):
+    """Residual of F(g.z) = J(g, z) F(z) over the grid."""
+    pts = grid.points()
+    res = np.abs(F(act(g, pts)) - mixed_factor(nu, mu, rho, tau, table, g, pts) * F(pts))
+    return from_residuals("functional_equation", res, tol, gamma=g.to_dict(), grid=grid.to_dict())
+
+
+def apply_landau(B, f: ScalarField, z):
+    """The Landau Hamiltonian 4 dd_bar f + 2B(z df - zbar dbar_f) - B^2 |z|^2 f, from f's jet."""
+    fz, f_z, f_zb, lap = jet(f, z)
+    return lap + 2 * B * (z * f_z - np.conj(z) * f_zb) - B**2 * np.abs(z) ** 2 * fz
+
+
+def w_transform(sys, f: ScalarField, sign=1.0) -> ScalarField:
+    """[W f](z) = e^{i phi(z)} f(z); sign=-1 gives the inverse transform."""
+    return phase_pullback(f, sign * sys.gauge_k)
+
+
+def with_field(sys, B):
+    """A copy of the system whose Landau field is B: a wrong B for the intertwining's negative control."""
+    wrong = copy.copy(sys)
+    wrong.B = B
+    return wrong
+
+
+def chi_tau_dropping(real, drop: str):
+    """``magnetics.chi_tau`` (``real``) without one of its correction factors, to patch in as a
+    negative control: "phase_at_orbit", e^{i phi(g.0)}, or "inner", e^{-i mu Im<tau(0), rho(g)^{-1}.0>}."""
+
+    def chi_tau(sys, idx):
+        t = sys.chi_table
+        if drop == "phase_at_orbit":
+            undo = -sys.phi(t.closure.b[idx])
+        else:
+            undo = sys.mu * (sys.tau.r * np.conj(t.ru[idx])).imag if sys.mu else 0.0
+        return real(sys, idx) * np.exp(1j * undo)
+
+    return chi_tau
 
 
 def cocycle_defect(nu, mu, rho, tau, g: GroupElement, gp: GroupElement, z):

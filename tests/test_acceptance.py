@@ -7,6 +7,7 @@ doubles as a verification report for the three bundled systems.
 import numpy as np
 import pytest
 
+from maf import magnetics
 from maf.automorphy import PseudoCharacter, rdq_check
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
@@ -15,14 +16,13 @@ from maf.groups import DiscreteSubgroup, GroupElement
 from maf.highdim import EquivariantMapN, constant_field_test, two_form
 from maf.magnetics import (
     S_field,
-    apply_landau,
-    apply_mixed_laplacian,
     field_constancy,
     gauge_check,
     intertwining_residual,
     invariance_residual,
     lifting_residual,
     chi_tau_hat_spread,
+    value_and_mixed_laplacian,
 )
 from maf.spectral import (
     SpectralBasis,
@@ -36,7 +36,7 @@ from maf.spectral import (
     strip_eigenfunction,
     truncation_radius,
 )
-from oracles import defect_phase_residuals, gauge_phi
+from oracles import apply_landau, chi_tau_dropping, defect_phase_residuals, gauge_phi, with_field
 from test_highdim import _two_form_matrix, potential_n_coeffs
 
 NAMES = ("landau", "conjugate", "alteration")
@@ -114,9 +114,7 @@ def test_criterion_3_intertwining(systems):
     for sys_ in systems.values():
         for f in _probes(sys_.B):
             ok &= intertwining_residual(sys_, f, grid, tol=1e-5).passed
-    control = intertwining_residual(
-        systems["alteration"], _probes(1.5)[0], grid, B_override=1.6
-    )
+    control = intertwining_residual(with_field(systems["alteration"], 1.6), _probes(1.5)[0], grid)
     ok &= control.max_residual >= 1e-2
     assert _verdict("3", ok)
 
@@ -131,16 +129,17 @@ def test_criterion_4_invariance(systems):
     assert _verdict("4", ok)
 
 
-def test_criterion_5_lifting(systems):
+def test_criterion_5_lifting(systems, monkeypatch):
     ok = True
     grid = Grid(-2, 2, 11, -2, 2, 11)
     for sys_ in systems.values():
         idx = sys_.chi_table.indices(*_ab(sys_.gamma.generators))
         ok &= all(r.passed for r in chi_tau_hat_spread(sys_, idx, grid, tol=1e-8))
         ok &= all(r.passed for r in lifting_residual(sys_, idx, grid, tol=1e-8))
+    alt, real = systems["alteration"], magnetics.chi_tau
     for drop in ("phase_at_orbit", "inner"):
-        alt = systems["alteration"]
-        (rep,) = lifting_residual(alt, alt.chi_table.indices(*_ab(alt.gamma.generators[:1])), grid, drop=drop)
+        monkeypatch.setattr(magnetics, "chi_tau", chi_tau_dropping(real, drop))
+        (rep,) = lifting_residual(alt, alt.chi_table.indices(*_ab(alt.gamma.generators[:1])), grid)
         ok &= rep.max_residual >= 1e-3
     assert _verdict("5", ok)
 
@@ -255,7 +254,7 @@ def test_criterion_10_cross_module(systems):
         f = polyexp_field(coeffs, landau_sys.B / 2)
         for z in CENTRAL:
             ok &= (
-                abs(apply_mixed_laplacian(landau_sys, f, z) - apply_landau(landau_sys.nu, f, z))
+                abs(value_and_mixed_laplacian(landau_sys, f, z)[1] - apply_landau(landau_sys.nu, f, z))
                 <= 1e-8
             )
     assert _verdict("10", ok)

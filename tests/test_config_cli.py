@@ -223,10 +223,6 @@ class TestReports:
         with pytest.raises(ValueError):
             emit([], fmt="yaml")
 
-    def test_str_verdict(self):
-        assert str(from_residuals("a", [0.5], 1.0)).endswith("PASS")
-        assert str(from_residuals("a", [2.0], 1.0)).endswith("FAIL")
-
 
 class TestConfigs:
     def test_bundled_names(self):
@@ -326,6 +322,35 @@ class TestCli:
     def test_config_error_exit_code(self, capsys):
         assert main(["field", "--config", "nonexistent"]) == 2
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"chi": {"values_on_generators": [[math.nan, 0], [1, 0]]}}, "pseudo-character value (nan+0j) is not unimodular"),
+            ({"nu": math.nan}, "nu must be finite, got nan"),
+            ({"mu": math.nan}, "mu must be finite, got nan"),
+            ({"tau": {"kind": "affine", "p": [1, 0], "q": [0, 0], "r": [math.nan, 0]}}, "tau's r must be finite"),
+            ({"tau": {"kind": "from_beta", "beta": [math.nan, 0]}}, "beta=(nan+0j) is not a common fixed point"),
+            ({"gamma": {"generators": [{"a": [1, 0], "b": [0, math.nan]}, {"a": [1, 0], "b": [0, 1]}]}},
+             "translation part must be finite"),
+            ({"gamma": {"generators": [{"a": [math.nan, 0], "b": [1, 0]}, {"a": [1, 0], "b": [0, 1]}]}},
+             "rotation part must be finite"),
+        ],
+        ids=["chi", "nu", "mu", "tau_r", "tau_beta", "generator_b", "generator_a"],
+    )
+    def test_non_finite_config_is_refused_by_name(self, capsys, tmp_path, changes, message):
+        # a NaN fails every refusal, so none reads it as passing, and no check runs on it
+        path = tmp_path / "nan.json"
+        path.write_text(landau_text(**changes))
+        assert main(["report", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("config error: ") and message in captured.err
+
+    @pytest.mark.parametrize("g, part", [("1,0,nan,0", "translation"), ("nan,0,0,0", "rotation"), ("1,0,0,inf", "translation")])
+    def test_non_finite_element_is_refused_by_name(self, capsys, g, part):
+        assert main(["invariance", "--config", "landau", "--g", g]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage error: {part} part must be finite")
 
     def test_field_passes_on_a_far_grid(self, capsys):
         # the absolute defect there is ~1e-12 of round-off, growing like |z|; divided by |z| it passes

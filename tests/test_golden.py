@@ -30,8 +30,9 @@ float eigen-equation residual of that kernel at level max(k, 1), 7.2e-17 to
 conjugate and alteration, re-recorded once because they still held the
 summaries of before the eigen residual joined the entry (max 1.9e-17 and
 2.2e-17 beside an ``eigen_residual`` of 7.2e-17 and 9.0e-17), so that the
-files record what ``maf report`` prints.  Nothing else in those entries was
-re-recorded.
+files record what ``maf report`` prints; and the ``lifting`` entries' metadata
+key ``dropped`` (always null), removed once with the test-only option behind it.
+Nothing else in those entries was re-recorded.
 ``X.json`` is ``maf report --config X``, ``highdim_X.json`` is
 ``maf highdim --config X``.  ``p6.json`` is ``maf report --config
 perfbench/p6.json``, recorded from the array path as it stood just before the

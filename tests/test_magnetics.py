@@ -2,19 +2,30 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import exterior_derivative, fd_field, gauge_phi, oracle_jet, oracle_wirtinger
+from oracles import (
+    act,
+    apply_landau,
+    chi_tau_dropping,
+    chi_value,
+    exterior_derivative,
+    fd_field,
+    gauge_phi,
+    mixed_factor_nochi,
+    oracle_jet,
+    oracle_wirtinger,
+    w_transform,
+    with_field,
+)
 
 from maf import magnetics
-from maf.automorphy import PseudoCharacter, mixed_factor_nochi
+from maf.automorphy import PseudoCharacter
 from maf.config import build_system, load_bundled, load_config
 from maf.equivariant import Endomorphism, tau_from_beta
 from maf.fields import Grid, ScalarField, jet, polyexp_field
-from maf.groups import IDENTITY, GroupElement, act, random_ab
+from maf.groups import IDENTITY, GroupElement, random_ab
 from maf.magnetics import (
     MagneticSystem,
     S_field,
-    apply_landau,
-    apply_mixed_laplacian,
     chi_tau,
     chi_tau_hat_spread,
     field_constancy,
@@ -26,7 +37,6 @@ from maf.magnetics import (
     phase_pullback,
     representation,
     value_and_mixed_laplacian,
-    w_transform,
 )
 
 SMALL = Grid(-1.5, 1.5, 5, -1.5, 1.5, 5)
@@ -41,6 +51,11 @@ def ab(elements):
 def entries(sys, elements):
     """The elements' chi table entries, which the lift checks take."""
     return sys.chi_table.indices(*ab(elements))
+
+
+def mixed_laplacian(sys, f, z):
+    """The mixed Laplacian of f at the points z."""
+    return value_and_mixed_laplacian(sys, f, z)[1]
 
 
 def conjugate_beta(beta=0.3 + 0.4j):
@@ -180,7 +195,7 @@ class TestLandauOperator:
     def test_mixed_reduces_when_mu_zero(self, landau):
         f = probe(landau.B, extra={(2, 0): 0.4})
         for z in (0.3 + 0.3j, -0.8 - 0.2j):
-            assert abs(apply_mixed_laplacian(landau, f, z) - apply_landau(landau.nu, f, z)) < 1e-10
+            assert abs(mixed_laplacian(landau, f, z) - apply_landau(landau.nu, f, z)) < 1e-10
 
     @pytest.mark.parametrize("name", ["landau", "conjugate", "alteration", "p6"])
     def test_mixed_laplacian_is_the_covariant_one(self, name):
@@ -209,9 +224,9 @@ class TestLandauOperator:
 
         f, twin = ScalarField(exact.func, exact_jet), fd_field(exact.func, 1e-3)
         pts = SMALL.points()
-        mixed = apply_mixed_laplacian(sys, f, pts)
+        mixed = mixed_laplacian(sys, f, pts)
         assert calls == [pts.shape]
-        assert np.max(np.abs(mixed - apply_mixed_laplacian(sys, twin, pts))) < 1e-5
+        assert np.max(np.abs(mixed - mixed_laplacian(sys, twin, pts))) < 1e-5
         calls.clear()
         landau_val = apply_landau(sys.B, f, pts)
         assert calls == [pts.shape]
@@ -266,7 +281,7 @@ class TestRepresentation:
             assert np.max(np.abs(exact(pts) - oracle(pts))) <= 1e-13
             for got, want in zip(jet(exact, pts), jet(oracle, pts)):
                 assert np.max(np.abs(got - want)) <= 1e-6
-            lap = apply_mixed_laplacian(sys, exact, pts) - apply_mixed_laplacian(sys, oracle, pts)
+            lap = mixed_laplacian(sys, exact, pts) - mixed_laplacian(sys, oracle, pts)
             assert np.max(np.abs(lap)) <= 1e-6
 
     def test_elements_broadcast_against_points(self, alt):
@@ -425,13 +440,13 @@ class TestWTransform:
             inner, calls = probe(sys.B), []
             f = ScalarField(inner.func, lambda z: calls.append(np.shape(z)) or inner.jet(z))
             assert intertwining_residual(sys, f, SMALL).passed
-            bad = intertwining_residual(sys, f, SMALL, B_override=sys.B + 0.1)
+            bad = intertwining_residual(with_field(sys, sys.B + 0.1), f, SMALL)
             assert not bad.passed and bad.max_residual > 0.01
             assert calls == [(SMALL.nx * SMALL.ny,)] * 2
 
     def test_wrong_field_fails(self, alt):
         f = probe(alt.B)
-        rep = intertwining_residual(alt, f, SMALL, B_override=alt.B + 0.1)
+        rep = intertwining_residual(with_field(alt, alt.B + 0.1), f, SMALL)
         assert not rep.passed
         assert rep.max_residual > 0.01
 
@@ -443,21 +458,22 @@ class TestLifting:
             assert len(reps) == len(sys.gamma.generators) and all(r.passed for r in reps)
 
     def test_identity_lifts_to_one(self, conj):
-        assert abs(chi_tau(conj, ab([IDENTITY]))[0] - 1) < 1e-12
+        assert abs(chi_tau(conj, entries(conj, [IDENTITY]))[0] - 1) < 1e-12
 
     def test_unimodular(self, alt):
-        assert np.all(np.abs(np.abs(chi_tau(alt, ab(alt.gamma.generators))) - 1) < 1e-10)
+        assert np.all(np.abs(np.abs(chi_tau(alt, entries(alt, alt.gamma.generators))) - 1) < 1e-10)
 
     def test_residual_vanishes(self, landau, conj, alt):
         for sys in (landau, conj, alt):
             reps = lifting_residual(sys, entries(sys, sys.gamma.generators), SMALL)
             assert len(reps) == len(sys.gamma.generators) and all(r.passed for r in reps)
 
-    def test_drop_controls_fail(self, alt):
+    def test_drop_controls_fail(self, alt, monkeypatch):
         # removing either correction sub-factor breaks the identity
-        g = alt.gamma.generators[0]
+        g, real = alt.gamma.generators[0], magnetics.chi_tau
         for drop in ("phase_at_orbit", "inner"):
-            (rep,) = lifting_residual(alt, entries(alt, [g]), SMALL, drop=drop)
+            monkeypatch.setattr(magnetics, "chi_tau", chi_tau_dropping(real, drop))
+            (rep,) = lifting_residual(alt, entries(alt, [g]), SMALL)
             assert not rep.passed
             assert rep.max_residual > 0.1
 
@@ -476,14 +492,14 @@ class TestLifting:
     @pytest.mark.parametrize("name", ["landau", "p6"])
     def test_nudged_chi_fails_its_own_entry_only(self, name, monkeypatch):
         # chi_tau off by e^{1e-3 i} on the second generator: that entry fails, the first passes;
-        # lifting_residual reads chi_tau by entry index, through _chi_tau
+        # lifting_residual reads chi_tau by entry index
         sys = config_system(name)
-        real = magnetics._chi_tau
+        real = magnetics.chi_tau
 
-        def nudged(sys_, idx, drop=None):
-            return real(sys_, idx, drop) * np.array([1, np.exp(1e-3j)])
+        def nudged(sys_, idx):
+            return real(sys_, idx) * np.array([1, np.exp(1e-3j)])
 
-        monkeypatch.setattr(magnetics, "_chi_tau", nudged)
+        monkeypatch.setattr(magnetics, "chi_tau", nudged)
         first, second = lifting_residual(sys, entries(sys, sys.gamma.generators), LIFT_GRID)
         assert first.passed and first.max_residual < 1e-14
         assert not second.passed and second.max_residual > 1e-4
@@ -566,24 +582,26 @@ def scalar_intertwining(sys, f, grid, B):
     wf = w_transform(sys, f)
     res = []
     for z in grid.points():
-        lhs = apply_mixed_laplacian(sys, f, z)
+        lhs = mixed_laplacian(sys, f, z)
         rhs = np.exp(-1j * sys.phi(z)) * apply_landau(B, wf, z)
         res.append(abs(lhs - rhs))
     return res
 
 
 def scalar_invariance(sys, g, f, grid):
-    lap_f = ScalarField(lambda z: apply_mixed_laplacian(sys, f, z))
+    lap_f = ScalarField(lambda z: mixed_laplacian(sys, f, z))
     t_lap = representation(sys, g.a, g.b, lap_f)
     t_f = representation(sys, g.a, g.b, f)
-    return [abs(t_lap(z) - apply_mixed_laplacian(sys, t_f, z)) for z in grid.points()]
+    return [abs(t_lap(z) - mixed_laplacian(sys, t_f, z)) for z in grid.points()]
 
 
-def scalar_lifting(sys, g, grid, drop=None):
+def scalar_lifting(sys, g, grid):
+    """The lifting residual of g point by point, against ``magnetics.chi_tau`` as it stands
+    (a negative control patches it)."""
     from maf.automorphy import j_factor
 
-    target = chi_tau(sys, ab([g]), drop=drop)[0]
-    chi = sys.chi_table.value(g)
+    target = magnetics.chi_tau(sys, entries(sys, [g]))[0]
+    chi = chi_value(sys.chi_table, g)
     res = []
     for z in grid.points():
         J = chi * mixed_factor_nochi(sys.nu, sys.mu, sys.rho, sys.tau, g.a, g.b, z)
@@ -609,7 +627,7 @@ class TestArraySweepsMatchScalarLoops:
         rep = intertwining_residual(sys, f, REPORT_GRID)
         assert_report_matches(rep, scalar_intertwining(sys, f, REPORT_GRID, sys.B))
         # negative control: a wrong Landau field fails on both paths alike
-        bad = intertwining_residual(sys, f, REPORT_GRID, B_override=sys.B + 0.1)
+        bad = intertwining_residual(with_field(sys, sys.B + 0.1), f, REPORT_GRID)
         assert not bad.passed and bad.max_residual > 0.01
         assert_report_matches(bad, scalar_intertwining(sys, f, REPORT_GRID, sys.B + 0.1))
 
@@ -630,12 +648,13 @@ class TestArraySweepsMatchScalarLoops:
             assert rep.passed and rep.metadata["gamma"] == g.to_dict()
             assert_report_matches(rep, scalar_lifting(sys, g, LIFT_GRID))
 
-    def test_lifting_drop_controls(self, alt):
-        g = alt.gamma.generators[0]
+    def test_lifting_drop_controls(self, alt, monkeypatch):
+        g, real = alt.gamma.generators[0], magnetics.chi_tau
         for drop in ("phase_at_orbit", "inner"):
-            (rep,) = lifting_residual(alt, entries(alt, [g]), LIFT_GRID, drop=drop)
+            monkeypatch.setattr(magnetics, "chi_tau", chi_tau_dropping(real, drop))
+            (rep,) = lifting_residual(alt, entries(alt, [g]), LIFT_GRID)
             assert not rep.passed and rep.max_residual > 0.1
-            assert_report_matches(rep, scalar_lifting(alt, g, LIFT_GRID, drop=drop))
+            assert_report_matches(rep, scalar_lifting(alt, g, LIFT_GRID))
 
     @pytest.mark.parametrize("name", [*SYSTEMS, "p6"])
     def test_batch_equals_one_element_calls(self, name):

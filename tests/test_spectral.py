@@ -11,10 +11,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from oracles import oracle_jet
+from oracles import functional_equation_residual, oracle_jet
 
 from maf import spectral
-from maf.automorphy import functional_equation_residual
 from maf.cli import main
 from maf.config import build_system, load_bundled, load_config
 from maf.equivariant import EquivariantMap

@@ -4,6 +4,7 @@ import ast
 import importlib
 import inspect
 import json
+import re
 import textwrap
 from pathlib import Path
 
@@ -234,3 +235,38 @@ def test_word_closure_is_exact_and_has_no_entry_loop():
     levels = ast.parse(textwrap.dedent(inspect.getsource(maf.groups.WordClosure.levels)))
     loops = [node for node in ast.walk(levels) if isinstance(node, (ast.For, ast.While, ast.comprehension))]
     assert [type(node) for node in loops] == [ast.While]
+
+
+# what stays in src/maf with no caller there or in perfbench/, and why
+UNCALLED = {
+    "magnetics.representation": "T_g f itself: the array form of the functional equation is to call it, "
+                                "and the tests pin its exact jet against the finite-difference oracle",
+    "automorphy.CharacterTable.indices": "how a caller holding elements finds the chi table entries that "
+                                         "the lift checks take",
+}
+
+
+def test_src_defines_nothing_uncalled():
+    # every module-level function and class of src/maf, and every public method, is read by
+    # src/maf (the export table of its __init__ aside) or named in perfbench/: a scalar twin
+    # of an array path, a wrapper that only forwards, or an option that only tests set
+    # belongs in tests/oracles.py
+    import maf
+
+    defined, used = [], set()
+    for path in sorted(Path(maf.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("__"):
+                defined.append((f"{path.stem}.{node.name}", node.name))
+                methods = node.body if isinstance(node, ast.ClassDef) else []
+                defined += [(f"{path.stem}.{node.name}.{m.name}", m.name) for m in methods
+                            if isinstance(m, ast.FunctionDef) and not m.name.startswith("_")]
+            if path.stem != "__init__":
+                read = [n for n in ast.walk(node) if isinstance(getattr(n, "ctx", None), ast.Load)]
+                names = {n.id if isinstance(n, ast.Name) else getattr(n, "attr", None) for n in read}
+                used |= names - {getattr(node, "name", None)}  # a recursive call is no caller
+    for path in sorted(TRACING.parent.glob("*.py")):
+        used |= set(re.findall(r"[A-Za-z_]\w*", path.read_text()))
+    assert [key for key, name in defined if name not in used and key not in UNCALLED] == []
+    assert [key for key in UNCALLED if key not in dict(defined)] == []
