@@ -158,11 +158,11 @@ def rdq_check(
 ) -> CheckReport:
     """Quantization condition: chi(g g') = chi(g) chi(g') exp(+i phase(g, g')).
 
-    Checked over all pairs of words up to ``max_word_len`` as one array
-    sweep; the report names the first worst-offending pair (row-major, left
-    word outer) by signed generator indices.  chi is read from the table that
-    ``character_table`` keeps, grown to 2 ``max_word_len``; the words are a prefix of
-    ``gamma.closure``, which keeps their products.
+    Checked over all pairs of words up to ``max_word_len`` in one rank-4 (rank 6 if mu != 0) contraction
+    and one sine of the mismatches less their nearest multiples of 2 pi; the report names the first worst
+    pair (row-major, left word outer; round-off's choice where all pass) by signed generator indices.
+    chi is read from the table that ``character_table`` keeps, grown to 2 ``max_word_len``; the words are
+    a prefix of ``gamma.closure``, which keeps their products.
     """
     table = character_table(chi, gamma, nu, mu, rho, max_len=2 * max_word_len)
     closure = table.closure
@@ -176,16 +176,21 @@ def rdq_check(
             hit[:, lo:hi] = closure.succ[hit[:, table.parent[lo:hi]], table.slot[lo:hi]]
         hit.setflags(write=False)
         closure.products[max_word_len] = hit
-    # phase(g_i, g_j) = nu Im(u_i conj v_j) + mu Im(ru_i conj rv_j), u = g^{-1}.0, v = g.0
-    ph = nu * _im_conj_outer(table.u[:n], closure.b[:n])
+    # |chi(g_i g_j) - chi(g_i) chi(g_j) e^{i phase}| = 2 |sin(delta / 2)|, delta = theta_ij - (theta_i + theta_j +
+    # phase_ij), phase_ij = nu Im(u_i conj v_j) + mu Im(ru_i conj rv_j), u = g^{-1}.0, v = g.0: the parenthesis is
+    # rows [theta, 1, nu u, mu ru] times columns [1, theta, i v, i rv], a complex entry as its two parts
+    u, v, theta, ones = table.u[:n], closure.b[:n], table.theta[:n], np.ones(n)
+    rows, cols = [theta, ones, nu * u.real, nu * u.imag], [ones, theta, -v.imag, v.real]
     if mu != 0.0:
-        ph += mu * _im_conj_outer(table.ru[:n], table.rv[:n])
-    # |chi(g_i g_j) - chi(g_i) chi(g_j) e^{i phase}| = 2 |sin(delta / 2)| of the phase mismatch
-    # delta = theta_ij - theta_i - theta_j - phase, all formed in place
-    residuals = table.theta[hit] - table.theta[:n, None]
-    residuals -= table.theta[:n]
-    residuals -= ph
-    np.abs(np.sin(np.divide(residuals, 2, out=residuals), out=residuals), out=residuals)
+        rows += [mu * table.ru[:n].real, mu * table.ru[:n].imag]
+        cols += [-table.rv[:n].imag, table.rv[:n].real]
+    half_sums = np.einsum("ki,kj->ij", 0.5 * np.array(rows), np.array(cols))  # halving is exact
+    residuals = (0.5 * table.theta)[hit]
+    residuals -= half_sums
+    # |sin| has period pi: delta / 2 less its nearest multiple of pi is near 0 on a passing pair, all in place
+    turns = np.rint(np.multiply(residuals, 1 / np.pi, out=half_sums), out=half_sums)
+    residuals -= np.multiply(turns, np.pi, out=turns)
+    np.abs(np.sin(residuals, out=residuals), out=residuals)
     residuals *= 2
     i, j = divmod(int(np.argmax(residuals)), n)
     return from_residuals(

@@ -40,8 +40,9 @@ def _join_signed_pairs(argv: list[str]) -> list[str]:
 
 
 def _parse_complex(s: str) -> complex:
-    re_s, im_s = s.split(",")
-    return complex(float(re_s), float(im_s))
+    if len(parts := [float(v) for v in s.split(",")]) != 2 or not all(map(math.isfinite, parts)):
+        raise ValueError(f"a point is RE,IM, two finite numbers, got {s!r}")
+    return complex(*parts)
 
 
 def _parse_grid(s: str) -> dict:
@@ -93,7 +94,8 @@ def _homomorphism(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckRe
 
 def _rdq(sys_: MagneticSystem, cfg: SystemConfig, args) -> list[CheckReport]:
     rdq = cfg.rdq or {}
-    nu = float(rdq.get("nu", cfg.nu)) if rdq else cfg.nu
+    if not math.isfinite(nu := float(rdq.get("nu", cfg.nu))):  # the system refuses a non-finite cfg.nu
+        raise ConfigError(f"rdq block: nu must be finite, got {nu}")
     chi = PseudoCharacter.from_dict(rdq) if "values_on_generators" in rdq else sys_.chi
     return [rdq_check(nu, cfg.mu, sys_.rho, sys_.gamma, chi, tol=_tol(args, 1e-10))]
 

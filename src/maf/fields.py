@@ -9,6 +9,7 @@ broadcasts over it; a scalar point is numpy's 0-d case.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -114,9 +115,9 @@ class Grid:
     ny: int = 41
 
     def __post_init__(self):
-        for n in ("nx", "ny"):
-            if not getattr(self, n) >= 1:
-                raise ValueError(f"grid {n} must be >= 1, got {getattr(self, n)}")
+        for k, v in self.to_dict().items():  # a NaN fails both
+            if not (v >= 1 if k in ("nx", "ny") else abs(v) < math.inf):
+                raise ValueError(f"grid {k} must be {'>= 1' if k in ('nx', 'ny') else 'finite'}, got {v}")
 
     def points(self) -> np.ndarray:
         """The nx * ny points x + iy, x-major, read-only and shared by every equal grid."""

@@ -44,19 +44,16 @@ def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
     """Build a report from an array (of any shape) or sequence of nonnegative residuals.
 
     A non-finite residual (NaN or inf) is reported as the maximum, so the
-    report fails; the first one in row-major order is kept.  The mean sums
-    left to right, as the builtin ``sum`` over floats does up to Python 3.11.
+    report fails; the first one in row-major order is kept.  The mean is
+    numpy's pairwise sum over the count, off the exact mean by a few ulps.
     """
     arr = np.asarray(residuals, dtype=float).ravel()
     if not arr.size:
         return CheckReport(name, 0.0, 0.0, tol, metadata)
-    if (worst := arr.max()) <= _SUM_BOUND / arr.size:  # finite, and no partial sum can overflow
-        return CheckReport(name, float(worst), float(np.cumsum(arr)[-1]) / arr.size, tol, metadata)
-    finite = np.isfinite(arr)
-    worst = arr.max() if finite.all() else arr[np.argmin(finite)]
-    with np.errstate(over="ignore"):
-        total = np.cumsum(arr)[-1]
-    return CheckReport(name, float(worst), float(total) / arr.size, tol, metadata)
+    if math.isnan(worst := arr.max()):  # the first non-finite residual is reported: a NaN, or an inf before it
+        worst = arr[np.argmin(np.isfinite(arr))]
+    with np.errstate(over="ignore"):  # residuals near the largest float may sum past it, to inf
+        return CheckReport(name, float(worst), float(arr.sum()) / arr.size, tol, metadata)
 
 
 def element_dicts(gs) -> list[dict]:
@@ -70,7 +67,7 @@ def from_element_residuals(name: str, res, tol: float, gs, key: str = "g", **met
     ``key``; the maxima and sums of all rows in one call each, unless a row takes its slow path."""
     rows, elements = np.asarray(res, dtype=float), element_dicts(gs)
     if rows.size and ((worst := rows.max(axis=1)) <= _SUM_BOUND / rows.shape[1]).all():
-        means = (np.cumsum(rows, axis=1)[:, -1] / rows.shape[1]).tolist()
+        means = (rows.sum(axis=1) / rows.shape[1]).tolist()
         return [CheckReport(name, w, m, tol, {key: g, **metadata}) for w, m, g in zip(worst.tolist(), means, elements)]
     return [from_residuals(name, r, tol, **{key: g}, **metadata) for r, g in zip(rows, elements)]
 

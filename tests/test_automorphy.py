@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -418,17 +420,39 @@ class TestRdqCheck:
         assert abs(rep.mean_residual - mean) <= 1e-13
         assert abs(rep.metadata["extension_inconsistency"] - incons) <= 1e-13
 
-    @pytest.mark.parametrize("name", ["conjugate", "alteration"])
+    # name -> (nu, gamma, chi, word length, least largest |phase|): the bundled conjugate and alteration
+    # systems, where mu != 0; p6 and the square lattice at the closure benchmark's fluxes, at word
+    # lengths whose phases pass 30 rad, so that the sweep takes off multiples of 2 pi; at nu = 1 it fails
+    SCALAR_CASES = {
+        "conjugate": (None, None, None, 3, 0.0),
+        "alteration": (None, None, None, 3, 0.0),
+        "p6": (P6_NU, P6, [1, -1], 4, 30.0),
+        "square_pi": (np.pi, SQUARE, [1, 1], 4, 30.0),
+        "square_1": (1.0, SQUARE, [1, 1], 6, 30.0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SCALAR_CASES))
     def test_pairs_against_scalar_formula(self, name):
-        # mu != 0; every pair residual recomputed one group element at a time, by
-        # complex products, agrees with the sweep over the phases to round-off
-        s = build_system(load_bundled(name))
-        rep = rdq_check(s.nu, s.mu, s.rho, s.gamma, s.chi, max_word_len=3)
-        table = CharacterTable(s.chi, s.gamma, s.nu, s.mu, s.rho, max_len=6)
-        short = [g for g, _, w in table.entries if len(w) <= 3]
-        res = [self.scalar_residual(s.nu, s.mu, s.rho, table, g, gp) for g in short for gp in short]
+        # every pair residual recomputed one pair at a time, by complex products of chi's values,
+        # with each product g g' looked up in the closure afresh, agrees with the sweep over the
+        # phases to round-off
+        nu, gamma, chi, length, least_phase = self.SCALAR_CASES[name]
+        if gamma is None:
+            s = build_system(load_bundled(name))
+            nu, mu, rho, gamma, chi = s.nu, s.mu, s.rho, s.gamma, s.chi
+        else:
+            mu, rho, chi = 0.0, ID, PseudoCharacter(chi)
+        rep = rdq_check(nu, mu, rho, gamma, chi, max_word_len=length)
+        table = CharacterTable(chi, gamma, nu, mu, rho, max_len=2 * length)
+        short = [(g, x) for g, x, w in table.entries if len(w) <= length]
+        pairs = [(g, x, gp, xp) for g, x in short for gp, xp in short]
+        products = [compose(g, gp) for g, _, gp, _ in pairs]
+        at = table.indices(np.array([h.a for h in products]), np.array([h.b for h in products]))
+        phases = [phase(nu, mu, rho, g, gp) for g, _, gp, _ in pairs]
+        res = [abs(table.values[k] - x * xp * np.exp(1j * ph)) for k, ph, (_, x, _, xp) in zip(at, phases, pairs)]
+        assert max(map(abs, phases)) >= least_phase and rep.passed == (name != "square_1")
         assert abs(rep.max_residual - max(res)) <= 2e-14
-        assert abs(rep.mean_residual - sum(res) / len(res)) <= 2e-14
+        assert abs(rep.mean_residual - math.fsum(res) / len(res)) <= 2e-14
 
     NUDGE_CASES = {
         "square_pi": (SQUARE, np.pi, [1, 1], 6, 2e-14),

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from oracles import exterior_derivative, oracle_jet, oracle_laplacian, oracle_wirtinger
@@ -258,3 +260,9 @@ class TestGrid:
     def test_dict_roundtrip(self):
         g = Grid(-1, 1, 11, -2, 2, 21)
         assert Grid.from_dict(g.to_dict()) == g
+
+    @pytest.mark.parametrize("bound", ["xmin", "xmax", "ymin", "ymax"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_bound_is_refused_by_name(self, bound, value):
+        with pytest.raises(ValueError, match=f"grid {bound} must be finite, got {value}"):
+            Grid(**{bound: value})

@@ -31,7 +31,12 @@ conjugate and alteration, re-recorded once because they still held the
 summaries of before the eigen residual joined the entry (max 1.9e-17 and
 2.2e-17 beside an ``eigen_residual`` of 7.2e-17 and 9.0e-17), so that the
 files record what ``maf report`` prints; and the ``lifting`` entries' metadata
-key ``dropped`` (always null), removed once with the test-only option behind it.
+key ``dropped`` (always null), removed once with the test-only option behind it;
+and the ``rdq`` ``worst_pair`` of landau, conjugate and p6, re-recorded once more
+when the pair sweep came to be one contraction whose mismatches lose their nearest
+multiple of 2 pi before the sine: every pair there still passes by round-off (at
+most 7.1e-15), so the worst is again round-off's choice (conjugate's residuals are
+now all exactly 0, so its worst is the first pair, e with e; alteration's did not move).
 Nothing else in those entries was re-recorded.
 ``X.json`` is ``maf report --config X``, ``highdim_X.json`` is
 ``maf highdim --config X``.  ``p6.json`` is ``maf report --config

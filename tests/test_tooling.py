@@ -237,6 +237,33 @@ def test_word_closure_is_exact_and_has_no_entry_loop():
     assert [type(node) for node in loops] == [ast.While]
 
 
+@pytest.mark.parametrize("config, length", [("landau", 6), ("alteration", 3), (str(TRACING.parent / "p6.json"), 4)],
+                         ids=["landau", "alteration", "p6"])
+def test_rdq_sweeps_its_pairs_in_one_contraction_and_one_sine(monkeypatch, fresh_groups, config, length):
+    # the n x n phase mismatches come from one einsum (rank 4, or 6 when mu != 0) and go through
+    # one sine, whether the character table is built in the call or kept from before; the report's
+    # mean is a pairwise sum, with no cumsum
+    import maf.automorphy
+    import maf.reports
+    from maf.config import build_system, load_bundled, load_config
+
+    sys_ = build_system(load_config(config) if config.endswith(".json") else load_bundled(config))
+    shapes = {"einsum": [], "sin": [], "cumsum": []}  # the shape of each call's result
+    for name, seen in shapes.items():
+        real = getattr(np, name)
+        spy = lambda *a, _real=real, _seen=seen, **k: _seen.append(np.shape(r := _real(*a, **k))) or r
+        monkeypatch.setattr(np, name, spy)
+    for _ in range(2):
+        for seen in shapes.values():
+            seen.clear()
+        maf.automorphy.rdq_check(sys_.nu, sys_.mu, sys_.rho, sys_.gamma, sys_.chi, max_word_len=length)
+        n = sys_.gamma.closure.size(length)
+        assert shapes["einsum"] == [(n, n)] and shapes["sin"].count((n, n)) == 1
+        assert shapes["cumsum"] == []
+    for fn in (maf.reports.from_residuals, maf.reports.from_element_residuals):
+        assert "cumsum" not in inspect.getsource(fn)
+
+
 # what stays in src/maf with no caller there or in perfbench/, and why
 UNCALLED = {
     "magnetics.representation": "T_g f itself: the array form of the functional equation is to call it, "
