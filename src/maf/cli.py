@@ -16,7 +16,7 @@ from . import magnetics, spectral
 from .automorphy import PseudoCharacter, rdq_check
 from .config import ConfigError, SystemConfig, build_system, parse_config, read_bundled, read_config
 from .equivariant import check_equivariance, homomorphism_report
-from .fields import Grid, polyexp_field
+from .fields import Grid, gaussian
 from .groups import GroupElement, random_ab
 from .highdim import EquivariantMapN, constant_field_test
 from .magnetics import MagneticSystem
@@ -69,8 +69,8 @@ def _memo_entry(path: str) -> list:
 
 
 def _probe_field(sys_: MagneticSystem):
-    """e^{-B|z|^2/2} with exact derivatives: the invariance and intertwining probe."""
-    return polyexp_field({(0, 0): 1.0}, sys_.B / 2)
+    """e^{-B|z|^2/2} with its exact jet: the invariance and intertwining probe."""
+    return gaussian(sys_.B / 2)
 
 
 def _tol(args, default: float) -> float:

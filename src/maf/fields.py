@@ -1,47 +1,53 @@
-"""Scalar fields on C with exact jets, and quadrature nodes.
+"""Scalar fields on C as their exact jets, the Gaussian probe, and quadrature nodes.
 
 Conventions: d/dz = (d/dx - i d/dy)/2, d/dzbar = (d/dx + i d/dy)/2, and the
-area pairing dz ^ dzbar = -2i dx ^ dy.  A field is differentiated in one way
-only: its jet (value, Wirtinger derivatives, flat Laplacian) is exact, from
-the field itself.  Every function here takes an ndarray of points and
-broadcasts over it; a scalar point is numpy's 0-d case.
+area pairing dz ^ dzbar = -2i dx ^ dy.  A field is its jet (value, Wirtinger
+derivatives, flat Laplacian), exact and written once; its value is the jet's
+first part.  Every function here takes an ndarray of points and broadcasts
+over it; a scalar point is numpy's 0-d case.
 """
 
 from __future__ import annotations
 
-import math
+import numbers
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
-
-ComplexFn = Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass
 class ScalarField:
-    """A complex-valued function of z, with its exact jet when it has one.
+    """A complex-valued function of z, given by its exact jet.
 
-    ``func`` gives the values; ``jet``, when given, gives (f, df/dz, df/dzbar, flat
-    Laplacian 4 d2/(dz dzbar)) at once.  Each callable takes an ndarray of points and
-    broadcasts elementwise; it may return a scalar instead when the function is constant.
-    A field without a jet can only be evaluated.
+    ``jet`` gives (f, df/dz, df/dzbar, flat Laplacian 4 d2/(dz dzbar)) at once; calling the
+    field gives f, the jet's first part.  The jet takes an ndarray of points and broadcasts
+    elementwise; a part may be a scalar instead when it is constant.
     """
 
-    func: ComplexFn
-    jet: Optional[Callable[[np.ndarray], tuple]] = None
+    jet: Callable[[np.ndarray], tuple]
 
     def __call__(self, z):
-        return self.func(z)
+        return self.jet(z)[0]
 
 
 def jet(f: ScalarField, z):
     """(f, df/dz, df/dzbar, flat Laplacian) at the points z, from f's exact jet."""
-    if f.jet is None:
-        raise TypeError("the field has no jet: it can only be evaluated")
     return f.jet(z)
+
+
+def gaussian(alpha: float) -> ScalarField:
+    """g = e^{-alpha |z|^2} with its exact jet: g_z = -alpha zbar g, g_zbar = -alpha z g and
+    Lap g = 4(alpha^2 |z|^2 - alpha) g."""
+
+    def jet_fn(z):
+        zb = z.conjugate()
+        g = np.exp(-alpha * (z * zb).real)
+        return g, -alpha * zb * g, -alpha * z * g, 4 * (alpha * alpha * z * zb - alpha) * g
+
+    return ScalarField(jet_fn)
 
 
 def quad2d_nodes(rect: tuple[float, float, float, float], n: int):
@@ -58,51 +64,6 @@ def quad2d_nodes(rect: tuple[float, float, float, float], n: int):
     return X + 1j * Y, np.outer(wxs, wys)
 
 
-# ---------------------------------------------------------------------------
-# Polynomial-times-Gaussian fields with exact derivatives.
-
-Poly2 = dict[tuple[int, int], complex]  # (i, j) -> coefficient of z^i zbar^j
-
-
-def _poly_evals(ps: list[Poly2], z) -> list:
-    """sum c z^i zbar^j for each P of ps, from one table of powers: z^n is z^(n-1) z (zbar^n
-    likewise), and a power 0 is no factor."""
-    degs = [max((ij[m] for p in ps for ij in p), default=0) for m in (0, 1)]
-    zs, zbs = (list(accumulate([w] * n, np.multiply)) for w, n in zip((z, z.conjugate()), degs))
-    times = lambda c, ws, n: c * ws[n - 1] if n else c
-    return [sum(times(times(c, zs, i), zbs, j) for (i, j), c in p.items()) for p in ps]
-
-
-def _poly_d(p: Poly2, m: int, alpha: float) -> Poly2:
-    """Q with d(P e^{-alpha z zbar}) = Q e^{-alpha z zbar}, d = d/dz (m = 0) or d/dzbar (m = 1):
-    Q = P_z - alpha zbar P, or P_zbar - alpha z P."""
-    out: Poly2 = {}
-    for (i, j), c in p.items():
-        if n := (i, j)[m]:
-            key = (i - 1 + m, j - m)
-            out[key] = out.get(key, 0) + n * c
-    for (i, j), c in p.items():
-        key = (i + m, j + 1 - m)
-        out[key] = out.get(key, 0) - alpha * c
-    return out
-
-
-def polyexp_field(coeffs: Poly2, alpha: float = 0.0) -> ScalarField:
-    """P(z, zbar) * exp(-alpha |z|^2) with its exact jet."""
-    p = dict(coeffs)
-
-    def gauss(z):
-        return np.exp(-alpha * (z * z.conjugate()).real)
-
-    q_z, q_zb, q_lap = _poly_d(p, 0, alpha), _poly_d(p, 1, alpha), _poly_d(_poly_d(p, 1, alpha), 0, alpha)
-
-    def jet_fn(z):  # the Gaussian and the powers once for all four parts
-        g, (v, v_z, v_zb, v_lap) = gauss(z), _poly_evals([p, q_z, q_zb, q_lap], z)
-        return v * g, v_z * g, v_zb * g, 4 * v_lap * g
-
-    return ScalarField(lambda z: _poly_evals([p], z)[0] * gauss(z), jet_fn)
-
-
 @dataclass
 class Grid:
     """Rectangular sampling grid used by residual sweeps."""
@@ -115,9 +76,12 @@ class Grid:
     ny: int = 41
 
     def __post_init__(self):
-        for k, v in self.to_dict().items():  # a NaN fails both
-            if not (v >= 1 if k in ("nx", "ny") else abs(v) < math.inf):
-                raise ValueError(f"grid {k} must be {'>= 1' if k in ('nx', 'ny') else 'finite'}, got {v}")
+        for k, v in self.to_dict().items():
+            count = k in ("nx", "ny")  # a count is an int, a bound any real number; neither a bool
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral if count else numbers.Real):
+                raise ValueError(f"grid {k} must be {'an integer' if count else 'a real number'}, got {v!r}")
+            if not (v >= 1 if count else abs(v) <= sys.float_info.max):  # NaN fails, as does an int past float
+                raise ValueError(f"grid {k} must be {'>= 1' if count else 'finite'}, got {v}")
 
     def points(self) -> np.ndarray:
         """The nx * ny points x + iy, x-major, read-only and shared by every equal grid."""

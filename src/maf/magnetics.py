@@ -47,8 +47,7 @@ COEFFICIENT_TOL = 1e-12  # S's coefficients against B and gauge_k, exact up to r
 def phase_pullback(f: ScalarField, ks: complex, a=1.0, b=0.0, c=1.0) -> ScalarField:
     """c e^{2i Re(ks z)} f(a z + b): f pulled back by [a, b] times a linear phase, its jet by
     ``_phased_jet`` from one jet of f."""
-    phase = lambda z: c * np.exp(2j * (ks * z).real)
-    return ScalarField(lambda z: phase(z) * f(a * z + b), lambda z: _phased_jet(phase(z), ks, a, jet(f, a * z + b)))
+    return ScalarField(lambda z: _phased_jet(c * np.exp(2j * (ks * z).real), ks, a, jet(f, a * z + b)))
 
 
 def _phased_jet(p, ks: complex, a, F):

@@ -9,8 +9,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-_SUM_BOUND = 1e300  # n residuals each at most _SUM_BOUND / n sum to no more than that, far from overflow
-
 
 @dataclass
 class CheckReport:
@@ -40,20 +38,28 @@ class CheckReport:
         }
 
 
-def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
-    """Build a report from an array (of any shape) or sequence of nonnegative residuals.
+def _summaries(rows: np.ndarray) -> tuple[list, list]:
+    """The max and the mean of each row of the 2-D array ``rows`` of nonnegative residuals.
 
-    A non-finite residual (NaN or inf) is reported as the maximum, so the
-    report fails; the first one in row-major order is kept.  The mean is
-    numpy's pairwise sum over the count, off the exact mean by a few ulps.
+    A row with a NaN reports its first non-finite residual (a NaN, or an inf before it) as
+    the max, so its report fails.  The mean is numpy's pairwise sum over the count, off the
+    exact mean by a few ulps.  A row of no residuals has max and mean 0.
     """
-    arr = np.asarray(residuals, dtype=float).ravel()
-    if not arr.size:
-        return CheckReport(name, 0.0, 0.0, tol, metadata)
-    if math.isnan(worst := arr.max()):  # the first non-finite residual is reported: a NaN, or an inf before it
-        worst = arr[np.argmin(np.isfinite(arr))]
+    if not (n := rows.shape[1]):
+        return [0.0] * len(rows), [0.0] * len(rows)
+    worst = rows.max(axis=1)
+    if any(map(math.isnan, worst.tolist())):
+        nan = np.isnan(worst)
+        worst[nan] = rows[nan, np.argmin(np.isfinite(rows[nan]), axis=1)]
     with np.errstate(over="ignore"):  # residuals near the largest float may sum past it, to inf
-        return CheckReport(name, float(worst), float(arr.sum()) / arr.size, tol, metadata)
+        return worst.tolist(), [total / n for total in rows.sum(axis=1).tolist()]
+
+
+def from_residuals(name: str, residuals, tol: float, **metadata) -> CheckReport:
+    """Build a report from an array (of any shape) or sequence of nonnegative residuals,
+    summarized as one row (``_summaries``)."""
+    (worst,), (mean,) = _summaries(np.asarray(residuals, dtype=float).reshape(1, -1))
+    return CheckReport(name, worst, mean, tol, metadata)
 
 
 def element_dicts(gs) -> list[dict]:
@@ -63,13 +69,10 @@ def element_dicts(gs) -> list[dict]:
 
 
 def from_element_residuals(name: str, res, tol: float, gs, key: str = "g", **metadata) -> list[CheckReport]:
-    """``from_residuals`` of each row of the (G, N) array res, with its element of gs = (a, b) under
-    ``key``; the maxima and sums of all rows in one call each, unless a row takes its slow path."""
-    rows, elements = np.asarray(res, dtype=float), element_dicts(gs)
-    if rows.size and ((worst := rows.max(axis=1)) <= _SUM_BOUND / rows.shape[1]).all():
-        means = (rows.sum(axis=1) / rows.shape[1]).tolist()
-        return [CheckReport(name, w, m, tol, {key: g, **metadata}) for w, m, g in zip(worst.tolist(), means, elements)]
-    return [from_residuals(name, r, tol, **{key: g}, **metadata) for r, g in zip(rows, elements)]
+    """``from_residuals`` of each row of the (G, N) array res, all rows in one pass, with its
+    element of gs = (a, b) under ``key``."""
+    worst, means = _summaries(np.ascontiguousarray(res, dtype=float))  # pairwise sums need C order
+    return [CheckReport(name, w, m, tol, {key: g, **metadata}) for w, m, g in zip(worst, means, element_dicts(gs))]
 
 
 _quote = json.encoder.encode_basestring_ascii

@@ -156,18 +156,17 @@ def strip_eigenfunction(basis: SpectralBasis, sys: MagneticSystem, m, n: int) ->
     c = np.sqrt(2 * B) / 2
     shift = np.sqrt(2.0 / B) * np.pi * (a + n)
     k, lin = sys.gauge_k, 2j * np.pi * (a + n)
-    E = lambda z: norm * np.exp(-1j * sys.phi(z) - (B / 2) * np.abs(z) ** 2 + (B / 2) * z**2 + lin * z)
-    t = lambda z: 2 * c * np.imag(z) + shift
 
     def jet_fn(z):
         z = np.asarray(z, dtype=complex)
-        e, (h, h1, h2) = E(z), _hermite_jet(m, t(z))
+        e = norm * np.exp(-1j * sys.phi(z) - (B / 2) * np.abs(z) ** 2 + (B / 2) * z**2 + lin * z)
+        h, h1, h2 = _hermite_jet(m, 2 * c * np.imag(z) + shift)
         P = B * z - (B / 2) * z.conjugate() + lin - 1j * k
         Q = -(B / 2) * z - 1j * np.conj(k)
         lap = 4 * e * ((P * Q - B / 2) * h + 1j * c * (P - Q) * h1 + c * c * h2)
         return e * h, e * (P * h - 1j * c * h1), e * (Q * h + 1j * c * h1), lap
 
-    return ScalarField(lambda z: E(z) * hermite(m, t(z)), jet_fn)
+    return ScalarField(jet_fn)
 
 
 def rayleigh_quotient(sys: MagneticSystem, f: ScalarField, points) -> complex | np.ndarray:
@@ -223,9 +222,8 @@ def kernel_field(sys: MagneticSystem, k: int, w: complex) -> ScalarField:
         g, g1, g2 = _radial(B, k, rho)
         return g, d.conjugate() * g1, d * g1, 4 * (g1 + rho * g2)
 
-    G = ScalarField(lambda d: g_jet(d)[0], g_jet)
     ks, c = -sys.gauge_k - 0.5j * B * np.conj(w), (B / np.pi) * np.exp(1j * _phi(sys, w))
-    return phase_pullback(G, ks, 1.0, -w, c)
+    return phase_pullback(ScalarField(g_jet), ks, 1.0, -w, c)
 
 
 def kernel_eigen_residual(sys: MagneticSystem, k: int, w: complex, points) -> float:

@@ -4,7 +4,9 @@ The finite-difference oracle, which every exact jet is compared with, is the per
 5-point central stencil: each shifted point is its own call of the field, so the
 oracle shares no code with the jets it checks.  The 1-form exterior derivative, which
 exists to take finite differences, is built on it.  A field here is any callable of an
-ndarray of points (a ``ScalarField`` is one).  The gauge oracle integrates dphi, written
+ndarray of points (a ``ScalarField`` is one, its value the first part of its jet).  The
+probe family is P(z, zbar) e^{-alpha |z|^2} with its exact jet, a richer probe than the
+Gaussian (P = 1) that ``maf`` runs.  The gauge oracle integrates dphi, written
 from S and B, along an L-path one node at a time.  The group-side oracles work one scalar
 element at a time: the action, rho, the phase and chi of one element, the distance of two
 elements, the (character-free) mixed factor and its cocycle defect, sampled on a grid,
@@ -15,6 +17,8 @@ without one of its correction factors into a system.
 
 import copy
 from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -51,16 +55,56 @@ def oracle_jet(f, z, h=FD_STEP):
 
 
 def fd_field(func, h=FD_STEP) -> ScalarField:
-    """func with the stencil for its jet: the finite-difference twin of a field, which the
-    operators that take a jet (mixed Laplacian, Landau, Rayleigh quotient) accept."""
-    return ScalarField(func, lambda z: oracle_jet(func, z, h))
+    """func's values with the stencil's derivatives as a jet: the finite-difference twin of a
+    field, which the operators that take a jet (mixed Laplacian, Landau, Rayleigh quotient) accept."""
+    return ScalarField(lambda z: oracle_jet(func, z, h))
+
+
+Poly2 = dict[tuple[int, int], complex]  # (i, j) -> coefficient of z^i zbar^j
+
+
+def _poly_evals(ps: list[Poly2], z) -> list:
+    """sum c z^i zbar^j for each P of ps, from one table of powers: z^n is z^(n-1) z (zbar^n
+    likewise), and a power 0 is no factor."""
+    degs = [max((ij[m] for p in ps for ij in p), default=0) for m in (0, 1)]
+    zs, zbs = (list(accumulate([w] * n, np.multiply)) for w, n in zip((z, z.conjugate()), degs))
+    times = lambda c, ws, n: c * ws[n - 1] if n else c
+    return [sum(times(times(c, zs, i), zbs, j) for (i, j), c in p.items()) for p in ps]
+
+
+def _poly_d(p: Poly2, m: int, alpha: float) -> Poly2:
+    """Q with d(P e^{-alpha z zbar}) = Q e^{-alpha z zbar}, d = d/dz (m = 0) or d/dzbar (m = 1):
+    Q = P_z - alpha zbar P, or P_zbar - alpha z P."""
+    out: Poly2 = {}
+    for (i, j), c in p.items():
+        if n := (i, j)[m]:
+            key = (i - 1 + m, j - m)
+            out[key] = out.get(key, 0) + n * c
+    for (i, j), c in p.items():
+        key = (i + m, j + 1 - m)
+        out[key] = out.get(key, 0) - alpha * c
+    return out
+
+
+def polyexp_field(coeffs: Poly2, alpha: float = 0.0) -> ScalarField:
+    """P(z, zbar) * exp(-alpha |z|^2) with its exact jet, the Gaussian and the powers of z and
+    zbar formed once for all four parts."""
+    p = dict(coeffs)
+    q_z, q_zb, q_lap = _poly_d(p, 0, alpha), _poly_d(p, 1, alpha), _poly_d(_poly_d(p, 1, alpha), 0, alpha)
+
+    def jet_fn(z):
+        g = np.exp(-alpha * (z * z.conjugate()).real)
+        v, v_z, v_zb, v_lap = _poly_evals([p, q_z, q_zb, q_lap], z)
+        return v * g, v_z * g, v_zb * g, 4 * v_lap * g
+
+    return ScalarField(jet_fn)
 
 
 @dataclass
 class TwoForm:
     """coeff * dz ^ dzbar."""
 
-    coeff: ScalarField
+    coeff: Callable
 
 
 def exterior_derivative(coeff_dz, coeff_dzbar, h=FD_STEP) -> TwoForm:
@@ -69,7 +113,7 @@ def exterior_derivative(coeff_dz, coeff_dzbar, h=FD_STEP) -> TwoForm:
     def coeff(z):
         return oracle_wirtinger(coeff_dzbar, z, h)[0] - oracle_wirtinger(coeff_dz, z, h)[1]
 
-    return TwoForm(ScalarField(coeff))
+    return TwoForm(coeff)
 
 
 def gauge_phi(sys, z, x_first=True) -> float:

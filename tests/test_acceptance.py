@@ -11,7 +11,7 @@ from maf import magnetics
 from maf.automorphy import PseudoCharacter, rdq_check
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
-from maf.fields import Grid, polyexp_field, quad2d_nodes
+from maf.fields import Grid, quad2d_nodes
 from maf.groups import DiscreteSubgroup, GroupElement
 from maf.highdim import EquivariantMapN, constant_field_test, two_form
 from maf.magnetics import (
@@ -36,7 +36,7 @@ from maf.spectral import (
     strip_eigenfunction,
     truncation_radius,
 )
-from oracles import apply_landau, chi_tau_dropping, defect_phase_residuals, gauge_phi, with_field
+from oracles import apply_landau, chi_tau_dropping, defect_phase_residuals, gauge_phi, polyexp_field, with_field
 from test_highdim import _two_form_matrix, potential_n_coeffs
 
 NAMES = ("landau", "conjugate", "alteration")

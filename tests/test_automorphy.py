@@ -14,7 +14,7 @@ from maf.automorphy import (
 )
 from maf.config import build_system, load_bundled
 from maf.equivariant import Endomorphism, tau_from_beta
-from maf.fields import Grid, ScalarField
+from maf.fields import Grid
 from maf.groups import IDENTITY, MATCH_TOL, DiscreteSubgroup, GroupElement, compose, compose_ab, inverse
 from oracles import (
     act,
@@ -491,7 +491,7 @@ class TestFunctionalEquation:
     def test_zero_function(self):
         s = build_system(load_bundled("conjugate"))
         rep = functional_equation_residual(
-            ScalarField(lambda z: 0.0),
+            lambda z: 0.0,
             s.nu, s.mu, s.rho, s.tau, s.chi_table,
             s.gamma.generators[0], Grid(nx=5, ny=5),
         )
@@ -509,7 +509,7 @@ class TestFunctionalEquation:
             )
 
         rep = functional_equation_residual(
-            ScalarField(f), s.nu, s.mu, s.rho, s.tau, s.chi_table,
+            f, s.nu, s.mu, s.rho, s.tau, s.chi_table,
             s.gamma.generators[0], Grid(nx=7, ny=7),
         )
         assert rep.max_residual < 1e-8
@@ -517,7 +517,7 @@ class TestFunctionalEquation:
     def test_constant_function_fails(self):
         s = build_system(load_bundled("conjugate"))
         rep = functional_equation_residual(
-            ScalarField(lambda z: 1.0), s.nu, s.mu, s.rho, s.tau, s.chi_table,
+            lambda z: 1.0, s.nu, s.mu, s.rho, s.tau, s.chi_table,
             s.gamma.generators[0], Grid(nx=5, ny=5),
         )
         assert rep.max_residual > 0.1

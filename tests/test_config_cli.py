@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import sys
 from importlib import resources
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from maf.cli import COMMANDS, main
 from maf.config import ConfigError, SystemConfig, build_system, load_bundled, load_config
+from maf.fields import Grid
 from maf.reports import CheckReport, element_dicts, emit, from_element_residuals, from_residuals
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -99,7 +101,10 @@ def summary_cases():
         arr = rng.random((3, 9))
         arr[1, 2 : 2 + len(bad)] = bad
         cases.append(arr)
-    return cases + [np.zeros((3, 0)), np.zeros((0, 4))]
+    # several bad rows in one call: a NaN row, an inf-before-NaN row and an overflowing one
+    several = rng.random((4, 9))
+    several[0, 4], several[1, 2:4], several[3, 0:2] = math.nan, [math.inf, math.nan], [1e308, 1e308]
+    return cases + [np.zeros((3, 0)), np.zeros((0, 4)), several]
 
 
 def _residuals(vals, n, seed, inserts):
@@ -390,6 +395,22 @@ class TestCli:
                 assert main([command, *argv]) == 2
                 captured = capsys.readouterr()
                 assert captured.out == "" and captured.err.startswith(f"usage error: grid {bound} must be finite")
+
+    @pytest.mark.parametrize("key, value, want", [
+        ("xmin", "a", "a real number"), ("xmin", None, "a real number"), ("ymax", [1], "a real number"),
+        ("xmax", True, "a real number"), ("nx", 2.5, "an integer"), ("ny", "5", "an integer"),
+        ("nx", True, "an integer"), ("ymin", 10**400, "finite"),
+    ], ids=["xmin_str", "xmin_null", "ymax_list", "xmax_bool", "nx_float", "ny_str", "nx_bool", "ymin_past_float"])
+    def test_malformed_grid_value_is_refused_by_name(self, capsys, tmp_path, key, value, want):
+        # these exited 1 with a traceback (a TypeError, or numpy's cast error for an int past the
+        # float range), and "nx": true ran as one point
+        with pytest.raises(ValueError, match=re.escape(f"grid {key} must be {want}, got {value!r}")):
+            Grid(**{key: value})
+        path = tmp_path / "grid.json"
+        path.write_text(landau_text(grid={key: value}))
+        assert main(["field", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage error: grid {key} must be {want}")
 
     @pytest.mark.parametrize("command, points", [("kernel", ["--z", "nan,0", "--w", "0,0"]),
                                                  ("kernel", ["--z", "0,0", "--w", "0,inf"]),

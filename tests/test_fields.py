@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import exterior_derivative, oracle_jet, oracle_laplacian, oracle_wirtinger
+from oracles import _poly_evals, exterior_derivative, oracle_jet, oracle_laplacian, oracle_wirtinger, polyexp_field
 
-from maf.fields import Grid, ScalarField, _poly_evals, jet, polyexp_field, quad2d_nodes
+from maf.config import build_system, load_bundled
+from maf.fields import Grid, ScalarField, gaussian, jet, quad2d_nodes
 
 
 class TestWirtinger:
@@ -25,14 +26,9 @@ class TestWirtinger:
 
     def test_analytic_fast_path(self):
         # a field's derivatives are its jet's, taken as they are
-        f = ScalarField(lambda z: z**2, lambda z: (z**2, 2 * z, 0.0, 0.0))
+        f = ScalarField(lambda z: (z**2, 2 * z, 0.0, 0.0))
         assert jet(f, 3 + 1j)[1:3] == (6 + 2j, 0.0)
-
-    def test_value_only_field_has_no_jet(self):
-        f = ScalarField(lambda z: abs(z) ** 2)
-        assert f(2.0) == 4.0
-        with pytest.raises(TypeError, match="no jet"):
-            jet(f, 0.5 + 2j)
+        assert f(3 + 1j) == (3 + 1j) ** 2
 
     def test_fd_order(self):
         # halving the step shrinks the error roughly 16x for a 5-point stencil
@@ -116,7 +112,7 @@ class TestStencil:
     @pytest.mark.parametrize("h", [1e-4, 3e-3])
     def test_matches_per_call_stencil(self, name, pts, h):
         func, exact = STENCIL_FIELDS[name]
-        f, z = ScalarField(func, exact), STENCIL_POINTS[pts]
+        f, z = ScalarField(exact), STENCIL_POINTS[pts]
         val, *parts = jet(f, z)
         want_val, *want = oracle_jet(func, z, h)
         assert same_bits(val, want_val)
@@ -127,7 +123,7 @@ class TestStencil:
     @pytest.mark.parametrize("h", [1e-4, 3e-3])
     def test_zero_d_point(self, name, h):
         func, exact = STENCIL_FIELDS[name]
-        f = ScalarField(func, exact)
+        f = ScalarField(exact)
         eps = np.finfo(float).eps
         for z in map(np.asarray, (0.3 + 0.4j, -1.1 + 0.25j, 0.7 - 0.9j)):
             got = jet(f, z)
@@ -150,7 +146,7 @@ class TestStencil:
         exact = polyexp_field({(1, 1): 1.0, (0, 2): 0.5j}, alpha=0.4)
         z = STENCIL_POINTS["array"]
         calls = []
-        f = ScalarField(counted(exact.func, calls), counted(exact.jet, calls))
+        f = ScalarField(counted(exact.jet, calls))
         val, *parts = jet(f, z)
         assert calls == [z.shape]
         assert same_bits(val, exact(z))
@@ -237,6 +233,38 @@ class TestPolyexpField:
         assert same_bits(got[3], 1.0 * (z * z * z))
         assert same_bits(got[4], -0.5 * z * (np.conj(z) * np.conj(z)))
         assert all(same_bits(g, _poly_evals([p], z)[0]) for g, p in zip(got, ps))
+
+
+# the probe's alpha: a few values and B/2 of each bundled system, the one maf runs there
+PROBE_ALPHAS = {"0.5": 0.5, "0.75": 0.75, "1": 1.0, "pi/2": math.pi / 2,
+                **{f"{n}_B/2": build_system(load_bundled(n)).B / 2 for n in ("landau", "conjugate", "alteration")}}
+
+
+class TestGaussian:
+    """The probe maf runs, e^{-alpha |z|^2}, against the probe family's P = 1 field."""
+
+    @pytest.mark.parametrize("alpha", PROBE_ALPHAS.values(), ids=PROBE_ALPHAS.keys())
+    def test_bit_equal_to_the_family_at_one(self, alpha):
+        # the parts agree to the last bit off the axes, and on a report grid up to the sign of a
+        # zero (dbar's imaginary part where x < 0 = y)
+        rng = np.random.default_rng(7)
+        z = 2 * (rng.standard_normal(243) + 1j * rng.standard_normal(243))
+        family = polyexp_field({(0, 0): 1.0}, alpha)
+        for got, want in zip(gaussian(alpha).jet(z), family.jet(z), strict=True):
+            assert same_bits(got, want)
+        pts = Grid().points()
+        for got, want in zip(gaussian(alpha).jet(pts), family.jet(pts), strict=True):
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.3])
+    def test_jet_matches_the_stencil(self, alpha):
+        f, z = gaussian(alpha), STENCIL_POINTS["grid"]
+        val, *parts = jet(f, z)
+        want_val, *want = oracle_jet(f, z, 1e-3)
+        assert same_bits(val, want_val)
+        assert np.max(np.abs(val - np.exp(-alpha * np.abs(z) ** 2))) <= 4 * np.finfo(float).eps
+        for got, w, tol in zip(parts, want, stencil_tols(f, z, 1e-3), strict=True):
+            assert np.max(np.abs(got - w)) <= tol
 
 
 class TestGrid:

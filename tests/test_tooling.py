@@ -83,6 +83,23 @@ def test_report_takes_no_stencil(capsys, monkeypatch, config):
     assert fields and all(f.jet is not None for f in fields)
 
 
+def test_a_field_is_its_jet():
+    # a ScalarField holds one callable, its exact jet, and its value is the jet's first part:
+    # no src/maf module builds one with a second, value-only formula
+    import dataclasses
+
+    import maf
+    from maf.fields import ScalarField
+
+    assert [f.name for f in dataclasses.fields(ScalarField)] == ["jet"]
+    built = []
+    for path in sorted(Path(maf.__file__).parent.glob("*.py")):
+        calls = [n for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, ast.Call)]
+        built += [(path.name, n.lineno, len(n.args) + len(n.keywords)) for n in calls
+                  if getattr(n.func, "id", getattr(n.func, "attr", None)) == "ScalarField"]
+    assert built and [site for site in built if site[2] > 1] == []
+
+
 def test_src_defines_no_stencil_and_reads_no_fd_step():
     # a field is differentiated by its exact jet only; the finite-difference stencil is the
     # tests' oracle (tests/oracles.py), and no module or bundled config takes a step
